@@ -37,8 +37,8 @@ class Parameters:
     c11: float = field(default=None)  # defaults to p
 
     def __post_init__(self):
-        if not (self.H >= 1.0):
-            raise ValueError(f"H must be >= 1, got {self.H}")
+        if not (1.0 <= self.H < math.inf):
+            raise ValueError(f"H must be finite and >= 1, got {self.H}")
         if not (0.0 < self.p <= 1.0):
             raise ValueError(f"p must be in (0, 1], got {self.p}")
         if self.c1 != 1.0 or self.c2 != 1.0 or self.c17 != 1.0:
@@ -209,6 +209,8 @@ def projections(y, tetrad: Tetrad) -> tuple[float, float, float, float]:
     restriction w3 > 0 is applied by frame_components.
     """
     y = np.asarray(y, dtype=float).reshape(4)
+    if not np.isfinite(y).all():
+        raise ValueError(f"vector components must be finite, got {y.tolist()}")
     b = float(tetrad.b @ y)
     if b <= 0.0:
         raise NotFutureTimelike(f"timelike projection b={b} is not positive")

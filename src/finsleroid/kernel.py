@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.integrate import quad
-
 from . import dual as dm
 from .errors import (
     EmptyDomain,
@@ -426,6 +424,9 @@ def oracle_quadrature(
     of the definition, not of the solution) are evaluated.  Absolute
     tolerance 1e-12 per integral.
     """
+    # Imported here: scipy.integrate dominates the package's import time.
+    from scipy.integrate import quad
+
     dom = domain_info(params)
     if not (dom.eta_min < eta0 < eta1):
         raise ValueError(

@@ -59,6 +59,8 @@ def _frame_point(y, tetrad: Tetrad | None, params: Parameters):
     if tetrad is None:
         tetrad = Tetrad.canonical()
     y = np.asarray(y, dtype=float).reshape(4)
+    if not np.isfinite(y).all():
+        raise ValueError(f"vector components must be finite, got {y.tolist()}")
     yf = tetrad.rows @ y
     b = yf[0]
     if b <= 0.0:

@@ -72,6 +72,22 @@ def test_usage_error_exit_code():
     assert r.returncode == 1
     r = run_cli("nonsense")
     assert r.returncode == 1
+    for y in ("2,0.2,0.1,nan", "2,0.2,0.1,inf"):
+        r = run_cli("eval", "--H", "1.25", "--p", "0.8", "--y", y)
+        assert r.returncode == 1
+        assert "finite" in r.stderr
+        assert "Warning" not in r.stderr
+
+
+def test_import_leaves_scipy_unloaded():
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, finsleroid; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
 
 
 def test_eval_csv_format_columns():

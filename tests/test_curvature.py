@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from finsleroid.curvature import coordinate_plane_curvatures
+from finsleroid import AngleCoords, Parameters, domain_info, indicatrix_curvature
+from finsleroid.curvature import DEFAULT_STEP, christoffel, coordinate_plane_curvatures
 
 
 def test_round_sphere_unit_curvature():
@@ -50,3 +51,53 @@ def test_flat_metric_zero_curvature():
 
     ks = coordinate_plane_curvatures(metric, np.array([0.4, 1.0]))
     assert abs(ks[(0, 1)]) < 1e-12
+
+
+def test_flat_plane_in_curvilinear_chart():
+    # pullback of the Euclidean plane through a nonlinear map: every
+    # component of g and its mixed derivatives is nonzero, K is still 0
+    def metric(x):
+        u, v = x
+        j = np.array([
+            [1.0 + 0.5 * v * math.cos(u * v), 0.5 * u * math.cos(u * v)],
+            [-0.5 * math.sin(u + v * v), 1.0 - v * math.sin(u + v * v)],
+        ])
+        return j.T @ j
+
+    for pt in ([0.4, 0.3], [0.8, -0.5], [1.2, 0.7]):
+        ks = coordinate_plane_curvatures(metric, np.array(pt))
+        assert abs(ks[(0, 1)]) < 1e-8, pt
+
+
+def test_round_sphere_christoffel_symbols():
+    def metric(x):
+        return np.diag([1.0, math.sin(x[0]) ** 2])
+
+    th = 1.1
+    g, gamma = christoffel(metric, np.array([th, 0.7]))
+    expected = np.zeros((2, 2, 2))
+    expected[0, 1, 1] = -math.sin(th) * math.cos(th)
+    expected[1, 0, 1] = expected[1, 1, 0] = math.cos(th) / math.sin(th)
+    np.testing.assert_allclose(g, metric(np.array([th, 0.7])))
+    np.testing.assert_allclose(gamma, expected, atol=1e-11)
+
+
+@pytest.mark.parametrize("n, expected", [(3, 37), (2, 17)])
+def test_single_level_stencil_evaluation_count(n, expected):
+    calls = []
+
+    def metric(x):
+        calls.append(x)
+        return np.diag(1.0 + x * x)
+
+    coordinate_plane_curvatures(metric, np.full(n, 0.3))
+    assert len(calls) == expected  # 1 + 4n + 4n(n - 1)
+
+
+@pytest.mark.parametrize("H, p", [(1.25, 0.8), (2.0, 0.5)])
+def test_indicatrix_curvature_near_domain_floor(H, p):
+    params = Parameters(H=H, p=p)
+    eta = domain_info(params).eta_min + 3 * DEFAULT_STEP
+    ks = indicatrix_curvature(AngleCoords(eta=eta, theta=0.5, phi=1.0), params)
+    for plane, k in ks.items():
+        assert abs(k + H * H) < 1e-3, plane

@@ -25,6 +25,8 @@ def test_parameters_bounds():
     with pytest.raises(ValueError):
         Parameters(H=0.9, p=1.0)
     with pytest.raises(ValueError):
+        Parameters(H=math.inf, p=1.0)
+    with pytest.raises(ValueError):
         Parameters(H=1.5, p=1.2)
     with pytest.raises(ValueError):
         Parameters(H=1.5, p=0.0)

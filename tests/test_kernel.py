@@ -252,6 +252,13 @@ def test_norm_pseudo_euclidean_axis_regulator():
     assert f_neg == pytest.approx(math.sqrt(4.0 - 1.0 - 0.25), rel=1e-12)
 
 
+def test_norm_rejects_non_finite_components():
+    params = Parameters(H=1.25, p=0.8)
+    for y in ([2.0, 0.2, 0.1, math.nan], [2.0, 0.2, 0.1, math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            finsler_norm(y, params=params)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     lam=st.sampled_from([0.5, 2.0, 7.0]),

@@ -147,6 +147,12 @@ def test_angle_gradients_axis_rejected():
         angle_gradients([1.0, 0.0, 0.0, 0.28], None, ANISO)
 
 
+def test_metric_tensor_rejects_non_finite_components():
+    for y in ([2.0, 0.2, 0.1, math.nan], [math.inf, 0.2, 0.1, 0.4]):
+        with pytest.raises(ValueError, match="finite"):
+            metric_tensor(y, None, ANISO)
+
+
 def test_metric_tensor_pseudo_euclidean():
     for y in sample_vectors(PSEUDO, 10, 53):
         tb = metric_tensor(y, None, PSEUDO)
