@@ -36,8 +36,8 @@ from .kernel import (
     angles_from_vector,
     domain_info,
     eta_from_r,
-    hyperbolic_profile,
     radial_from_ratios,
+    structural_profile,
 )
 from .indicatrix import indicatrix_curvature
 from .limits import reduction_report
@@ -154,31 +154,16 @@ def evaluate_document(params: Parameters, tetrad: Tetrad, y: np.ndarray) -> dict
         }
         r = float(dm.value(radial_from_ratios(w1, w2, w3, params)))
         eta = eta_from_r(r, params)
-        prof = hyperbolic_profile(eta, params)
-        v = float(dm.value(prof[4]))
+        prof = structural_profile(eta, params)
         theta = math.atan2(math.hypot(w1, w2), w3)
         angles = {"eta": eta, "theta": theta, "phi": math.atan2(w2, w1) % (2 * math.pi)}
-        bundle = {
-            "A": float(dm.value(prof[0])), "R1": float(dm.value(prof[1])),
-            "J": float(dm.value(prof[2])), "Y1": float(dm.value(prof[3])),
-            "V": v, "r": r, "R2": None, "I": None, "U": None, "f": None,
-            "F": b * v, "near_boundary": False,
-        }
+        bundle = {**vars(prof), "r": r, "F": b * prof.V}
     else:
         fc = frame_components(y, tetrad)
         coords, eb = angles_from_vector(fc, params)
-        frame = {
-            "b": fc.b, "w1": fc.w1, "w2": fc.w2, "w3": fc.w3,
-            "w_perp": fc.w_perp, "w": fc.w,
-            "t": fc.t if math.isfinite(fc.t) else None,
-            "y_perp": fc.y_perp, "s2": fc.s2,
-        }
-        angles = {"eta": coords.eta, "theta": coords.theta, "phi": coords.phi}
-        bundle = {
-            "A": eb.A, "R1": eb.R1, "J": eb.J, "Y1": eb.Y1, "V": eb.V,
-            "r": eb.r, "R2": eb.R2, "I": eb.I, "U": eb.U, "f": eb.f,
-            "F": eb.F, "near_boundary": eb.near_boundary,
-        }
+        frame = {**vars(fc), "t": fc.t if math.isfinite(fc.t) else None}
+        angles = vars(coords)
+        bundle = vars(eb)
     tb = metric_tensor(y, tetrad, params)
     det_closed = metric_determinant_closed(y, tetrad, params)
     return {

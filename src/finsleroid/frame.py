@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,28 +25,16 @@ class Parameters:
 
     ``H`` controls the indicatrix curvature (-H^2), ``p`` the curvature of
     the horizontal section (p^2).  Admissible range: H >= 1, 0 < p <= 1.
-    The remaining attributes are integration constants fixed once and for
-    all; they are exposed for completeness but not meant to be changed.
     """
 
     H: float
     p: float
-    c1: float = 1.0
-    c2: float = 1.0
-    c17: float = 1.0
-    c11: float = field(default=None)  # defaults to p
 
     def __post_init__(self):
         if not (1.0 <= self.H < math.inf):
             raise ValueError(f"H must be finite and >= 1, got {self.H}")
         if not (0.0 < self.p <= 1.0):
             raise ValueError(f"p must be in (0, 1], got {self.p}")
-        if self.c1 != 1.0 or self.c2 != 1.0 or self.c17 != 1.0:
-            raise ValueError("the constants c1, c2, c17 are fixed to 1")
-        if self.c11 is None:
-            object.__setattr__(self, "c11", self.p)
-        elif self.c11 != self.p:
-            raise ValueError("the constant c11 is fixed to p")
 
     @property
     def azimuthal_skew(self) -> float:

@@ -107,6 +107,21 @@ def _pullback(angles: AngleCoords, params: Parameters):
     return sign * raw, sign, d
 
 
+def _check_theta_stencil(theta: float, params: Parameters, step: float):
+    """Reject a theta stencil that leaves (0, pole) or comes too near the axis.
+
+    Below 3 * STENCIL_EXTENT * step (0.006 at the default step) the
+    difference stencil misses the 1e-3 curvature tolerance near the axis.
+    """
+    reach = STENCIL_EXTENT * step
+    pole = theta_pole(params)
+    if theta < 3.0 * reach or theta + reach >= pole:
+        raise StencilOutOfDomain(
+            f"theta stencil around {theta} needs theta >= {3.0 * reach} and "
+            f"theta + {reach} < {pole}"
+        )
+
+
 def _check_stencil(angles: AngleCoords, params: Parameters, step: float):
     dom = domain_info(params)
     reach = STENCIL_EXTENT * step
@@ -115,10 +130,7 @@ def _check_stencil(angles: AngleCoords, params: Parameters, step: float):
             f"eta stencil [{angles.eta - reach}, {angles.eta + reach}] leaves "
             f"the domain floor {dom.eta_min}"
         )
-    if angles.theta - reach <= 0.0 or angles.theta + reach >= theta_pole(params):
-        raise StencilOutOfDomain(
-            f"theta stencil around {angles.theta} leaves (0, {theta_pole(params)})"
-        )
+    _check_theta_stencil(angles.theta, params, step)
 
 
 def indicatrix_curvature(
@@ -131,7 +143,7 @@ def indicatrix_curvature(
     from the point.  Keep a margin of about 0.2 above the domain floor:
     the boundary is where the angle derivatives blow up and the difference
     stencil loses accuracy (at H = p = 1, 3 * step above it, the error is
-    already ~8e-4).
+    already ~8e-4).  Theta below 3 * STENCIL_EXTENT * step is rejected.
     """
     _check_stencil(angles, params, step)
 
@@ -187,13 +199,10 @@ def section_curvature(
     """Gaussian curvature of the section surface at azimuth theta.
 
     The surface is rotationally symmetric, so the polar chart value only
-    anchors the stencil.  The expected constant value is p^2.
+    anchors the stencil.  The expected constant value is p^2.  Theta below
+    3 * STENCIL_EXTENT * step is rejected.
     """
-    reach = STENCIL_EXTENT * step
-    if theta - reach <= 0.0 or theta + reach >= theta_pole(params):
-        raise StencilOutOfDomain(
-            f"theta stencil around {theta} leaves (0, {theta_pole(params)})"
-        )
+    _check_theta_stencil(theta, params, step)
 
     def metric_fn(x):
         return section_metric(x[0], x[1], params)

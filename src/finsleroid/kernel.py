@@ -169,8 +169,9 @@ def domain_info(params: Parameters) -> DomainInfo:
     """Domain floor eta_min, inner radius r_min and radial supremum r_sup.
 
     Raises EmptyDomain when p < 1 and H = 1 (the radicand is negative for
-    every eta).  The supremum is found by saturating r along a geometric
-    eta ladder until the relative change drops below 1e-12.
+    every eta), and when the radial interval underflows to r_min >= r_sup
+    in double precision.  The supremum is found by saturating r along a
+    geometric eta ladder until the relative change drops below 1e-12.
     """
     gp = params.azimuthal_skew
     hh = params.boost_skew
@@ -184,15 +185,19 @@ def domain_info(params: Parameters) -> DomainInfo:
         r_min = float(dm.value(hyperbolic_profile(eta_min, params)[5]))
     step = 1.0
     eta = eta_min + step
-    prev = dm.value(hyperbolic_profile(eta, params)[5])
+    r_sup = dm.value(hyperbolic_profile(eta, params)[5])
     while eta < ETA_CAP:
         step *= 1.5
         eta = min(eta_min + step, ETA_CAP)
-        cur = dm.value(hyperbolic_profile(eta, params)[5])
-        if abs(cur - prev) <= 1e-12 * abs(cur):
-            return DomainInfo(eta_min=eta_min, r_min=r_min, r_sup=cur)
-        prev = cur
-    return DomainInfo(eta_min=eta_min, r_min=r_min, r_sup=prev)
+        prev, r_sup = r_sup, dm.value(hyperbolic_profile(eta, params)[5])
+        if abs(r_sup - prev) <= 1e-12 * abs(r_sup):
+            break
+    if not r_min < r_sup:
+        raise EmptyDomain(
+            f"radial interval ({r_min}, {r_sup}) is empty in double precision "
+            f"for H={params.H}, p={params.p}"
+        )
+    return DomainInfo(eta_min=eta_min, r_min=r_min, r_sup=r_sup)
 
 
 def structural_profile(eta: float, params: Parameters) -> EvalBundle:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual as dm
-from .errors import NotFutureTimelike, OutsideAxialRegion, PolarAxisSingular
-from .frame import Parameters, Tetrad
+from .errors import OutsideAxialRegion, PolarAxisSingular
+from .frame import Parameters, Tetrad, projections
 from .kernel import (
     eta_from_r,
     hyperbolic_profile,
@@ -58,30 +58,18 @@ def _frame_point(y, tetrad: Tetrad | None, params: Parameters):
     """Frame ratios of a vector, with the tensor-level domain guards."""
     if tetrad is None:
         tetrad = Tetrad.canonical()
-    y = np.asarray(y, dtype=float).reshape(4)
-    if not np.isfinite(y).all():
-        raise ValueError(f"vector components must be finite, got {y.tolist()}")
-    yf = tetrad.rows @ y
-    b = yf[0]
-    if b <= 0.0:
-        raise NotFutureTimelike(f"timelike projection b={b} is not positive")
-    w = yf[1:] / b
-    w_perp = math.hypot(w[0], w[1])
+    b, w1, w2, w3 = projections(y, tetrad)
+    w_perp = math.hypot(w1, w2)
     if params.p < 1.0:
-        if w[2] <= 0.0:
-            raise OutsideAxialRegion(f"axial projection w3={w[2]} is not positive")
+        if w3 <= 0.0:
+            raise OutsideAxialRegion(f"axial projection w3={w3} is not positive")
         if w_perp == 0.0:
             raise PolarAxisSingular(
                 "metric derivatives are undefined on the polar axis for p < 1"
             )
-    elif w_perp == 0.0 and w[2] == 0.0:
+    elif w_perp == 0.0 and w3 == 0.0:
         raise PolarAxisSingular("vector lies exactly on the time axis")
-    return b, w
-
-
-def _radial_derivatives(w, params: Parameters):
-    """Radial value, gradient and Hessian with respect to the frame ratios."""
-    return dm.hessian(lambda a, b, c: radial_from_ratios(a, b, c, params), w)
+    return b, np.array([w1, w2, w3])
 
 
 def _profile_factors(r: float, params: Parameters):
@@ -99,28 +87,35 @@ def _profile_factors(r: float, params: Parameters):
     return eta, v, v_r, v_rr
 
 
-def unit_covector(y, tetrad: Tetrad | None = None, params: Parameters | None = None):
-    """Covariant unit vector l_i = dF/dy^i in frame coordinates."""
+def _radial_point(y, tetrad: Tetrad | None, params: Parameters):
+    """Norm F, unit covector l and angular metric h of one vector.
+
+    The frame point is resolved once, the radial map is differentiated
+    once (value, gradient and Hessian in the frame ratios) and its value
+    is inverted once; l and h are the component-route assemblies.
+    """
     b, w = _frame_point(y, tetrad, params)
-    r, grad, _ = _radial_derivatives(w, params)
-    eta, v, v_r, _ = _profile_factors(r, params)
+    r, grad, hess = dm.hessian(lambda a, c, d: radial_from_ratios(a, c, d, params), w)
+    eta, v, v_r, v_rr = _profile_factors(r, params)
     sh = math.sinh(eta)
     l = np.empty(4)
     l[0] = v * (1.0 + (params.p ** 2 / params.H ** 2) * sh * sh)
     l[1:] = v_r * grad
-    return l
-
-
-def angular_metric(y, tetrad: Tetrad | None = None, params: Parameters | None = None):
-    """Angular metric h_ij = F * d^2F/dy^i dy^j, component route."""
-    b, w = _frame_point(y, tetrad, params)
-    r, grad, hess = _radial_derivatives(w, params)
-    _, v, v_r, v_rr = _profile_factors(r, params)
     h = np.empty((4, 4))
     h[0, 0] = v * v_rr * r * r
     h[0, 1:] = h[1:, 0] = -v * v_rr * r * grad
     h[1:, 1:] = v * v_rr * np.outer(grad, grad) + v * v_r * hess
-    return h
+    return b * v, l, h
+
+
+def unit_covector(y, tetrad: Tetrad | None = None, params: Parameters | None = None):
+    """Covariant unit vector l_i = dF/dy^i in frame coordinates."""
+    return _radial_point(y, tetrad, params)[1]
+
+
+def angular_metric(y, tetrad: Tetrad | None = None, params: Parameters | None = None):
+    """Angular metric h_ij = F * d^2F/dy^i dy^j, component route."""
+    return _radial_point(y, tetrad, params)[2]
 
 
 def angle_gradients(
@@ -199,13 +194,9 @@ def metric_tensor(
     y, tetrad: Tetrad | None = None, params: Parameters | None = None
 ) -> TensorBundle:
     """Full bundle l, h, g = h + l (x) l and the LU determinant of g."""
-    l = unit_covector(y, tetrad, params)
-    h = angular_metric(y, tetrad, params)
+    f, l, h = _radial_point(y, tetrad, params)
     g = h + np.outer(l, l)
-    b, w = _frame_point(y, tetrad, params)
-    r = float(dm.value(radial_from_ratios(w[0], w[1], w[2], params)))
-    _, v, _, _ = _profile_factors(r, params)
-    return TensorBundle(l=l, h=h, g=g, det_g=float(np.linalg.det(g)), F=b * v)
+    return TensorBundle(l=l, h=h, g=g, det_g=float(np.linalg.det(g)), F=f)
 
 
 def metric_tensor_numeric(

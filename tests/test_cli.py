@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 GOLDEN = Path(__file__).parent / "golden" / "eval_H1_p1.json"
+GOLDEN_ISOTROPIC = Path(__file__).parent / "golden" / "eval_H1.25_p1_w3neg.json"
 
 
 def run_cli(*args, env_extra=None):
@@ -27,6 +28,13 @@ def test_eval_golden_document():
     r = run_cli("eval", "--H", "1", "--p", "1", "--y", "2,1,0,0.0001")
     assert r.returncode == 0
     assert r.stdout == GOLDEN.read_text()
+
+
+def test_eval_golden_isotropic_negative_axial():
+    # p = 1 with w3 <= 0: the isotropic branch outside the axial half
+    r = run_cli("eval", "--H", "1.25", "--p", "1", "--y", "2,0.3,0.2,-0.4")
+    assert r.returncode == 0
+    assert r.stdout == GOLDEN_ISOTROPIC.read_text()
 
 
 def test_eval_values_and_schema():
@@ -169,6 +177,14 @@ def test_report_domain_grid_with_empty_row():
     ok = by_key[("1.25", "0.80000000000000004")]
     assert ok["status"] == "ok"
     assert abs(float(ok["eta_min"]) - 1.0475930126492587) < 1e-12
+
+
+def test_report_domain_underflowed_interval_is_empty():
+    r = run_cli("report", "domain", "--Hgrid", "1.25", "--pgrid", "0.001")
+    assert r.returncode == 0
+    (row,) = json.loads(r.stdout)["rows"]
+    assert row["status"] == "empty"
+    assert row["r_min"] is None and row["r_sup"] is None
 
 
 def test_report_reduction_rows_pass():

@@ -30,14 +30,6 @@ def test_parameters_bounds():
         Parameters(H=1.5, p=1.2)
     with pytest.raises(ValueError):
         Parameters(H=1.5, p=0.0)
-    with pytest.raises(ValueError):
-        Parameters(H=1.5, p=0.5, c2=2.0)
-
-
-def test_parameters_fixed_constants():
-    params = Parameters(H=1.5, p=0.7)
-    assert params.c1 == params.c2 == params.c17 == 1.0
-    assert params.c11 == 0.7
 
 
 def test_canonical_tetrad_validates_exactly():

@@ -181,6 +181,26 @@ def test_stencil_domain_guard():
         )
     with pytest.raises(StencilOutOfDomain):
         section_curvature(theta_pole(params) - 1e-4, params)
+    # below theta = 3 * STENCIL_EXTENT * step = 0.006 the stencil misses the
+    # 1e-3 tolerance (2.3e-3 at theta = 0.0045 for (1.5, 0.9))
+    for theta in (0.0045, 0.005, 0.0059):
+        with pytest.raises(StencilOutOfDomain):
+            section_curvature(theta, Parameters(H=1.5, p=0.9))
+        with pytest.raises(StencilOutOfDomain):
+            indicatrix_curvature(_angles(params, theta=theta), params)
+
+
+def test_curvature_at_near_axis_theta_floor():
+    for params in (
+        Parameters(H=1.25, p=0.8),
+        Parameters(H=1.5, p=0.9),
+        Parameters(H=2.0, p=0.5),
+    ):
+        for theta in (0.006, 0.008):
+            assert abs(section_curvature(theta, params) - params.p**2) < 1e-3
+        ks = indicatrix_curvature(_angles(params, theta=0.006), params)
+        for k in ks.values():
+            assert abs(k + params.H**2) < 1e-3
 
 
 def test_section_curvature_round_sphere():

@@ -155,6 +155,10 @@ def test_domain_info_values():
 
     with pytest.raises(EmptyDomain):
         domain_info(Parameters(H=1.0, p=0.8))
+    # at p = 1e-3 the radial interval underflows to r_min = r_sup = 0.0
+    for h_val in (1.25, 2.0):
+        with pytest.raises(EmptyDomain):
+            domain_info(Parameters(H=h_val, p=1e-3))
 
 
 def test_radial_map_strictly_increasing():

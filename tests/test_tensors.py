@@ -26,6 +26,7 @@ from finsleroid import (
     unit_covector,
 )
 from finsleroid import dual as dm
+from finsleroid import tensors
 from finsleroid.kernel import radial_from_ratios
 
 ANISO = Parameters(H=1.25, p=0.8)
@@ -158,6 +159,37 @@ def test_metric_tensor_pseudo_euclidean():
         tb = metric_tensor(y, None, PSEUDO)
         np.testing.assert_allclose(tb.g, np.diag([1.0, -1, -1, -1]), atol=1e-11)
         assert tb.det_g == pytest.approx(-1.0, abs=1e-10)
+
+
+def test_metric_tensor_single_evaluation_chain(monkeypatch):
+    calls = {"projections": 0, "eta_from_r": 0, "hessian": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(tensors, "projections")
+    counted(tensors, "eta_from_r")
+    counted(tensors.dm, "hessian")
+    for params in (
+        Parameters(H=1.0, p=1.0),
+        Parameters(H=1.25, p=0.8),
+        Parameters(H=1.5, p=0.9),
+        Parameters(H=2.0, p=0.5),
+    ):
+        for y in sample_vectors(params, 5, 67):
+            for key in calls:
+                calls[key] = 0
+            tb = metric_tensor(y, None, params)
+            assert calls == {"projections": 1, "eta_from_r": 1, "hessian": 1}
+            assert np.array_equal(tb.l, unit_covector(y, None, params))
+            assert np.array_equal(tb.h, angular_metric(y, None, params))
+            assert np.array_equal(tb.g, tb.h + np.outer(tb.l, tb.l))
 
 
 def test_metric_tensor_norm_identity_and_signature():
