@@ -43,7 +43,6 @@ from .indicatrix import indicatrix_curvature
 from .limits import reduction_report
 from .sampling import DEFAULT_SEED, sample_angles, sample_vectors
 from .tensors import metric_determinant_closed, metric_tensor
-from . import dual as dm
 
 DOMAIN_ERRORS = (
     NotFutureTimelike,
@@ -152,7 +151,7 @@ def evaluate_document(params: Parameters, tetrad: Tetrad, y: np.ndarray) -> dict
             "y_perp": b * math.hypot(w1, w2),
             "s2": float(y @ tetrad.a @ y),
         }
-        r = float(dm.value(radial_from_ratios(w1, w2, w3, params)))
+        r = radial_from_ratios(w1, w2, w3, params)
         eta = eta_from_r(r, params)
         prof = structural_profile(eta, params)
         theta = math.atan2(math.hypot(w1, w2), w3)

@@ -1,12 +1,9 @@
 """Hand-rolled forward-mode automatic differentiation.
 
-Two number types are provided:
-
-``Dual``
-    value plus a gradient vector; one pass yields all first partials.
-``HyperDual``
-    value plus two first-order slots and one mixed second-order slot;
-    one pass per index pair yields an exact Hessian entry.
+One number type is provided: ``HyperDual``, a value plus two first-order
+slots and one mixed second-order slot.  One pass per index pair yields an
+exact Hessian entry (``hessian``); one pass per coordinate with only the
+first slot seeded yields a gradient or Jacobian column (``gradient``).
 
 The module-level math functions (``sqrt``, ``exp``, ``atan2``, ...) accept
 plain floats as well, so the same scalar pipeline can be evaluated with or
@@ -18,65 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-
-class Dual:
-    """First-order dual number with a vector-valued derivative part."""
-
-    __slots__ = ("val", "grad")
-
-    def __init__(self, val: float, grad):
-        self.val = float(val)
-        self.grad = np.asarray(grad, dtype=float)
-
-    @classmethod
-    def seed(cls, values, i: int) -> "Dual":
-        """Variable number for coordinate ``i`` of the point ``values``."""
-        g = np.zeros(len(values))
-        g[i] = 1.0
-        return cls(values[i], g)
-
-    def _lift(self, other) -> "Dual":
-        if isinstance(other, Dual):
-            return other
-        return Dual(other, np.zeros_like(self.grad))
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return Dual(self.val + o.val, self.grad + o.grad)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Dual(-self.val, -self.grad)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        return Dual(self.val - o.val, self.grad - o.grad)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        return Dual(self.val * o.val, self.val * o.grad + o.val * self.grad)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        inv = 1.0 / o.val
-        return Dual(self.val * inv, (self.grad - self.val * inv * o.grad) * inv)
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
-
-    def chain(self, f: float, fprime: float) -> "Dual":
-        """Apply a univariate function with value ``f`` and slope ``fprime``."""
-        return Dual(f, fprime * self.grad)
-
-    def __repr__(self):
-        return f"Dual({self.val}, {self.grad})"
 
 
 class HyperDual:
@@ -150,8 +88,6 @@ class HyperDual:
 def _apply(x, f, fp, fpp):
     if isinstance(x, HyperDual):
         return x.chain(f(x.val), fp(x.val), fpp(x.val))
-    if isinstance(x, Dual):
-        return x.chain(f(x.val), fp(x.val))
     return f(x)
 
 
@@ -186,27 +122,23 @@ def cosh(x):
 
 
 def value(x) -> float:
-    """Plain float value of a float, Dual or HyperDual."""
-    if isinstance(x, (Dual, HyperDual)):
+    """Plain float value of a float or HyperDual."""
+    if isinstance(x, HyperDual):
         return x.val
     return float(x)
 
 
 def atan2(n, d):
     """Two-argument arctangent with derivative propagation in both slots."""
-    if not isinstance(n, (Dual, HyperDual)) and not isinstance(d, (Dual, HyperDual)):
+    if not isinstance(n, HyperDual) and not isinstance(d, HyperDual):
         return math.atan2(n, d)
-    nv, dv = value(n), value(d)
+    n = HyperDual._lift(n)
+    d = HyperDual._lift(d)
+    nv, dv = n.val, d.val
     s = nv * nv + dv * dv
     v = math.atan2(nv, dv)
     fn = dv / s
     fd = -nv / s
-    if isinstance(n, Dual) or isinstance(d, Dual):
-        ng = n.grad if isinstance(n, Dual) else np.zeros_like(d.grad)
-        dg = d.grad if isinstance(d, Dual) else np.zeros_like(n.grad)
-        return Dual(v, fn * ng + fd * dg)
-    n = HyperDual._lift(n)
-    d = HyperDual._lift(d)
     fnn = -2.0 * nv * dv / (s * s)
     fdd = 2.0 * nv * dv / (s * s)
     fnd = (nv * nv - dv * dv) / (s * s)
@@ -223,11 +155,23 @@ def atan2(n, d):
 
 
 def gradient(func, x):
-    """Gradient of ``func`` at point ``x`` (sequence of floats) via duals."""
+    """Value and gradient of ``func`` at point ``x``, one pass per coordinate.
+
+    Each pass seeds only the first slot ``d1`` of coordinate ``i``.  When
+    ``func`` returns a tuple, the values come back as a tuple of floats and
+    the gradient as a Jacobian with one row per output.
+    """
     x = np.asarray(x, dtype=float)
-    seeds = [Dual.seed(x, i) for i in range(len(x))]
-    out = func(*seeds)
-    return value(out), np.array(out.grad, dtype=float)
+    n = len(x)
+    columns = []
+    for i in range(n):
+        out = func(*[HyperDual(x[k], 1.0 if k == i else 0.0) for k in range(n)])
+        outs = out if isinstance(out, tuple) else (out,)
+        columns.append([o.d1 for o in outs])
+    jac = np.array(columns).T
+    if isinstance(out, tuple):
+        return tuple(o.val for o in outs), jac
+    return outs[0].val, jac[0]
 
 
 def hessian(func, x):

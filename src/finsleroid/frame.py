@@ -8,7 +8,6 @@ Everything here is pointwise: one tangent space, one orthonormal frame
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -81,9 +80,11 @@ class Tetrad:
 
     @classmethod
     def canonical(cls) -> "Tetrad":
-        """Identity frame with metric diag(1, -1, -1, -1)."""
-        e = np.eye(4)
-        return cls.from_covectors(e[0], e[1], e[2], e[3])
+        """Identity frame with metric diag(1, -1, -1, -1).
+
+        One shared instance, built at import; its arrays are read-only.
+        """
+        return _CANONICAL
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Tetrad":
@@ -96,14 +97,15 @@ class Tetrad:
             raise ValueError(f"tetrad must be 4 rows of 4 numbers, got {rows.shape}")
         return cls.from_covectors(rows[0], rows[1], rows[2], rows[3])
 
-    @classmethod
-    def from_json(cls, text: str) -> "Tetrad":
-        return cls.from_dict(json.loads(text))
-
     @property
     def rows(self) -> np.ndarray:
         """Covector rows stacked as a 4x4 matrix (b, i, j, i3)."""
         return np.stack([self.b, self.i, self.j, self.i3])
+
+
+_CANONICAL = Tetrad.from_covectors(*np.eye(4))
+for _array in vars(_CANONICAL).values():
+    _array.setflags(write=False)
 
 
 def load_configuration(doc: dict) -> tuple[Parameters, Tetrad]:

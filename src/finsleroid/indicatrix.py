@@ -167,28 +167,18 @@ def indicatrix_bundle(
     )
 
 
-def section_point(theta: float, phi: float, params: Parameters) -> np.ndarray:
-    """Point of the unit section surface r = 1 at the given chart angles."""
-    ang = angular_profile(theta, params)
-    w3 = ang.R2 / ang.I
-    w_perp = math.sin(theta) / (params.p * ang.I)
-    return np.array([w_perp * math.cos(phi), w_perp * math.sin(phi), w3])
-
-
 def section_metric(theta: float, phi: float, params: Parameters) -> np.ndarray:
     """Induced 2-metric of the section surface from the ratio-space metric."""
-    x = np.array([theta, phi])
-    th = dm.Dual.seed(x, 0)
-    ph = dm.Dual.seed(x, 1)
     gp = params.azimuthal_skew
-    big_i = dm.exp(gp * th)
-    r2 = dm.cos(th) + gp * dm.sin(th)
-    w3 = r2 / big_i
-    w_perp = dm.sin(th) / (params.p * big_i)
-    w1 = w_perp * dm.cos(ph)
-    w2 = w_perp * dm.sin(ph)
-    jac = np.stack([w1.grad, w2.grad, w3.grad])  # 3 x 2 chart Jacobian
-    w = np.array([w1.val, w2.val, w3.val])
+
+    def chart(th, ph):
+        # point of the unit section surface r = 1 at the chart angles
+        big_i = dm.exp(gp * th)
+        w_perp = dm.sin(th) / (params.p * big_i)
+        w3 = (dm.cos(th) + gp * dm.sin(th)) / big_i
+        return w_perp * dm.cos(ph), w_perp * dm.sin(ph), w3
+
+    w, jac = dm.gradient(chart, [theta, phi])  # jac: 3 x 2 chart Jacobian
     g3 = finsleroid3_metric(w, params)
     return jac.T @ g3 @ jac
 

@@ -8,8 +8,8 @@ this module provides the closed-form forward maps, a safeguarded Newton
 inversion, and independent quadrature oracles for both log-derivative
 integrals.
 
-All closed-form evaluators accept Dual / HyperDual arguments so the tensor
-layer can push derivatives through them unchanged.
+All closed-form evaluators accept HyperDual arguments so the tensor layer
+can push derivatives through them unchanged.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ class AngleCoords:
     phi: float
 
     def __post_init__(self):
-        if self.eta < 0.0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
+        if not (0.0 <= self.eta < math.inf):
+            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
         if not (0.0 <= self.theta < math.pi):
             raise ValueError(f"theta must be in [0, pi), got {self.theta}")
         if not (0.0 <= self.phi < 2.0 * math.pi):
@@ -101,8 +101,8 @@ class DomainInfo:
 def hyperbolic_profile(eta, params: Parameters):
     """Closed forms (A, R1, J, Y1, V, r) as functions of the hyperbolic angle.
 
-    Dual-generic.  The exponential-integral factor J is normalized so that
-    J = 1 at the domain floor, which is the normalization the isotropic
+    HyperDual-generic.  The exponential-integral factor J is normalized so
+    that J = 1 at the domain floor, which is the normalization the isotropic
     closed form requires.  Y1 uses a two-argument arctangent whose branch
     is continuous in eta and in the parameters; its sign-changing
     denominator is kept separate from the (non-negative) numerator.
@@ -125,12 +125,10 @@ def hyperbolic_profile(eta, params: Parameters):
         Y1 = 1.0
     else:
         rad = hh * hh * sh * sh - gp * gp
-        if not isinstance(rad, (dm.Dual, dm.HyperDual)):
+        if not isinstance(rad, dm.HyperDual):
             if rad < 0.0:
                 if rad < -1e-10 * max(1.0, gp * gp):
-                    raise OutsideEtaDomain(
-                        f"radicand {rad} negative at eta={dm.value(eta)}"
-                    )
+                    raise OutsideEtaDomain(f"radicand {rad} negative at eta={eta}")
                 rad = 0.0
         A = dm.sqrt(rad)
         R1 = ch + A
@@ -147,10 +145,10 @@ def hyperbolic_profile(eta, params: Parameters):
 def radial_from_ratios(w1, w2, w3, params: Parameters):
     """Algebraic radial variable of the frame ratios; degree-one homogeneous.
 
-    Dual-generic.  For p = 1 this is the Euclidean length of (w1, w2, w3)
-    and is defined for any nonzero ratio vector; otherwise it is the axial
-    composition w3 * U(p * w_perp / w3), written in a form that stays
-    well-conditioned up to the equatorial limit w3 -> 0.
+    HyperDual-generic.  For p = 1 this is the Euclidean length of
+    (w1, w2, w3) and is defined for any nonzero ratio vector; otherwise it
+    is the axial composition w3 * U(p * w_perp / w3), written in a form
+    that stays well-conditioned up to the equatorial limit w3 -> 0.
     """
     if params.p == 1.0:
         return dm.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
@@ -302,20 +300,18 @@ def eta_from_r(r: float, params: Parameters, *, with_iterations: bool = False):
 
 
 def eta_lifted(r, params: Parameters):
-    """Inverse map eta(r) lifted to Dual / HyperDual arguments.
+    """Inverse map eta(r) lifted to HyperDual arguments.
 
     The value is found by eta_from_r; derivative slots follow from the
     implicit-function rule, with r'(eta) and r''(eta) supplied exactly by
     a hyper-dual pass through the closed-form forward map.
     """
-    if not isinstance(r, (dm.Dual, dm.HyperDual)):
+    if not isinstance(r, dm.HyperDual):
         return eta_from_r(r, params)
-    eta0 = eta_from_r(dm.value(r), params)
+    eta0 = eta_from_r(r.val, params)
     probe = dm.HyperDual(eta0, 1.0, 1.0, 0.0)
     rr = hyperbolic_profile(probe, params)[5]
     rp, rpp = rr.d1, rr.d12
-    if isinstance(r, dm.Dual):
-        return dm.Dual(eta0, r.grad / rp)
     d1 = r.d1 / rp
     d2 = r.d2 / rp
     d12 = (r.d12 - rpp * d1 * d2) / rp

@@ -125,38 +125,31 @@ def angle_gradients(
 
     eta_grad comes from the implicit-function slope of the radial map,
     theta_grad from the azimuthal chain rule, phi_grad from the polar
-    arctangent; the ratio maps themselves are differentiated with duals.
+    arctangent; the ratio maps r, f and phi themselves are differentiated
+    together by one forward-mode gradient.
     """
     b, w = _frame_point(y, tetrad, params)
     if w[2] <= 0.0:
         raise OutsideAxialRegion(f"axial projection w3={w[2]} is not positive")
-    w_perp = math.hypot(w[0], w[1])
-    if w_perp == 0.0:
+    if math.hypot(w[0], w[1]) == 0.0:
         raise PolarAxisSingular("theta and phi gradients undefined on the axis")
 
-    yf = np.array([b, b * w[0], b * w[1], b * w[2]])
-    seeds = [dm.Dual.seed(yf, k) for k in range(4)]
-    y0, y1, y2, y3 = seeds
-    w1d, w2d, w3d = y1 / y0, y2 / y0, y3 / y0
+    def ratio_maps(y0, y1, y2, y3):
+        w1, w2, w3 = y1 / y0, y2 / y0, y3 / y0
+        f = params.p * dm.sqrt(w1 * w1 + w2 * w2) / w3
+        return radial_from_ratios(w1, w2, w3, params), f, dm.atan2(w2, w1)
 
-    r_dual = radial_from_ratios(w1d, w2d, w3d, params)
-    r = dm.value(r_dual)
+    yf = np.array([b, b * w[0], b * w[1], b * w[2]])
+    (r, f, _), jac = dm.gradient(ratio_maps, yf)
     eta = eta_from_r(r, params)
     _, r1v, _, _, _, _ = hyperbolic_profile(eta, params)
     eta_r = params.p ** 2 * float(r1v) * math.sinh(eta) / r
-    eta_grad = eta_r * r_dual.grad
 
     gp = params.azimuthal_skew
-    f = params.p * w_perp / w[2]
     theta = math.atan2(f, 1.0 - gp * f)
     r2 = math.cos(theta) + gp * math.sin(theta)
-    theta_f = r2 * r2
-    f_dual = params.p * dm.sqrt(w1d * w1d + w2d * w2d) / w3d
-    theta_grad = theta_f * f_dual.grad
-
-    phi_dual = dm.atan2(w2d, w1d)
     return AngleGradients(
-        eta_grad=eta_grad, theta_grad=theta_grad, phi_grad=phi_dual.grad
+        eta_grad=eta_r * jac[0], theta_grad=r2 * r2 * jac[1], phi_grad=jac[2]
     )
 
 

@@ -1,4 +1,4 @@
-"""Forward-mode dual and hyper-dual arithmetic against analytic derivatives."""
+"""Forward-mode hyper-dual arithmetic against analytic derivatives."""
 
 import math
 
@@ -11,20 +11,20 @@ from finsleroid import dual as dm
 def test_dual_composite_derivative():
     # f(x) = exp(sin(x)) * sqrt(x); f'(x) = exp(sin x)(cos x sqrt x + 1/(2 sqrt x))
     x0 = 1.3
-    x = dm.Dual(x0, np.array([1.0]))
+    x = dm.HyperDual(x0, 1.0)
     out = dm.exp(dm.sin(x)) * dm.sqrt(x)
     expected = math.exp(math.sin(x0)) * (
         math.cos(x0) * math.sqrt(x0) + 0.5 / math.sqrt(x0)
     )
-    assert out.grad[0] == pytest.approx(expected, rel=1e-14)
+    assert out.d1 == pytest.approx(expected, rel=1e-14)
 
 
 def test_dual_division_and_log():
     x0 = 0.7
-    x = dm.Dual(x0, np.array([1.0]))
+    x = dm.HyperDual(x0, 1.0)
     out = dm.log(x) / (1.0 + x)
     expected = (1.0 / x0 * (1.0 + x0) - math.log(x0)) / (1.0 + x0) ** 2
-    assert out.grad[0] == pytest.approx(expected, rel=1e-13)
+    assert out.d1 == pytest.approx(expected, rel=1e-13)
 
 
 def test_hyperdual_second_derivative():
@@ -46,13 +46,11 @@ def test_hyperdual_mixed_partial():
 
 def test_atan2_gradient_all_quadrants():
     for nv, dv in [(0.3, 0.8), (0.3, -0.8), (-0.5, -0.2), (0.9, 0.0)]:
-        n = dm.Dual(nv, np.array([1.0, 0.0]))
-        d = dm.Dual(dv, np.array([0.0, 1.0]))
-        out = dm.atan2(n, d)
+        val, grad = dm.gradient(dm.atan2, [nv, dv])
         s = nv * nv + dv * dv
-        assert out.val == pytest.approx(math.atan2(nv, dv))
-        assert out.grad[0] == pytest.approx(dv / s, abs=1e-14)
-        assert out.grad[1] == pytest.approx(-nv / s, abs=1e-14)
+        assert val == pytest.approx(math.atan2(nv, dv))
+        assert grad[0] == pytest.approx(dv / s, abs=1e-14)
+        assert grad[1] == pytest.approx(-nv / s, abs=1e-14)
 
 
 def test_atan2_hyperdual_matches_finite_differences():
@@ -99,3 +97,12 @@ def test_gradient_helper():
     assert val == pytest.approx(2.0 + math.exp(0.5))
     assert grad[0] == pytest.approx(2.0)
     assert grad[1] == pytest.approx(4.0 + math.exp(0.5))
+
+    # tuple output: values in order, one Jacobian row per output
+    vals, jac = dm.gradient(
+        lambda a, b: (a * b, dm.sin(a) + b, b * b), [2.0, 0.5]
+    )
+    assert vals == pytest.approx((1.0, math.sin(2.0) + 0.5, 0.25), rel=1e-15)
+    np.testing.assert_allclose(
+        jac, [[0.5, 2.0], [math.cos(2.0), 1.0], [0.0, 1.0]], rtol=1e-15
+    )

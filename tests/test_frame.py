@@ -41,6 +41,16 @@ def test_canonical_tetrad_validates_exactly():
     assert report.signature == (1, -1, -1, -1)
 
 
+def test_canonical_tetrad_is_one_read_only_instance():
+    tetrad = Tetrad.canonical()
+    assert Tetrad.canonical() is tetrad
+    with pytest.raises(ValueError):
+        tetrad.b[0] = 2.0
+    with pytest.raises(ValueError):
+        tetrad.a_inv[1, 1] = 0.0
+    np.testing.assert_array_equal(tetrad.a, np.diag([1.0, -1.0, -1.0, -1.0]))
+
+
 def test_scaled_timelike_covector_fails_with_residual_three():
     base = Tetrad.canonical()
     corrupted = dataclasses.replace(base, b=2.0 * base.b)

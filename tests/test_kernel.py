@@ -309,6 +309,14 @@ def test_vector_from_angles_polar_axis():
     assert fc.b == pytest.approx(math.cosh(0.5), rel=1e-14)
 
 
+@pytest.mark.parametrize("eta", [math.nan, math.inf, -0.1])
+def test_angle_coords_reject_non_finite_or_negative_eta(eta):
+    # NaN fails no "eta < 0" test and inf is not a point of the chart; both
+    # would turn into b = w1 = w3 = nan in vector_from_angles
+    with pytest.raises(ValueError, match="eta"):
+        AngleCoords(eta=eta, theta=0.5, phi=1.0)
+
+
 def test_vector_from_angles_isotropic_spherical_chart():
     params = Parameters(H=1.0, p=1.0)
     angles = AngleCoords(eta=0.9, theta=0.6, phi=1.3)
