@@ -8,8 +8,10 @@ this module provides the closed-form forward maps, a safeguarded Newton
 inversion, and independent quadrature oracles for both log-derivative
 integrals.
 
-All closed-form evaluators accept HyperDual arguments so the tensor layer
-can push derivatives through them unchanged.
+The closed-form evaluators accept HyperDual arguments, so derivatives can
+be pushed through them unchanged; the exception is ``radial_derivatives``,
+which takes floats and returns the value, gradient and Hessian of the
+radial map in closed form for the tensor layer.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from . import dual as dm
 from .errors import (
@@ -160,6 +164,47 @@ def radial_from_ratios(w1, w2, w3, params: Parameters):
     st = dm.sin(theta)
     r2 = dm.cos(theta) + gp * st
     return big_i * (w3 * r2 + v * st) / (r2 * r2 + st * st)
+
+
+def radial_derivatives(w, params: Parameters):
+    """Value, gradient and Hessian of ``radial_from_ratios`` in closed form.
+
+    Float-only.  For p < 1, with rho = |(w1, w2)| > 0, X = w3 - gp p rho and
+    Y = p rho, the map is the logarithmic spiral r = k exp(gp atan2(Y, X)),
+    k = |X + iY|.  ln r = Re[(1 - i gp) Log(X + iY)] is harmonic in (X, Y),
+    which collapses the derivatives to grad = (r/k^2) (w1, w2, X - gp Y) and
+    hess = (r/k^4) u u^T + (r/k^2) m m^T with u = (-w3 n, rho), m = (-n2, n1,
+    0), n = (w1, w2)/rho.  Unlike hyper-dual passes, these carry no 1/rho
+    terms that cancel near the axis.  For p = 1 the map is sqrt(w.w),
+    computed in the operation order of a hyper-dual pass (mirrored upper
+    triangle), so it agrees bit for bit with ``dual.hessian`` and stays
+    defined for w3 <= 0 and on the axis.
+    """
+    w1, w2, w3 = (float(c) for c in w)
+    if params.p == 1.0:
+        s = w1 * w1 + w2 * w2 + w3 * w3
+        fp = 0.5 / math.sqrt(s)
+        fpp = -0.25 / s ** 1.5
+        d = 2.0 * np.array([w1, w2, w3])
+        # the hyper-dual slot sum is -0.0 only where every sign bit is set
+        d += -0.0 if np.signbit(d).all() else 0.0
+        hess = np.empty((3, 3))
+        for i in range(3):
+            for j in range(i, 3):
+                hess[i, j] = hess[j, i] = fp * (2.0 if i == j else 0.0) + fpp * d[i] * d[j]
+        return math.sqrt(s), fp * d, hess
+    gp = params.azimuthal_skew
+    rho = math.hypot(w1, w2)
+    x = w3 - gp * params.p * rho
+    y = params.p * rho
+    k2 = x * x + y * y
+    r = math.sqrt(k2) * math.exp(gp * math.atan2(y, x))
+    n1, n2 = w1 / rho, w2 / rho
+    u = np.array([-w3 * n1, -w3 * n2, rho])
+    m = np.array([-n2, n1, 0.0])
+    grad = (r / k2) * np.array([w1, w2, x - gp * y])
+    hess = (r / (k2 * k2)) * np.outer(u, u) + (r / k2) * np.outer(m, m)
+    return r, grad, hess
 
 
 @lru_cache(maxsize=None)

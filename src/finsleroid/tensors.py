@@ -6,11 +6,12 @@ and ``covector_to_natural`` convert back to natural coordinates by the
 congruence transform of the tetrad matrix.
 
 Three independent computations of the angular metric are provided: the
-component route (radial derivatives times profile factors), the angle
-route (outer products of the angle gradients), and a fully numeric route
-(hyper-dual Hessian of the squared norm pushed through the implicit
-hyperbolic angle).  They agree to machine precision on the admissible
-domain and are cross-checked in the test suite.
+component route (closed-form radial gradient and Hessian times profile
+factors), the angle route (outer products of the angle gradients), and a
+fully numeric route (hyper-dual Hessian of the squared norm pushed through
+the implicit hyperbolic angle), the only hyper-dual Hessian in this module.
+They agree to machine precision on the admissible domain and are
+cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .kernel import (
     eta_from_r,
     hyperbolic_profile,
     norm_squared,
+    radial_derivatives,
     radial_from_ratios,
 )
 
@@ -90,12 +92,12 @@ def _profile_factors(r: float, params: Parameters):
 def _radial_point(y, tetrad: Tetrad | None, params: Parameters):
     """Norm F, unit covector l and angular metric h of one vector.
 
-    The frame point is resolved once, the radial map is differentiated
-    once (value, gradient and Hessian in the frame ratios) and its value
-    is inverted once; l and h are the component-route assemblies.
+    The frame point is resolved once, the radial map's value, gradient and
+    Hessian in the frame ratios come from one closed-form call, and its
+    value is inverted once; l and h are the component-route assemblies.
     """
     b, w = _frame_point(y, tetrad, params)
-    r, grad, hess = dm.hessian(lambda a, c, d: radial_from_ratios(a, c, d, params), w)
+    r, grad, hess = radial_derivatives(w, params)
     eta, v, v_r, v_rr = _profile_factors(r, params)
     sh = math.sinh(eta)
     l = np.empty(4)
@@ -238,8 +240,9 @@ def metric_determinant_closed(
 def finsleroid3_metric(w, params: Parameters):
     """Metric of the three-dimensional section: Hessian of r^2/2 in the ratios.
 
-    Positive definite away from the polar axis; for p < 1 the axis itself
-    is a conical point and is rejected.
+    Assembled as grad(r) grad(r)^T + r Hess(r) from the closed-form radial
+    derivatives.  Positive definite away from the polar axis; for p < 1 the
+    axis itself is a conical point and is rejected.
     """
     w = np.asarray(w, dtype=float).reshape(3)
     if params.p < 1.0:
@@ -249,13 +252,8 @@ def finsleroid3_metric(w, params: Parameters):
             raise PolarAxisSingular("section metric undefined on the axis for p < 1")
     elif not np.any(w):
         raise PolarAxisSingular("section metric undefined at the origin")
-
-    def half_square(a, b, c):
-        r = radial_from_ratios(a, b, c, params)
-        return 0.5 * r * r
-
-    _, _, hess = dm.hessian(half_square, w)
-    return hess
+    r, grad, hess = radial_derivatives(w, params)
+    return np.outer(grad, grad) + r * hess
 
 
 def covector_to_natural(vec, tetrad: Tetrad) -> np.ndarray:

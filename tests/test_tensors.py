@@ -21,13 +21,14 @@ from finsleroid import (
     metric_determinant_closed,
     metric_tensor,
     metric_tensor_numeric,
+    projections,
     sample_vectors,
     tensor_to_natural,
     unit_covector,
 )
 from finsleroid import dual as dm
 from finsleroid import tensors
-from finsleroid.kernel import radial_from_ratios
+from finsleroid.kernel import radial_derivatives, radial_from_ratios
 
 ANISO = Parameters(H=1.25, p=0.8)
 PSEUDO = Parameters(H=1.0, p=1.0)
@@ -76,6 +77,64 @@ def test_radial_euler_identity():
                 lambda a, b, c: radial_from_ratios(a, b, c, params), w
             )
             assert float(grad @ w) == pytest.approx(val, rel=1e-12)
+
+
+def test_radial_derivatives_match_hyperdual_hessian():
+    # closed form against dm.hessian of radial_from_ratios, plus the Euler
+    # identities of the degree-one map: grad.w = r and hess.w = 0
+    pairs = ((1, 1), (1.25, 1), (1.25, 0.8), (1.5, 0.9), (2, 0.5), (5, 0.9), (1.1, 0.3))
+    for H, p in pairs:
+        params = Parameters(H=H, p=p)
+        ws = [
+            np.array(projections(y, Tetrad.canonical())[1:])
+            for y in sample_vectors(params, 20, 89)
+        ]
+        if p < 1.0:
+            # near the equator w3 = 1e-6 w_perp, near the axis w_perp = 1e-6 w3
+            edge = [np.array([w[0], w[1], 1e-6 * math.hypot(w[0], w[1])]) for w in ws[:5]]
+            axis = [np.array([1e-6 * w[0], 1e-6 * w[1], math.hypot(w[0], w[1])]) for w in ws[:5]]
+        else:
+            # w3 <= 0, signed zeros and the axis itself
+            edge = [np.array([w[0], w[1], -w[2]]) for w in ws[:5]]
+            edge += [np.array([w[0], -0.0, 0.0]) for w in ws[:3]]
+            axis = [np.array([0.0, -0.0, -w[2]]) for w in ws[:3]] + [np.array([-0.0, 0.0, 0.7])]
+        for kind, points in (("interior", ws + edge), ("axis", axis)):
+            for w in points:
+                r0, g0, h0 = dm.hessian(lambda a, b, c: radial_from_ratios(a, b, c, params), w)
+                r, g, h = radial_derivatives(w, params)
+                if p == 1.0:
+                    # bit for bit, signed zeros included: this keeps the
+                    # isotropic golden documents byte-identical
+                    assert r == r0
+                    for new, old in ((g, g0), (h, h0)):
+                        assert np.array_equal(new, old)
+                        assert np.array_equal(np.signbit(new), np.signbit(old))
+                assert r == pytest.approx(r0, rel=1e-12)
+                assert np.max(np.abs(g - g0)) <= 1e-12 * np.max(np.abs(g0))
+                # within 1e-6 of the axis for p < 1 the hyper-dual oracle
+                # itself is off by 3e-10 to 8e-10 of max|hess| (its passes
+                # carry 1/w_perp terms that cancel); the closed form stays
+                # within 1e-15 of a 50-digit evaluation there
+                tol = 1e-9 if kind == "axis" and p < 1.0 else 1e-12
+                assert np.max(np.abs(h - h0)) <= tol * np.max(np.abs(h0))
+                assert float(g @ w) == pytest.approx(r, rel=1e-12)
+                assert np.max(np.abs(h @ w)) <= 1e-12 * np.max(np.abs(h)) * np.linalg.norm(w)
+
+
+def test_metric_identity_at_the_outer_rim():
+    # H = 2, p = 0.5 vectors near r_sup that missed |y.g.y - F^2| <= 1e-10 F^2
+    # while the radial Hessian came from hyper-dual passes (1.03e-10,
+    # 1.05e-10 and 1.09e-10 of F^2)
+    params = Parameters(H=2.0, p=0.5)
+    for y in (
+        [8.323197149593645, -0.019855688864458414, -0.06412036162409011, 0.053458916554672505],
+        [5.6199348458217635, -0.0016916348549296267, 0.03645645644706303, 0.026935028533229273],
+        [4.294196891857648, -0.03852052766267365, 0.0055324762419899955, 0.03224109908103943],
+    ):
+        y = np.array(y)
+        f = finsler_norm(y, params=params)
+        g = metric_tensor(y, None, params).g
+        assert abs(float(y @ g @ y) - f * f) <= 1e-10 * f * f
 
 
 def test_angular_metric_near_axis_pseudo_euclidean():
@@ -162,7 +221,7 @@ def test_metric_tensor_pseudo_euclidean():
 
 
 def test_metric_tensor_single_evaluation_chain(monkeypatch):
-    calls = {"projections": 0, "eta_from_r": 0, "hessian": 0}
+    calls = {"projections": 0, "eta_from_r": 0, "radial_derivatives": 0, "hessian": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -175,6 +234,7 @@ def test_metric_tensor_single_evaluation_chain(monkeypatch):
 
     counted(tensors, "projections")
     counted(tensors, "eta_from_r")
+    counted(tensors, "radial_derivatives")
     counted(tensors.dm, "hessian")
     for params in (
         Parameters(H=1.0, p=1.0),
@@ -186,7 +246,12 @@ def test_metric_tensor_single_evaluation_chain(monkeypatch):
             for key in calls:
                 calls[key] = 0
             tb = metric_tensor(y, None, params)
-            assert calls == {"projections": 1, "eta_from_r": 1, "hessian": 1}
+            assert calls == {
+                "projections": 1,
+                "eta_from_r": 1,
+                "radial_derivatives": 1,
+                "hessian": 0,
+            }
             assert np.array_equal(tb.l, unit_covector(y, None, params))
             assert np.array_equal(tb.h, angular_metric(y, None, params))
             assert np.array_equal(tb.g, tb.h + np.outer(tb.l, tb.l))
