@@ -51,8 +51,7 @@ class Tetrad:
     """Orthonormal covector frame and the metric tensor it spans.
 
     ``b``, ``i``, ``j``, ``i3`` are covectors (length-4 arrays); ``a`` is
-    the covariant metric they assemble, ``a_inv`` its reciprocal and
-    ``p_t`` the transversal projector onto the (i, j)-plane.
+    the covariant metric they assemble and ``a_inv`` its reciprocal.
     """
 
     b: np.ndarray
@@ -61,7 +60,6 @@ class Tetrad:
     i3: np.ndarray
     a: np.ndarray
     a_inv: np.ndarray
-    p_t: np.ndarray
 
     @classmethod
     def from_covectors(cls, b, i, j, i3) -> "Tetrad":
@@ -75,8 +73,7 @@ class Tetrad:
             a_inv = np.linalg.inv(a)
         except np.linalg.LinAlgError as exc:
             raise TetradDegenerate("frame covectors are linearly dependent") from exc
-        p_t = np.outer(i, i) + np.outer(j, j)
-        return cls(b=b, i=i, j=j, i3=i3, a=a, a_inv=a_inv, p_t=p_t)
+        return cls(b=b, i=i, j=j, i3=i3, a=a, a_inv=a_inv)
 
     @classmethod
     def canonical(cls) -> "Tetrad":
@@ -191,6 +188,15 @@ class FrameComponents:
     y_perp: float
     s2: float
 
+    @classmethod
+    def from_ratios(cls, b, w1, w2, w3, w_perp, s2) -> "FrameComponents":
+        """Components with the derived ratios w, t and y_perp filled in."""
+        if w1 != 0.0:
+            t = w2 / w1
+        else:
+            t = math.copysign(math.inf, w2) if w2 != 0.0 else 0.0
+        return cls(b, w1, w2, w3, w_perp, w_perp / w3, t, b * w_perp, s2)
+
 
 def projections(y, tetrad: Tetrad) -> tuple[float, float, float, float]:
     """Raw frame projections (b, w1, w2, w3) of a vector.
@@ -219,21 +225,5 @@ def frame_components(y, tetrad: Tetrad | None = None) -> FrameComponents:
     b, w1, w2, w3 = projections(y, tetrad)
     if w3 <= 0.0:
         raise OutsideAxialRegion(f"axial projection w3={w3} is not positive")
-    w_perp = math.hypot(w1, w2)
-    w = w_perp / w3
-    if w1 != 0.0:
-        t = w2 / w1
-    else:
-        t = math.copysign(math.inf, w2) if w2 != 0.0 else 0.0
     s2 = float(y @ tetrad.a @ y)
-    return FrameComponents(
-        b=b,
-        w1=w1,
-        w2=w2,
-        w3=w3,
-        w_perp=w_perp,
-        w=w,
-        t=t,
-        y_perp=b * w_perp,
-        s2=s2,
-    )
+    return FrameComponents.from_ratios(b, w1, w2, w3, math.hypot(w1, w2), s2)

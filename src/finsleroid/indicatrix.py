@@ -20,15 +20,8 @@ from . import dual as dm
 from .curvature import DEFAULT_STEP, coordinate_plane_curvatures
 from .errors import PolarAxisSingular, StencilOutOfDomain
 from .frame import Parameters
-from .kernel import (
-    AngleCoords,
-    angular_profile,
-    domain_info,
-    hyperbolic_profile,
-    theta_pole,
-    vector_from_angles,
-)
-from .tensors import angular_metric, finsleroid3_metric
+from .kernel import AngleCoords, _chart_vector, domain_info, theta_pole
+from .tensors import _radial_point, finsleroid3_metric
 
 # Farthest offset of the curvature stencil, in steps: the axis points and
 # the outer mixed-derivative corners lie 2 * step from the base point.
@@ -47,8 +40,13 @@ class IndicatrixBundle:
 
 def unit_vector(angles: AngleCoords, params: Parameters) -> np.ndarray:
     """Contravariant unit vector (frame coordinates) at the given angles."""
-    fc = vector_from_angles(angles, 1.0, params)
-    return np.array([fc.b, fc.b * fc.w1, fc.b * fc.w2, fc.b * fc.w3])
+    return _unit_point(angles, params)[2]
+
+
+def _unit_point(angles: AngleCoords, params: Parameters):
+    """Profiles at the angles and the unit vector built from them."""
+    prof, ang, fc = _chart_vector(angles, 1.0, params)
+    return prof, ang, np.array([fc.b, fc.b * fc.w1, fc.b * fc.w2, fc.b * fc.w3])
 
 
 def unit_vector_angle_derivatives(
@@ -61,15 +59,17 @@ def unit_vector_angle_derivatives(
     the polar column is written in product form so it stays finite at
     phi = pi/2 where the quotient form has a removable pole.
     """
+    return _chart_point(angles, params)[2]
+
+
+def _chart_point(angles: AngleCoords, params: Parameters):
+    """Profile, unit vector y and its angle derivatives d from one profile."""
     if angles.theta == 0.0:
         raise PolarAxisSingular("azimuthal derivatives undefined on the polar axis")
-    _, r1v, _, _, v, rv = (
-        float(dm.value(t)) for t in hyperbolic_profile(angles.eta, params)
-    )
-    ang = angular_profile(angles.theta, params)
+    prof, ang, lvec = _unit_point(angles, params)
+    r1v, v, rv = prof.R1, prof.V, prof.r
     sh = math.sinh(angles.eta)
     gp = params.azimuthal_skew
-    lvec = unit_vector(angles, params)
     l0, l1, l2, l3 = lvec
 
     dlnv = -(1.0 / params.H ** 2) * sh / r1v  # log slope of V in eta
@@ -85,7 +85,7 @@ def unit_vector_angle_derivatives(
     d[3, 1] = -(st / (params.p ** 2 * ang.R2)) * l3
     d[1, 2] = -(w_perp / v) * math.sin(angles.phi)
     d[2, 2] = (w_perp / v) * math.cos(angles.phi)
-    return d
+    return prof, lvec, d
 
 
 def indicatrix_metric(angles: AngleCoords, params: Parameters) -> np.ndarray:
@@ -99,9 +99,13 @@ def indicatrix_metric(angles: AngleCoords, params: Parameters) -> np.ndarray:
 
 
 def _pullback(angles: AngleCoords, params: Parameters):
-    y = unit_vector(angles, params)
-    h = angular_metric(y, None, params)
-    d = unit_vector_angle_derivatives(angles, params)
+    """Signed pullback -(d^T h d), its sign and d, at the chart's own eta.
+
+    One profile gives y and d; h is the component-route angular metric of y
+    at that profile's eta, R1 and V, so r is not inverted back to eta.
+    """
+    prof, y, d = _chart_point(angles, params)
+    h = _radial_point(y, None, params, (angles.eta, prof.R1, prof.V))[2]
     raw = -(d.T @ h @ d)
     sign = 1 if raw[0, 0] >= 0.0 else -1
     return sign * raw, sign, d

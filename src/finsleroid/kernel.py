@@ -291,7 +291,8 @@ def eta_from_r(r: float, params: Parameters, *, with_iterations: bool = False):
 
     The iteration runs on ln r(eta) - ln r, whose slope 1/(p^2 R1 sinh eta)
     is available in closed form; bisection fallback keeps every step inside
-    the maintained bracket.  Converges to 1e-12 relative in eta.
+    the maintained bracket.  Stops when a step moves eta by at most 1e-12
+    of its value, also near eta = 0 at p = 1; the indicatrix chart skips it.
     """
     dom = domain_info(params)
     if params.p == 1.0 and r == 0.0:
@@ -337,7 +338,7 @@ def eta_from_r(r: float, params: Parameters, *, with_iterations: bool = False):
         nxt = eta - g / slope
         if not (a < nxt < b):
             nxt = 0.5 * (a + b)
-        if abs(nxt - eta) <= 1e-12 * max(abs(nxt), 1e-3):
+        if abs(nxt - eta) <= 1e-12 * abs(nxt):
             eta = nxt
             break
         eta = nxt
@@ -399,6 +400,11 @@ def vector_from_angles(
     angles: AngleCoords, norm: float, params: Parameters
 ) -> FrameComponents:
     """Frame components of the vector with the given angles and norm."""
+    return _chart_vector(angles, norm, params)[2]
+
+
+def _chart_vector(angles: AngleCoords, norm: float, params: Parameters):
+    """Profiles at the angles and the frame components built from them."""
     if norm <= 0.0:
         raise ValueError(f"norm must be positive, got {norm}")
     bundle = structural_profile(angles.eta, params)
@@ -408,21 +414,8 @@ def vector_from_angles(
     w1 = w_perp * math.cos(angles.phi)
     w2 = w_perp * math.sin(angles.phi)
     b = norm / bundle.V
-    if w1 != 0.0:
-        t = w2 / w1
-    else:
-        t = math.copysign(math.inf, w2) if w2 != 0.0 else 0.0
-    return FrameComponents(
-        b=b,
-        w1=w1,
-        w2=w2,
-        w3=w3,
-        w_perp=w_perp,
-        w=w_perp / w3,
-        t=t,
-        y_perp=b * w_perp,
-        s2=b * b * (1.0 - w3 * w3 - w_perp * w_perp),
-    )
+    s2 = b * b * (1.0 - w3 * w3 - w_perp * w_perp)
+    return bundle, ang, FrameComponents.from_ratios(b, w1, w2, w3, w_perp, s2)
 
 
 def angles_from_vector(

@@ -74,12 +74,13 @@ def _frame_point(y, tetrad: Tetrad | None, params: Parameters):
     return b, np.array([w1, w2, w3])
 
 
-def _profile_factors(r: float, params: Parameters):
-    """V and its first two radial derivatives at radial value r."""
-    eta = eta_from_r(r, params)
-    _, r1v, _, _, v, _ = hyperbolic_profile(eta, params)
-    r1v = float(r1v)
-    v = float(v)
+def _profile_factors(r: float, params: Parameters, known=None):
+    """V and its radial derivatives at r; ``known = (eta, R1, V)`` skips eta(r)."""
+    if known is None:
+        eta = eta_from_r(r, params)
+        _, r1v, _, _, v, _ = hyperbolic_profile(eta, params)
+        known = eta, float(r1v), float(v)
+    eta, r1v, v = known
     sh = math.sinh(eta)
     p2 = params.p * params.p
     h2 = params.H * params.H
@@ -89,16 +90,17 @@ def _profile_factors(r: float, params: Parameters):
     return eta, v, v_r, v_rr
 
 
-def _radial_point(y, tetrad: Tetrad | None, params: Parameters):
+def _radial_point(y, tetrad: Tetrad | None, params: Parameters, known=None):
     """Norm F, unit covector l and angular metric h of one vector.
 
     The frame point is resolved once, the radial map's value, gradient and
     Hessian in the frame ratios come from one closed-form call, and its
-    value is inverted once; l and h are the component-route assemblies.
+    value is inverted once, unless the caller passes ``known = (eta, R1, V)``
+    (the indicatrix chart); l and h are the component-route assemblies.
     """
     b, w = _frame_point(y, tetrad, params)
     r, grad, hess = radial_derivatives(w, params)
-    eta, v, v_r, v_rr = _profile_factors(r, params)
+    eta, v, v_r, v_rr = _profile_factors(r, params, known)
     sh = math.sinh(eta)
     l = np.empty(4)
     l[0] = v * (1.0 + (params.p ** 2 / params.H ** 2) * sh * sh)

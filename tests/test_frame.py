@@ -135,10 +135,11 @@ def test_norm_decomposition_on_random_vectors():
 
 
 def test_transversal_tensor_identity():
-    # the rank-two transversal projector equals -a + b(x)b - i3(x)i3
+    # the rank-two transversal projector i(x)i + j(x)j equals -a + b(x)b - i3(x)i3
     for tetrad in (Tetrad.canonical(), _boosted(0.3)):
+        p_t = np.outer(tetrad.i, tetrad.i) + np.outer(tetrad.j, tetrad.j)
         alt = -tetrad.a + np.outer(tetrad.b, tetrad.b) - np.outer(tetrad.i3, tetrad.i3)
-        np.testing.assert_allclose(tetrad.p_t, alt, atol=1e-12)
+        np.testing.assert_allclose(p_t, alt, atol=1e-12)
 
 
 def _boosted(chi):

@@ -14,11 +14,13 @@ from finsleroid import (
     indicatrix_bundle,
     indicatrix_curvature,
     indicatrix_metric,
+    sample_angles,
     section_curvature,
     theta_pole,
     unit_vector,
     unit_vector_angle_derivatives,
 )
+from finsleroid import frame, indicatrix, kernel, tensors
 
 
 def _angles(params, d_eta=0.9, theta=0.6, phi=1.2):
@@ -120,6 +122,54 @@ def test_pullback_is_transversal():
     d = unit_vector_angle_derivatives(angles, params)
     contraction = d.T @ h @ y
     assert np.max(np.abs(contraction)) < 1e-10
+
+
+def test_indicatrix_metric_known_eta_chain(monkeypatch):
+    # the chart's own eta: one profile, one frame resolution, no inversion
+    calls = {"projections": 0, "eta_from_r": 0, "hyperbolic_profile": 0}
+
+    def counted(name):
+        original = getattr(kernel, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        for module in (frame, kernel, tensors, indicatrix):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+
+    seen = []
+
+    def spy(y, *args):
+        seen.append(y)
+        return tensors._radial_point(y, *args)
+
+    for name in calls:
+        counted(name)
+    monkeypatch.setattr(indicatrix, "_radial_point", spy)
+    for params in (
+        Parameters(H=1.0, p=1.0),
+        Parameters(H=1.25, p=0.8),
+        Parameters(H=1.5, p=0.9),
+        Parameters(H=2.0, p=0.5),
+        Parameters(H=5.0, p=0.9),
+    ):
+        domain_info(params)  # fill the domain cache outside the count
+        for angles in sample_angles(params, 12, 29):
+            for key in calls:
+                calls[key] = 0
+            seen.clear()
+            metric = indicatrix_metric(angles, params)
+            assert calls == {"projections": 1, "eta_from_r": 0, "hyperbolic_profile": 1}
+            d = indicatrix._pullback(angles, params)[2]
+            assert np.array_equal(seen[0], unit_vector(angles, params))
+            assert np.array_equal(d, unit_vector_angle_derivatives(angles, params))
+            # inversion route: h of the unit vector through eta_from_r(r)
+            y = unit_vector(angles, params)
+            raw = -(d.T @ angular_metric(y, None, params) @ d)
+            oracle = raw if raw[0, 0] >= 0.0 else -raw
+            assert np.max(np.abs(metric - oracle)) <= 1e-11 * np.max(np.abs(oracle))
 
 
 def test_indicatrix_bundle_records_positive_convention():

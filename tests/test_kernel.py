@@ -231,6 +231,16 @@ def test_inverse_radial_map_round_trip():
             assert iters <= 30
 
 
+def test_inverse_radial_map_relative_accuracy_near_zero():
+    # p = 1 has the closed inverse eta = atanh(r / (1 - sqrt(1 - 1/H^2) r))
+    for H in (1.0, 1.25):
+        params = Parameters(H=H, p=1.0)
+        for eta in (1e-12, 1e-10, 1e-8):
+            r = float(hyperbolic_profile(eta, params)[5])
+            exact = math.atanh(r / (1.0 - params.boost_skew * r))
+            assert eta_from_r(r, params) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
 def test_inverse_radial_map_domain_bounds():
     params = Parameters(H=1.25, p=0.8)
     dom = domain_info(params)
