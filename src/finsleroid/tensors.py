@@ -75,7 +75,7 @@ def _frame_point(y, tetrad: Tetrad | None, params: Parameters):
 
 
 def _profile_factors(r: float, params: Parameters, known=None):
-    """V and its radial derivatives at r; ``known = (eta, R1, V)`` skips eta(r)."""
+    """eta, R1, V, V_r and V_rr at r; ``known = (eta, R1, V)`` skips eta(r)."""
     if known is None:
         eta = eta_from_r(r, params)
         _, r1v, _, _, v, _ = hyperbolic_profile(eta, params)
@@ -87,7 +87,7 @@ def _profile_factors(r: float, params: Parameters, known=None):
     v_r = -v * (p2 / h2) * sh * sh / r
     eta_r = p2 * r1v * sh / r
     v_rr = -(v / h2) * eta_r * eta_r
-    return eta, v, v_r, v_rr
+    return eta, r1v, v, v_r, v_rr
 
 
 def _radial_point(y, tetrad: Tetrad | None, params: Parameters, known=None):
@@ -100,7 +100,7 @@ def _radial_point(y, tetrad: Tetrad | None, params: Parameters, known=None):
     """
     b, w = _frame_point(y, tetrad, params)
     r, grad, hess = radial_derivatives(w, params)
-    eta, v, v_r, v_rr = _profile_factors(r, params, known)
+    eta, _, v, v_r, v_rr = _profile_factors(r, params, known)
     sh = math.sinh(eta)
     l = np.empty(4)
     l[0] = v * (1.0 + (params.p ** 2 / params.H ** 2) * sh * sh)
@@ -145,9 +145,8 @@ def angle_gradients(
 
     yf = np.array([b, b * w[0], b * w[1], b * w[2]])
     (r, f, _), jac = dm.gradient(ratio_maps, yf)
-    eta = eta_from_r(r, params)
-    _, r1v, _, _, _, _ = hyperbolic_profile(eta, params)
-    eta_r = params.p ** 2 * float(r1v) * math.sinh(eta) / r
+    eta, r1v, _, _, _ = _profile_factors(r, params)
+    eta_r = params.p ** 2 * r1v * math.sinh(eta) / r
 
     gp = params.azimuthal_skew
     theta = math.atan2(f, 1.0 - gp * f)
@@ -168,7 +167,7 @@ def angular_metric_angle_form(
     grads = angle_gradients(y, tetrad, params)
     b, w = _frame_point(y, tetrad, params)
     r = float(dm.value(radial_from_ratios(w[0], w[1], w[2], params)))
-    eta, v, _, _ = _profile_factors(r, params)
+    eta, _, v, _, _ = _profile_factors(r, params)
     w_perp = math.hypot(w[0], w[1])
     gp = params.azimuthal_skew
     f = params.p * w_perp / w[2]
@@ -227,15 +226,14 @@ def metric_determinant_closed(
     """
     b, w = _frame_point(y, tetrad, params)
     r = float(dm.value(radial_from_ratios(w[0], w[1], w[2], params)))
-    eta, v, _, _ = _profile_factors(r, params)
-    _, r1v, _, _, _, _ = hyperbolic_profile(eta, params)
+    eta, r1v, v, _, _ = _profile_factors(r, params)
     gp = params.azimuthal_skew
     w_perp = math.hypot(w[0], w[1])
     vth = params.p * w_perp
     theta = math.atan2(vth, w[2] - gp * vth)
     big_i = math.exp(gp * theta)
     sh = math.sinh(eta)
-    core = params.p ** 4 * big_i ** 3 * v ** 4 * float(r1v)
+    core = params.p ** 4 * big_i ** 3 * v ** 4 * r1v
     return -(core * core) * sh ** 6 / (params.H ** 6 * r ** 6)
 
 

@@ -216,7 +216,7 @@ def test_criterion_8_inversion_round_trips():
                 eta = dom.eta_min + rng.uniform(1e-3, 5.0)
                 r = float(hyperbolic_profile(eta, params)[5])
                 back, iters = eta_from_r(r, params, with_iterations=True)
-                assert iters <= 30, (params, r, iters)
+                assert iters <= 6, (params, r, iters)
                 assert abs(back - eta) <= 1e-10 * max(eta, 1.0), (params, eta, back)
                 # angle chart round trip
                 angles = AngleCoords(

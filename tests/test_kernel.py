@@ -228,7 +228,7 @@ def test_inverse_radial_map_round_trip():
             r = float(hyperbolic_profile(eta, params)[5])
             back, iters = eta_from_r(r, params, with_iterations=True)
             assert back == pytest.approx(eta, rel=1e-10)
-            assert iters <= 30
+            assert iters <= 6
 
 
 def test_inverse_radial_map_relative_accuracy_near_zero():
@@ -239,6 +239,38 @@ def test_inverse_radial_map_relative_accuracy_near_zero():
             r = float(hyperbolic_profile(eta, params)[5])
             exact = math.atanh(r / (1.0 - params.boost_skew * r))
             assert eta_from_r(r, params) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def test_inverse_radial_map_seeded_newton_sweep():
+    # eta - eta_min log-spaced from the floor out to the saturating rim
+    for H, p in ((1.0, 1.0), (1.25, 1.0), (1.25, 0.8), (1.5, 0.9), (2.0, 0.5), (5.0, 0.9)):
+        params = Parameters(H=H, p=p)
+        dom = domain_info(params)
+        for gap in np.logspace(-12, 1, 400):
+            eta = dom.eta_min + gap
+            r = float(hyperbolic_profile(eta, params)[5])
+            back, iters = eta_from_r(r, params, with_iterations=True)
+            assert iters <= (0 if p == 1.0 else 6), (H, p, gap, iters)
+            r_back = float(hyperbolic_profile(back, params)[5])
+            assert abs(math.log(r_back / r)) <= 2e-15, (H, p, gap, back)
+            if gap <= 3.0:
+                assert back == pytest.approx(eta, rel=1e-12, abs=0.0), (H, p, gap)
+
+
+def test_inverse_radial_map_isotropic_round_trip():
+    # p = 1 uses the closed inverse; the forward map is the independent side.
+    # One ulp below the saturated r_sup, atanh's argument rounds to 1 at H = 2.
+    for H in (1.0, 1.25, 2.0, 10.0):
+        params = Parameters(H=H, p=1.0)
+        for eta in (1e-12, 1e-9, 1e-6, 1e-3):
+            r = float(hyperbolic_profile(eta, params)[5])
+            assert eta_from_r(r, params) == pytest.approx(eta, rel=1e-12, abs=0.0)
+        rim = math.nextafter(domain_info(params).r_sup, 0.0)
+        far = [float(hyperbolic_profile(eta, params)[5]) for eta in (12.0, 15.0, 17.0)]
+        for r in far + [rim]:
+            back = eta_from_r(r, params)
+            assert 0.0 < back < 20.0
+            assert abs(math.log(float(hyperbolic_profile(back, params)[5]) / r)) <= 2e-15
 
 
 def test_inverse_radial_map_domain_bounds():
