@@ -8,28 +8,45 @@ coordinate plane is the Richardson combination (4 D(step) - D(2 step)) / 3
 of the four-corner differences D(s) at the corners (+-s, +-s).  Stencil
 coefficients: Fornberg, Math. Comp. 51 (1988).  A metric evaluation must
 therefore be available on a neighbourhood of radius 2 * step around the
-base point; an n-dimensional chart costs 1 + 4n + 4n(n - 1) evaluations.
+base point.  ``metric_fn`` is called once per stencil: it maps the (m, n)
+array of all m = 1 + 4n + 4n(n - 1) stencil points (the rows of
+``_offsets`` times step, around x) to the (m, n, n) array of metrics there.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
 DEFAULT_STEP = 1e-3
 
 
-def _axis_derivatives(metric_fn, x, step: float):
-    """Metric g at x with dg[k] = d_k g and d2g[k] = d_k^2 g, fourth order."""
-    g = metric_fn(x)
+@lru_cache(maxsize=None)
+def _offsets(n: int) -> np.ndarray:
+    """Stencil points in steps: the base; per axis +1, -1, +2, -2; per plane
+    (i < j) and s = 1, 2 the corners (+s, +s), (+s, -s), (-s, +s), (-s, -s)."""
+    e = np.eye(n)
+    planes = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    corners = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
+    rows = [0.0 * e[0]] + [s * e[k] for k in range(n) for s in (1.0, -1.0, 2.0, -2.0)]
+    rows += [s * (a * e[i] + b * e[j]) for i, j in planes for s in (1.0, 2.0) for a, b in corners]
+    return np.array(rows)
+
+
+def _stencil(metric_fn, x, step: float):
+    """g, dg[k] = d_k g, d2g[k] = d_k^2 g and the mixed derivative per plane."""
+    x = np.asarray(x, dtype=float)
     n = len(x)
-    dg = np.empty((n,) + g.shape)
-    d2g = np.empty((n,) + g.shape)
-    for k, e in enumerate(step * np.eye(n)):
-        p1, m1 = metric_fn(x + e), metric_fn(x - e)
-        p2, m2 = metric_fn(x + 2.0 * e), metric_fn(x - 2.0 * e)
-        dg[k] = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * step)
-        d2g[k] = (16.0 * (p1 + m1) - (p2 + m2) - 30.0 * g) / (12.0 * step * step)
-    return g, dg, d2g
+    gs = np.asarray(metric_fn(x + step * _offsets(n)))
+    g = gs[0]
+    p1, m1, p2, m2 = np.moveaxis(gs[1 : 1 + 4 * n].reshape((n, 4) + g.shape), 1, 0)
+    dg = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * step)
+    d2g = (16.0 * (p1 + m1) - (p2 + m2) - 30.0 * g) / (12.0 * step * step)
+    pp, pm, mp, mm = np.moveaxis(gs[1 + 4 * n :].reshape((-1, 2, 4) + g.shape), 2, 0)
+    s = np.array([step, 2.0 * step])[:, None, None]
+    diff = (pp - pm - mp + mm) / (4.0 * s * s)  # four-corner D(s), s = step, 2 step
+    return g, dg, d2g, (4.0 * diff[:, 0] - diff[:, 1]) / 3.0
 
 
 def _gamma(g, dg):
@@ -39,20 +56,9 @@ def _gamma(g, dg):
     return np.einsum("ad,dbc->abc", np.linalg.inv(g), first)
 
 
-def _mixed(metric_fn, x, i: int, j: int, s: float):
-    """Four-corner difference of the metric in the (i, j) plane at spacing s."""
-    ei, ej = s * np.eye(len(x))[[i, j]]
-    return (
-        metric_fn(x + ei + ej)
-        - metric_fn(x + ei - ej)
-        - metric_fn(x - ei + ej)
-        + metric_fn(x - ei - ej)
-    ) / (4.0 * s * s)
-
-
 def christoffel(metric_fn, x, step: float = DEFAULT_STEP):
     """Metric and Christoffel symbols Gamma[a, b, c] = Gamma^a_{bc} at x."""
-    g, dg, _ = _axis_derivatives(metric_fn, np.asarray(x, dtype=float), step)
+    g, dg, _, _ = _stencil(metric_fn, x, step)
     return g, _gamma(g, dg)
 
 
@@ -64,22 +70,16 @@ def coordinate_plane_curvatures(metric_fn, x, step: float = DEFAULT_STEP) -> dic
                + g(Gamma_ij, Gamma_ij) - g(Gamma_ii, Gamma_jj);
     on a round sphere of radius a this yields +1/a^2 for every plane.
     """
-    x = np.asarray(x, dtype=float)
-    g, dg, d2g = _axis_derivatives(metric_fn, x, step)
+    g, dg, d2g, mixed = _stencil(metric_fn, x, step)
     gamma = _gamma(g, dg)
-    n = len(x)
+    planes = [(i, j) for i in range(len(g)) for j in range(i + 1, len(g))]
     out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            d_ij = (
-                4.0 * _mixed(metric_fn, x, i, j, step)
-                - _mixed(metric_fn, x, i, j, 2.0 * step)
-            ) / 3.0
-            r_ijij = (
-                0.5 * (2.0 * d_ij[i, j] - d2g[j][i, i] - d2g[i][j, j])
-                + gamma[:, i, j] @ g @ gamma[:, i, j]
-                - gamma[:, i, i] @ g @ gamma[:, j, j]
-            )
-            denom = g[i, i] * g[j, j] - g[i, j] ** 2
-            out[(i, j)] = float(r_ijij / denom)
+    for (i, j), d_ij in zip(planes, mixed):
+        r_ijij = (
+            0.5 * (2.0 * d_ij[i, j] - d2g[j][i, i] - d2g[i][j, j])
+            + gamma[:, i, j] @ g @ gamma[:, i, j]
+            - gamma[:, i, i] @ g @ gamma[:, j, j]
+        )
+        denom = g[i, i] * g[j, j] - g[i, j] ** 2
+        out[(i, j)] = float(r_ijij / denom)
     return out

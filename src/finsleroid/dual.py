@@ -6,8 +6,8 @@ exact Hessian entry (``hessian``); one pass per coordinate with only the
 first slot seeded yields a gradient or Jacobian column (``gradient``).
 
 The module-level math functions (``sqrt``, ``exp``, ``atan2``, ...) accept
-plain floats as well, so the same scalar pipeline can be evaluated with or
-without derivative tracking.
+plain floats (``math``) and ndarrays (numpy ufuncs) as well, so the same
+pipeline runs with or without derivative tracking, and on batches.
 """
 
 from __future__ import annotations
@@ -86,9 +86,12 @@ class HyperDual:
 
 
 def _apply(x, f, fp, fpp):
+    if isinstance(x, float):
+        return f(x)
     if isinstance(x, HyperDual):
         return x.chain(f(x.val), fp(x.val), fpp(x.val))
-    return f(x)
+    # the numpy ufunc of the same name as the math function
+    return getattr(np, f.__name__)(x) if isinstance(x, np.ndarray) else f(x)
 
 
 def sqrt(x):
@@ -121,6 +124,11 @@ def cosh(x):
     return _apply(x, math.cosh, math.sinh, math.cosh)
 
 
+def any_set(mask):
+    """Whether a float comparison (a bool) or any element of an array one holds."""
+    return mask.any() if isinstance(mask, np.ndarray) else mask
+
+
 def value(x) -> float:
     """Plain float value of a float or HyperDual."""
     if isinstance(x, HyperDual):
@@ -131,7 +139,8 @@ def value(x) -> float:
 def atan2(n, d):
     """Two-argument arctangent with derivative propagation in both slots."""
     if not isinstance(n, HyperDual) and not isinstance(d, HyperDual):
-        return math.atan2(n, d)
+        array = isinstance(n, np.ndarray) or isinstance(d, np.ndarray)
+        return (np.arctan2 if array else math.atan2)(n, d)
     n = HyperDual._lift(n)
     d = HyperDual._lift(d)
     nv, dv = n.val, d.val

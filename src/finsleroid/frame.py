@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dual import any_set
 from .errors import NotFutureTimelike, OutsideAxialRegion, TetradDegenerate
 
 _MINKOWSKI_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
@@ -198,19 +199,22 @@ class FrameComponents:
         return cls(b, w1, w2, w3, w_perp, w_perp / w3, t, b * w_perp, s2)
 
 
-def projections(y, tetrad: Tetrad) -> tuple[float, float, float, float]:
-    """Raw frame projections (b, w1, w2, w3) of a vector.
+def projections(y, tetrad: Tetrad):
+    """Raw frame projections (b, w1, w2, w3) of a vector (arrays for (m, 4)).
 
     Only the future-pointing condition b > 0 is enforced here; the axial
     restriction w3 > 0 is applied by frame_components.
     """
-    y = np.asarray(y, dtype=float).reshape(4)
+    y = np.asarray(y, dtype=float)
+    y = y if y.ndim == 2 else y.reshape(4)
     if not np.isfinite(y).all():
         raise ValueError(f"vector components must be finite, got {y.tolist()}")
-    b = float(tetrad.b @ y)
-    if b <= 0.0:
-        raise NotFutureTimelike(f"timelike projection b={b} is not positive")
-    return b, float(tetrad.i @ y) / b, float(tetrad.j @ y) / b, float(tetrad.i3 @ y) / b
+    b, i, j, i3 = y @ tetrad.b, y @ tetrad.i, y @ tetrad.j, y @ tetrad.i3
+    if any_set(b <= 0.0):
+        raise NotFutureTimelike(f"timelike projection b={np.min(b)} is not positive")
+    if y.ndim == 1:
+        b, i, j, i3 = float(b), float(i), float(j), float(i3)
+    return b, i / b, j / b, i3 / b
 
 
 def frame_components(y, tetrad: Tetrad | None = None) -> FrameComponents:

@@ -6,12 +6,12 @@ curvatures must equal -H^2 everywhere; the horizontal section of the
 three-dimensional ratio space (the surface r = 1, charted by the
 azimuthal and polar angle) must have Gaussian curvature p^2.  Both claims
 are checked here by finite-difference curvature of pipeline-computed
-metrics, with no analytic shortcut on the metric side.
+metrics, with no analytic shortcut on the metric side.  Each stencil is one
+batch of (m, 3) or (m, 2) angle rows; the scalar functions are batches of one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +20,7 @@ from . import dual as dm
 from .curvature import DEFAULT_STEP, coordinate_plane_curvatures
 from .errors import PolarAxisSingular, StencilOutOfDomain
 from .frame import Parameters
-from .kernel import AngleCoords, _chart_vector, domain_info, theta_pole
+from .kernel import AngleCoords, _chart_ratios, domain_info, theta_pole
 from .tensors import _radial_point, finsleroid3_metric
 
 # Farthest offset of the curvature stencil, in steps: the axis points and
@@ -43,10 +43,11 @@ def unit_vector(angles: AngleCoords, params: Parameters) -> np.ndarray:
     return _unit_point(angles, params)[2]
 
 
-def _unit_point(angles: AngleCoords, params: Parameters):
-    """Profiles at the angles and the unit vector built from them."""
-    prof, ang, fc = _chart_vector(angles, 1.0, params)
-    return prof, ang, np.array([fc.b, fc.b * fc.w1, fc.b * fc.w2, fc.b * fc.w3])
+def _unit_point(angles, params: Parameters):
+    """Profile (eta, R1, V), (sin, cos) of theta and the unit vector y."""
+    prof, trig, (w1, w2, w3, _) = _chart_ratios(angles, params)
+    b = 1.0 / prof[2]
+    return prof, trig, np.stack([b, b * w1, b * w2, b * w3], axis=-1)
 
 
 def unit_vector_angle_derivatives(
@@ -62,30 +63,26 @@ def unit_vector_angle_derivatives(
     return _chart_point(angles, params)[2]
 
 
-def _chart_point(angles: AngleCoords, params: Parameters):
-    """Profile, unit vector y and its angle derivatives d from one profile."""
-    if angles.theta == 0.0:
+def _chart_point(angles, params: Parameters):
+    """Profile, unit vector y (..., 4) and its angle derivatives d (..., 4, 3)."""
+    prof, (st, ct), y = _unit_point(angles, params)
+    if dm.any_set(st == 0.0):
         raise PolarAxisSingular("azimuthal derivatives undefined on the polar axis")
-    prof, ang, lvec = _unit_point(angles, params)
-    r1v, v, rv = prof.R1, prof.V, prof.r
-    sh = math.sinh(angles.eta)
+    eta, r1v, _ = prof
+    sh = dm.sinh(eta)
     gp = params.azimuthal_skew
-    l0, l1, l2, l3 = lvec
 
     dlnv = -(1.0 / params.H ** 2) * sh / r1v  # log slope of V in eta
     dlnr = 1.0 / (params.p ** 2 * r1v * sh)  # log slope of r in eta
-    st, ct = math.sin(angles.theta), math.cos(angles.theta)
-    w_perp = rv * st / (params.p * ang.I)
-
-    d = np.zeros((4, 3))
-    d[0, 0] = -dlnv * l0
-    d[1:, 0] = (dlnr - dlnv) * np.array([l1, l2, l3])
-    d[1, 1] = (ct / st - gp) * l1
-    d[2, 1] = (ct / st - gp) * l2
-    d[3, 1] = -(st / (params.p ** 2 * ang.R2)) * l3
-    d[1, 2] = -(w_perp / v) * math.sin(angles.phi)
-    d[2, 2] = (w_perp / v) * math.cos(angles.phi)
-    return prof, lvec, d
+    lt = y.T  # component-first, like d until its last line
+    d = np.zeros((4, 3) + lt.shape[1:])
+    d[0, 0] = -dlnv * lt[0]
+    d[1:, 0] = (dlnr - dlnv) * lt[1:]
+    d[1:3, 1] = (ct / st - gp) * lt[1:3]
+    d[3, 1] = -(st / (params.p ** 2 * (ct + gp * st))) * lt[3]
+    d[1, 2] = -lt[2]
+    d[2, 2] = lt[1]
+    return prof, y, np.swapaxes(d.T, -1, -2)
 
 
 def indicatrix_metric(angles: AngleCoords, params: Parameters) -> np.ndarray:
@@ -98,17 +95,18 @@ def indicatrix_metric(angles: AngleCoords, params: Parameters) -> np.ndarray:
     return _pullback(angles, params)[0]
 
 
-def _pullback(angles: AngleCoords, params: Parameters):
+def _pullback(angles, params: Parameters):
     """Signed pullback -(d^T h d), its sign and d, at the chart's own eta.
 
-    One profile gives y and d; h is the component-route angular metric of y
-    at that profile's eta, R1 and V, so r is not inverted back to eta.
+    One profile gives y and d (per point of a batch, like ``_chart_point``);
+    h is the component-route angular metric of y at that profile's eta, R1
+    and V, so r is not inverted back to eta.
     """
     prof, y, d = _chart_point(angles, params)
-    h = _radial_point(y, None, params, (angles.eta, prof.R1, prof.V))[2]
-    raw = -(d.T @ h @ d)
-    sign = 1 if raw[0, 0] >= 0.0 else -1
-    return sign * raw, sign, d
+    h = _radial_point(y, None, params, prof)[2]
+    raw = -(np.swapaxes(d, -1, -2) @ h @ d)
+    sign = np.where(raw[..., 0, 0] >= 0.0, 1, -1)
+    return (sign * raw.T).T, sign, d
 
 
 def _check_theta_stencil(theta: float, params: Parameters, step: float):
@@ -126,17 +124,6 @@ def _check_theta_stencil(theta: float, params: Parameters, step: float):
         )
 
 
-def _check_stencil(angles: AngleCoords, params: Parameters, step: float):
-    dom = domain_info(params)
-    reach = STENCIL_EXTENT * step
-    if angles.eta - reach <= dom.eta_min:
-        raise StencilOutOfDomain(
-            f"eta stencil [{angles.eta - reach}, {angles.eta + reach}] leaves "
-            f"the domain floor {dom.eta_min}"
-        )
-    _check_theta_stencil(angles.theta, params, step)
-
-
 def indicatrix_curvature(
     angles: AngleCoords, params: Parameters, step: float = DEFAULT_STEP
 ) -> dict:
@@ -149,15 +136,15 @@ def indicatrix_curvature(
     stencil loses accuracy (at H = p = 1, 3 * step above it, the error is
     already ~8e-4).  Theta below 3 * STENCIL_EXTENT * step is rejected.
     """
-    _check_stencil(angles, params, step)
-
-    def metric_fn(x):
-        return indicatrix_metric(
-            AngleCoords(eta=x[0], theta=x[1], phi=x[2] % (2.0 * math.pi)), params
+    floor, reach = domain_info(params).eta_min, STENCIL_EXTENT * step
+    if angles.eta - reach <= floor:
+        raise StencilOutOfDomain(
+            f"eta stencil [{angles.eta - reach}, {angles.eta + reach}] leaves "
+            f"the domain floor {floor}"
         )
-
+    _check_theta_stencil(angles.theta, params, step)
     x0 = np.array([angles.eta, angles.theta, angles.phi])
-    return coordinate_plane_curvatures(metric_fn, x0, step)
+    return coordinate_plane_curvatures(lambda x: _pullback(x, params)[0], x0, step)
 
 
 def indicatrix_bundle(
@@ -167,24 +154,41 @@ def indicatrix_bundle(
     i_metric, sign, d = _pullback(angles, params)
     sectional = indicatrix_curvature(angles, params, step)
     return IndicatrixBundle(
-        l_derivs=d, i_metric=i_metric, raw_sign=sign, sectional=sectional
+        l_derivs=d, i_metric=i_metric, raw_sign=int(sign), sectional=sectional
     )
 
 
 def section_metric(theta: float, phi: float, params: Parameters) -> np.ndarray:
     """Induced 2-metric of the section surface from the ratio-space metric."""
+    return _section_metric(np.array([theta, phi]), params)
+
+
+def _section_metric(x, params: Parameters) -> np.ndarray:
+    """Section metric at (theta, phi) rows: (2,) gives (2, 2), (m, 2) (m, 2, 2)."""
+    w, jac_t = _section_chart(x, params)
+    return jac_t @ finsleroid3_metric(w, params) @ np.swapaxes(jac_t, -1, -2)
+
+
+def _section_chart(x, params: Parameters):
+    """Point w of r = 1 at (theta, phi) rows and its Jacobian^T, closed-form.
+
+    w = (w_perp cos phi, w_perp sin phi, w3), I = exp(gp theta), w_perp =
+    sin/(p I), w3 = (cos + gp sin)/I, d w_perp/d theta = (cos - gp sin)/(p I),
+    d w3/d theta = -sin/(p^2 I)."""
+    theta, phi = np.asarray(x, dtype=float).T
     gp = params.azimuthal_skew
-
-    def chart(th, ph):
-        # point of the unit section surface r = 1 at the chart angles
-        big_i = dm.exp(gp * th)
-        w_perp = dm.sin(th) / (params.p * big_i)
-        w3 = (dm.cos(th) + gp * dm.sin(th)) / big_i
-        return w_perp * dm.cos(ph), w_perp * dm.sin(ph), w3
-
-    w, jac = dm.gradient(chart, [theta, phi])  # jac: 3 x 2 chart Jacobian
-    g3 = finsleroid3_metric(w, params)
-    return jac.T @ g3 @ jac
+    st, ct = dm.sin(theta), dm.cos(theta)
+    big_i = dm.exp(gp * theta)
+    w_perp = st / (params.p * big_i)
+    dw_perp = (ct - gp * st) / (params.p * big_i)
+    cp, sp = dm.cos(phi), dm.sin(phi)
+    w = np.array([w_perp * cp, w_perp * sp, (ct + gp * st) / big_i]).T
+    jac = np.array([
+        [dw_perp * cp, -w_perp * sp],
+        [dw_perp * sp, w_perp * cp],
+        [-st / (params.p ** 2 * big_i), 0.0 * theta],
+    ])
+    return w, jac.T  # (m, 3) and (m, 2, 3), or (3,) and (2, 3)
 
 
 def section_curvature(
@@ -197,9 +201,5 @@ def section_curvature(
     3 * STENCIL_EXTENT * step is rejected.
     """
     _check_theta_stencil(theta, params, step)
-
-    def metric_fn(x):
-        return section_metric(x[0], x[1], params)
-
-    ks = coordinate_plane_curvatures(metric_fn, np.array([theta, phi]), step)
-    return ks[(0, 1)]
+    x0 = np.array([theta, phi])
+    return coordinate_plane_curvatures(lambda x: _section_metric(x, params), x0, step)[(0, 1)]

@@ -9,10 +9,11 @@ inverse (closed-form at p = 1, a seeded Newton iteration in a maintained
 bracket otherwise), and independent quadrature oracles for both
 log-derivative integrals.
 
-The closed-form evaluators accept HyperDual arguments, so derivatives can
-be pushed through them unchanged; the exception is ``radial_derivatives``,
-which takes floats and returns the value, gradient and Hessian of the
-radial map in closed form for the tensor layer.
+The closed-form evaluators accept HyperDual arguments, so derivatives pass
+through them unchanged, and arrays, so a curvature stencil is one call; the
+exception is ``radial_derivatives``, which takes (3,) or (m, 3) ratios and
+returns the value, gradient and Hessian of the radial map in closed form for
+the tensor layer.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ NEWTON_MAX_ITER = 60
 # A residual |r(eta) - r| within this share of r is rounding noise of the
 # map, which reaches 17 * 2^-52 at p = 0.05 against a 40-digit evaluation.
 _MAP_NOISE = 16 * 2.0 ** -52
+_UPPER, _TWO_EYE = np.triu(np.ones((3, 3), dtype=bool)), 2.0 * np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -110,11 +112,11 @@ class DomainInfo:
 def hyperbolic_profile(eta, params: Parameters):
     """Closed forms (A, R1, J, Y1, V, r) as functions of the hyperbolic angle.
 
-    HyperDual-generic.  The exponential-integral factor J is normalized so
-    that J = 1 at the domain floor, which is the normalization the isotropic
-    closed form requires.  Y1 uses a two-argument arctangent whose branch
-    is continuous in eta and in the parameters; its sign-changing
-    denominator is kept separate from the (non-negative) numerator.
+    HyperDual- and array-generic.  J is normalized so that J = 1 at the
+    domain floor, which the isotropic closed form requires.  Y1 uses a
+    two-argument arctangent whose branch is continuous in eta and in the
+    parameters; its sign-changing denominator is kept apart from the
+    (non-negative) numerator.
     """
     gp = params.azimuthal_skew
     hh = params.boost_skew
@@ -134,11 +136,15 @@ def hyperbolic_profile(eta, params: Parameters):
         Y1 = 1.0
     else:
         rad = hh * hh * sh * sh - gp * gp
-        if not isinstance(rad, dm.HyperDual):
+        if isinstance(rad, float):
             if rad < 0.0:
                 if rad < -1e-10 * max(1.0, gp * gp):
                     raise OutsideEtaDomain(f"radicand {rad} negative at eta={eta}")
                 rad = 0.0
+        elif isinstance(rad, np.ndarray):
+            if (rad < -1e-10 * max(1.0, gp * gp)).any():
+                raise OutsideEtaDomain(f"radicand {rad.min()} < 0 at eta={eta.flat[rad.argmin()]}")
+            rad = np.maximum(rad, 0.0)
         A = dm.sqrt(rad)
         R1 = ch + A
         J = dm.exp(hh * dm.log((hh * ch + A) / math.sqrt(hh * hh + gp * gp)))
@@ -174,10 +180,11 @@ def radial_from_ratios(w1, w2, w3, params: Parameters):
 def radial_derivatives(w, params: Parameters):
     """Value, gradient and Hessian of ``radial_from_ratios`` in closed form.
 
-    Float-only.  For p < 1, with rho = |(w1, w2)| > 0, X = w3 - gp p rho and
-    Y = p rho, the map is the logarithmic spiral r = k exp(gp atan2(Y, X)),
-    k = |X + iY|.  ln r = Re[(1 - i gp) Log(X + iY)] is harmonic in (X, Y),
-    which collapses the derivatives to grad = (r/k^2) (w1, w2, X - gp Y) and
+    Takes (3,) or (m, 3) ratios.  For p < 1, with rho = |(w1, w2)| > 0,
+    X = w3 - gp p rho and Y = p rho, the map is the logarithmic spiral
+    r = k exp(gp atan2(Y, X)), k = |X + iY|.  ln r = Re[(1 - i gp) Log(X + iY)]
+    is harmonic in (X, Y), which collapses the derivatives to
+    grad = (r/k^2) (w1, w2, X - gp Y) and
     hess = (r/k^4) u u^T + (r/k^2) m m^T with u = (-w3 n, rho), m = (-n2, n1,
     0), n = (w1, w2)/rho.  Unlike hyper-dual passes, these carry no 1/rho
     terms that cancel near the axis.  For p = 1 the map is sqrt(w.w),
@@ -185,31 +192,31 @@ def radial_derivatives(w, params: Parameters):
     triangle), so it agrees bit for bit with ``dual.hessian`` and stays
     defined for w3 <= 0 and on the axis.
     """
-    w1, w2, w3 = (float(c) for c in w)
+    # components first in w.T; .T of each result (hess is symmetric) restores (m, ...)
+    w = np.asarray(w, dtype=float)
+    w1, w2, w3 = w.T
     if params.p == 1.0:
         s = w1 * w1 + w2 * w2 + w3 * w3
-        fp = 0.5 / math.sqrt(s)
+        fp = 0.5 / dm.sqrt(s)
         fpp = -0.25 / s ** 1.5
-        d = 2.0 * np.array([w1, w2, w3])
         # the hyper-dual slot sum is -0.0 only where every sign bit is set
-        d += -0.0 if np.signbit(d).all() else 0.0
-        hess = np.empty((3, 3))
-        for i in range(3):
-            for j in range(i, 3):
-                hess[i, j] = hess[j, i] = fp * (2.0 if i == j else 0.0) + fpp * d[i] * d[j]
-        return math.sqrt(s), fp * d, hess
+        d = 2.0 * w.T + np.where(np.signbit(w.T).all(axis=0), -0.0, 0.0)
+        # hyper-dual order (fpp d_i) d_j on the upper triangle, mirrored
+        upper = (fpp * d * d[:, None]).T
+        hess = np.where(_UPPER, upper, np.swapaxes(upper, -1, -2))
+        return dm.sqrt(s), (fp * d).T, hess + np.asarray(fp)[..., None, None] * _TWO_EYE
     gp = params.azimuthal_skew
-    rho = math.hypot(w1, w2)
+    rho = (np.hypot if isinstance(w1, np.ndarray) else math.hypot)(w1, w2)
     x = w3 - gp * params.p * rho
     y = params.p * rho
     k2 = x * x + y * y
-    r = math.sqrt(k2) * math.exp(gp * math.atan2(y, x))
+    r = dm.sqrt(k2) * dm.exp(gp * dm.atan2(y, x))
     n1, n2 = w1 / rho, w2 / rho
     u = np.array([-w3 * n1, -w3 * n2, rho])
-    m = np.array([-n2, n1, 0.0])
+    m = np.array([-n2, n1, 0.0 * rho])
     grad = (r / k2) * np.array([w1, w2, x - gp * y])
-    hess = (r / (k2 * k2)) * np.outer(u, u) + (r / k2) * np.outer(m, m)
-    return r, grad, hess
+    hess = (r / (k2 * k2)) * (u[:, None] * u) + (r / k2) * (m[:, None] * m)
+    return r, grad.T, hess.T
 
 
 @lru_cache(maxsize=None)
@@ -253,16 +260,8 @@ def structural_profile(eta: float, params: Parameters) -> EvalBundle:
     dom = domain_info(params)
     if eta < dom.eta_min - 1e-12 * max(1.0, dom.eta_min):
         raise OutsideEtaDomain(f"eta={eta} below the domain floor {dom.eta_min}")
-    A, R1, J, Y1, V, r = hyperbolic_profile(max(eta, dom.eta_min), params)
-    return EvalBundle(
-        A=float(A),
-        R1=float(R1),
-        J=float(J),
-        Y1=float(Y1),
-        V=float(V),
-        r=float(r),
-        near_boundary=bool(A < BOUNDARY_TOL) if params.p < 1.0 else False,
-    )
+    values = [float(c) for c in hyperbolic_profile(max(eta, dom.eta_min), params)]
+    return EvalBundle(*values, near_boundary=params.p < 1.0 and values[0] < BOUNDARY_TOL)
 
 
 def angular_profile(theta: float, params: Parameters) -> AngularProfile:
@@ -411,22 +410,36 @@ def vector_from_angles(
     angles: AngleCoords, norm: float, params: Parameters
 ) -> FrameComponents:
     """Frame components of the vector with the given angles and norm."""
-    return _chart_vector(angles, norm, params)[2]
-
-
-def _chart_vector(angles: AngleCoords, norm: float, params: Parameters):
-    """Profiles at the angles and the frame components built from them."""
     if norm <= 0.0:
         raise ValueError(f"norm must be positive, got {norm}")
-    bundle = structural_profile(angles.eta, params)
-    ang = angular_profile(angles.theta, params)
-    w3 = bundle.r * ang.R2 / ang.I
-    w_perp = bundle.r * math.sin(angles.theta) / (params.p * ang.I)
-    w1 = w_perp * math.cos(angles.phi)
-    w2 = w_perp * math.sin(angles.phi)
-    b = norm / bundle.V
+    prof, _, (w1, w2, w3, w_perp) = _chart_ratios(angles, params)
+    b = norm / prof[2]
     s2 = b * b * (1.0 - w3 * w3 - w_perp * w_perp)
-    return bundle, ang, FrameComponents.from_ratios(b, w1, w2, w3, w_perp, s2)
+    return FrameComponents.from_ratios(b, w1, w2, w3, w_perp, s2)
+
+
+def _chart_ratios(angles, params: Parameters):
+    """Profile (eta, R1, V), (sin, cos) of theta and (w1, w2, w3, w_perp) at an
+    AngleCoords or at (m, 3) rows of (eta, theta, phi mod 2 pi), in one profile
+    call; a bad point raises what a scalar call does."""
+    if isinstance(angles, AngleCoords):
+        eta, theta, phi = angles.eta, angles.theta, angles.phi
+    else:
+        eta, theta, phi = np.asarray(angles, dtype=float).T
+        phi = phi % (2.0 * math.pi)
+    floor = domain_info(params).eta_min
+    if dm.any_set(eta < floor - 1e-12 * max(1.0, floor)):
+        raise OutsideEtaDomain(f"eta={np.min(eta)} below the domain floor {floor}")
+    eta = np.maximum(eta, floor)
+    _, r1v, _, _, v, r = hyperbolic_profile(eta, params)
+    st, ct = dm.sin(theta), dm.cos(theta)
+    r2 = ct + params.azimuthal_skew * st
+    if dm.any_set(r2 <= 0.0):
+        raise ThetaPole(f"angular divisor R2={np.min(r2)} not positive")
+    big_i = dm.exp(params.azimuthal_skew * theta)
+    w_perp = r * st / (params.p * big_i)
+    ratios = w_perp * dm.cos(phi), w_perp * dm.sin(phi), r * r2 / big_i, w_perp
+    return (eta, r1v, v), (st, ct), ratios
 
 
 def angles_from_vector(
@@ -440,20 +453,8 @@ def angles_from_vector(
     r = fc.w3 * ang.U
     eta = eta_from_r(r, params)
     prof = structural_profile(eta, params)
-    bundle = EvalBundle(
-        A=prof.A,
-        R1=prof.R1,
-        J=prof.J,
-        Y1=prof.Y1,
-        V=prof.V,
-        r=r,
-        R2=ang.R2,
-        I=ang.I,
-        U=ang.U,
-        f=f,
-        F=fc.b * prof.V,
-        near_boundary=prof.near_boundary,
-    )
+    bundle = EvalBundle(prof.A, prof.R1, prof.J, prof.Y1, prof.V, r, ang.R2, ang.I, ang.U, f,
+                        fc.b * prof.V, prof.near_boundary)
     return AngleCoords(eta=eta, theta=theta, phi=phi), bundle
 
 
@@ -493,20 +494,11 @@ def oracle_quadrature(
 
     p2 = params.p * params.p
     h2 = params.H * params.H
-    dlnr, _ = quad(
-        lambda e: 1.0 / (p2 * r1_of(e) * math.sinh(e)),
-        eta0,
-        eta1,
-        epsabs=1e-12,
-        epsrel=1e-12,
-        limit=400,
-    )
-    dlnv, _ = quad(
-        lambda e: -math.sinh(e) / (h2 * r1_of(e)),
-        eta0,
-        eta1,
-        epsabs=1e-12,
-        epsrel=1e-12,
-        limit=400,
+    dlnr, dlnv = (
+        quad(integrand, eta0, eta1, epsabs=1e-12, epsrel=1e-12, limit=400)[0]
+        for integrand in (
+            lambda e: 1.0 / (p2 * r1_of(e) * math.sinh(e)),
+            lambda e: -math.sinh(e) / (h2 * r1_of(e)),
+        )
     )
     return QuadratureDeltas(delta_ln_r=dlnr, delta_ln_v=dlnv)

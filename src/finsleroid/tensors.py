@@ -56,32 +56,33 @@ class AngleGradients:
     phi_grad: np.ndarray
 
 
-def _frame_point(y, tetrad: Tetrad | None, params: Parameters):
-    """Frame ratios of a vector, with the tensor-level domain guards."""
-    if tetrad is None:
-        tetrad = Tetrad.canonical()
-    b, w1, w2, w3 = projections(y, tetrad)
-    w_perp = math.hypot(w1, w2)
-    if params.p < 1.0:
-        if w3 <= 0.0:
-            raise OutsideAxialRegion(f"axial projection w3={w3} is not positive")
-        if w_perp == 0.0:
-            raise PolarAxisSingular(
-                "metric derivatives are undefined on the polar axis for p < 1"
-            )
-    elif w_perp == 0.0 and w3 == 0.0:
+def _check_ratios(w1, w2, w3, axial: bool):
+    """Reject frame ratios (floats or arrays) off the axial region if ``axial``."""
+    on_axis = (w1 == 0.0) & (w2 == 0.0)
+    if axial:
+        if dm.any_set(w3 <= 0.0):
+            raise OutsideAxialRegion(f"axial projection w3={np.min(w3)} not positive")
+        if dm.any_set(on_axis):
+            raise PolarAxisSingular("angle derivatives are undefined on the polar axis")
+    elif dm.any_set(on_axis & (w3 == 0.0)):
         raise PolarAxisSingular("vector lies exactly on the time axis")
-    return b, np.array([w1, w2, w3])
 
 
-def _profile_factors(r: float, params: Parameters, known=None):
+def _frame_point(y, tetrad: Tetrad | None, params: Parameters):
+    """Frame ratios of a vector or an (m, 4) batch, with the domain guards."""
+    b, w1, w2, w3 = projections(y, Tetrad.canonical() if tetrad is None else tetrad)
+    _check_ratios(w1, w2, w3, params.p < 1.0)
+    return b, np.array([w1, w2, w3]).T
+
+
+def _profile_factors(r, params: Parameters, known=None):
     """eta, R1, V, V_r and V_rr at r; ``known = (eta, R1, V)`` skips eta(r)."""
     if known is None:
         eta = eta_from_r(r, params)
         _, r1v, _, _, v, _ = hyperbolic_profile(eta, params)
         known = eta, float(r1v), float(v)
     eta, r1v, v = known
-    sh = math.sinh(eta)
+    sh = dm.sinh(eta)
     p2 = params.p * params.p
     h2 = params.H * params.H
     v_r = -v * (p2 / h2) * sh * sh / r
@@ -91,25 +92,28 @@ def _profile_factors(r: float, params: Parameters, known=None):
 
 
 def _radial_point(y, tetrad: Tetrad | None, params: Parameters, known=None):
-    """Norm F, unit covector l and angular metric h of one vector.
+    """Norm F, unit covector l and angular metric h of a vector or a batch.
 
     The frame point is resolved once, the radial map's value, gradient and
     Hessian in the frame ratios come from one closed-form call, and its
     value is inverted once, unless the caller passes ``known = (eta, R1, V)``
-    (the indicatrix chart); l and h are the component-route assemblies.
+    (the indicatrix chart, also as arrays for an (m, 4) batch); l and h are
+    the component-route assemblies.
     """
     b, w = _frame_point(y, tetrad, params)
     r, grad, hess = radial_derivatives(w, params)
     eta, _, v, v_r, v_rr = _profile_factors(r, params, known)
-    sh = math.sinh(eta)
-    l = np.empty(4)
+    sh = dm.sinh(eta)
+    # component-first (4, ...) and (4, 4, ...), then batch-first again at the end
+    grad, hess = grad.T, hess.T
+    l = np.empty((4,) + grad.shape[1:])
     l[0] = v * (1.0 + (params.p ** 2 / params.H ** 2) * sh * sh)
     l[1:] = v_r * grad
-    h = np.empty((4, 4))
+    h = np.empty((4, 4) + grad.shape[1:])
     h[0, 0] = v * v_rr * r * r
     h[0, 1:] = h[1:, 0] = -v * v_rr * r * grad
-    h[1:, 1:] = v * v_rr * np.outer(grad, grad) + v * v_r * hess
-    return b * v, l, h
+    h[1:, 1:] = v * v_rr * (grad[:, None] * grad) + v * v_r * hess
+    return b * v, l.T, np.swapaxes(h.T, -1, -2)
 
 
 def unit_covector(y, tetrad: Tetrad | None = None, params: Parameters | None = None):
@@ -133,10 +137,7 @@ def angle_gradients(
     together by one forward-mode gradient.
     """
     b, w = _frame_point(y, tetrad, params)
-    if w[2] <= 0.0:
-        raise OutsideAxialRegion(f"axial projection w3={w[2]} is not positive")
-    if math.hypot(w[0], w[1]) == 0.0:
-        raise PolarAxisSingular("theta and phi gradients undefined on the axis")
+    _check_ratios(*w, True)
 
     def ratio_maps(y0, y1, y2, y3):
         w1, w2, w3 = y1 / y0, y2 / y0, y3 / y0
@@ -241,19 +242,13 @@ def finsleroid3_metric(w, params: Parameters):
     """Metric of the three-dimensional section: Hessian of r^2/2 in the ratios.
 
     Assembled as grad(r) grad(r)^T + r Hess(r) from the closed-form radial
-    derivatives.  Positive definite away from the polar axis; for p < 1 the
-    axis itself is a conical point and is rejected.
+    derivatives, also for an (m, 3) batch.  Positive definite away from the
+    polar axis; for p < 1 the axis itself is a conical point and is rejected.
     """
-    w = np.asarray(w, dtype=float).reshape(3)
-    if params.p < 1.0:
-        if w[2] <= 0.0:
-            raise OutsideAxialRegion(f"axial component w3={w[2]} is not positive")
-        if math.hypot(w[0], w[1]) == 0.0:
-            raise PolarAxisSingular("section metric undefined on the axis for p < 1")
-    elif not np.any(w):
-        raise PolarAxisSingular("section metric undefined at the origin")
+    _check_ratios(*np.asarray(w, dtype=float).T, params.p < 1.0)
     r, grad, hess = radial_derivatives(w, params)
-    return np.outer(grad, grad) + r * hess
+    grad = grad.T  # component-first, then batch-first again at the end
+    return np.swapaxes((grad[:, None] * grad + r * hess.T).T, -1, -2)
 
 
 def covector_to_natural(vec, tetrad: Tetrad) -> np.ndarray:

@@ -9,11 +9,16 @@ from finsleroid import AngleCoords, Parameters, domain_info, indicatrix_curvatur
 from finsleroid.curvature import DEFAULT_STEP, christoffel, coordinate_plane_curvatures
 
 
+def rows(metric):
+    """Batch metric_fn from a one-point oracle: (m, n) points to (m, n, n)."""
+    return lambda xs: np.array([metric(x) for x in xs])
+
+
 def test_round_sphere_unit_curvature():
     def metric(x):
         return np.diag([1.0, math.sin(x[0]) ** 2])
 
-    ks = coordinate_plane_curvatures(metric, np.array([1.1, 0.7]))
+    ks = coordinate_plane_curvatures(rows(metric), np.array([1.1, 0.7]))
     assert ks[(0, 1)] == pytest.approx(1.0, abs=1e-8)
 
 
@@ -23,7 +28,7 @@ def test_scaled_sphere_curvature():
     def metric(x):
         return a * a * np.diag([1.0, math.sin(x[0]) ** 2])
 
-    ks = coordinate_plane_curvatures(metric, np.array([0.9, 0.3]))
+    ks = coordinate_plane_curvatures(rows(metric), np.array([0.9, 0.3]))
     assert ks[(0, 1)] == pytest.approx(1.0 / (a * a), abs=1e-9)
 
 
@@ -31,7 +36,7 @@ def test_hyperbolic_plane_curvature():
     def metric(x):
         return np.diag([1.0, math.sinh(x[0]) ** 2])
 
-    ks = coordinate_plane_curvatures(metric, np.array([1.4, 0.2]))
+    ks = coordinate_plane_curvatures(rows(metric), np.array([1.4, 0.2]))
     assert ks[(0, 1)] == pytest.approx(-1.0, abs=1e-8)
 
 
@@ -40,7 +45,7 @@ def test_three_dimensional_hyperbolic_space():
         sh2 = math.sinh(x[0]) ** 2
         return np.diag([1.0, sh2, sh2 * math.sin(x[1]) ** 2])
 
-    ks = coordinate_plane_curvatures(metric, np.array([1.2, 0.8, 0.5]))
+    ks = coordinate_plane_curvatures(rows(metric), np.array([1.2, 0.8, 0.5]))
     for plane, k in ks.items():
         assert k == pytest.approx(-1.0, abs=1e-7), plane
 
@@ -49,7 +54,7 @@ def test_flat_metric_zero_curvature():
     def metric(x):
         return np.eye(2)
 
-    ks = coordinate_plane_curvatures(metric, np.array([0.4, 1.0]))
+    ks = coordinate_plane_curvatures(rows(metric), np.array([0.4, 1.0]))
     assert abs(ks[(0, 1)]) < 1e-12
 
 
@@ -65,7 +70,7 @@ def test_flat_plane_in_curvilinear_chart():
         return j.T @ j
 
     for pt in ([0.4, 0.3], [0.8, -0.5], [1.2, 0.7]):
-        ks = coordinate_plane_curvatures(metric, np.array(pt))
+        ks = coordinate_plane_curvatures(rows(metric), np.array(pt))
         assert abs(ks[(0, 1)]) < 1e-8, pt
 
 
@@ -74,7 +79,7 @@ def test_round_sphere_christoffel_symbols():
         return np.diag([1.0, math.sin(x[0]) ** 2])
 
     th = 1.1
-    g, gamma = christoffel(metric, np.array([th, 0.7]))
+    g, gamma = christoffel(rows(metric), np.array([th, 0.7]))
     expected = np.zeros((2, 2, 2))
     expected[0, 1, 1] = -math.sin(th) * math.cos(th)
     expected[1, 0, 1] = expected[1, 1, 0] = math.cos(th) / math.sin(th)
@@ -86,12 +91,14 @@ def test_round_sphere_christoffel_symbols():
 def test_single_level_stencil_evaluation_count(n, expected):
     calls = []
 
-    def metric(x):
-        calls.append(x)
-        return np.diag(1.0 + x * x)
+    def metric(xs):
+        calls.append(xs)
+        return np.array([np.diag(1.0 + x * x) for x in xs])
 
     coordinate_plane_curvatures(metric, np.full(n, 0.3))
-    assert len(calls) == expected  # 1 + 4n + 4n(n - 1)
+    # one call on all 1 + 4n + 4n(n - 1) stencil points
+    assert len(calls) == 1
+    assert calls[0].shape == (expected, n)
 
 
 @pytest.mark.parametrize("H, p", [(1.25, 0.8), (2.0, 0.5)])

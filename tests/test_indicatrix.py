@@ -7,8 +7,12 @@ import pytest
 
 from finsleroid import (
     AngleCoords,
+    OutsideAxialRegion,
+    OutsideEtaDomain,
     Parameters,
+    PolarAxisSingular,
     StencilOutOfDomain,
+    ThetaPole,
     angular_metric,
     domain_info,
     indicatrix_bundle,
@@ -20,6 +24,7 @@ from finsleroid import (
     unit_vector,
     unit_vector_angle_derivatives,
 )
+from finsleroid import dual as dm
 from finsleroid import frame, indicatrix, kernel, tensors
 
 
@@ -275,3 +280,84 @@ def test_section_curvature_constant_over_chart():
     values = np.array(values)
     assert np.max(values) - np.min(values) < 1e-3
     assert values[0] == pytest.approx(0.36, abs=1e-3)
+
+
+@pytest.mark.parametrize("H, p", [(1.0, 1.0), (1.25, 0.8), (2.0, 0.5)])
+def test_stencil_batch_matches_scalar_metrics(monkeypatch, H, p):
+    # each curvature makes one metric_fn call on its whole stencil; every row
+    # of that batch must be the scalar metric at the row's chart point
+    batches = []
+    original = indicatrix.coordinate_plane_curvatures
+
+    def spy(metric_fn, x, step):
+        def recorded(points):
+            metrics = metric_fn(points)
+            batches.append((points, metrics))
+            return metrics
+
+        return original(recorded, x, step)
+
+    monkeypatch.setattr(indicatrix, "coordinate_plane_curvatures", spy)
+    params = Parameters(H=H, p=p)
+    indicatrix_curvature(_angles(params), params)
+    section_curvature(0.6, params)
+    (points3, metrics3), (points2, metrics2) = batches
+    assert points3.shape == (37, 3) and metrics3.shape == (37, 3, 3)
+    assert points2.shape == (17, 2) and metrics2.shape == (17, 2, 2)
+    for point, metric in zip(points3, metrics3):
+        scalar = indicatrix_metric(AngleCoords(*point), params)
+        assert np.max(np.abs(metric - scalar)) <= 1e-13 * np.max(np.abs(scalar))
+    for point, metric in zip(points2, metrics2):
+        scalar = indicatrix.section_metric(point[0], point[1], params)
+        assert np.max(np.abs(metric - scalar)) <= 1e-13 * np.max(np.abs(scalar))
+
+
+def test_section_chart_jacobian_matches_hyperdual_pass():
+    # the closed-form chart Jacobian against one hyper-dual pass per angle
+    # through the chart as written before it had a closed form
+    for H, p in ((1.5, 1.0), (1.25, 0.8), (1.5, 0.9), (2.0, 0.5), (1.25, 0.6), (5.0, 0.9)):
+        params = Parameters(H=H, p=p)
+        gp = params.azimuthal_skew
+
+        def chart(th, ph):
+            big_i = dm.exp(gp * th)
+            w_perp = dm.sin(th) / (p * big_i)
+            w3 = (dm.cos(th) + gp * dm.sin(th)) / big_i
+            return w_perp * dm.cos(ph), w_perp * dm.sin(ph), w3
+
+        rows = [
+            (theta, phi)
+            for theta in np.linspace(0.006, theta_pole(params) - 0.01, 30)
+            for phi in (0.0, 0.9, 2.5, 4.4)
+        ]
+        batch_w, batch_jac_t = indicatrix._section_chart(np.array(rows), params)
+        for k, row in enumerate(rows):
+            w0, jac0 = dm.gradient(chart, row)
+            w, jac_t = indicatrix._section_chart(np.array(row), params)
+            assert np.max(np.abs(w - w0)) <= 1e-14 * np.max(np.abs(w0))
+            assert np.max(np.abs(jac_t.T - jac0)) <= 1e-14 * np.max(np.abs(jac0))
+            assert np.max(np.abs(batch_w[k] - w)) <= 1e-14 * np.max(np.abs(w))
+            assert np.max(np.abs(batch_jac_t[k] - jac_t)) <= 1e-14 * np.max(np.abs(jac_t))
+
+
+def test_batch_domain_failure_matches_scalar_error():
+    # one bad row in a batch raises what the scalar call at that row raises
+    params = Parameters(H=1.25, p=0.8)
+    floor = domain_info(params).eta_min
+    pole = theta_pole(params)
+    good = [floor + 0.9, 0.6, 1.2]
+    cases = (
+        ([floor - 1e-3, 0.6, 1.2], OutsideEtaDomain),
+        ([floor + 0.9, pole + 1e-3, 1.2], ThetaPole),
+        ([floor + 0.9, 0.0, 1.2], PolarAxisSingular),
+    )
+    for bad, error in cases:
+        with pytest.raises(error):
+            indicatrix_metric(AngleCoords(*bad), params)
+        with pytest.raises(error):
+            indicatrix._pullback(np.array([good, bad, good]), params)
+    for theta, error in ((pole + 1e-3, OutsideAxialRegion), (0.0, PolarAxisSingular)):
+        with pytest.raises(error):
+            indicatrix.section_metric(theta, 0.9, params)
+        with pytest.raises(error):
+            indicatrix._section_metric(np.array([[0.6, 0.9], [theta, 0.9], [0.7, 0.9]]), params)
