@@ -7,12 +7,16 @@ first slot seeded yields a gradient or Jacobian column (``gradient``).
 
 The module-level math functions (``sqrt``, ``exp``, ``atan2``, ...) accept
 plain floats (``math``) and ndarrays (numpy ufuncs) as well, so the same
-pipeline runs with or without derivative tracking, and on batches.
+pipeline runs with or without derivative tracking, and on batches.  A kernel
+call picks its functions once with ``library``: ``math`` itself when every
+argument is a float, so float calls skip the per-function dispatch, and this
+module's generic functions otherwise.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -63,7 +67,9 @@ class HyperDual:
 
     def __truediv__(self, other):
         o = self._lift(other)
-        return self * o._reciprocal()
+        q = self * o._reciprocal()
+        q.val = self.val / o.val  # correctly rounded, as a float division is
+        return q
 
     def __rtruediv__(self, other):
         return self._lift(other) / self
@@ -124,16 +130,17 @@ def cosh(x):
     return _apply(x, math.cosh, math.sinh, math.cosh)
 
 
+def library(*args):
+    """``math`` when every argument is a float, else this module (hyper-duals, arrays)."""
+    for a in args:
+        if not isinstance(a, float):
+            return sys.modules[__name__]
+    return math
+
+
 def any_set(mask):
     """Whether a float comparison (a bool) or any element of an array one holds."""
     return mask.any() if isinstance(mask, np.ndarray) else mask
-
-
-def value(x) -> float:
-    """Plain float value of a float or HyperDual."""
-    if isinstance(x, HyperDual):
-        return x.val
-    return float(x)
 
 
 def atan2(n, d):

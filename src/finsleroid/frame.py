@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dual import any_set
 from .errors import NotFutureTimelike, OutsideAxialRegion, TetradDegenerate
-
-_MINKOWSKI_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -36,12 +35,12 @@ class Parameters:
         if not (0.0 < self.p <= 1.0):
             raise ValueError(f"p must be in (0, 1], got {self.p}")
 
-    @property
+    @cached_property
     def azimuthal_skew(self) -> float:
         """sqrt(1/p^2 - 1); zero in the spatially isotropic case p = 1."""
         return math.sqrt(1.0 / (self.p * self.p) - 1.0)
 
-    @property
+    @cached_property
     def boost_skew(self) -> float:
         """sqrt(1 - 1/H^2); zero in the pseudo-Euclidean case H = 1."""
         return math.sqrt(1.0 - 1.0 / (self.H * self.H))
@@ -95,14 +94,14 @@ class Tetrad:
             raise ValueError(f"tetrad must be 4 rows of 4 numbers, got {rows.shape}")
         return cls.from_covectors(rows[0], rows[1], rows[2], rows[3])
 
-    @property
+    @cached_property
     def rows(self) -> np.ndarray:
-        """Covector rows stacked as a 4x4 matrix (b, i, j, i3)."""
+        """Covector rows stacked as a 4x4 matrix (b, i, j, i3), built once."""
         return np.stack([self.b, self.i, self.j, self.i3])
 
 
 _CANONICAL = Tetrad.from_covectors(*np.eye(4))
-for _array in vars(_CANONICAL).values():
+for _array in (_CANONICAL.rows, *vars(_CANONICAL).values()):
     _array.setflags(write=False)
 
 
@@ -202,18 +201,21 @@ class FrameComponents:
 def projections(y, tetrad: Tetrad):
     """Raw frame projections (b, w1, w2, w3) of a vector (arrays for (m, 4)).
 
+    One vector gives Python floats, from one product with ``tetrad.rows``.
     Only the future-pointing condition b > 0 is enforced here; the axial
     restriction w3 > 0 is applied by frame_components.
     """
     y = np.asarray(y, dtype=float)
-    y = y if y.ndim == 2 else y.reshape(4)
-    if not np.isfinite(y).all():
+    batch = y.ndim == 2
+    y = y if batch else y.reshape(4)
+    if not (np.isfinite(y).all() if batch else all(map(math.isfinite, y.tolist()))):
         raise ValueError(f"vector components must be finite, got {y.tolist()}")
-    b, i, j, i3 = y @ tetrad.b, y @ tetrad.i, y @ tetrad.j, y @ tetrad.i3
+    if batch:
+        b, i, j, i3 = y @ tetrad.b, y @ tetrad.i, y @ tetrad.j, y @ tetrad.i3
+    else:
+        b, i, j, i3 = (tetrad.rows @ y).tolist()
     if any_set(b <= 0.0):
         raise NotFutureTimelike(f"timelike projection b={np.min(b)} is not positive")
-    if y.ndim == 1:
-        b, i, j, i3 = float(b), float(i), float(j), float(i3)
     return b, i / b, j / b, i3 / b
 
 

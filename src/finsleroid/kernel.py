@@ -9,11 +9,12 @@ inverse (closed-form at p = 1, a seeded Newton iteration in a maintained
 bracket otherwise), and independent quadrature oracles for both
 log-derivative integrals.
 
-The closed-form evaluators accept HyperDual arguments, so derivatives pass
-through them unchanged, and arrays, so a curvature stencil is one call; the
-exception is ``radial_derivatives``, which takes (3,) or (m, 3) ratios and
-returns the value, gradient and Hessian of the radial map in closed form for
-the tensor layer.
+The closed-form evaluators run float arguments on ``math``, choosing their
+functions once per call (``dual.library``), and accept HyperDual arguments,
+so derivatives pass through them unchanged, and arrays, so a curvature
+stencil is one call; ``radial_derivatives`` instead takes (3,) or (m, 3)
+ratios and returns the value, gradient and Hessian of the radial map in
+closed form for the tensor layer.
 """
 
 from __future__ import annotations
@@ -118,10 +119,11 @@ def hyperbolic_profile(eta, params: Parameters):
     parameters; its sign-changing denominator is kept apart from the
     (non-negative) numerator.
     """
+    fn = dm.library(eta)
     gp = params.azimuthal_skew
     hh = params.boost_skew
-    ch = dm.cosh(eta)
-    sh = dm.sinh(eta)
+    ch = fn.cosh(eta)
+    sh = fn.sinh(eta)
     if hh == 0.0:
         # H = 1 forces p = 1: everything pseudo-Euclidean.
         A = 0.0
@@ -132,7 +134,7 @@ def hyperbolic_profile(eta, params: Parameters):
         # spatially isotropic case p = 1
         A = hh * sh
         R1 = ch + A
-        J = dm.exp(hh * eta)
+        J = fn.exp(hh * eta)
         Y1 = 1.0
     else:
         rad = hh * hh * sh * sh - gp * gp
@@ -145,13 +147,13 @@ def hyperbolic_profile(eta, params: Parameters):
             if (rad < -1e-10 * max(1.0, gp * gp)).any():
                 raise OutsideEtaDomain(f"radicand {rad.min()} < 0 at eta={eta.flat[rad.argmin()]}")
             rad = np.maximum(rad, 0.0)
-        A = dm.sqrt(rad)
+        A = fn.sqrt(rad)
         R1 = ch + A
-        J = dm.exp(hh * dm.log((hh * ch + A) / math.sqrt(hh * hh + gp * gp)))
+        J = fn.exp(hh * fn.log((hh * ch + A) / math.sqrt(hh * hh + gp * gp)))
         q = 1.0 / params.H ** 2 - 1.0 / params.p ** 2
         num = 2.0 * gp * ch * A
         den = q + (hh * hh - gp * gp) * ch * ch
-        Y1 = dm.exp(-(gp / 2.0) * dm.atan2(num, den))
+        Y1 = fn.exp(-(gp / 2.0) * fn.atan2(num, den))
     V = J / R1
     r = sh * Y1 / R1
     return A, R1, J, Y1, V, r
@@ -165,15 +167,16 @@ def radial_from_ratios(w1, w2, w3, params: Parameters):
     is the axial composition w3 * U(p * w_perp / w3), written in a form
     that stays well-conditioned up to the equatorial limit w3 -> 0.
     """
+    fn = dm.library(w1, w2, w3)
     if params.p == 1.0:
-        return dm.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
+        return fn.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
     gp = params.azimuthal_skew
-    w_perp = dm.sqrt(w1 * w1 + w2 * w2)
+    w_perp = fn.sqrt(w1 * w1 + w2 * w2)
     v = params.p * w_perp
-    theta = dm.atan2(v, w3 - gp * v)
-    big_i = dm.exp(gp * theta)
-    st = dm.sin(theta)
-    r2 = dm.cos(theta) + gp * st
+    theta = fn.atan2(v, w3 - gp * v)
+    big_i = fn.exp(gp * theta)
+    st = fn.sin(theta)
+    r2 = fn.cos(theta) + gp * st
     return big_i * (w3 * r2 + v * st) / (r2 * r2 + st * st)
 
 
@@ -194,23 +197,25 @@ def radial_derivatives(w, params: Parameters):
     """
     # components first in w.T; .T of each result (hess is symmetric) restores (m, ...)
     w = np.asarray(w, dtype=float)
-    w1, w2, w3 = w.T
+    batch = w.ndim == 2
+    w1, w2, w3 = w.T if batch else w.tolist()
+    fn = dm if batch else math
     if params.p == 1.0:
         s = w1 * w1 + w2 * w2 + w3 * w3
-        fp = 0.5 / dm.sqrt(s)
+        fp = 0.5 / fn.sqrt(s)
         fpp = -0.25 / s ** 1.5
         # the hyper-dual slot sum is -0.0 only where every sign bit is set
         d = 2.0 * w.T + np.where(np.signbit(w.T).all(axis=0), -0.0, 0.0)
         # hyper-dual order (fpp d_i) d_j on the upper triangle, mirrored
         upper = (fpp * d * d[:, None]).T
         hess = np.where(_UPPER, upper, np.swapaxes(upper, -1, -2))
-        return dm.sqrt(s), (fp * d).T, hess + np.asarray(fp)[..., None, None] * _TWO_EYE
+        return fn.sqrt(s), (fp * d).T, hess + np.asarray(fp)[..., None, None] * _TWO_EYE
     gp = params.azimuthal_skew
-    rho = (np.hypot if isinstance(w1, np.ndarray) else math.hypot)(w1, w2)
+    rho = (np.hypot if batch else math.hypot)(w1, w2)
     x = w3 - gp * params.p * rho
     y = params.p * rho
     k2 = x * x + y * y
-    r = dm.sqrt(k2) * dm.exp(gp * dm.atan2(y, x))
+    r = fn.sqrt(k2) * fn.exp(gp * fn.atan2(y, x))
     n1, n2 = w1 / rho, w2 / rho
     u = np.array([-w3 * n1, -w3 * n2, rho])
     m = np.array([-n2, n1, 0.0 * rho])
@@ -237,14 +242,14 @@ def domain_info(params: Parameters) -> DomainInfo:
         r_min = 0.0
     else:
         eta_min = math.asinh(gp / hh)
-        r_min = float(dm.value(hyperbolic_profile(eta_min, params)[5]))
+        r_min = hyperbolic_profile(eta_min, params)[5]
     step = 1.0
     eta = eta_min + step
-    r_sup = dm.value(hyperbolic_profile(eta, params)[5])
+    r_sup = hyperbolic_profile(eta, params)[5]
     while eta < ETA_CAP:
         step *= 1.5
         eta = min(eta_min + step, ETA_CAP)
-        prev, r_sup = r_sup, dm.value(hyperbolic_profile(eta, params)[5])
+        prev, r_sup = r_sup, hyperbolic_profile(eta, params)[5]
         if abs(r_sup - prev) <= 1e-12 * abs(r_sup):
             break
     if not r_min < r_sup:
@@ -400,10 +405,8 @@ def finsler_norm(y, tetrad: Tetrad | None = None, params: Parameters | None = No
     b, w1, w2, w3 = projections(y, tetrad)
     if params.p < 1.0 and w3 <= 0.0:
         raise OutsideAxialRegion(f"axial projection w3={w3} is not positive")
-    r = float(dm.value(radial_from_ratios(w1, w2, w3, params)))
-    eta = eta_from_r(r, params)
-    v = float(dm.value(hyperbolic_profile(eta, params)[4]))
-    return b * v
+    r = radial_from_ratios(w1, w2, w3, params)
+    return b * hyperbolic_profile(eta_from_r(r, params), params)[4]
 
 
 def vector_from_angles(

@@ -12,8 +12,6 @@ from .frame import Parameters, Tetrad
 from .kernel import domain_info, eta_from_r, hyperbolic_profile
 from .tensors import metric_tensor
 
-from . import dual as dm
-
 
 @dataclass(frozen=True)
 class ClosedFormConstants:
@@ -59,7 +57,7 @@ def pipeline_v_squared(r: float, H: float) -> float:
     """V^2 through the general pipeline at p = 1 (radial inversion included)."""
     params = Parameters(H=H, p=1.0)
     eta = eta_from_r(r, params)
-    v = float(dm.value(hyperbolic_profile(eta, params)[4]))
+    v = hyperbolic_profile(eta, params)[4]
     return v * v
 
 

@@ -70,25 +70,27 @@ def _check_ratios(w1, w2, w3, axial: bool):
 
 def _frame_point(y, tetrad: Tetrad | None, params: Parameters):
     """Frame ratios of a vector or an (m, 4) batch, with the domain guards."""
+    if params is None:
+        raise TypeError("params is required")
     b, w1, w2, w3 = projections(y, Tetrad.canonical() if tetrad is None else tetrad)
     _check_ratios(w1, w2, w3, params.p < 1.0)
     return b, np.array([w1, w2, w3]).T
 
 
 def _profile_factors(r, params: Parameters, known=None):
-    """eta, R1, V, V_r and V_rr at r; ``known = (eta, R1, V)`` skips eta(r)."""
+    """sinh(eta), R1, V, V_r and V_rr at r; ``known = (eta, R1, V)`` skips eta(r)."""
     if known is None:
         eta = eta_from_r(r, params)
         _, r1v, _, _, v, _ = hyperbolic_profile(eta, params)
-        known = eta, float(r1v), float(v)
-    eta, r1v, v = known
+    else:
+        eta, r1v, v = known
     sh = dm.sinh(eta)
     p2 = params.p * params.p
     h2 = params.H * params.H
     v_r = -v * (p2 / h2) * sh * sh / r
     eta_r = p2 * r1v * sh / r
     v_rr = -(v / h2) * eta_r * eta_r
-    return eta, r1v, v, v_r, v_rr
+    return sh, r1v, v, v_r, v_rr
 
 
 def _radial_point(y, tetrad: Tetrad | None, params: Parameters, known=None):
@@ -102,8 +104,7 @@ def _radial_point(y, tetrad: Tetrad | None, params: Parameters, known=None):
     """
     b, w = _frame_point(y, tetrad, params)
     r, grad, hess = radial_derivatives(w, params)
-    eta, _, v, v_r, v_rr = _profile_factors(r, params, known)
-    sh = dm.sinh(eta)
+    sh, _, v, v_r, v_rr = _profile_factors(r, params, known)
     # component-first (4, ...) and (4, 4, ...), then batch-first again at the end
     grad, hess = grad.T, hess.T
     l = np.empty((4,) + grad.shape[1:])
@@ -146,8 +147,8 @@ def angle_gradients(
 
     yf = np.array([b, b * w[0], b * w[1], b * w[2]])
     (r, f, _), jac = dm.gradient(ratio_maps, yf)
-    eta, r1v, _, _, _ = _profile_factors(r, params)
-    eta_r = params.p ** 2 * r1v * math.sinh(eta) / r
+    sh, r1v, _, _, _ = _profile_factors(r, params)
+    eta_r = params.p ** 2 * r1v * sh / r
 
     gp = params.azimuthal_skew
     theta = math.atan2(f, 1.0 - gp * f)
@@ -167,14 +168,14 @@ def angular_metric_angle_form(
     """
     grads = angle_gradients(y, tetrad, params)
     b, w = _frame_point(y, tetrad, params)
-    r = float(dm.value(radial_from_ratios(w[0], w[1], w[2], params)))
-    eta, _, v, _, _ = _profile_factors(r, params)
+    r = float(radial_from_ratios(*w, params))
+    sh, _, v, _, _ = _profile_factors(r, params)
     w_perp = math.hypot(w[0], w[1])
     gp = params.azimuthal_skew
     f = params.p * w_perp / w[2]
     theta = math.atan2(f, 1.0 - gp * f)
     norm = b * v
-    sh2 = math.sinh(eta) ** 2
+    sh2 = sh ** 2
     st2 = math.sin(theta) ** 2
     h = (
         np.outer(grads.eta_grad, grads.eta_grad)
@@ -226,14 +227,13 @@ def metric_determinant_closed(
     one; reduces to -1 in the pseudo-Euclidean case.
     """
     b, w = _frame_point(y, tetrad, params)
-    r = float(dm.value(radial_from_ratios(w[0], w[1], w[2], params)))
-    eta, r1v, v, _, _ = _profile_factors(r, params)
+    w1, w2, w3 = w.tolist()
+    r = radial_from_ratios(w1, w2, w3, params)
+    sh, r1v, v, _, _ = _profile_factors(r, params)
     gp = params.azimuthal_skew
-    w_perp = math.hypot(w[0], w[1])
-    vth = params.p * w_perp
-    theta = math.atan2(vth, w[2] - gp * vth)
+    vth = params.p * math.hypot(w1, w2)
+    theta = math.atan2(vth, w3 - gp * vth)
     big_i = math.exp(gp * theta)
-    sh = math.sinh(eta)
     core = params.p ** 4 * big_i ** 3 * v ** 4 * r1v
     return -(core * core) * sh ** 6 / (params.H ** 6 * r ** 6)
 

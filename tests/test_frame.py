@@ -13,10 +13,12 @@ from finsleroid import (
     Parameters,
     Tetrad,
     TetradDegenerate,
+    domain_info,
     frame_components,
     load_configuration,
     validate_tetrad,
 )
+from finsleroid.frame import projections
 
 
 def test_parameters_bounds():
@@ -48,7 +50,74 @@ def test_canonical_tetrad_is_one_read_only_instance():
         tetrad.b[0] = 2.0
     with pytest.raises(ValueError):
         tetrad.a_inv[1, 1] = 0.0
+    with pytest.raises(ValueError):
+        tetrad.rows[3, 3] = 2.0
+    assert Tetrad.canonical().rows is tetrad.rows
     np.testing.assert_array_equal(tetrad.a, np.diag([1.0, -1.0, -1.0, -1.0]))
+    np.testing.assert_array_equal(tetrad.rows, np.eye(4))
+
+
+def test_parameters_stay_value_objects_after_their_skews_are_read():
+    first, second = Parameters(H=1.25, p=0.8), Parameters(H=1.25, p=0.8)
+    assert first.azimuthal_skew == math.sqrt(1.0 / (0.8 * 0.8) - 1.0)
+    assert first.boost_skew == math.sqrt(1.0 - 1.0 / (1.25 * 1.25))
+    assert first == second and hash(first) == hash(second)
+    assert domain_info(first) is domain_info(second)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.H = 2.0
+
+
+def _reference_projections(y, tetrad):
+    """Per-covector sums, as the frame resolved one vector before its rows product."""
+    b = y @ tetrad.b
+    return b, (y @ tetrad.i) / b, (y @ tetrad.j) / b, (y @ tetrad.i3) / b
+
+
+def _assert_projections_close(got, want, y, tetrad):
+    # each raw projection is a 4-term sum, which any summation order gets
+    # within 4 eps sum_k |y_k c_k|; the ratios add that of b and one rounding
+    eps = np.finfo(float).eps
+    b_tol, *tols = (4.0 * eps * np.abs(y * c).sum() for c in tetrad.rows)
+    assert abs(got[0] - want[0]) <= b_tol
+    for w_got, w_want, tol in zip(got[1:], want[1:], tols):
+        bound = (tol + abs(w_want) * b_tol) / (want[0] - b_tol) + 2.0 * eps * abs(w_want)
+        assert abs(w_got - w_want) <= bound
+
+
+def test_one_vector_projection_is_one_rows_product():
+    rng = np.random.default_rng(29)
+    canonical = Tetrad.canonical()
+    for _ in range(200):
+        y = np.concatenate([rng.uniform(0.5, 3.0, 1), rng.uniform(-1.0, 1.0, 3)])
+        got = projections(y, canonical)
+        assert all(type(c) is float for c in got)
+        want = _reference_projections(y, canonical)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    for _ in range(200):
+        rows = rng.normal(size=(4, 4))
+        y = rng.normal(size=4)
+        rows[0] *= np.sign(y @ rows[0])
+        tetrad = Tetrad.from_covectors(*rows)
+        got = projections(y, tetrad)
+        _assert_projections_close(got, _reference_projections(y, tetrad), y, tetrad)
+        batch = [c[0] for c in projections(y[None, :], tetrad)]
+        _assert_projections_close(got, batch, y, tetrad)
+
+
+def test_projection_guards_and_replaced_covectors():
+    tetrad = Tetrad.canonical()
+    with pytest.raises(ValueError):
+        projections([1.0, 0.2, math.nan, 0.3], tetrad)
+    with pytest.raises(ValueError):
+        projections([math.inf, 0.2, 0.1, 0.3], tetrad)
+    with pytest.raises(NotFutureTimelike):
+        projections([0.0, 0.2, 0.1, 0.3], tetrad)
+    # a replaced covector gets its own rows, not the canonical instance's
+    doubled = dataclasses.replace(tetrad, b=2.0 * tetrad.b)
+    b, *ratios = projections([1.5, 0.3, 0.0, 0.6], doubled)
+    assert b == 3.0
+    assert ratios == pytest.approx([0.1, 0.0, 0.2], rel=1e-15)
 
 
 def test_scaled_timelike_covector_fails_with_residual_three():

@@ -25,7 +25,8 @@ from finsleroid import (
     theta_pole,
     vector_from_angles,
 )
-from finsleroid.kernel import hyperbolic_profile
+from finsleroid import dual as dm
+from finsleroid.kernel import hyperbolic_profile, radial_from_ratios
 
 
 # ---------------------------------------------------------------- profiles
@@ -284,6 +285,34 @@ def test_hyperbolic_profile_array_matches_float_calls():
         hyperbolic_profile(floor - 1e-3, params)
     with pytest.raises(OutsideEtaDomain, match=f"eta={floor - 1e-3}"):
         hyperbolic_profile(np.array([floor + 0.5, floor - 1e-3, floor + 1.0]), params)
+
+
+def test_float_calls_match_hyperdual_values_bit_for_bit():
+    # Float calls run on math, hyper-dual calls on the dual functions; the
+    # value slot must carry the float call's bits, from the floor outwards.
+    def bits(values):
+        values = [v.val if isinstance(v, dm.HyperDual) else v for v in values]
+        return np.array(values, dtype=float).tobytes()
+
+    rng = np.random.default_rng(19)
+    for H, p in ((1.0, 1.0), (1.25, 1.0), (1.25, 0.8), (2.0, 0.5), (50.0, 0.05)):
+        params = Parameters(H=H, p=p)
+        floor = domain_info(params).eta_min
+        for gap in np.logspace(-10, math.log10(5.0), 80):
+            eta = floor + float(gap)
+            want = bits(hyperbolic_profile(eta, params))
+            assert bits(hyperbolic_profile(dm.HyperDual(eta, 1.0), params)) == want, (H, p, gap)
+        for _ in range(100):
+            w = (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(0.05, 0.9))
+            lifted = radial_from_ratios(*(dm.HyperDual(c) for c in w), params)
+            assert bits([lifted]) == bits([radial_from_ratios(*w, params)]), (H, p, w)
+
+            # a mixed call picks the dual functions although its first argument
+            # is a float, and keeps the derivative of its hyper-dual slot
+            mixed = radial_from_ratios(w[0], dm.HyperDual(w[1], 1.0), w[2], params)
+            value, grad = dm.gradient(lambda a, b, c: radial_from_ratios(a, b, c, params), w)
+            assert isinstance(mixed, dm.HyperDual)
+            assert (mixed.val, mixed.d1) == (value, grad[1]), (H, p, w)
 
 
 def test_inverse_radial_map_domain_bounds():

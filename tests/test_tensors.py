@@ -34,6 +34,17 @@ ANISO = Parameters(H=1.25, p=0.8)
 PSEUDO = Parameters(H=1.0, p=1.0)
 
 
+@pytest.mark.parametrize(
+    "fn",
+    [finsler_norm, metric_tensor, unit_covector, angular_metric, metric_determinant_closed,
+     angle_gradients, metric_tensor_numeric, angular_metric_angle_form],
+    ids=lambda fn: fn.__name__,
+)
+def test_omitted_params_is_a_type_error(fn):
+    with pytest.raises(TypeError, match="params is required"):
+        fn(np.array([2.0, 0.3, 0.2, 0.4]))
+
+
 def test_unit_covector_axis_limit_pseudo_euclidean():
     y = np.array([1.0, 1e-6, 0.0, 1e-6])
     l = unit_covector(y, None, PSEUDO)
@@ -323,7 +334,7 @@ def test_section_metric_euler_identity():
     for _ in range(20):
         w = np.concatenate([rng.uniform(-0.5, 0.5, 2), rng.uniform(0.1, 0.9, 1)])
         m = finsleroid3_metric(w, params)
-        r = float(dm.value(radial_from_ratios(w[0], w[1], w[2], params)))
+        r = float(radial_from_ratios(*w, params))
         assert float(w @ m @ w) == pytest.approx(r * r, rel=1e-12)
 
 
