@@ -19,18 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    EmptyDomain,
-    FinsleroidError,
-    NotFutureTimelike,
-    OutsideAxialRegion,
-    OutsideClosedFormDomain,
-    OutsideEtaDomain,
-    OutsideRadialDomain,
-    PolarAxisSingular,
-    StencilOutOfDomain,
-    ThetaPole,
-)
+from .errors import DomainError, EmptyDomain, FinsleroidError
 from .frame import Parameters, Tetrad, frame_components, projections
 from .kernel import (
     angles_from_vector,
@@ -43,18 +32,6 @@ from .indicatrix import indicatrix_curvature
 from .limits import reduction_report
 from .sampling import DEFAULT_SEED, sample_angles, sample_vectors
 from .tensors import metric_determinant_closed, metric_tensor
-
-DOMAIN_ERRORS = (
-    NotFutureTimelike,
-    OutsideAxialRegion,
-    OutsideEtaDomain,
-    ThetaPole,
-    OutsideRadialDomain,
-    EmptyDomain,
-    OutsideClosedFormDomain,
-    PolarAxisSingular,
-    StencilOutOfDomain,
-)
 
 CURVATURE_TOLERANCE = 1e-3
 REDUCTION_TOLERANCE = 1e-10
@@ -71,10 +48,10 @@ CURVATURE_CSV_COLUMNS = [
     "eta", "theta", "phi", "k_eta_theta", "k_eta_phi", "k_theta_phi",
 ]
 DOMAIN_CSV_COLUMNS = ["H", "p", "status", "eta_min", "r_min", "r_sup"]
-REDUCTION_CSV_COLUMNS = [
-    "H", "p", "samples", "max_abs_dev_v_squared",
-    "max_abs_dev_f_squared", "max_abs_det_plus_one", "pass",
+REDUCTION_DEVIATIONS = [
+    "max_abs_dev_v_squared", "max_abs_dev_f_squared", "max_abs_det_plus_one",
 ]
+REDUCTION_CSV_COLUMNS = ["H", "p", "samples", *REDUCTION_DEVIATIONS, "pass"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,15 +72,30 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _parse_floats(text: str, option: str, what: str = "comma-separated numbers") -> list[float]:
+    try:
+        return [float(t) for t in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{option} expects {what}, got {text!r}") from None
+
+
 def _parse_vector(text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"--y expects four comma-separated numbers, got {text!r}")
-    return np.array([float(t) for t in parts])
+    what = "four comma-separated numbers"
+    values = _parse_floats(text, "--y", what)
+    if len(values) != 4:
+        raise ValueError(f"--y expects {what}, got {text!r}")
+    return np.array(values)
 
 
-def _parse_grid(text: str) -> list[float]:
-    return [float(t) for t in text.split(",")]
+def _sample_count(text: str) -> int:
+    """argparse type of ``--samples``: a positive integer."""
+    try:
+        count = int(text)
+    except ValueError:  # argparse's own wording for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {count}")
+    return count
 
 
 def _load_tetrad(path: str | None) -> Tetrad:
@@ -114,29 +106,28 @@ def _load_tetrad(path: str | None) -> Tetrad:
 
 def _resolve_seed(args) -> int:
     env = os.environ.get("FINSLEROID_SEED")
-    if env is not None:
+    if env is None:
+        return args.seed
+    try:
         return int(env)
-    return args.seed
+    except ValueError:
+        raise ValueError(f"FINSLEROID_SEED must be an integer, got {env!r}") from None
 
 
-def _emit(text: str, out: str | None):
-    if out is None:
+def _write(args, doc, columns, rows) -> None:
+    """``doc`` as JSON, or ``rows`` as CSV under ``columns``, to ``--out`` or stdout."""
+    if args.format == "json":
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(row.get(c)) for c in columns] for row in rows)
+        text = buf.getvalue()
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
-
-
-def _to_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _to_csv(columns, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row.get(c)) for c in columns])
-    return buf.getvalue()
+        Path(args.out).write_text(text)
 
 
 def evaluate_document(params: Parameters, tetrad: Tetrad, y: np.ndarray) -> dict:
@@ -182,35 +173,22 @@ def evaluate_document(params: Parameters, tetrad: Tetrad, y: np.ndarray) -> dict
     }
 
 
-def _cmd_eval(args) -> int:
-    params = Parameters(H=args.H, p=args.p)
-    tetrad = _load_tetrad(args.tetrad)
-    y = _parse_vector(args.y)
-    doc = evaluate_document(params, tetrad, y)
-    if args.format == "json":
-        _emit(_to_json(doc), args.out)
-    else:
-        row = {
-            "H": params.H, "p": params.p,
-            "y0": y[0], "y1": y[1], "y2": y[2], "y3": y[3],
-            "b": doc["frame"]["b"], "w1": doc["frame"]["w1"],
-            "w2": doc["frame"]["w2"], "w3": doc["frame"]["w3"],
-            "eta": doc["angles"]["eta"], "theta": doc["angles"]["theta"],
-            "phi": doc["angles"]["phi"], "r": doc["bundle"]["r"],
-            "V": doc["bundle"]["V"], "F": doc["bundle"]["F"],
-            "det_g_numeric": doc["tensors"]["det_g_numeric"],
-            "det_g_closed": doc["tensors"]["det_g_closed"],
-        }
-        _emit(_to_csv(EVAL_CSV_COLUMNS, [row]), args.out)
-    return 0
+def _cmd_eval(args) -> None:
+    doc = evaluate_document(
+        Parameters(H=args.H, p=args.p), _load_tetrad(args.tetrad), _parse_vector(args.y)
+    )
+    row = {f"y{k}": v for k, v in enumerate(doc["input"]["y"])}
+    for section in ("input", "frame", "angles", "bundle", "tensors"):
+        row.update(doc[section])
+    _write(args, doc, EVAL_CSV_COLUMNS, [row])
 
 
-def _cmd_report_curvature(args) -> int:
+def _cmd_report_curvature(args) -> None:
     params = Parameters(H=args.H, p=args.p)
-    rng = np.random.default_rng(_resolve_seed(args))
+    seed = _resolve_seed(args)
     rows = []
     worst = 0.0
-    for angles in sample_angles(params, args.samples, rng):
+    for angles in sample_angles(params, args.samples, np.random.default_rng(seed)):
         ks = indicatrix_curvature(angles, params)
         row = {
             "eta": angles.eta, "theta": angles.theta, "phi": angles.phi,
@@ -225,26 +203,19 @@ def _cmd_report_curvature(args) -> int:
         f"max|K+H^2| = {worst:.6g} "
         f"({'<' if verdict == 'pass' else '>='} {CURVATURE_TOLERANCE:g}: {verdict})"
     )
-    if args.format == "json":
-        doc = {
-            "config": {
-                "H": params.H, "p": params.p, "samples": args.samples,
-                "seed": _resolve_seed(args),
-            },
-            "rows": rows,
-            "max_abs_k_plus_h_squared": worst,
-            "summary": summary,
-        }
-        _emit(_to_json(doc), args.out)
-    else:
-        _emit(_to_csv(CURVATURE_CSV_COLUMNS, rows), args.out)
+    doc = {
+        "config": {"H": params.H, "p": params.p, "samples": args.samples, "seed": seed},
+        "rows": rows,
+        "max_abs_k_plus_h_squared": worst,
+        "summary": summary,
+    }
+    _write(args, doc, CURVATURE_CSV_COLUMNS, rows)
     print(summary, file=sys.stderr)
-    return 0
 
 
-def _cmd_report_domain(args) -> int:
-    h_grid = _parse_grid(args.Hgrid) if args.Hgrid else [args.H]
-    p_grid = _parse_grid(args.pgrid) if args.pgrid else [args.p]
+def _cmd_report_domain(args) -> None:
+    h_grid = _parse_floats(args.Hgrid, "--Hgrid") if args.Hgrid else [args.H]
+    p_grid = _parse_floats(args.pgrid, "--pgrid") if args.pgrid else [args.p]
     rows = []
     for h_val in h_grid:
         for p_val in p_grid:
@@ -258,42 +229,23 @@ def _cmd_report_domain(args) -> int:
             except EmptyDomain:
                 row.update(status="empty", eta_min=None, r_min=None, r_sup=None)
             rows.append(row)
-    if args.format == "json":
-        _emit(_to_json({"rows": rows}), args.out)
-    else:
-        _emit(_to_csv(DOMAIN_CSV_COLUMNS, rows), args.out)
-    return 0
+    _write(args, {"rows": rows}, DOMAIN_CSV_COLUMNS, rows)
 
 
-def _cmd_report_reduction(args) -> int:
-    h_grid = _parse_grid(args.Hgrid) if args.Hgrid else [1.1, 1.25, 2.0]
+def _cmd_report_reduction(args) -> None:
+    h_grid = _parse_floats(args.Hgrid, "--Hgrid") if args.Hgrid else [1.1, 1.25, 2.0]
     report = reduction_report(h_grid, args.samples, seed=_resolve_seed(args))
     rows = []
     for key in sorted(report):
         entry = report[key]
-        devs = [
-            entry.get("max_abs_dev_v_squared"),
-            entry.get("max_abs_dev_f_squared"),
-            entry.get("max_abs_det_plus_one"),
-        ]
+        devs = [entry.get(d) for d in REDUCTION_DEVIATIONS]
         ok = all(d is None or d < REDUCTION_TOLERANCE for d in devs)
-        rows.append({
-            "H": entry["H"], "p": entry["p"], "samples": entry["samples"],
-            "max_abs_dev_v_squared": devs[0],
-            "max_abs_dev_f_squared": devs[1],
-            "max_abs_det_plus_one": devs[2],
-            "pass": ok,
-        })
-    if args.format == "json":
-        doc = {"tolerance": REDUCTION_TOLERANCE, "report": report,
-               "rows": rows}
-        _emit(_to_json(doc), args.out)
-    else:
-        _emit(_to_csv(REDUCTION_CSV_COLUMNS, rows), args.out)
-    return 0
+        rows.append({**{c: entry.get(c) for c in REDUCTION_CSV_COLUMNS}, "pass": ok})
+    doc = {"tolerance": REDUCTION_TOLERANCE, "report": report, "rows": rows}
+    _write(args, doc, REDUCTION_CSV_COLUMNS, rows)
 
 
-def _cmd_report_scan(args) -> int:
+def _cmd_report_scan(args) -> None:
     params = Parameters(H=args.H, p=args.p)
     tetrad = _load_tetrad(args.tetrad)
     rng = np.random.default_rng(_resolve_seed(args))
@@ -308,11 +260,7 @@ def _cmd_report_scan(args) -> int:
             "F": eb.F, "det_g_numeric": tb.det_g,
             "det_g_closed": metric_determinant_closed(y, tetrad, params),
         })
-    if args.format == "json":
-        _emit(_to_json({"rows": rows}), args.out)
-    else:
-        _emit(_to_csv(SCAN_CSV_COLUMNS, rows), args.out)
-    return 0
+    _write(args, {"rows": rows}, SCAN_CSV_COLUMNS, rows)
 
 
 def build_parser() -> _Parser:
@@ -345,14 +293,16 @@ def build_parser() -> _Parser:
 
     p_eval = sub.add_parser("eval", help="evaluate one vector")
     add_common(p_eval, with_y=True)
+    p_eval.set_defaults(run=_cmd_eval)
 
     p_report = sub.add_parser("report", help="batch reports")
     rsub = p_report.add_subparsers(dest="kind", required=True)
 
     p_curv = rsub.add_parser("curvature", help="sectional curvatures of the unit surface")
     add_common(p_curv)
-    p_curv.add_argument("--samples", type=int, default=20)
+    p_curv.add_argument("--samples", type=_sample_count, default=20)
     p_curv.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_curv.set_defaults(run=_cmd_report_curvature)
 
     p_dom = rsub.add_parser("domain", help="admissible radial interval over a grid")
     p_dom.add_argument("--H", type=float, default=1.0)
@@ -361,39 +311,30 @@ def build_parser() -> _Parser:
     p_dom.add_argument("--pgrid", help="comma list of p values")
     p_dom.add_argument("--format", choices=("json", "csv"), default="json")
     p_dom.add_argument("--out")
+    p_dom.set_defaults(run=_cmd_report_domain)
 
     p_red = rsub.add_parser("reduction", help="isotropic closed-form comparison")
     p_red.add_argument("--Hgrid", help="comma list of H values (p = 1 implied)")
-    p_red.add_argument("--samples", type=int, default=200)
+    p_red.add_argument("--samples", type=_sample_count, default=200)
     p_red.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_red.add_argument("--format", choices=("json", "csv"), default="json")
     p_red.add_argument("--out")
+    p_red.set_defaults(run=_cmd_report_reduction)
 
     p_scan = rsub.add_parser("scan", help="norm and determinant over sampled vectors")
     add_common(p_scan)
-    p_scan.add_argument("--samples", type=int, default=50)
+    p_scan.add_argument("--samples", type=_sample_count, default=50)
     p_scan.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_scan.set_defaults(run=_cmd_report_scan)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "report":
-            if args.kind == "curvature":
-                return _cmd_report_curvature(args)
-            if args.kind == "domain":
-                return _cmd_report_domain(args)
-            if args.kind == "reduction":
-                return _cmd_report_reduction(args)
-            if args.kind == "scan":
-                return _cmd_report_scan(args)
-        parser.error(f"unknown command {args.command!r}")
-    except DOMAIN_ERRORS as exc:
+        args.run(args)
+    except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         try:
             dom = domain_info(Parameters(H=args.H, p=args.p))
@@ -405,7 +346,7 @@ def main(argv=None) -> int:
         except (FinsleroidError, AttributeError):
             pass
         return 2
-    except (ValueError, OSError, json.JSONDecodeError, FinsleroidError) as exc:
+    except (ValueError, OSError, FinsleroidError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -9,23 +9,27 @@ class TetradDegenerate(FinsleroidError):
     """The four covectors do not span the tangent space (singular metric)."""
 
 
-class NotFutureTimelike(FinsleroidError):
+class DomainError(FinsleroidError):
+    """Input outside the admissible domain; the command line exits 2 on it."""
+
+
+class NotFutureTimelike(DomainError):
     """The timelike projection b of the vector is not strictly positive."""
 
 
-class OutsideAxialRegion(FinsleroidError):
+class OutsideAxialRegion(DomainError):
     """The axial projection w3 is not strictly positive."""
 
 
-class OutsideEtaDomain(FinsleroidError):
+class OutsideEtaDomain(DomainError):
     """Hyperbolic angle below the admissible minimum (negative radicand)."""
 
 
-class ThetaPole(FinsleroidError):
+class ThetaPole(DomainError):
     """Azimuthal angle at or beyond the pole of the angular profile."""
 
 
-class OutsideRadialDomain(FinsleroidError):
+class OutsideRadialDomain(DomainError):
     """Radial value not reachable by the hyperbolic-angle parametrization.
 
     Carries the admissible open interval as ``r_min`` / ``r_sup``.
@@ -40,17 +44,17 @@ class OutsideRadialDomain(FinsleroidError):
         self.r_sup = r_sup
 
 
-class EmptyDomain(FinsleroidError):
+class EmptyDomain(DomainError):
     """No hyperbolic angle admissible for the given parameters."""
 
 
-class OutsideClosedFormDomain(FinsleroidError):
+class OutsideClosedFormDomain(DomainError):
     """Fractional-power base non-positive in the isotropic closed form."""
 
 
-class PolarAxisSingular(FinsleroidError):
+class PolarAxisSingular(DomainError):
     """Quantity undefined on the polar axis (vanishing transversal part)."""
 
 
-class StencilOutOfDomain(FinsleroidError):
+class StencilOutOfDomain(DomainError):
     """A finite-difference stencil would leave the admissible angle domain."""

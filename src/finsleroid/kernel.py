@@ -147,6 +147,9 @@ def hyperbolic_profile(eta, params: Parameters):
             if (rad < -1e-10 * max(1.0, gp * gp)).any():
                 raise OutsideEtaDomain(f"radicand {rad.min()} < 0 at eta={eta.flat[rad.argmin()]}")
             rad = np.maximum(rad, 0.0)
+        elif rad.val <= 0.0:
+            # a hyper-dual: sqrt has no derivative at or below the floor
+            raise OutsideEtaDomain(f"radicand {rad.val} not positive at eta={eta.val}")
         A = fn.sqrt(rad)
         R1 = ch + A
         J = fn.exp(hh * fn.log((hh * ch + A) / math.sqrt(hh * hh + gp * gp)))

@@ -30,6 +30,7 @@ from .kernel import (
     norm_squared,
     radial_derivatives,
     radial_from_ratios,
+    theta_from_f,
 )
 
 
@@ -127,16 +128,8 @@ def angular_metric(y, tetrad: Tetrad | None = None, params: Parameters | None = 
     return _radial_point(y, tetrad, params)[2]
 
 
-def angle_gradients(
-    y, tetrad: Tetrad | None = None, params: Parameters | None = None
-) -> AngleGradients:
-    """Gradients of the three angles with respect to the vector components.
-
-    eta_grad comes from the implicit-function slope of the radial map,
-    theta_grad from the azimuthal chain rule, phi_grad from the polar
-    arctangent; the ratio maps r, f and phi themselves are differentiated
-    together by one forward-mode gradient.
-    """
+def _angle_point(y, tetrad: Tetrad | None, params: Parameters):
+    """Angle gradients, norm F, sinh(eta) and theta of one vector."""
     b, w = _frame_point(y, tetrad, params)
     _check_ratios(*w, True)
 
@@ -147,15 +140,28 @@ def angle_gradients(
 
     yf = np.array([b, b * w[0], b * w[1], b * w[2]])
     (r, f, _), jac = dm.gradient(ratio_maps, yf)
-    sh, r1v, _, _, _ = _profile_factors(r, params)
-    eta_r = params.p ** 2 * r1v * sh / r
-
-    gp = params.azimuthal_skew
-    theta = math.atan2(f, 1.0 - gp * f)
-    r2 = math.cos(theta) + gp * math.sin(theta)
-    return AngleGradients(
-        eta_grad=eta_r * jac[0], theta_grad=r2 * r2 * jac[1], phi_grad=jac[2]
+    sh, r1v, v, _, _ = _profile_factors(r, params)
+    theta = theta_from_f(f, params)
+    r2 = math.cos(theta) + params.azimuthal_skew * math.sin(theta)
+    grads = AngleGradients(
+        eta_grad=params.p ** 2 * r1v * sh / r * jac[0],
+        theta_grad=r2 * r2 * jac[1],
+        phi_grad=jac[2],
     )
+    return grads, b * v, sh, theta
+
+
+def angle_gradients(
+    y, tetrad: Tetrad | None = None, params: Parameters | None = None
+) -> AngleGradients:
+    """Gradients of the three angles with respect to the vector components.
+
+    eta_grad comes from the implicit-function slope of the radial map,
+    theta_grad from the azimuthal chain rule, phi_grad from the polar
+    arctangent; the ratio maps r, f and phi themselves are differentiated
+    together by one forward-mode gradient.
+    """
+    return _angle_point(y, tetrad, params)[0]
 
 
 def angular_metric_angle_form(
@@ -166,25 +172,9 @@ def angular_metric_angle_form(
     h = -(1/H^2) (e (x) e + sinh^2(eta) (t (x) t + sin^2(theta) p (x) p)) F^2
     with e, t, p the gradients of the hyperbolic, azimuthal and polar angle.
     """
-    grads = angle_gradients(y, tetrad, params)
-    b, w = _frame_point(y, tetrad, params)
-    r = float(radial_from_ratios(*w, params))
-    sh, _, v, _, _ = _profile_factors(r, params)
-    w_perp = math.hypot(w[0], w[1])
-    gp = params.azimuthal_skew
-    f = params.p * w_perp / w[2]
-    theta = math.atan2(f, 1.0 - gp * f)
-    norm = b * v
-    sh2 = sh ** 2
-    st2 = math.sin(theta) ** 2
-    h = (
-        np.outer(grads.eta_grad, grads.eta_grad)
-        + sh2
-        * (
-            np.outer(grads.theta_grad, grads.theta_grad)
-            + st2 * np.outer(grads.phi_grad, grads.phi_grad)
-        )
-    )
+    grads, norm, sh, theta = _angle_point(y, tetrad, params)
+    e, t, ph = grads.eta_grad, grads.theta_grad, grads.phi_grad
+    h = np.outer(e, e) + sh ** 2 * (np.outer(t, t) + math.sin(theta) ** 2 * np.outer(ph, ph))
     return -(norm * norm / params.H ** 2) * h
 
 

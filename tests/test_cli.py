@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 GOLDEN = Path(__file__).parent / "golden" / "eval_H1_p1.json"
 GOLDEN_ISOTROPIC = Path(__file__).parent / "golden" / "eval_H1.25_p1_w3neg.json"
 
@@ -216,3 +218,93 @@ def test_float_round_trip_in_csv():
     dom = domain_info(Parameters(H=1.25, p=0.8))
     assert float(row["r_sup"]) == dom.r_sup
     assert float(row["eta_min"]) == dom.eta_min
+
+
+EVAL_CSV_SOURCES = {
+    "H": ("input", "H"), "p": ("input", "p"),
+    "y0": ("input", "y", 0), "y1": ("input", "y", 1),
+    "y2": ("input", "y", 2), "y3": ("input", "y", 3),
+    "b": ("frame", "b"), "w1": ("frame", "w1"),
+    "w2": ("frame", "w2"), "w3": ("frame", "w3"),
+    "eta": ("angles", "eta"), "theta": ("angles", "theta"),
+    "phi": ("angles", "phi"), "r": ("bundle", "r"),
+    "V": ("bundle", "V"), "F": ("bundle", "F"),
+    "det_g_numeric": ("tensors", "det_g_numeric"),
+    "det_g_closed": ("tensors", "det_g_closed"),
+}
+
+
+def test_eval_csv_row_equals_json_document():
+    # every CSV column, parsed, is the document's field bit for bit
+    for point in (("1", "1", "2,1,0,0.0001"), ("1.25", "1", "2,0.3,0.2,-0.4"),
+                  ("1.25", "0.8", "2,0.22,0.147,0.44")):
+        H, p, y = point
+        args = ("eval", "--H", H, "--p", p, "--y", y)
+        doc = json.loads(run_cli(*args).stdout)
+        header, row = list(csv.reader(run_cli(*args, "--format", "csv").stdout.splitlines()))
+        assert header == list(EVAL_CSV_SOURCES)
+        for column, text in zip(header, row):
+            section, key, *index = EVAL_CSV_SOURCES[column]
+            want = doc[section][key][index[0]] if index else doc[section][key]
+            assert float(text) == want, (point, column)
+
+
+def test_samples_must_be_positive():
+    reports = {
+        "curvature": ("--H", "1.25", "--p", "0.8"),
+        "reduction": (),
+        "scan": ("--H", "1.25", "--p", "0.8"),
+    }
+    for kind, params in reports.items():
+        for count in ("0", "-1"):
+            r = run_cli("report", kind, *params, "--samples", count)
+            assert r.returncode == 1, (kind, count)
+            assert r.stdout == ""
+            assert f"argument --samples: expected a positive integer, got {count}" in r.stderr
+
+
+@pytest.mark.parametrize("args, env, message", [
+    (("report", "scan", "--H", "1.25", "--p", "0.8", "--samples", "2"),
+     {"FINSLEROID_SEED": "abc"}, "FINSLEROID_SEED must be an integer, got 'abc'"),
+    (("eval", "--H", "1.25", "--p", "0.8", "--y", "2,abc,0,0"),
+     None, "--y expects four comma-separated numbers, got '2,abc,0,0'"),
+    (("report", "domain", "--Hgrid", "1,x"),
+     None, "--Hgrid expects comma-separated numbers, got '1,x'"),
+    (("report", "domain", "--pgrid", "0.5,"),
+     None, "--pgrid expects comma-separated numbers, got '0.5,'"),
+], ids=["FINSLEROID_SEED", "y", "Hgrid", "pgrid"])
+def test_malformed_input_names_its_source(args, env, message):
+    r = run_cli(*args, env_extra=env)
+    assert r.returncode == 1
+    assert r.stderr == f"error: {message}\n"
+
+
+def test_degenerate_tetrad_is_bad_input(tmp_path):
+    tetrad_file = tmp_path / "tetrad.json"
+    tetrad_file.write_text(json.dumps({
+        "tetrad": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+    }))
+    r = run_cli("eval", "--H", "2", "--p", "0.5", "--y", "2,0.1,0.1,0.5",
+                "--tetrad", str(tetrad_file))
+    assert r.returncode == 1
+    assert "linearly dependent" in r.stderr
+
+
+def test_domain_error_is_the_base_of_exactly_the_domain_classes():
+    # main exits 2 on a DomainError and 1 on any other FinsleroidError
+    import finsleroid
+    from finsleroid import errors
+
+    domain = {
+        "EmptyDomain", "NotFutureTimelike", "OutsideAxialRegion",
+        "OutsideClosedFormDomain", "OutsideEtaDomain", "OutsideRadialDomain",
+        "PolarAxisSingular", "StencilOutOfDomain", "ThetaPole",
+    }
+    classes = {
+        name: obj for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.FinsleroidError)
+    }
+    below = {n for n, c in classes.items() if issubclass(c, errors.DomainError)}
+    assert below == domain | {"DomainError"}
+    assert not issubclass(errors.TetradDegenerate, errors.DomainError)
+    assert finsleroid.DomainError is errors.DomainError

@@ -315,6 +315,21 @@ def test_float_calls_match_hyperdual_values_bit_for_bit():
             assert (mixed.val, mixed.d1) == (value, grad[1]), (H, p, w)
 
 
+def test_hyperdual_profile_at_the_floor_raises_outside_eta_domain():
+    # At the floor the radicand of A rounds to <= 0: the float call clamps it
+    # to A = 0, but sqrt has no derivative there, so a hyper-dual call must
+    # fail with the typed domain error (not math's ValueError or a division
+    # by zero in the derivative slot).
+    for H, p in ((1.25, 0.8), (2.0, 0.5), (50.0, 0.05), (1.5, 0.9)):
+        params = Parameters(H=H, p=p)
+        eta = domain_info(params).eta_min
+        for _ in range(4):  # the floor and the three floats below it
+            assert hyperbolic_profile(eta, params)[0] == 0.0, (H, p, eta)
+            with pytest.raises(OutsideEtaDomain, match="radicand"):
+                hyperbolic_profile(dm.HyperDual(eta, 1.0), params)
+            eta = math.nextafter(eta, -math.inf)
+
+
 def test_inverse_radial_map_domain_bounds():
     params = Parameters(H=1.25, p=0.8)
     dom = domain_info(params)
