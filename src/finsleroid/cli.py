@@ -58,6 +58,8 @@ class _Parser(argparse.ArgumentParser):
     """argparse variant that exits 1 (not 2) on usage errors."""
 
     def error(self, message):
+        if message.startswith("argument --y:"):  # "-2,..." reads as an option
+            message += "; write --y=-2,... when the first component is negative"
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 

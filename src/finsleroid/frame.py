@@ -51,7 +51,7 @@ class Tetrad:
     """Orthonormal covector frame and the metric tensor it spans.
 
     ``b``, ``i``, ``j``, ``i3`` are covectors (length-4 arrays); ``a`` is
-    the covariant metric they assemble and ``a_inv`` its reciprocal.
+    the covariant metric they assemble.
     """
 
     b: np.ndarray
@@ -59,7 +59,6 @@ class Tetrad:
     j: np.ndarray
     i3: np.ndarray
     a: np.ndarray
-    a_inv: np.ndarray
 
     @classmethod
     def from_covectors(cls, b, i, j, i3) -> "Tetrad":
@@ -70,10 +69,10 @@ class Tetrad:
         b, i, j, i3 = (np.asarray(v, dtype=float).reshape(4) for v in (b, i, j, i3))
         a = np.outer(b, b) - np.outer(i, i) - np.outer(j, j) - np.outer(i3, i3)
         try:
-            a_inv = np.linalg.inv(a)
+            np.linalg.inv(a)  # only its singularity test is kept
         except np.linalg.LinAlgError as exc:
             raise TetradDegenerate("frame covectors are linearly dependent") from exc
-        return cls(b=b, i=i, j=j, i3=i3, a=a, a_inv=a_inv)
+        return cls(b=b, i=i, j=j, i3=i3, a=a)
 
     @classmethod
     def canonical(cls) -> "Tetrad":
@@ -145,12 +144,10 @@ def validate_tetrad(tetrad: Tetrad, tol: float = 1e-12) -> TetradValidation:
 
     a_inv = np.linalg.inv(tetrad.a)
     norms = {
-        "b": float(tetrad.b @ a_inv @ tetrad.b - 1.0),
-        "i": float(tetrad.i @ a_inv @ tetrad.i + 1.0),
-        "j": float(tetrad.j @ a_inv @ tetrad.j + 1.0),
-        "i3": float(tetrad.i3 @ a_inv @ tetrad.i3 + 1.0),
+        name: float(v @ a_inv @ v - sign)
+        for name, v, sign in zip(("b", "i", "j", "i3"), tetrad.rows, (1.0, -1.0, -1.0, -1.0))
     }
-    reciprocity = float(np.max(np.abs(tetrad.a_inv @ tetrad.a - np.eye(4))))
+    reciprocity = float(np.max(np.abs(a_inv @ tetrad.a - np.eye(4))))
     eigs = np.linalg.eigvalsh(tetrad.a)
     signature = tuple(int(np.sign(e)) for e in sorted(eigs, reverse=True))
 

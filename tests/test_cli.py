@@ -279,6 +279,18 @@ def test_malformed_input_names_its_source(args, env, message):
     assert r.stderr == f"error: {message}\n"
 
 
+def test_negative_first_component_of_y_names_the_equals_form():
+    r = run_cli("eval", "--H", "1.25", "--p", "0.8", "--y", "-2,0.1,0.1,0.1")
+    if r.returncode == 1:  # argparse reads "-2,0.1,..." as an option string
+        assert "argument --y: expected one argument; write --y=-2," in r.stderr
+    else:  # an argparse that takes it for a negative number reaches the evaluator
+        assert r.returncode == 2
+        assert "timelike projection b=-2.0 is not positive" in r.stderr
+    r = run_cli("eval", "--H", "1.25", "--p", "0.8", "--y=-2,0.1,0.1,0.1")
+    assert r.returncode == 2
+    assert "timelike projection b=-2.0 is not positive" in r.stderr
+
+
 def test_degenerate_tetrad_is_bad_input(tmp_path):
     tetrad_file = tmp_path / "tetrad.json"
     tetrad_file.write_text(json.dumps({

@@ -478,6 +478,11 @@ def test_quadrature_matches_closed_forms():
         (Parameters(H=1.5, p=0.7), 0.3, 1.7),
         (Parameters(H=1.25, p=0.8), 0.2, 2.4),
     ]
+    # gaps above eta_min from next to the floor to the saturated rim
+    gaps = [(1e-10, 1e-3), (1e-6, 0.5), (1e-3, 2.0), (0.05, 4.0), (0.3, 20.0), (1e-8, 10.0)]
+    for H, p in [(1.25, 0.8), (1.5, 0.7), (2.0, 0.5), (5.0, 0.9), (50.0, 0.05),
+                 (100.0, 0.999), (1.0, 1.0)]:
+        cases += [(Parameters(H=H, p=p), lo_off, hi_off) for lo_off, hi_off in gaps]
     for params, lo_off, hi_off in cases:
         dom = domain_info(params)
         e0, e1 = dom.eta_min + lo_off, dom.eta_min + hi_off
@@ -485,11 +490,11 @@ def test_quadrature_matches_closed_forms():
         p0 = hyperbolic_profile(e0, params)
         p1 = hyperbolic_profile(e1, params)
         assert deltas.delta_ln_r == pytest.approx(
-            math.log(float(p1[5]) / float(p0[5])), abs=1e-8
-        )
+            math.log(float(p1[5]) / float(p0[5])), abs=1e-13
+        ), (params, lo_off, hi_off)
         assert deltas.delta_ln_v == pytest.approx(
-            math.log(float(p1[4]) / float(p0[4])), abs=1e-8
-        )
+            math.log(float(p1[4]) / float(p0[4])), abs=1e-13
+        ), (params, lo_off, hi_off)
 
 
 def test_quadrature_rejects_bad_interval():
