@@ -20,13 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, EmptyDomain, FinsleroidError
-from .frame import Parameters, Tetrad, frame_components, projections
+from .frame import Parameters, Tetrad, frame_components, projections, pseudo_norm_squared
 from .kernel import (
-    angles_from_vector,
-    domain_info,
-    eta_from_r,
-    radial_from_ratios,
-    structural_profile,
+    EvalBundle, angles_from_vector, domain_info, eta_from_r, hyperbolic_profile, radial_from_ratios,
 )
 from .indicatrix import indicatrix_curvature
 from .limits import reduction_report
@@ -142,11 +138,12 @@ def evaluate_document(params: Parameters, tetrad: Tetrad, y: np.ndarray) -> dict
             "b": b, "w1": w1, "w2": w2, "w3": w3,
             "w_perp": math.hypot(w1, w2), "w": None, "t": None,
             "y_perp": b * math.hypot(w1, w2),
-            "s2": float(y @ tetrad.a @ y),
+            "s2": pseudo_norm_squared(y, tetrad),
         }
         r = radial_from_ratios(w1, w2, w3, params)
         eta = eta_from_r(r, params)
-        prof = structural_profile(eta, params)
+        # r is admitted, so eta takes no chart check: r(eta) may round up to r_sup
+        prof = EvalBundle(*hyperbolic_profile(eta, params))
         theta = math.atan2(math.hypot(w1, w2), w3)
         angles = {"eta": eta, "theta": theta, "phi": math.atan2(w2, w1) % (2 * math.pi)}
         bundle = {**vars(prof), "r": r, "F": b * prof.V}

@@ -1,16 +1,16 @@
 """Numerical sectional curvature of a metric given only as a function.
 
 The curvature comes from one stencil over the metric itself.  Along each
-coordinate axis the metric is sampled at offsets +-step and +-2 step,
+coordinate axis the metric is sampled at offsets +-STEP and +-2 STEP,
 which gives fourth-order first derivatives (the five-point stencil) and
 fourth-order pure second derivatives.  The mixed second derivative of each
-coordinate plane is the Richardson combination (4 D(step) - D(2 step)) / 3
+coordinate plane is the Richardson combination (4 D(STEP) - D(2 STEP)) / 3
 of the four-corner differences D(s) at the corners (+-s, +-s).  Stencil
 coefficients: Fornberg, Math. Comp. 51 (1988).  A metric evaluation must
-therefore be available on a neighbourhood of radius 2 * step around the
-base point.  ``metric_fn`` is called once per stencil: it maps the (m, n)
-array of all m = 1 + 4n + 4n(n - 1) stencil points (the rows of
-``_offsets`` times step, around x) to the (m, n, n) array of metrics there.
+therefore be available within REACH = 2 STEP of the base point.
+``metric_fn`` is called once per stencil: it maps the (m, n) array of all
+m = 1 + 4n + 4n(n - 1) stencil points (the rows of ``_offsets`` times STEP,
+around x) to the (m, n, n) array of metrics there.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-DEFAULT_STEP = 1e-3
+STEP = 1e-3
+REACH = 2.0 * STEP  # the axis points and the outer mixed corners lie this far out
 
 
 @lru_cache(maxsize=None)
@@ -34,18 +35,18 @@ def _offsets(n: int) -> np.ndarray:
     return np.array(rows)
 
 
-def _stencil(metric_fn, x, step: float):
+def _stencil(metric_fn, x):
     """g, dg[k] = d_k g, d2g[k] = d_k^2 g and the mixed derivative per plane."""
     x = np.asarray(x, dtype=float)
     n = len(x)
-    gs = np.asarray(metric_fn(x + step * _offsets(n)))
+    gs = np.asarray(metric_fn(x + STEP * _offsets(n)))
     g = gs[0]
     p1, m1, p2, m2 = np.moveaxis(gs[1 : 1 + 4 * n].reshape((n, 4) + g.shape), 1, 0)
-    dg = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * step)
-    d2g = (16.0 * (p1 + m1) - (p2 + m2) - 30.0 * g) / (12.0 * step * step)
+    dg = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * STEP)
+    d2g = (16.0 * (p1 + m1) - (p2 + m2) - 30.0 * g) / (12.0 * STEP * STEP)
     pp, pm, mp, mm = np.moveaxis(gs[1 + 4 * n :].reshape((-1, 2, 4) + g.shape), 2, 0)
-    s = np.array([step, 2.0 * step])[:, None, None]
-    diff = (pp - pm - mp + mm) / (4.0 * s * s)  # four-corner D(s), s = step, 2 step
+    s = np.array([STEP, 2.0 * STEP])[:, None, None]
+    diff = (pp - pm - mp + mm) / (4.0 * s * s)  # four-corner D(s), s = STEP, 2 STEP
     return g, dg, d2g, (4.0 * diff[:, 0] - diff[:, 1]) / 3.0
 
 
@@ -56,13 +57,13 @@ def _gamma(g, dg):
     return np.einsum("ad,dbc->abc", np.linalg.inv(g), first)
 
 
-def christoffel(metric_fn, x, step: float = DEFAULT_STEP):
+def christoffel(metric_fn, x):
     """Metric and Christoffel symbols Gamma[a, b, c] = Gamma^a_{bc} at x."""
-    g, dg, _, _ = _stencil(metric_fn, x, step)
+    g, dg, _, _ = _stencil(metric_fn, x)
     return g, _gamma(g, dg)
 
 
-def coordinate_plane_curvatures(metric_fn, x, step: float = DEFAULT_STEP) -> dict:
+def coordinate_plane_curvatures(metric_fn, x) -> dict:
     """Sectional curvatures of every coordinate 2-plane at x.
 
     Returns {(i, j): K} with K = R_{ijij} / (g_ii g_jj - g_ij^2), where
@@ -70,7 +71,7 @@ def coordinate_plane_curvatures(metric_fn, x, step: float = DEFAULT_STEP) -> dic
                + g(Gamma_ij, Gamma_ij) - g(Gamma_ii, Gamma_jj);
     on a round sphere of radius a this yields +1/a^2 for every plane.
     """
-    g, dg, d2g, mixed = _stencil(metric_fn, x, step)
+    g, dg, d2g, mixed = _stencil(metric_fn, x)
     gamma = _gamma(g, dg)
     planes = [(i, j) for i in range(len(g)) for j in range(i + 1, len(g))]
     out = {}

@@ -22,7 +22,7 @@ class OutsideAxialRegion(DomainError):
 
 
 class OutsideEtaDomain(DomainError):
-    """Hyperbolic angle below the admissible minimum (negative radicand)."""
+    """Hyperbolic angle below the floor eta_min, above ETA_CAP, or where r(eta) >= r_sup."""
 
 
 class ThetaPole(DomainError):

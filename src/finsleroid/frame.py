@@ -216,6 +216,15 @@ def projections(y, tetrad: Tetrad):
     return b, i / b, j / b, i3 / b
 
 
+def pseudo_norm_squared(y, tetrad: Tetrad) -> float:
+    """s2 = y.a.y of one vector; ValueError where it overflows, as bad input."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s2 = float(y @ tetrad.a @ y)
+    if not math.isfinite(s2):
+        raise ValueError(f"s2 = y.a.y overflows for y={np.asarray(y).tolist()}")
+    return s2
+
+
 def frame_components(y, tetrad: Tetrad | None = None) -> FrameComponents:
     """Resolve ``y`` into frame components and scalar ratios.
 
@@ -228,5 +237,5 @@ def frame_components(y, tetrad: Tetrad | None = None) -> FrameComponents:
     b, w1, w2, w3 = projections(y, tetrad)
     if w3 <= 0.0:
         raise OutsideAxialRegion(f"axial projection w3={w3} is not positive")
-    s2 = float(y @ tetrad.a @ y)
+    s2 = pseudo_norm_squared(y, tetrad)
     return FrameComponents.from_ratios(b, w1, w2, w3, math.hypot(w1, w2), s2)

@@ -17,15 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual as dm
-from .curvature import DEFAULT_STEP, coordinate_plane_curvatures
+from .curvature import REACH, coordinate_plane_curvatures
 from .errors import PolarAxisSingular, StencilOutOfDomain
 from .frame import Parameters
 from .kernel import AngleCoords, _chart_ratios, domain_info, theta_pole
 from .tensors import _radial_point, finsleroid3_metric
-
-# Farthest offset of the curvature stencil, in steps: the axis points and
-# the outer mixed-derivative corners lie 2 * step from the base point.
-STENCIL_EXTENT = 2
 
 
 @dataclass(frozen=True)
@@ -109,50 +105,45 @@ def _pullback(angles, params: Parameters):
     return (sign * raw.T).T, sign, d
 
 
-def _check_theta_stencil(theta: float, params: Parameters, step: float):
+def _check_theta_stencil(theta: float, params: Parameters):
     """Reject a theta stencil that leaves (0, pole) or comes too near the axis.
 
-    Below 3 * STENCIL_EXTENT * step (0.006 at the default step) the
-    difference stencil misses the 1e-3 curvature tolerance near the axis.
+    Below 3 * REACH (0.006) the difference stencil misses the 1e-3
+    curvature tolerance near the axis.
     """
-    reach = STENCIL_EXTENT * step
     pole = theta_pole(params)
-    if theta < 3.0 * reach or theta + reach >= pole:
+    if theta < 3.0 * REACH or theta + REACH >= pole:
         raise StencilOutOfDomain(
-            f"theta stencil around {theta} needs theta >= {3.0 * reach} and "
-            f"theta + {reach} < {pole}"
+            f"theta stencil around {theta} needs theta >= {3.0 * REACH} and "
+            f"theta + {REACH} < {pole}"
         )
 
 
-def indicatrix_curvature(
-    angles: AngleCoords, params: Parameters, step: float = DEFAULT_STEP
-) -> dict:
+def indicatrix_curvature(angles: AngleCoords, params: Parameters) -> dict:
     """Sectional curvatures of the three coordinate planes of the unit surface.
 
     Single-level finite-difference sectional curvatures of the induced
-    metric; every plane must return -H^2.  The stencil reaches 2 * step
-    from the point.  Keep a margin of about 0.2 above the domain floor:
-    the boundary is where the angle derivatives blow up and the difference
-    stencil loses accuracy (at H = p = 1, 3 * step above it, the error is
-    already ~8e-4).  Theta below 3 * STENCIL_EXTENT * step is rejected.
+    metric; every plane must return -H^2.  The stencil reaches REACH =
+    2e-3 from the point.  Keep a margin of about 0.2 above the domain
+    floor: the boundary is where the angle derivatives blow up and the
+    difference stencil loses accuracy (at H = p = 1, 3e-3 above it, the
+    error is already ~8e-4).  Theta below 3 * REACH is rejected.
     """
-    floor, reach = domain_info(params).eta_min, STENCIL_EXTENT * step
-    if angles.eta - reach <= floor:
+    floor = domain_info(params).eta_min
+    if angles.eta - REACH <= floor:
         raise StencilOutOfDomain(
-            f"eta stencil [{angles.eta - reach}, {angles.eta + reach}] leaves "
+            f"eta stencil [{angles.eta - REACH}, {angles.eta + REACH}] leaves "
             f"the domain floor {floor}"
         )
-    _check_theta_stencil(angles.theta, params, step)
+    _check_theta_stencil(angles.theta, params)
     x0 = np.array([angles.eta, angles.theta, angles.phi])
-    return coordinate_plane_curvatures(lambda x: _pullback(x, params)[0], x0, step)
+    return coordinate_plane_curvatures(lambda x: _pullback(x, params)[0], x0)
 
 
-def indicatrix_bundle(
-    angles: AngleCoords, params: Parameters, step: float = DEFAULT_STEP
-) -> IndicatrixBundle:
+def indicatrix_bundle(angles: AngleCoords, params: Parameters) -> IndicatrixBundle:
     """Full indicatrix bundle: derivatives, induced metric, curvatures."""
     i_metric, sign, d = _pullback(angles, params)
-    sectional = indicatrix_curvature(angles, params, step)
+    sectional = indicatrix_curvature(angles, params)
     return IndicatrixBundle(
         l_derivs=d, i_metric=i_metric, raw_sign=int(sign), sectional=sectional
     )
@@ -191,15 +182,13 @@ def _section_chart(x, params: Parameters):
     return w, jac.T  # (m, 3) and (m, 2, 3), or (3,) and (2, 3)
 
 
-def section_curvature(
-    theta: float, params: Parameters, phi: float = 0.9, step: float = DEFAULT_STEP
-) -> float:
+def section_curvature(theta: float, params: Parameters) -> float:
     """Gaussian curvature of the section surface at azimuth theta.
 
-    The surface is rotationally symmetric, so the polar chart value only
-    anchors the stencil.  The expected constant value is p^2.  Theta below
-    3 * STENCIL_EXTENT * step is rejected.
+    The surface is rotationally symmetric, so the stencil is anchored at the
+    polar angle 0.9.  The expected constant value is p^2.  Theta below
+    3 * REACH is rejected.
     """
-    _check_theta_stencil(theta, params, step)
-    x0 = np.array([theta, phi])
-    return coordinate_plane_curvatures(lambda x: _section_metric(x, params), x0, step)[(0, 1)]
+    _check_theta_stencil(theta, params)
+    x0 = np.array([theta, 0.9])
+    return coordinate_plane_curvatures(lambda x: _section_metric(x, params), x0)[(0, 1)]

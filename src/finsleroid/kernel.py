@@ -39,8 +39,8 @@ from .frame import FrameComponents, Parameters, Tetrad, projections
 # inner domain boundary, where angle derivatives degrade.
 BOUNDARY_TOL = 1e-8
 
-# Hyperbolic angles are capped here; the radial variable saturates to its
-# supremum (to double precision) far earlier, around eta ~ 40.
+# Hyperbolic angles are capped here: the Newton bracket ends here, and so does
+# the chart, although r(eta) rounds to r_sup far earlier, 16 to 19 above eta_min.
 ETA_CAP = 250.0
 
 NEWTON_MAX_ITER = 60
@@ -234,8 +234,8 @@ def domain_info(params: Parameters) -> DomainInfo:
 
     Raises EmptyDomain when p < 1 and H = 1 (the radicand is negative for
     every eta), and when the radial interval underflows to r_min >= r_sup
-    in double precision.  The supremum is found by saturating r along a
-    geometric eta ladder until the relative change drops below 1e-12.
+    in double precision.  r_sup is the eta -> inf limit of r = sinh Y1/R1:
+    sinh/R1 -> 1/(1 + hh) and the Y1 arctangent -> 2 atan2(gp, hh).
     """
     gp = params.azimuthal_skew
     hh = params.boost_skew
@@ -247,15 +247,7 @@ def domain_info(params: Parameters) -> DomainInfo:
     else:
         eta_min = math.asinh(gp / hh)
         r_min = hyperbolic_profile(eta_min, params)[5]
-    step = 1.0
-    eta = eta_min + step
-    r_sup = hyperbolic_profile(eta, params)[5]
-    while eta < ETA_CAP:
-        step *= 1.5
-        eta = min(eta_min + step, ETA_CAP)
-        prev, r_sup = r_sup, hyperbolic_profile(eta, params)[5]
-        if abs(r_sup - prev) <= 1e-12 * abs(r_sup):
-            break
+    r_sup = math.exp(-gp * math.atan2(gp, hh)) / (1.0 + hh)
     if not r_min < r_sup:
         raise EmptyDomain(
             f"radial interval ({r_min}, {r_sup}) is empty in double precision "
@@ -264,12 +256,27 @@ def domain_info(params: Parameters) -> DomainInfo:
     return DomainInfo(eta_min=eta_min, r_min=r_min, r_sup=r_sup)
 
 
-def structural_profile(eta: float, params: Parameters) -> EvalBundle:
-    """Hyperbolic-angle part of the evaluation bundle at ``eta``."""
+def _chart_profile(eta, params: Parameters):
+    """Eta clamped onto the floor, and ``hyperbolic_profile`` there, at chart angles
+    (float or array): OutsideEtaDomain below the floor's 1e-12 max(1, eta_min)
+    slack, above ETA_CAP (before any profile runs), or where r(eta) is not below
+    r_sup, the open bound that ``eta_from_r`` applies."""
     dom = domain_info(params)
-    if eta < dom.eta_min - 1e-12 * max(1.0, dom.eta_min):
-        raise OutsideEtaDomain(f"eta={eta} below the domain floor {dom.eta_min}")
-    values = [float(c) for c in hyperbolic_profile(max(eta, dom.eta_min), params)]
+    floor = dom.eta_min
+    if dm.any_set(eta < floor - 1e-12 * max(1.0, floor)):
+        raise OutsideEtaDomain(f"eta={np.min(eta)} below the domain floor {floor}")
+    if dm.any_set(eta > ETA_CAP):
+        raise OutsideEtaDomain(f"eta={np.max(eta)} above the cap {ETA_CAP}")
+    eta = np.maximum(eta, floor)
+    prof = hyperbolic_profile(eta, params)
+    if dm.any_set(prof[5] >= dom.r_sup):
+        raise OutsideEtaDomain(f"eta={np.max(eta)} maps to r >= r_sup = {dom.r_sup}")
+    return eta, prof
+
+
+def structural_profile(eta: float, params: Parameters) -> EvalBundle:
+    """Hyperbolic-angle part of the evaluation bundle at the chart angle ``eta``."""
+    values = [float(c) for c in _chart_profile(eta, params)[1]]
     return EvalBundle(*values, near_boundary=params.p < 1.0 and values[0] < BOUNDARY_TOL)
 
 
@@ -434,11 +441,7 @@ def _chart_ratios(angles, params: Parameters):
     else:
         eta, theta, phi = np.asarray(angles, dtype=float).T
         phi = phi % (2.0 * math.pi)
-    floor = domain_info(params).eta_min
-    if dm.any_set(eta < floor - 1e-12 * max(1.0, floor)):
-        raise OutsideEtaDomain(f"eta={np.min(eta)} below the domain floor {floor}")
-    eta = np.maximum(eta, floor)
-    _, r1v, _, _, v, r = hyperbolic_profile(eta, params)
+    eta, (_, r1v, _, _, v, r) = _chart_profile(eta, params)
     st, ct = dm.sin(theta), dm.cos(theta)
     r2 = ct + params.azimuthal_skew * st
     if dm.any_set(r2 <= 0.0):
@@ -459,9 +462,10 @@ def angles_from_vector(
     ang = angular_profile(theta, params)
     r = fc.w3 * ang.U
     eta = eta_from_r(r, params)
-    prof = structural_profile(eta, params)
-    bundle = EvalBundle(prof.A, prof.R1, prof.J, prof.Y1, prof.V, r, ang.R2, ang.I, ang.U, f,
-                        fc.b * prof.V, prof.near_boundary)
+    # eta_from_r admitted r, so eta takes no chart check: r(eta) may round up to r_sup
+    a, r1v, j, y1, v, _ = hyperbolic_profile(eta, params)
+    bundle = EvalBundle(a, r1v, j, y1, v, r, ang.R2, ang.I, ang.U, f, fc.b * v,
+                        params.p < 1.0 and a < BOUNDARY_TOL)
     return AngleCoords(eta=eta, theta=theta, phi=phi), bundle
 
 

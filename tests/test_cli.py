@@ -75,6 +75,20 @@ def test_eval_radial_domain_error_carries_bounds():
     assert "outside the admissible interval" in r.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("--H", "1.25", "--p", "0.8",
+     "--y", "7.8741253e200,0.40093653e200,0.51128664e200,0.17089195e200"),
+    ("--H", "1.25", "--p", "1", "--y=2e200,0.3e200,0.2e200,-0.4e200"),  # p = 1, w3 <= 0
+])
+def test_eval_s2_overflow_exits_1(args):
+    # F, l, h and g are finite; s2 = y.a.y alone overflows, which was written
+    # as the invalid JSON token Infinity with exit code 0
+    r = run_cli("eval", *args)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert "s2" in r.stderr and "Warning" not in r.stderr
+
+
 def test_usage_error_exit_code():
     r = run_cli("eval", "--H", "1", "--p", "1", "--y", "1,2,3")
     assert r.returncode == 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from finsleroid import AngleCoords, Parameters, domain_info, indicatrix_curvature
-from finsleroid.curvature import DEFAULT_STEP, christoffel, coordinate_plane_curvatures
+from finsleroid.curvature import STEP, christoffel, coordinate_plane_curvatures
 
 
 def rows(metric):
@@ -104,7 +104,7 @@ def test_single_level_stencil_evaluation_count(n, expected):
 @pytest.mark.parametrize("H, p", [(1.25, 0.8), (2.0, 0.5)])
 def test_indicatrix_curvature_near_domain_floor(H, p):
     params = Parameters(H=H, p=p)
-    eta = domain_info(params).eta_min + 3 * DEFAULT_STEP
+    eta = domain_info(params).eta_min + 3 * STEP
     ks = indicatrix_curvature(AngleCoords(eta=eta, theta=0.5, phi=1.0), params)
     for plane, k in ks.items():
         assert abs(k + H * H) < 1e-3, plane

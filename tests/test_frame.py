@@ -163,6 +163,14 @@ def test_frame_components_three_four_five():
     assert fc.t == pytest.approx(0.4 / 0.3)
 
 
+def test_s2_overflow_is_bad_input():
+    # F, l, h and g of these vectors are finite, but y.a.y overflows; it must
+    # fail as bad input naming s2, not come back as inf with a RuntimeWarning
+    y = np.array([7.8741253e200, 0.40093653e200, 0.51128664e200, 0.17089195e200])
+    with pytest.raises(ValueError, match="s2"):
+        frame_components(y)
+
+
 def test_frame_components_degenerate_axis():
     with pytest.raises(OutsideAxialRegion):
         frame_components([1.0, 0.0, 0.0, 0.0])

@@ -227,6 +227,27 @@ def test_indicatrix_curvature_polar_translation_invariance():
     assert np.max(ks) - np.min(ks) < 1e-6
 
 
+@pytest.mark.parametrize("H, p", [(1.25, 0.8), (1.25, 1.0)])
+def test_chart_above_the_domain_raises_outside_eta_domain(H, p):
+    # From eta - eta_min ~ 18, r(eta) rounds to r_sup, where the chart point's
+    # vector leaves the open radial interval; further out the profile gave
+    # NaN, ZeroDivisionError or OverflowError.  Past ETA_CAP no profile runs.
+    params = Parameters(H=H, p=p)
+    calls = (
+        lambda a: kernel.structural_profile(a.eta, params).V,
+        lambda a: kernel.vector_from_angles(a, 1.0, params).b,
+        lambda a: unit_vector(a, params),
+        lambda a: indicatrix_metric(a, params),
+        lambda a: list(indicatrix_curvature(a, params).values()),
+    )
+    for call in calls:
+        assert np.isfinite(call(_angles(params, d_eta=15.0))).all()
+    for gap in (20.0, 100.0, 400.0, 800.0):
+        for call in calls:
+            with pytest.raises(OutsideEtaDomain, match="eta=.*(r_sup|cap)"):
+                call(_angles(params, d_eta=gap))
+
+
 def test_stencil_domain_guard():
     params = Parameters(H=1.25, p=0.8)
     dom = domain_info(params)
@@ -289,13 +310,13 @@ def test_stencil_batch_matches_scalar_metrics(monkeypatch, H, p):
     batches = []
     original = indicatrix.coordinate_plane_curvatures
 
-    def spy(metric_fn, x, step):
+    def spy(metric_fn, x):
         def recorded(points):
             metrics = metric_fn(points)
             batches.append((points, metrics))
             return metrics
 
-        return original(recorded, x, step)
+        return original(recorded, x)
 
     monkeypatch.setattr(indicatrix, "coordinate_plane_curvatures", spy)
     params = Parameters(H=H, p=p)

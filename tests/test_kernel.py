@@ -15,6 +15,7 @@ from finsleroid import (
     ThetaPole,
     angles_from_vector,
     angular_profile,
+    closed_form_constants,
     domain_info,
     eta_from_r,
     finsler_norm,
@@ -160,6 +161,28 @@ def test_domain_info_values():
     for h_val in (1.25, 2.0):
         with pytest.raises(EmptyDomain):
             domain_info(Parameters(H=h_val, p=1e-3))
+
+    # r_sup is a closed form; the quadrature oracle integrates only the
+    # defining ODE of ln r from eta_min + gap out to where r has saturated
+    # (e^(-2 eta) ~ 1e-31 past the interval).  At (50, 0.05) the map itself
+    # is off by up to 17 ulps, so the match is looser there.
+    pairs = [(1.0, 1.0), (1.25, 1.0), (1.25, 0.8), (1.5, 0.9), (2.0, 0.5), (5.0, 0.9),
+             (100.0, 0.999), (1.5, 0.6), (3.0, 0.4), (50.0, 0.05)]
+    for H, p in pairs:
+        params = Parameters(H=H, p=p)
+        dom = domain_info(params)
+        for gap in (0.5, 2.0):
+            eta = dom.eta_min + gap
+            deltas = oracle_quadrature(eta, eta + 36.0, params)
+            r = float(hyperbolic_profile(eta, params)[5])
+            tol = 5e-15 if (H, p) == (50.0, 0.05) else 1e-15
+            assert abs(deltas.delta_ln_r - math.log(dom.r_sup / r)) <= tol, (H, p, gap)
+    # at p = 1, r_sup is the zero of the isotropic closed form's base c_tilde + g_minus r
+    for h_val in (1.1, 1.25, 2.0):
+        c = closed_form_constants(h_val)
+        zero = c.c_tilde / -c.g_minus
+        r_sup = domain_info(Parameters(H=h_val, p=1.0)).r_sup
+        assert abs(r_sup - zero) <= math.ulp(zero), h_val
 
 
 def test_radial_map_strictly_increasing():
