@@ -15,7 +15,9 @@ from functools import cached_property
 import numpy as np
 
 from .dual import any_set
-from .errors import NotFutureTimelike, OutsideAxialRegion, TetradDegenerate
+from .errors import EmptyDomain, NotFutureTimelike, OutsideAxialRegion, TetradDegenerate
+
+H_MAX = 1e50  # H stays below this: H**6 of the closed-form determinant overflows from 2.4e51
 
 
 @dataclass(frozen=True)
@@ -23,21 +25,23 @@ class Parameters:
     """Extension scalars of the anisotropic norm.
 
     ``H`` controls the indicatrix curvature (-H^2), ``p`` the curvature of
-    the horizontal section (p^2).  Admissible range: H >= 1, 0 < p <= 1.
+    the horizontal section (p^2).  Admissible range: 1 <= H < H_MAX, 0 < p <= 1.
     """
 
     H: float
     p: float
 
     def __post_init__(self):
-        if not (1.0 <= self.H < math.inf):
-            raise ValueError(f"H must be finite and >= 1, got {self.H}")
+        if not (1.0 <= self.H < H_MAX):
+            raise ValueError(f"H must be >= 1 and below {H_MAX:g}, got {self.H}")
         if not (0.0 < self.p <= 1.0):
             raise ValueError(f"p must be in (0, 1], got {self.p}")
 
     @cached_property
     def azimuthal_skew(self) -> float:
-        """sqrt(1/p^2 - 1); zero in the spatially isotropic case p = 1."""
+        """sqrt(1/p^2 - 1), 0 at p = 1; EmptyDomain where p^2 underflows to 0."""
+        if self.p * self.p == 0.0:
+            raise EmptyDomain(f"p={self.p} is so small that p^2 underflows to 0")
         return math.sqrt(1.0 / (self.p * self.p) - 1.0)
 
     @cached_property
@@ -64,9 +68,12 @@ class Tetrad:
     def from_covectors(cls, b, i, j, i3) -> "Tetrad":
         """Assemble the metric from four covectors.
 
-        Raises TetradDegenerate if the covectors do not span the space.
+        Raises ValueError for a non-finite entry and TetradDegenerate if the
+        covectors do not span the space.
         """
         b, i, j, i3 = (np.asarray(v, dtype=float).reshape(4) for v in (b, i, j, i3))
+        if not np.isfinite([b, i, j, i3]).all():
+            raise ValueError(f"tetrad entries must be finite, got {np.array([b, i, j, i3]).tolist()}")
         a = np.outer(b, b) - np.outer(i, i) - np.outer(j, j) - np.outer(i3, i3)
         try:
             np.linalg.inv(a)  # only its singularity test is kept
@@ -84,14 +91,16 @@ class Tetrad:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Tetrad":
-        """Build from a parsed JSON document; missing "tetrad" = canonical."""
-        rows = doc.get("tetrad")
-        if rows is None:
-            return cls.canonical()
-        rows = np.asarray(rows, dtype=float)
-        if rows.shape != (4, 4):
-            raise ValueError(f"tetrad must be 4 rows of 4 numbers, got {rows.shape}")
-        return cls.from_covectors(rows[0], rows[1], rows[2], rows[3])
+        """Build from a parsed JSON object whose "tetrad" entry holds 4 rows of 4 numbers."""
+        if not isinstance(doc, dict) or doc.get("tetrad") is None:
+            raise ValueError('a tetrad document must be a JSON object with a "tetrad" entry')
+        try:
+            rows = np.asarray(doc["tetrad"], dtype=float)
+            if rows.shape != (4, 4):
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ValueError(f"tetrad must be 4 rows of 4 numbers, got {doc['tetrad']!r}") from None
+        return cls.from_covectors(*rows)
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -105,9 +114,10 @@ for _array in (_CANONICAL.rows, *vars(_CANONICAL).values()):
 
 
 def load_configuration(doc: dict) -> tuple[Parameters, Tetrad]:
-    """Parameters and tetrad from one JSON document {"H":, "p":, "tetrad":?}."""
+    """Parameters and tetrad from one JSON document {"H":, "p":, "tetrad":?};
+    without a "tetrad" entry the frame is the canonical one."""
     params = Parameters(H=float(doc["H"]), p=float(doc["p"]))
-    return params, Tetrad.from_dict(doc)
+    return params, Tetrad.canonical() if doc.get("tetrad") is None else Tetrad.from_dict(doc)
 
 
 @dataclass(frozen=True)

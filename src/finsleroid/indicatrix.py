@@ -20,7 +20,7 @@ from . import dual as dm
 from .curvature import REACH, coordinate_plane_curvatures
 from .errors import PolarAxisSingular, StencilOutOfDomain
 from .frame import Parameters
-from .kernel import AngleCoords, _chart_ratios, domain_info, theta_pole
+from .kernel import AngleCoords, _chart_vector, domain_info, theta_pole
 from .tensors import _radial_point, finsleroid3_metric
 
 
@@ -36,14 +36,7 @@ class IndicatrixBundle:
 
 def unit_vector(angles: AngleCoords, params: Parameters) -> np.ndarray:
     """Contravariant unit vector (frame coordinates) at the given angles."""
-    return _unit_point(angles, params)[2]
-
-
-def _unit_point(angles, params: Parameters):
-    """Profile (eta, R1, V), (sin, cos) of theta and the unit vector y."""
-    prof, trig, (w1, w2, w3, _) = _chart_ratios(angles, params)
-    b = 1.0 / prof[2]
-    return prof, trig, np.stack([b, b * w1, b * w2, b * w3], axis=-1)
+    return _chart_vector(angles, 1.0, params)[2]
 
 
 def unit_vector_angle_derivatives(
@@ -61,7 +54,7 @@ def unit_vector_angle_derivatives(
 
 def _chart_point(angles, params: Parameters):
     """Profile, unit vector y (..., 4) and its angle derivatives d (..., 4, 3)."""
-    prof, (st, ct), y = _unit_point(angles, params)
+    prof, (st, ct), y = _chart_vector(angles, 1.0, params)
     if dm.any_set(st == 0.0):
         raise PolarAxisSingular("azimuthal derivatives undefined on the polar axis")
     eta, r1v, _ = prof

@@ -125,14 +125,8 @@ def hyperbolic_profile(eta, params: Parameters):
     hh = params.boost_skew
     ch = fn.cosh(eta)
     sh = fn.sinh(eta)
-    if hh == 0.0:
-        # H = 1 forces p = 1: everything pseudo-Euclidean.
-        A = 0.0
-        R1 = ch
-        J = 1.0
-        Y1 = 1.0
-    elif gp == 0.0:
-        # spatially isotropic case p = 1
+    if gp == 0.0:
+        # spatially isotropic case p = 1; at H = 1 (hh = 0) pseudo-Euclidean
         A = hh * sh
         R1 = ch + A
         J = fn.exp(hh * eta)
@@ -450,6 +444,13 @@ def _chart_ratios(angles, params: Parameters):
     w_perp = r * st / (params.p * big_i)
     ratios = w_perp * dm.cos(phi), w_perp * dm.sin(phi), r * r2 / big_i, w_perp
     return (eta, r1v, v), (st, ct), ratios
+
+
+def _chart_vector(angles, norm, params: Parameters):
+    """``_chart_ratios``'s profile and (sin, cos), and the frame vector y of ``norm``."""
+    prof, trig, (w1, w2, w3, _) = _chart_ratios(angles, params)
+    b = norm / prof[2]
+    return prof, trig, np.stack([b, b * w1, b * w2, b * w3], axis=-1)
 
 
 def angles_from_vector(

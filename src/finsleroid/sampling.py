@@ -8,11 +8,12 @@ generator (or seed), keeping reports and tests reproducible.
 from __future__ import annotations
 
 import math
+from itertools import starmap
 
 import numpy as np
 
 from .frame import Parameters, Tetrad
-from .kernel import AngleCoords, domain_info, theta_pole, vector_from_angles
+from .kernel import AngleCoords, _chart_vector, domain_info, theta_pole
 
 DEFAULT_SEED = 20240
 
@@ -31,25 +32,20 @@ def resolve_rng(rng_or_seed=None) -> np.random.Generator:
     return np.random.default_rng(int(rng_or_seed))
 
 
-def sample_angles(
-    params: Parameters,
-    count: int,
-    rng=None,
-    eta_margin: float = ETA_MARGIN,
-    theta_margin: float = THETA_MARGIN,
-    eta_span: float = ETA_SPAN,
-) -> list[AngleCoords]:
-    """Angle triples uniform over an interior box of the chart."""
-    rng = resolve_rng(rng)
-    dom = domain_info(params)
-    pole = theta_pole(params)
-    out = []
-    for _ in range(count):
-        eta = dom.eta_min + eta_margin + rng.uniform(0.0, eta_span)
-        theta = rng.uniform(theta_margin, pole - theta_margin)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        out.append(AngleCoords(eta=eta, theta=theta, phi=phi))
-    return out
+def _angle_box(params: Parameters, count: int, rng: np.random.Generator, *,
+               eta_margin=ETA_MARGIN, theta_margin=THETA_MARGIN, eta_span=ETA_SPAN):
+    """(count, 3) rows (eta, theta, phi) from one block of draws, each column in
+    numpy's own ``uniform`` formula low + (high - low) u: per-sample uniform bits."""
+    low = np.array([domain_info(params).eta_min + eta_margin, theta_margin, 0.0])
+    width = np.array([eta_span, (theta_pole(params) - theta_margin) - theta_margin, 2.0 * math.pi])
+    return low + width * rng.random((count, 3))
+
+
+def sample_angles(params: Parameters, count: int, rng=None, **box) -> list[AngleCoords]:
+    """Angle triples uniform over an interior box of the chart; ``box`` may override
+    ``eta_margin``, ``theta_margin`` and ``eta_span`` (the module constants)."""
+    rows = _angle_box(params, count, resolve_rng(rng), **box)
+    return list(starmap(AngleCoords, rows.tolist()))
 
 
 def sample_vectors(
@@ -58,17 +54,14 @@ def sample_vectors(
     rng=None,
     tetrad: Tetrad | None = None,
     scale: tuple[float, float] = (0.5, 3.0),
-    **angle_kwargs,
+    **box,
 ) -> np.ndarray:
-    """Valid vectors (natural coordinates), sampled through the angle chart."""
+    """(count, 4) valid vectors (natural coordinates): the angles of ``sample_angles``,
+    then a block of norms uniform over ``scale``, mapped by one batch chart call."""
     rng = resolve_rng(rng)
-    if tetrad is None:
-        tetrad = Tetrad.canonical()
-    frame_inv = np.linalg.inv(tetrad.rows)
-    rows = []
-    for angles in sample_angles(params, count, rng, **angle_kwargs):
-        norm = rng.uniform(*scale)
-        fc = vector_from_angles(angles, norm, params)
-        yf = np.array([fc.b, fc.b * fc.w1, fc.b * fc.w2, fc.b * fc.w3])
-        rows.append(frame_inv @ yf)
-    return np.array(rows)
+    rows = _angle_box(params, count, rng, **box)
+    norms = rng.uniform(*scale, size=count)
+    if (norms <= 0.0).any():
+        raise ValueError(f"norm must be positive, got {norms.min()}")
+    y = _chart_vector(rows, norms, params)[2]
+    return y if tetrad is None else y @ np.linalg.inv(tetrad.rows).T

@@ -316,6 +316,50 @@ def test_degenerate_tetrad_is_bad_input(tmp_path):
     assert "linearly dependent" in r.stderr
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", 'tetrad document must be a JSON object with a "tetrad" entry'),
+    ('{"tetrad": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, NaN, 0], [0, 0, 0, 1]]}',
+     "tetrad entries must be finite"),
+    ('{"tetrad": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, Infinity, 0], [0, 0, 0, 1]]}',
+     "tetrad entries must be finite"),
+    ('{"frame": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}',
+     'tetrad document must be a JSON object with a "tetrad" entry'),
+], ids=["list", "nan", "infinity", "no-key"])
+def test_malformed_tetrad_file_blames_the_tetrad(tmp_path, text, message):
+    # a list ended in an AttributeError traceback, NaN and Infinity blamed the
+    # vector's s2, and a file with no "tetrad" entry ran in the canonical frame
+    tetrad_file = tmp_path / "tetrad.json"
+    tetrad_file.write_text(text)
+    r = run_cli("eval", "--H", "1.25", "--p", "0.8", "--y", "2,0.22,0.147,0.44",
+                "--tetrad", str(tetrad_file))
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and message in r.stderr
+    assert "Traceback" not in r.stderr and "Warning" not in r.stderr
+    assert "s2" not in r.stderr
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (("eval", "--H", "1e52", "--p", "0.5",
+      "--y", "4.65668704,0.03959194,-0.11861117,0.18268289"), 1, "H must be >= 1 and below 1e+50"),
+    (("report", "domain", "--H", "1e300", "--p", "0.9"), 1, "H must be >= 1 and below 1e+50"),
+    (("eval", "--H", "1.25", "--p", "1e-170", "--y", "2,0.1,0.1,0.5"), 2, "p^2 underflows to 0"),
+], ids=["eval-H", "domain-H", "eval-p"])
+def test_extreme_parameters_end_in_typed_errors(args, code, message):
+    # OverflowError from H ** 6 or H ** 2, ZeroDivisionError from 1 / p^2
+    r = run_cli(*args)
+    assert r.returncode == code
+    assert r.stdout == ""
+    assert message in r.stderr and "Traceback" not in r.stderr
+
+
+def test_report_domain_p_whose_square_underflows_is_empty():
+    r = run_cli("report", "domain", "--H", "1.25", "--p", "1e-300")
+    assert r.returncode == 0
+    (row,) = json.loads(r.stdout)["rows"]
+    assert row["status"] == "empty"
+
+
 def test_domain_error_is_the_base_of_exactly_the_domain_classes():
     # main exits 2 on a DomainError and 1 on any other FinsleroidError
     import finsleroid

@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsleroid import (
+    EmptyDomain,
     NotFutureTimelike,
     OutsideAxialRegion,
     Parameters,
@@ -32,6 +34,29 @@ def test_parameters_bounds():
         Parameters(H=1.5, p=1.2)
     with pytest.raises(ValueError):
         Parameters(H=1.5, p=0.0)
+
+
+def test_parameters_reject_h_from_the_documented_bound():
+    # H**6 in the closed-form determinant overflows from about 2.4e51
+    from finsleroid.frame import H_MAX
+
+    assert H_MAX == 1e50
+    Parameters(H=math.nextafter(H_MAX, 0.0), p=0.5)
+    for h in (H_MAX, 2.4e51, 1e52, 1e300):
+        with pytest.raises(ValueError, match="H must be >= 1 and below 1e\\+50"):
+            Parameters(H=h, p=0.5)
+
+
+def test_p_whose_square_underflows_has_an_empty_domain():
+    # p * p is 0 below about 2.2e-162, where 1/p^2 divided by zero
+    for p in (1e-170, 1e-300, 5e-324):
+        params = Parameters(H=1.25, p=p)
+        with pytest.raises(EmptyDomain, match="p\\^2 underflows"):
+            params.azimuthal_skew
+        with pytest.raises(EmptyDomain):
+            domain_info(params)
+    with pytest.raises(EmptyDomain):
+        domain_info(Parameters(H=1.25, p=1e-160))  # its neighbour, already empty
 
 
 def test_canonical_tetrad_validates_exactly():
@@ -236,3 +261,29 @@ def test_load_configuration_with_tetrad_rows():
     assert validate_tetrad(tetrad).passed
     with pytest.raises(ValueError):
         Tetrad.from_dict({"tetrad": [[1, 0], [0, 1]]})
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "tetrad", 3.0, {"frame": np.eye(4).tolist()}, {"tetrad": None}])
+def test_tetrad_document_must_be_a_json_object_with_a_tetrad_entry(doc):
+    with pytest.raises(ValueError, match='tetrad document must be a JSON object with a "tetrad" entry'):
+        Tetrad.from_dict(doc)
+    if isinstance(doc, dict):  # load_configuration keeps the canonical default
+        assert load_configuration({"H": 1.5, "p": 0.9, **doc})[1] is Tetrad.canonical()
+
+
+@pytest.mark.parametrize("entry", [[[1, 0], [0, 1, 0, 0]], {"a": 1}, "abc"], ids=["ragged", "object", "text"])
+def test_tetrad_entry_must_be_four_rows_of_four_numbers(entry):
+    with pytest.raises(ValueError, match="tetrad must be 4 rows of 4 numbers"):
+        Tetrad.from_dict({"tetrad": entry})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_tetrad_entries_are_rejected_before_assembly(bad):
+    rows = np.eye(4)
+    rows[2, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from assembling a
+        with pytest.raises(ValueError, match="tetrad entries must be finite"):
+            Tetrad.from_covectors(*rows)
+        with pytest.raises(ValueError, match="tetrad entries must be finite"):
+            Tetrad.from_dict({"tetrad": rows.tolist()})

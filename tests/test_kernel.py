@@ -44,6 +44,31 @@ def test_structural_profile_pseudo_euclidean():
     assert not bundle.near_boundary
 
 
+def test_hyperbolic_profile_at_h1_is_the_isotropic_branch():
+    # H = p = 1 takes the p = 1 formulas with hh = 0: bit for bit the
+    # pseudo-Euclidean values, on floats, arrays and hyper-duals
+    params = Parameters(H=1.0, p=1.0)
+    etas = np.concatenate([[0.0], np.logspace(-12, 2.5, 60)])
+    for eta in etas.tolist():
+        ch, sh = math.cosh(eta), math.sinh(eta)
+        assert hyperbolic_profile(eta, params) == (0.0, ch, 1.0, 1.0, 1.0 / ch, sh / ch)
+        lifted = hyperbolic_profile(dm.HyperDual(eta, 1.0), params)
+        assert [v.val if isinstance(v, dm.HyperDual) else v for v in lifted] == [
+            0.0, ch, 1.0, 1.0, 1.0 / ch, sh / ch]
+    batch = hyperbolic_profile(etas, params)
+    for got, want in zip(batch, (0.0, np.cosh(etas), 1.0, 1.0, 1.0 / np.cosh(etas),
+                                 np.sinh(etas) / np.cosh(etas))):
+        np.testing.assert_array_equal(got, np.broadcast_to(want, etas.shape))
+
+
+def test_hyperbolic_profile_at_h1_below_p1_is_outside_the_domain():
+    # H = 1 with p < 1 has no admissible eta (domain_info: EmptyDomain)
+    with pytest.raises(OutsideEtaDomain, match="radicand"):
+        hyperbolic_profile(0.5, Parameters(H=1.0, p=0.8))
+    with pytest.raises(OutsideEtaDomain, match="radicand"):
+        hyperbolic_profile(np.array([0.5, 1.0]), Parameters(H=1.0, p=0.8))
+
+
 def test_structural_profile_at_domain_floor():
     params = Parameters(H=1.25, p=0.8)
     dom = domain_info(params)
