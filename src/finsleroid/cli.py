@@ -99,7 +99,10 @@ def _sample_count(text: str) -> int:
 def _load_tetrad(path: str | None) -> Tetrad:
     if path is None:
         return Tetrad.canonical()
-    return Tetrad.from_dict(json.loads(Path(path).read_text()))
+    try:
+        return Tetrad.from_dict(json.loads(Path(path).read_text()))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"tetrad file {path} is not JSON: {exc}") from None
 
 
 def _resolve_seed(args) -> int:

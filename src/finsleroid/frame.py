@@ -49,6 +49,12 @@ class Parameters:
         """sqrt(1 - 1/H^2); zero in the pseudo-Euclidean case H = 1."""
         return math.sqrt(1.0 - 1.0 / (self.H * self.H))
 
+    @cached_property
+    def eta_min(self) -> float:
+        """Floor asinh(gp/hh) of the hyperbolic angle: 0 at p = 1, inf at H = 1 > p."""
+        gp, hh = self.azimuthal_skew, self.boost_skew
+        return math.asinh(gp / hh) if hh > 0.0 else math.inf if gp > 0.0 else 0.0
+
 
 @dataclass(frozen=True, eq=False)
 class Tetrad:

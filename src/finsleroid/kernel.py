@@ -46,7 +46,7 @@ ETA_CAP = 250.0
 NEWTON_MAX_ITER = 60
 
 # A residual |r(eta) - r| within this share of r is rounding noise of the
-# map, which reaches 17 * 2^-52 at p = 0.05 against a 40-digit evaluation.
+# map, which reaches 18 * 2^-52 at p = 0.05 against a 50-digit evaluation.
 _MAP_NOISE = 16 * 2.0 ** -52
 _QUAD_NODES, _QUAD_PANELS = 40, 8  # the quadrature oracle's fixed rule
 _UPPER, _TWO_EYE = np.triu(np.ones((3, 3), dtype=bool)), 2.0 * np.eye(3)
@@ -115,10 +115,11 @@ def hyperbolic_profile(eta, params: Parameters):
     """Closed forms (A, R1, J, Y1, V, r) as functions of the hyperbolic angle.
 
     HyperDual- and array-generic.  J is normalized so that J = 1 at the
-    domain floor, which the isotropic closed form requires.  Y1 uses a
-    two-argument arctangent whose branch is continuous in eta and in the
-    parameters; its sign-changing denominator is kept apart from the
-    (non-negative) numerator.
+    domain floor eta_min, which the isotropic closed form requires.  For
+    p < 1 nothing cancels: A takes sinh - sinh eta_min as 2 cosh((eta +
+    eta_min)/2) sinh((eta - eta_min)/2), so it is exactly 0 at the floor, and
+    Y1 = exp(-gp atan2(gp cosh, A)) takes the half angle of A + i gp cosh.
+    An eta below the floor, or a hyper-dual at it, raises OutsideEtaDomain.
     """
     fn = dm.library(eta)
     gp = params.azimuthal_skew
@@ -132,26 +133,19 @@ def hyperbolic_profile(eta, params: Parameters):
         J = fn.exp(hh * eta)
         Y1 = 1.0
     else:
-        rad = hh * hh * sh * sh - gp * gp
-        if isinstance(rad, float):
-            if rad < 0.0:
-                if rad < -1e-10 * max(1.0, gp * gp):
-                    raise OutsideEtaDomain(f"radicand {rad} negative at eta={eta}")
-                rad = 0.0
-        elif isinstance(rad, np.ndarray):
-            if (rad < -1e-10 * max(1.0, gp * gp)).any():
-                raise OutsideEtaDomain(f"radicand {rad.min()} < 0 at eta={eta.flat[rad.argmin()]}")
-            rad = np.maximum(rad, 0.0)
-        elif rad.val <= 0.0:
-            # a hyper-dual: sqrt has no derivative at or below the floor
-            raise OutsideEtaDomain(f"radicand {rad.val} not positive at eta={eta.val}")
-        A = fn.sqrt(rad)
+        floor = params.eta_min
+        gap = eta - floor
+        if fn is math:
+            low = gap < 0.0
+        else:  # a hyper-dual fails at the floor too: sqrt has no derivative there
+            low = gap.val <= 0.0 if isinstance(gap, dm.HyperDual) else dm.any_set(gap < 0.0)
+        if low:
+            at = np.min(getattr(eta, "val", eta))
+            raise OutsideEtaDomain(f"radicand of A not positive at eta={at} (floor {floor})")
+        A = hh * fn.sqrt(2.0 * fn.cosh(0.5 * (eta + floor)) * fn.sinh(0.5 * gap) * (sh + gp / hh))
         R1 = ch + A
         J = fn.exp(hh * fn.log((hh * ch + A) / math.sqrt(hh * hh + gp * gp)))
-        q = 1.0 / params.H ** 2 - 1.0 / params.p ** 2
-        num = 2.0 * gp * ch * A
-        den = q + (hh * hh - gp * gp) * ch * ch
-        Y1 = fn.exp(-(gp / 2.0) * fn.atan2(num, den))
+        Y1 = fn.exp(-gp * fn.atan2(gp * ch, A))
     V = J / R1
     r = sh * Y1 / R1
     return A, R1, J, Y1, V, r
@@ -160,22 +154,19 @@ def hyperbolic_profile(eta, params: Parameters):
 def radial_from_ratios(w1, w2, w3, params: Parameters):
     """Algebraic radial variable of the frame ratios; degree-one homogeneous.
 
-    HyperDual-generic.  For p = 1 this is the Euclidean length of
+    HyperDual- and array-generic.  For p = 1 this is the Euclidean length of
     (w1, w2, w3) and is defined for any nonzero ratio vector; otherwise it
-    is the axial composition w3 * U(p * w_perp / w3), written in a form
-    that stays well-conditioned up to the equatorial limit w3 -> 0.
+    is the logarithmic spiral r = |X + iY| exp(gp atan2(Y, X)) with
+    Y = p |(w1, w2)| and X = w3 - gp Y, which stays well-conditioned up to
+    the equatorial limit w3 -> 0.
     """
     fn = dm.library(w1, w2, w3)
     if params.p == 1.0:
         return fn.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
     gp = params.azimuthal_skew
-    w_perp = fn.sqrt(w1 * w1 + w2 * w2)
-    v = params.p * w_perp
-    theta = fn.atan2(v, w3 - gp * v)
-    big_i = fn.exp(gp * theta)
-    st = fn.sin(theta)
-    r2 = fn.cos(theta) + gp * st
-    return big_i * (w3 * r2 + v * st) / (r2 * r2 + st * st)
+    y = params.p * fn.sqrt(w1 * w1 + w2 * w2)
+    x = w3 - gp * y
+    return fn.sqrt(x * x + y * y) * fn.exp(gp * fn.atan2(y, x))
 
 
 def radial_derivatives(w, params: Parameters):
@@ -226,28 +217,24 @@ def radial_derivatives(w, params: Parameters):
 def domain_info(params: Parameters) -> DomainInfo:
     """Domain floor eta_min, inner radius r_min and radial supremum r_sup.
 
-    Raises EmptyDomain when p < 1 and H = 1 (the radicand is negative for
-    every eta), and when the radial interval underflows to r_min >= r_sup
-    in double precision.  r_sup is the eta -> inf limit of r = sinh Y1/R1:
-    sinh/R1 -> 1/(1 + hh) and the Y1 arctangent -> 2 atan2(gp, hh).
+    Raises EmptyDomain when p < 1 and H = 1 (the floor eta_min is infinite),
+    and when the radial interval underflows to r_min >= r_sup in double
+    precision.  Both radii are limits of r = sinh Y1/R1.  At the floor A = 0
+    and J = 1, so r_min = tanh(eta_min) exp(-gp pi/2).  As eta -> inf,
+    sinh/R1 -> 1/(1 + hh) and the Y1 arctangent -> atan2(gp, hh).
     """
     gp = params.azimuthal_skew
     hh = params.boost_skew
     if gp > 0.0 and hh == 0.0:
         raise EmptyDomain(f"no admissible eta for H={params.H}, p={params.p}")
-    if params.p == 1.0:
-        eta_min = 0.0
-        r_min = 0.0
-    else:
-        eta_min = math.asinh(gp / hh)
-        r_min = hyperbolic_profile(eta_min, params)[5]
+    r_min = gp / math.hypot(hh, gp) * math.exp(-gp * math.pi / 2.0) if gp > 0.0 else 0.0
     r_sup = math.exp(-gp * math.atan2(gp, hh)) / (1.0 + hh)
     if not r_min < r_sup:
         raise EmptyDomain(
             f"radial interval ({r_min}, {r_sup}) is empty in double precision "
             f"for H={params.H}, p={params.p}"
         )
-    return DomainInfo(eta_min=eta_min, r_min=r_min, r_sup=r_sup)
+    return DomainInfo(eta_min=params.eta_min, r_min=r_min, r_sup=r_sup)
 
 
 def _chart_profile(eta, params: Parameters):

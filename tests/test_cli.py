@@ -324,10 +324,12 @@ def test_degenerate_tetrad_is_bad_input(tmp_path):
      "tetrad entries must be finite"),
     ('{"frame": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}',
      'tetrad document must be a JSON object with a "tetrad" entry'),
-], ids=["list", "nan", "infinity", "no-key"])
+    ("nope", "tetrad file"),
+], ids=["list", "nan", "infinity", "no-key", "not-json"])
 def test_malformed_tetrad_file_blames_the_tetrad(tmp_path, text, message):
     # a list ended in an AttributeError traceback, NaN and Infinity blamed the
-    # vector's s2, and a file with no "tetrad" entry ran in the canonical frame
+    # vector's s2, a file with no "tetrad" entry ran in the canonical frame,
+    # and a file that is not JSON named neither the file nor the tetrad
     tetrad_file = tmp_path / "tetrad.json"
     tetrad_file.write_text(text)
     r = run_cli("eval", "--H", "1.25", "--p", "0.8", "--y", "2,0.22,0.147,0.44",

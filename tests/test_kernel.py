@@ -1,6 +1,9 @@
 """Structural functions, angle maps, inversion and the quadrature oracles."""
 
+import decimal
 import math
+import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -312,15 +315,43 @@ def test_inverse_radial_map_isotropic_round_trip():
             assert abs(math.log(float(hyperbolic_profile(back, params)[5]) / r)) <= 2e-15
 
 
+def _decimal_profile(eta, floor, gp, hh):
+    """A, R1 and J at 40 digits, taking the float eta, floor, gp and hh as exact."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        eta, floor, gp, hh = map(Decimal, (eta, floor, gp, hh))
+        e, f = eta.exp(), floor.exp()
+        sh, ch, sh_min = (e - 1 / e) / 2, (e + 1 / e) / 2, (f - 1 / f) / 2
+        a = hh * ((sh - sh_min) * (sh + gp / hh)).sqrt()
+        j = (hh * ((hh * ch + a) / (hh * hh + gp * gp).sqrt()).ln()).exp()
+        return a, ch + a, j
+
+
+def test_hyperbolic_profile_matches_a_40_digit_reference_near_the_floor():
+    # A = hh sqrt((sinh - sinh eta_min)(sinh + gp/hh)): nothing cancels above
+    # the floor, so A and R1 stay within 2 units of 2^-52, and J within 2 more
+    # than |ln J|, which exp(hh ln(...)) carries into it.  A radicand
+    # hh^2 sinh^2 - gp^2 is off by ~1e9 units at a gap of 1e-10.
+    for H, p in ((1.25, 0.8), (2.0, 0.5), (50.0, 0.05), (100.0, 0.999)):
+        params = Parameters(H=H, p=p)
+        floor = domain_info(params).eta_min
+        for gap in np.logspace(-10, 1, 120):
+            eta = floor + float(gap)
+            got = hyperbolic_profile(eta, params)[:3]
+            want = _decimal_profile(eta, floor, params.azimuthal_skew, params.boost_skew)
+            units = [float(abs(Decimal(g) - w) / w) / 2.0 ** -52 for g, w in zip(got, want)]
+            bounds = (2.0, 2.0, 2.0 + abs(math.log(got[2])))
+            assert all(u <= b for u, b in zip(units, bounds)), (H, p, gap, units)
+
+
 def test_hyperbolic_profile_array_matches_float_calls():
     # one call on an array of angles, as a curvature stencil makes, against
-    # float calls, over the box that sample_angles draws curvature points from
-    # (eta - eta_min in [0.2, 2.4]).  Nearer the floor the radicand
-    # hh^2 sinh^2 - gp^2 cancels and amplifies the ulp differences between
-    # numpy's and libm's sinh (A: 1e-13 relative at eta - eta_min = 1e-3).
+    # float calls, from next to the floor through the box that sample_angles
+    # draws curvature points from (eta - eta_min in [0.2, 2.4])
+    gaps = np.concatenate([np.logspace(-10, -1, 46), np.linspace(0.2, 2.4, 111)])
     for H, p in ((1.0, 1.0), (1.25, 1.0), (1.25, 0.8), (1.5, 0.9), (2.0, 0.5), (5.0, 0.9)):
         params = Parameters(H=H, p=p)
-        etas = domain_info(params).eta_min + np.linspace(0.2, 2.4, 111)
+        etas = domain_info(params).eta_min + gaps
         batch = [np.broadcast_to(c, etas.shape) for c in hyperbolic_profile(etas, params)]
         for k, eta in enumerate(etas):
             for got, want in zip(batch, hyperbolic_profile(float(eta), params)):
@@ -333,6 +364,18 @@ def test_hyperbolic_profile_array_matches_float_calls():
         hyperbolic_profile(floor - 1e-3, params)
     with pytest.raises(OutsideEtaDomain, match=f"eta={floor - 1e-3}"):
         hyperbolic_profile(np.array([floor + 0.5, floor - 1e-3, floor + 1.0]), params)
+
+
+def test_hyperbolic_profile_on_an_empty_domain_raises_without_warnings():
+    # H = 1 with p a hair below 1: gp = 1.4e-6 and hh = 0, so no eta lies
+    # above the floor.  An absolute radicand slack let this through, as
+    # math's ValueError from log(0) or as J = V = nan with RuntimeWarnings.
+    params = Parameters(H=1.0, p=1.0 - 1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eta in (0.5, np.array([0.5, 1.0])):
+            with pytest.raises(OutsideEtaDomain, match="eta=0.5"):
+                hyperbolic_profile(eta, params)
 
 
 def test_float_calls_match_hyperdual_values_bit_for_bit():
@@ -364,15 +407,18 @@ def test_float_calls_match_hyperdual_values_bit_for_bit():
 
 
 def test_hyperdual_profile_at_the_floor_raises_outside_eta_domain():
-    # At the floor the radicand of A rounds to <= 0: the float call clamps it
-    # to A = 0, but sqrt has no derivative there, so a hyper-dual call must
-    # fail with the typed domain error (not math's ValueError or a division
-    # by zero in the derivative slot).
+    # A is exactly 0 at the floor: the float call returns it, but sqrt has no
+    # derivative there, so a hyper-dual call must fail with the typed domain
+    # error (not math's ValueError or a division by zero in the derivative
+    # slot).  The three floats below the floor fail as floats too.
     for H, p in ((1.25, 0.8), (2.0, 0.5), (50.0, 0.05), (1.5, 0.9)):
         params = Parameters(H=H, p=p)
         eta = domain_info(params).eta_min
-        for _ in range(4):  # the floor and the three floats below it
-            assert hyperbolic_profile(eta, params)[0] == 0.0, (H, p, eta)
+        assert hyperbolic_profile(eta, params)[0] == 0.0, (H, p)
+        for below in range(4):
+            if below:
+                with pytest.raises(OutsideEtaDomain, match="radicand"):
+                    hyperbolic_profile(eta, params)
             with pytest.raises(OutsideEtaDomain, match="radicand"):
                 hyperbolic_profile(dm.HyperDual(eta, 1.0), params)
             eta = math.nextafter(eta, -math.inf)
