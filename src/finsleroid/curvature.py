@@ -1,16 +1,23 @@
-"""Numerical sectional curvature of a metric given only as a function.
+"""Sectional curvature: pointwise by the Gauss equation, or by finite differences.
 
-The curvature comes from one stencil over the metric itself.  Along each
-coordinate axis the metric is sampled at offsets +-STEP and +-2 STEP,
-which gives fourth-order first derivatives (the five-point stencil) and
-fourth-order pure second derivatives.  The mixed second derivative of each
-coordinate plane is the Richardson combination (4 D(STEP) - D(2 STEP)) / 3
-of the four-corner differences D(s) at the corners (+-s, +-s).  Stencil
-coefficients: Fornberg, Math. Comp. 51 (1988).  A metric evaluation must
-therefore be available within REACH = 2 STEP of the base point.
-``metric_fn`` is called once per stencil: it maps the (m, n) array of all
-m = 1 + 4n + 4n(n - 1) stencil points (the rows of ``_offsets`` times STEP,
-around x) to the (m, n, n) array of metrics there.
+``gauss_curvatures`` is the product route: the Gauss equation of a Finsler
+indicatrix gives every coordinate-plane curvature from the metric and the
+Cartan tensor at the point itself, with no chart derivatives; the indicatrix
+module supplies both in closed form.
+
+``coordinate_plane_curvatures`` and ``christoffel`` are the chart-intrinsic
+cross-check for a metric given only as a function, used by the tests.  They
+take one stencil over the metric itself.  Along each coordinate axis the
+metric is sampled at offsets +-STEP and +-2 STEP, which gives fourth-order
+first derivatives (the five-point stencil) and fourth-order pure second
+derivatives.  The mixed second derivative of each coordinate plane is the
+Richardson combination (4 D(STEP) - D(2 STEP)) / 3 of the four-corner
+differences D(s) at the corners (+-s, +-s).  Stencil coefficients: Fornberg,
+Math. Comp. 51 (1988).  A metric evaluation must therefore be available
+within 2 STEP of the base point.  ``metric_fn`` is called once per stencil:
+it maps the (m, n) array of all m = 1 + 4n + 4n(n - 1) stencil points (the
+rows of ``_offsets`` times STEP, around x) to the (m, n, n) array of metrics
+there.
 """
 
 from __future__ import annotations
@@ -20,7 +27,13 @@ from functools import lru_cache
 import numpy as np
 
 STEP = 1e-3
-REACH = 2.0 * STEP  # the axis points and the outer mixed corners lie this far out
+
+
+@lru_cache(maxsize=None)
+def _planes(n: int):
+    """The coordinate planes (i, j), i < j, of n coordinates, and their index arrays."""
+    i, j = np.triu_indices(n, 1)
+    return tuple(zip(i.tolist(), j.tolist())), i, j
 
 
 @lru_cache(maxsize=None)
@@ -28,9 +41,9 @@ def _offsets(n: int) -> np.ndarray:
     """Stencil points in steps: the base; per axis +1, -1, +2, -2; per plane
     (i < j) and s = 1, 2 the corners (+s, +s), (+s, -s), (-s, +s), (-s, -s)."""
     e = np.eye(n)
-    planes = [(i, j) for i in range(n) for j in range(i + 1, n)]
     corners = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
     rows = [0.0 * e[0]] + [s * e[k] for k in range(n) for s in (1.0, -1.0, 2.0, -2.0)]
+    planes = _planes(n)[0]
     rows += [s * (a * e[i] + b * e[j]) for i, j in planes for s in (1.0, 2.0) for a, b in corners]
     return np.array(rows)
 
@@ -63,6 +76,26 @@ def christoffel(metric_fn, x):
     return g, _gamma(g, dg)
 
 
+def gauss_curvatures(cartan, chart_metric, sign) -> dict:
+    """Sectional curvatures of every coordinate 2-plane of an indicatrix chart.
+
+    The Gauss equation of a Finsler indicatrix (Bao, Chern & Shen, GTM 200;
+    Matsumoto 1986) at one point: ``cartan`` is the (k, k, k) Cartan tensor
+    and ``chart_metric`` the (k, k) metric m, both on the k chart tangent
+    vectors.  The Cartan tensor vanishes along the point's own direction y,
+    and g(y, X) = 0 for every tangent X, so m^-1 raises C's last slot:
+    S = C_ii. m^-1 C_jj. - C_ij. m^-1 C_ij. and A = m_ii m_jj - m_ij^2 give
+    {(i, j): sign (1 - S/A)}.  ``sign`` is +1 for the indicatrix of a positive
+    definite norm and -1 for the unit surface of a Lorentzian one in the
+    positive-definite convention of its induced metric.
+    """
+    planes, i, j = _planes(len(chart_metric))
+    raised = cartan @ np.linalg.inv(chart_metric)
+    s = (cartan[i, i] * raised[j, j]).sum(-1) - (cartan[i, j] * raised[i, j]).sum(-1)
+    area = chart_metric[i, i] * chart_metric[j, j] - chart_metric[i, j] ** 2
+    return dict(zip(planes, (sign * (1.0 - s / area)).tolist()))
+
+
 def coordinate_plane_curvatures(metric_fn, x) -> dict:
     """Sectional curvatures of every coordinate 2-plane at x.
 
@@ -73,9 +106,8 @@ def coordinate_plane_curvatures(metric_fn, x) -> dict:
     """
     g, dg, d2g, mixed = _stencil(metric_fn, x)
     gamma = _gamma(g, dg)
-    planes = [(i, j) for i in range(len(g)) for j in range(i + 1, len(g))]
     out = {}
-    for (i, j), d_ij in zip(planes, mixed):
+    for (i, j), d_ij in zip(_planes(len(g))[0], mixed):
         r_ijij = (
             0.5 * (2.0 * d_ij[i, j] - d2g[j][i, i] - d2g[i][j, j])
             + gamma[:, i, j] @ g @ gamma[:, i, j]

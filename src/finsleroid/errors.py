@@ -22,7 +22,8 @@ class OutsideAxialRegion(DomainError):
 
 
 class OutsideEtaDomain(DomainError):
-    """Hyperbolic angle below the floor eta_min, above ETA_CAP, or where r(eta) >= r_sup."""
+    """Hyperbolic angle below the floor eta_min, above ETA_CAP, where r(eta) >= r_sup,
+    or outside the measured gap bounds of the curvatures (GAP_MIN, GAP_MAX)."""
 
 
 class ThetaPole(DomainError):
@@ -53,8 +54,5 @@ class OutsideClosedFormDomain(DomainError):
 
 
 class PolarAxisSingular(DomainError):
-    """Quantity undefined on the polar axis (vanishing transversal part)."""
-
-
-class StencilOutOfDomain(DomainError):
-    """A finite-difference stencil would leave the admissible angle domain."""
+    """Quantity undefined on the polar axis (vanishing transversal part), or a
+    curvature nearer to it than its measured bound THETA_MIN."""

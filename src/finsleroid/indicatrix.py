@@ -5,23 +5,42 @@ of (minus) the angular metric.  Its three coordinate-plane sectional
 curvatures must equal -H^2 everywhere; the horizontal section of the
 three-dimensional ratio space (the surface r = 1, charted by the
 azimuthal and polar angle) must have Gaussian curvature p^2.  Both claims
-are checked here by finite-difference curvature of pipeline-computed
-metrics, with no analytic shortcut on the metric side.  Each stencil is one
-batch of (m, 3) or (m, 2) angle rows; the scalar functions are batches of one.
+are checked pointwise by the Gauss equation of an indicatrix: the metric
+and the Cartan tensor at the chart point, exact and in closed form from the
+derivatives of ln r, with no analytic shortcut on the metric side and no
+chart derivatives of the metric.  The metrics themselves (``indicatrix_metric``,
+``section_metric``) take (m, 3) or (m, 2) angle rows, so the finite-difference
+curvature of ``curvature.coordinate_plane_curvatures`` cross-checks both
+claims from one batch; the scalar functions are batches of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dual as dm
-from .curvature import REACH, coordinate_plane_curvatures
-from .errors import PolarAxisSingular, StencilOutOfDomain
+from .curvature import gauss_curvatures
+from .errors import OutsideAxialRegion, OutsideEtaDomain, PolarAxisSingular, ThetaPole
 from .frame import Parameters
-from .kernel import AngleCoords, _chart_vector, domain_info, theta_pole
+from .kernel import (
+    AngleCoords,
+    _chart_vector,
+    _compose,
+    log_radial_derivatives,
+    theta_pole,
+)
 from .tensors import _radial_point, finsleroid3_metric
+
+# Measured accuracy bounds of the Gauss-route curvatures (README, "Curvature
+# accuracy"): theta below THETA_MIN and, for the unit surface, eta - eta_min
+# outside [GAP_MIN, GAP_MAX] raise a DomainError instead of returning a value.
+THETA_MIN = 1e-3
+GAP_MIN = 1e-8
+GAP_MAX = 16.0
+_LOG_HUGE = float(np.log(np.finfo(float).max))  # exp overflows above this
 
 
 @dataclass(frozen=True)
@@ -53,11 +72,12 @@ def unit_vector_angle_derivatives(
 
 
 def _chart_point(angles, params: Parameters):
-    """Profile, unit vector y (..., 4) and its angle derivatives d (..., 4, 3)."""
+    """Profile (eta, R1, V, A), unit vector y (..., 4) and its angle derivatives
+    d (..., 4, 3)."""
     prof, (st, ct), y = _chart_vector(angles, 1.0, params)
     if dm.any_set(st == 0.0):
         raise PolarAxisSingular("azimuthal derivatives undefined on the polar axis")
-    eta, r1v, _ = prof
+    eta, r1v, _, _ = prof
     sh = dm.sinh(eta)
     gp = params.azimuthal_skew
 
@@ -84,61 +104,108 @@ def indicatrix_metric(angles: AngleCoords, params: Parameters) -> np.ndarray:
     return _pullback(angles, params)[0]
 
 
-def _pullback(angles, params: Parameters):
+def _pullback(angles, params: Parameters, chart=None):
     """Signed pullback -(d^T h d), its sign and d, at the chart's own eta.
 
-    One profile gives y and d (per point of a batch, like ``_chart_point``);
-    h is the component-route angular metric of y at that profile's eta, R1
-    and V, so r is not inverted back to eta.
+    One profile gives y and d (per point of a batch, like ``_chart_point``,
+    or taken from ``chart``); h is the component-route angular metric of y
+    at that profile's eta, R1 and V, so r is not inverted back to eta.
     """
-    prof, y, d = _chart_point(angles, params)
-    h = _radial_point(y, None, params, prof)[2]
+    prof, y, d = _chart_point(angles, params) if chart is None else chart
+    h = _radial_point(y, None, params, prof[:3])[2]
     raw = -(np.swapaxes(d, -1, -2) @ h @ d)
     sign = np.where(raw[..., 0, 0] >= 0.0, 1, -1)
     return (sign * raw.T).T, sign, d
 
 
-def _check_theta_stencil(theta: float, params: Parameters):
-    """Reject a theta stencil that leaves (0, pole) or comes too near the axis.
-
-    Below 3 * REACH (0.006) the difference stencil misses the 1e-3
-    curvature tolerance near the axis.
-    """
-    pole = theta_pole(params)
-    if theta < 3.0 * REACH or theta + REACH >= pole:
-        raise StencilOutOfDomain(
-            f"theta stencil around {theta} needs theta >= {3.0 * REACH} and "
-            f"theta + {REACH} < {pole}"
+def _check_theta(theta: float, params: Parameters):
+    """Reject a theta outside the measured bound THETA_MIN, or so large that
+    exp(gp theta) overflows, before any chart is evaluated."""
+    if theta < THETA_MIN:
+        raise PolarAxisSingular(f"curvature needs theta >= THETA_MIN = {THETA_MIN}, got {theta}")
+    if params.azimuthal_skew * theta > _LOG_HUGE:
+        raise OutsideAxialRegion(
+            f"exp(gp theta) overflows at theta={theta}: the axial projection w3 underflows to 0"
         )
+
+
+def _curvature_chart(angles: AngleCoords, params: Parameters):
+    """``_chart_point`` within the measured bounds: THETA_MIN, then the chart's
+    own domain errors, then eta - eta_min in [GAP_MIN, GAP_MAX]."""
+    _check_theta(angles.theta, params)
+    chart = _chart_point(angles, params)
+    gap = angles.eta - params.eta_min
+    if not GAP_MIN <= gap <= GAP_MAX:
+        raise OutsideEtaDomain(
+            f"curvature needs eta - eta_min in [GAP_MIN, GAP_MAX] = [{GAP_MIN}, {GAP_MAX}], "
+            f"got eta={angles.eta}, {gap} above the floor {params.eta_min}"
+        )
+    return chart
+
+
+def _ratio_scale(w) -> float:
+    """|w| of chart ratios, or PolarAxisSingular where they underflow to 0 (p < 0.005)."""
+    scale = math.hypot(*w)
+    if not scale > 0.0:
+        raise PolarAxisSingular(f"chart ratios {w.tolist()} underflow onto the time axis")
+    return scale
 
 
 def indicatrix_curvature(angles: AngleCoords, params: Parameters) -> dict:
     """Sectional curvatures of the three coordinate planes of the unit surface.
 
-    Single-level finite-difference sectional curvatures of the induced
-    metric; every plane must return -H^2.  The stencil reaches REACH =
-    2e-3 from the point.  Keep a margin of about 0.2 above the domain
-    floor: the boundary is where the angle derivatives blow up and the
-    difference stencil loses accuracy (at H = p = 1, 3e-3 above it, the
-    error is already ~8e-4).  Theta below 3 * REACH is rejected.
+    Pointwise, by the Gauss equation at the chart point; every plane must
+    return -H^2.  Raises PolarAxisSingular below THETA_MIN and
+    OutsideEtaDomain outside eta - eta_min in [GAP_MIN, GAP_MAX].
     """
-    floor = domain_info(params).eta_min
-    if angles.eta - REACH <= floor:
-        raise StencilOutOfDomain(
-            f"eta stencil [{angles.eta - REACH}, {angles.eta + REACH}] leaves "
-            f"the domain floor {floor}"
-        )
-    _check_theta_stencil(angles.theta, params)
-    x0 = np.array([angles.eta, angles.theta, angles.phi])
-    return coordinate_plane_curvatures(lambda x: _pullback(x, params)[0], x0)
+    return _gauss_indicatrix(_curvature_chart(angles, params), params)
+
+
+def _gauss_indicatrix(chart, params: Parameters) -> dict:
+    """Gauss-equation curvatures of the unit surface at one ``_chart_point``.
+
+    F^2 = b^2 Phi(w) with b = y0, w the frame ratios and Phi = V^2.  On the
+    chart columns X, with X~ = Q^T X = X[1:] - w X0 = b dw (Q = [-w^T; I3]),
+    g(X, Y) = Phi''(X~, Y~)/2 + (X0 Phi'.Y~ + Y0 Phi'.X~)/2 + Phi X0 Y0 and the
+    Cartan tensor is C(X, Y, Z) = Phi'''(X~, Y~, Z~)/(4 b).  The eta column's
+    X~ is (d ln r/d eta) y[1:] exactly: its two terms X[1:] and w X0 would
+    cancel by a factor e^(2 eta).  Phi depends on L = ln r alone; with
+    D = d/dL = p^2 R1 sinh d/d eta its L-derivatives are
+    f1 = -2 (p^2/H^2) Phi sinh^2, f2 = 2 p^2 m f1 with m = cosh R1 - sinh^2/H^2
+    = 1 + hh^2 sinh^2 + A cosh, and f3 = 2 p^4 f1 (R1 sinh (2 hh^2 sinh cosh +
+    A_eta cosh + A sinh) + 2 m^2), sums of like-signed terms.  K = -1 + S/A.
+    """
+    (eta, r1v, v, a), y, d = chart
+    p2 = params.p * params.p
+    hh2 = params.boost_skew ** 2
+    sh, ch = math.sinh(eta), math.cosh(eta)
+    a_eta = hh2 * sh * ch / a if params.p < 1.0 else params.boost_skew * ch
+    m = 1.0 + hh2 * sh * sh + a * ch
+    phi = v * v
+    f1 = -2.0 * (p2 / params.H ** 2) * phi * sh * sh
+    f2 = 2.0 * p2 * m * f1
+    f3 = 2.0 * p2 * p2 * f1 * (r1v * sh * (2.0 * hh2 * sh * ch + a_eta * ch + a * sh) + 2.0 * m * m)
+    b, w, x0 = y[0], y[1:] / y[0], d[0]
+    # S/A is invariant under y -> (y0, y[1:]/|w|), which keeps the ratios, L's
+    # derivatives and the metric at order 1 where |w| is 1e-100 (p ~ 0.005)
+    scale = _ratio_scale(w)
+    tilde = d[1:] / scale
+    tilde[:, 0] = y[1:] / (p2 * r1v * sh * scale)
+    # Phi's derivatives along the X~: (3,), (3, 3) and (3, 3, 3)
+    phi1, phi2, phi3 = _compose(f1, f2, f3, *log_radial_derivatives(w / scale, params, tilde))
+    cross = np.outer(x0, phi1)
+    metric = 0.5 * (phi2 + cross + cross.T) + phi * np.outer(x0, x0)
+    return gauss_curvatures(phi3 / (4.0 * b), metric, -1.0)
 
 
 def indicatrix_bundle(angles: AngleCoords, params: Parameters) -> IndicatrixBundle:
-    """Full indicatrix bundle: derivatives, induced metric, curvatures."""
-    i_metric, sign, d = _pullback(angles, params)
-    sectional = indicatrix_curvature(angles, params)
+    """Full indicatrix bundle: derivatives, induced metric, curvatures, all from
+    one chart point."""
+    chart = _curvature_chart(angles, params)
+    i_metric, sign, d = _pullback(angles, params, chart)
     return IndicatrixBundle(
-        l_derivs=d, i_metric=i_metric, raw_sign=int(sign), sectional=sectional
+        l_derivs=d, i_metric=i_metric, raw_sign=int(sign),
+        sectional=_gauss_indicatrix(chart, params),
     )
 
 
@@ -178,10 +245,18 @@ def _section_chart(x, params: Parameters):
 def section_curvature(theta: float, params: Parameters) -> float:
     """Gaussian curvature of the section surface at azimuth theta.
 
-    The surface is rotationally symmetric, so the stencil is anchored at the
-    polar angle 0.9.  The expected constant value is p^2.  Theta below
-    3 * REACH is rejected.
+    The section is the indicatrix r = 1 of the ratio-space metric G =
+    Hess(r^2/2), whose Cartan tensor is Hess(r^2/2)'s derivative over 2;
+    both come from the derivatives of L = ln r at the chart point (polar
+    angle 0.9: the surface is rotationally symmetric), and K = 1 - S/A must
+    be p^2.  Raises PolarAxisSingular below THETA_MIN and ThetaPole at the pole.
     """
-    _check_theta_stencil(theta, params)
-    x0 = np.array([theta, 0.9])
-    return coordinate_plane_curvatures(lambda x: _section_metric(x, params), x0)[(0, 1)]
+    _check_theta(theta, params)
+    if theta >= theta_pole(params):
+        raise ThetaPole(f"section needs theta below the pole {theta_pole(params)}, got {theta}")
+    w, jac_t = _section_chart(np.array([theta, 0.9]), params)
+    scale = _ratio_scale(w)  # as for the unit surface: S/A is invariant under w -> w/|w|
+    w, jac_t = w / scale, jac_t / scale
+    # r^2/2 = exp(2 L)/2 has L-derivatives 1, 2, 4 at r = 1; along the chart
+    _, metric, third = _compose(1.0, 2.0, 4.0, *log_radial_derivatives(w, params, jac_t.T))
+    return gauss_curvatures(0.5 * third, metric, 1.0)[(0, 1)]

@@ -11,10 +11,11 @@ log-derivative integrals.
 
 The closed-form evaluators run float arguments on ``math``, choosing their
 functions once per call (``dual.library``), and accept HyperDual arguments,
-so derivatives pass through them unchanged, and arrays, so a curvature
-stencil is one call; ``radial_derivatives`` instead takes (3,) or (m, 3)
+so derivatives pass through them unchanged, and arrays, so a batch of chart
+points is one call; ``radial_derivatives`` instead takes (3,) or (m, 3)
 ratios and returns the value, gradient and Hessian of the radial map in
-closed form for the tensor layer.
+closed form for the tensor layer, and ``log_radial_derivatives`` the first
+three derivatives of ln r at one ratio vector for the curvature layer.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ NEWTON_MAX_ITER = 60
 _MAP_NOISE = 16 * 2.0 ** -52
 _QUAD_NODES, _QUAD_PANELS = 40, 8  # the quadrature oracle's fixed rule
 _UPPER, _TWO_EYE = np.triu(np.ones((3, 3), dtype=bool)), 2.0 * np.eye(3)
+_EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -211,6 +213,43 @@ def radial_derivatives(w, params: Parameters):
     grad = (r / k2) * np.array([w1, w2, x - gp * y])
     hess = (r / (k2 * k2)) * (u[:, None] * u) + (r / k2) * (m[:, None] * m)
     return r, grad.T, hess.T
+
+
+def _sym(m, v):
+    """m_ab v_c + m_ac v_b + m_bc v_a for a square m and a vector v."""
+    t = m[:, :, None] * v
+    return t + t.transpose(0, 2, 1) + t.transpose(2, 0, 1)
+
+
+def _compose(f1, f2, f3, d1, d2, d3):
+    """First three derivatives of f(g(w)) from f's scalar derivatives f1, f2, f3
+    at g(w) and g's derivatives d1 (n,), d2 (n, n), d3 (n, n, n) in w."""
+    outer = d1[:, None] * d1
+    return f1 * d1, f2 * outer + f1 * d2, f3 * outer[:, :, None] * d1 + f2 * _sym(d2, d1) + f1 * d3
+
+
+def log_radial_derivatives(w, params: Parameters, frame=_EYE3):
+    """First three derivatives of L = ln r at one w (3,) off the axis, along the
+    columns of ``frame`` (3, k): (k,), (k, k) and (k, k, k) arrays, the plain
+    derivatives in w for the default identity frame.
+
+    L = Re[(1 - i gp) Log zeta] with zeta = w3 + p (i - gp) rho, rho = |(w1, w2)|,
+    which is ln |w| at p = 1 (gp = 0).  zeta is linear in rho, whose derivatives
+    along X, Y, Z are n.X, P(X, Y)/rho and -sym(P (x) n)/rho^2, with
+    n = (w1, w2, 0)/rho and P(X, Y) = X1 Y1 + X2 Y2 - (n.X)(n.Y); Log's are
+    1/zeta, -1/zeta^2 and 2/zeta^3.
+    """
+    w1, w2, w3 = w.tolist()
+    gp = params.azimuthal_skew
+    rho = math.hypot(w1, w2)
+    n = (w1 / rho) * frame[0] + (w2 / rho) * frame[1]
+    proj = frame[:2].T @ frame[:2] - n[:, None] * n
+    c = params.p * complex(-gp, 1.0)
+    inv = 1.0 / (w3 + c * rho)
+    logs = _compose(inv, -inv * inv, 2.0 * inv ** 3,
+                    frame[2] + c * n, (c / rho) * proj, (-c / (rho * rho)) * _sym(proj, n))
+    alpha = complex(1.0, -gp)
+    return tuple((alpha * part).real for part in logs)
 
 
 @lru_cache(maxsize=None)
@@ -414,7 +453,7 @@ def vector_from_angles(
 
 
 def _chart_ratios(angles, params: Parameters):
-    """Profile (eta, R1, V), (sin, cos) of theta and (w1, w2, w3, w_perp) at an
+    """Profile (eta, R1, V, A), (sin, cos) of theta and (w1, w2, w3, w_perp) at an
     AngleCoords or at (m, 3) rows of (eta, theta, phi mod 2 pi), in one profile
     call; a bad point raises what a scalar call does."""
     if isinstance(angles, AngleCoords):
@@ -422,7 +461,7 @@ def _chart_ratios(angles, params: Parameters):
     else:
         eta, theta, phi = np.asarray(angles, dtype=float).T
         phi = phi % (2.0 * math.pi)
-    eta, (_, r1v, _, _, v, r) = _chart_profile(eta, params)
+    eta, (a, r1v, _, _, v, r) = _chart_profile(eta, params)
     st, ct = dm.sin(theta), dm.cos(theta)
     r2 = ct + params.azimuthal_skew * st
     if dm.any_set(r2 <= 0.0):
@@ -430,7 +469,7 @@ def _chart_ratios(angles, params: Parameters):
     big_i = dm.exp(params.azimuthal_skew * theta)
     w_perp = r * st / (params.p * big_i)
     ratios = w_perp * dm.cos(phi), w_perp * dm.sin(phi), r * r2 / big_i, w_perp
-    return (eta, r1v, v), (st, ct), ratios
+    return (eta, r1v, v, a), (st, ct), ratios
 
 
 def _chart_vector(angles, norm, params: Parameters):

@@ -370,7 +370,7 @@ def test_domain_error_is_the_base_of_exactly_the_domain_classes():
     domain = {
         "EmptyDomain", "NotFutureTimelike", "OutsideAxialRegion",
         "OutsideClosedFormDomain", "OutsideEtaDomain", "OutsideRadialDomain",
-        "PolarAxisSingular", "StencilOutOfDomain", "ThetaPole",
+        "PolarAxisSingular", "ThetaPole",
     }
     classes = {
         name: obj for name, obj in vars(errors).items()

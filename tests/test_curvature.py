@@ -107,4 +107,4 @@ def test_indicatrix_curvature_near_domain_floor(H, p):
     eta = domain_info(params).eta_min + 3 * STEP
     ks = indicatrix_curvature(AngleCoords(eta=eta, theta=0.5, phi=1.0), params)
     for plane, k in ks.items():
-        assert abs(k + H * H) < 1e-3, plane
+        assert abs(k + H * H) < 1e-9 * H * H, plane

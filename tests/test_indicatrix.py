@@ -11,7 +11,6 @@ from finsleroid import (
     OutsideEtaDomain,
     Parameters,
     PolarAxisSingular,
-    StencilOutOfDomain,
     ThetaPole,
     angular_metric,
     domain_info,
@@ -26,6 +25,7 @@ from finsleroid import (
 )
 from finsleroid import dual as dm
 from finsleroid import frame, indicatrix, kernel, tensors
+from finsleroid.curvature import coordinate_plane_curvatures
 
 
 def _angles(params, d_eta=0.9, theta=0.6, phi=1.2):
@@ -188,14 +188,14 @@ def test_indicatrix_curvature_unit_hyperboloid():
     params = Parameters(H=1.0, p=1.0)
     ks = indicatrix_curvature(AngleCoords(eta=1.1, theta=0.8, phi=0.9), params)
     for k in ks.values():
-        assert k == pytest.approx(-1.0, abs=1e-4)
+        assert k == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_indicatrix_curvature_anisotropic_value():
     params = Parameters(H=1.5, p=0.9)
     ks = indicatrix_curvature(_angles(params), params)
     for k in ks.values():
-        assert k == pytest.approx(-2.25, abs=1e-3)
+        assert k == pytest.approx(-2.25, abs=1e-9)
 
 
 def test_indicatrix_curvature_constant_over_sample_points():
@@ -213,7 +213,7 @@ def test_indicatrix_curvature_constant_over_sample_points():
         ks = indicatrix_curvature(angles, params)
         values.extend(ks.values())
     values = np.array(values)
-    assert np.max(values) - np.min(values) < 1e-3
+    assert np.max(values) - np.min(values) < 1e-9
 
 
 def test_indicatrix_curvature_polar_translation_invariance():
@@ -224,7 +224,7 @@ def test_indicatrix_curvature_polar_translation_invariance():
         angles = AngleCoords(eta=dom.eta_min + 0.8, theta=0.7, phi=phi)
         ks.append(indicatrix_curvature(angles, params)[(0, 1)])
     ks = np.array(ks)
-    assert np.max(ks) - np.min(ks) < 1e-6
+    assert np.max(ks) - np.min(ks) < 1e-9
 
 
 @pytest.mark.parametrize("H, p", [(1.25, 0.8), (1.25, 1.0)])
@@ -248,22 +248,117 @@ def test_chart_above_the_domain_raises_outside_eta_domain(H, p):
                 call(_angles(params, d_eta=gap))
 
 
-def test_stencil_domain_guard():
+def test_curvature_domain_bounds():
+    # the measured bounds of the Gauss route raise typed errors that name them
     params = Parameters(H=1.25, p=0.8)
-    dom = domain_info(params)
-    with pytest.raises(StencilOutOfDomain):
-        indicatrix_curvature(
-            AngleCoords(eta=dom.eta_min + 1e-4, theta=0.7, phi=1.0), params
-        )
-    with pytest.raises(StencilOutOfDomain):
-        section_curvature(theta_pole(params) - 1e-4, params)
-    # below theta = 3 * STENCIL_EXTENT * step = 0.006 the stencil misses the
-    # 1e-3 tolerance (2.3e-3 at theta = 0.0045 for (1.5, 0.9))
-    for theta in (0.0045, 0.005, 0.0059):
-        with pytest.raises(StencilOutOfDomain):
-            section_curvature(theta, Parameters(H=1.5, p=0.9))
-        with pytest.raises(StencilOutOfDomain):
+    floor = domain_info(params).eta_min
+    for gap in (0.0, 0.5 * indicatrix.GAP_MIN):
+        with pytest.raises(OutsideEtaDomain, match="GAP_MIN"):
+            indicatrix_curvature(AngleCoords(eta=floor + gap, theta=0.7, phi=1.0), params)
+    # past GAP_MAX, where the chart still accepts a point (r(eta) dithers around
+    # r_sup) but the curvature was off by up to 1e-6 at 20 and by 7 at 30
+    for pair, gap in (((1.5, 0.9), 20.0), ((1.5, 0.9), 24.0), ((2.0, 0.5), 22.0)):
+        far = Parameters(*pair)
+        assert np.isfinite(indicatrix_metric(_angles(far, d_eta=gap), far)).all()
+        for call in (indicatrix_curvature, indicatrix_bundle):
+            with pytest.raises(OutsideEtaDomain, match="GAP_MAX"):
+                call(_angles(far, d_eta=gap), far)
+    for theta in (0.0, 0.9 * indicatrix.THETA_MIN):
+        with pytest.raises(PolarAxisSingular, match="THETA_MIN"):
             indicatrix_curvature(_angles(params, theta=theta), params)
+        with pytest.raises(PolarAxisSingular, match="THETA_MIN"):
+            section_curvature(theta, params)
+    with pytest.raises(ThetaPole):
+        section_curvature(theta_pole(params), params)
+    # just inside the bounds: 1e-4 above the floor, 1e-4 below the pole and
+    # theta from THETA_MIN up to 0.006
+    ks = indicatrix_curvature(AngleCoords(eta=floor + 1e-4, theta=0.7, phi=1.0), params)
+    for k in ks.values():
+        assert abs(k + params.H ** 2) < 1e-9 * params.H ** 2
+    assert abs(section_curvature(theta_pole(params) - 1e-4, params) - params.p ** 2) < 1e-9
+    for theta in (indicatrix.THETA_MIN, 0.0045, 0.005, 0.0059):
+        assert abs(section_curvature(theta, Parameters(H=1.5, p=0.9)) - 0.81) < 1e-9
+        for k in indicatrix_curvature(_angles(params, theta=theta), params).values():
+            assert abs(k + params.H ** 2) < 1e-9 * params.H ** 2
+
+
+@pytest.mark.parametrize(
+    "H, p, gap, theta",
+    [
+        (1.25, 0.9, 0.01, 0.006),
+        (2.0, 0.9, 0.006, 0.006),
+        (5.0, 0.9, 0.1, 0.006),
+        (1.0, 1.0, 0.05, 0.01),
+        (2.0, 1.0, 0.2, 0.006),
+        (2.0, 1.0, 0.003, 0.05),
+        (1.25, 0.8, 0.5, 0.7),
+    ],
+)
+def test_curvature_near_axis_and_floor_table(H, p, gap, theta):
+    # rows where the stencil missed by up to 9e-2, worst over 16 phi
+    params = Parameters(H=H, p=p)
+    for phi in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
+        ks = indicatrix_curvature(_angles(params, d_eta=gap, theta=theta, phi=phi), params)
+        for k in ks.values():
+            assert abs(k + H * H) < 1e-9
+
+
+def test_curvature_at_inputs_the_stencil_missed():
+    # the section near the axis, where the stencil was off by 2.3e-3
+    assert abs(section_curvature(0.0045, Parameters(H=1.5, p=0.9)) - 0.81) < 1e-9 * 0.81
+    # H = p = 1, 3e-3 above the chart pole eta = 0: the stencil was off by 2.3e-2
+    unit = Parameters(H=1.0, p=1.0)
+    for theta in (0.05, 0.6):
+        for k in indicatrix_curvature(AngleCoords(eta=0.003, theta=theta, phi=1.2), unit).values():
+            assert abs(k + 1.0) < 1e-9
+    # theta at the old floor 0.006 and eta near eta_min at once (off by 4.9e-2 and
+    # 9.8e-3), worst over 72 phi
+    for params, gap in ((Parameters(H=5.0, p=0.9), 0.1), (Parameters(H=2.0, p=0.9), 0.006)):
+        h2 = params.H ** 2
+        for phi in np.linspace(0.0, 2.0 * math.pi, 72, endpoint=False):
+            ks = indicatrix_curvature(_angles(params, d_eta=gap, theta=0.006, phi=phi), params)
+            for k in ks.values():
+                assert abs(k + h2) < 1e-9 * h2
+
+
+@pytest.mark.parametrize("H, p", [(1.0, 1.0), (1.25, 0.8), (1.5, 0.9), (2.0, 0.5), (5.0, 0.9)])
+def test_gauss_route_matches_stencil_at_interior_points(H, p):
+    # the stencil's error, |K_stencil + H^2|, bounds the distance to the Gauss route
+    params = Parameters(H=H, p=p)
+    h2 = H * H
+    for angles in sample_angles(params, 4, 31):
+        x0 = np.array([angles.eta, angles.theta, angles.phi])
+        stencil = coordinate_plane_curvatures(lambda x: indicatrix._pullback(x, params)[0], x0)
+        gauss = indicatrix_curvature(angles, params)
+        for plane, k in gauss.items():
+            assert abs(k + h2) < 1e-11 * h2
+            assert abs(k - stencil[plane]) <= abs(stencil[plane] + h2) + 1e-11 * h2
+            assert abs(stencil[plane] + h2) < 1e-6 * h2
+        section = coordinate_plane_curvatures(
+            lambda x: indicatrix._section_metric(x, params), np.array([angles.theta, 0.9])
+        )[(0, 1)]
+        k = section_curvature(angles.theta, params)
+        assert abs(k - p * p) < 1e-12
+        assert abs(section - p * p) < 1e-8
+
+
+def test_indicatrix_bundle_evaluates_one_chart_point(monkeypatch):
+    # i_metric, raw_sign, l_derivs and the curvatures share one _chart_point call
+    calls = []
+    original = indicatrix._chart_point
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(indicatrix, "_chart_point", counted)
+    params = Parameters(H=1.25, p=0.8)
+    angles = _angles(params)
+    bundle = indicatrix_bundle(angles, params)
+    assert len(calls) == 1
+    assert np.array_equal(bundle.i_metric, indicatrix_metric(angles, params))
+    assert np.array_equal(bundle.l_derivs, unit_vector_angle_derivatives(angles, params))
+    assert bundle.sectional == indicatrix_curvature(angles, params)
 
 
 def test_curvature_at_near_axis_theta_floor():
@@ -273,21 +368,21 @@ def test_curvature_at_near_axis_theta_floor():
         Parameters(H=2.0, p=0.5),
     ):
         for theta in (0.006, 0.008):
-            assert abs(section_curvature(theta, params) - params.p**2) < 1e-3
+            assert abs(section_curvature(theta, params) - params.p**2) < 1e-9
         ks = indicatrix_curvature(_angles(params, theta=0.006), params)
         for k in ks.values():
-            assert abs(k + params.H**2) < 1e-3
+            assert abs(k + params.H**2) < 1e-9
 
 
 def test_section_curvature_round_sphere():
     assert section_curvature(0.8, Parameters(H=1.5, p=1.0)) == pytest.approx(
-        1.0, abs=1e-4
+        1.0, abs=1e-12
     )
 
 
 def test_section_curvature_anisotropic_value():
     assert section_curvature(0.7, Parameters(H=1.5, p=0.8)) == pytest.approx(
-        0.64, abs=1e-3
+        0.64, abs=1e-9
     )
 
 
@@ -299,29 +394,35 @@ def test_section_curvature_constant_over_chart():
         for theta in np.linspace(0.2, pole - 0.2, 9)
     ]
     values = np.array(values)
-    assert np.max(values) - np.min(values) < 1e-3
-    assert values[0] == pytest.approx(0.36, abs=1e-3)
+    assert np.max(values) - np.min(values) < 1e-9
+    assert values[0] == pytest.approx(0.36, abs=1e-9)
 
 
 @pytest.mark.parametrize("H, p", [(1.0, 1.0), (1.25, 0.8), (2.0, 0.5)])
-def test_stencil_batch_matches_scalar_metrics(monkeypatch, H, p):
-    # each curvature makes one metric_fn call on its whole stencil; every row
-    # of that batch must be the scalar metric at the row's chart point
+def test_stencil_batch_matches_scalar_metrics(H, p):
+    # the finite-difference cross-check calls each metric once on its whole
+    # stencil; every row of that batch must be the scalar metric at the row's
+    # chart point, and the curvatures stay within the stencil's 1e-6
     batches = []
-    original = indicatrix.coordinate_plane_curvatures
 
-    def spy(metric_fn, x):
-        def recorded(points):
+    def recorded(metric_fn):
+        def call(points):
             metrics = metric_fn(points)
             batches.append((points, metrics))
             return metrics
 
-        return original(recorded, x)
+        return call
 
-    monkeypatch.setattr(indicatrix, "coordinate_plane_curvatures", spy)
     params = Parameters(H=H, p=p)
-    indicatrix_curvature(_angles(params), params)
-    section_curvature(0.6, params)
+    angles = _angles(params)
+    x3 = np.array([angles.eta, angles.theta, angles.phi])
+    ks = coordinate_plane_curvatures(recorded(lambda x: indicatrix._pullback(x, params)[0]), x3)
+    k2 = coordinate_plane_curvatures(
+        recorded(lambda x: indicatrix._section_metric(x, params)), np.array([0.6, 0.9])
+    )
+    for k in ks.values():
+        assert abs(k + H * H) < 1e-6 * H * H
+    assert abs(k2[(0, 1)] - p * p) < 1e-6
     (points3, metrics3), (points2, metrics2) = batches
     assert points3.shape == (37, 3) and metrics3.shape == (37, 3, 3)
     assert points2.shape == (17, 2) and metrics2.shape == (17, 2, 2)

@@ -28,7 +28,7 @@ from finsleroid import (
 )
 from finsleroid import dual as dm
 from finsleroid import tensors
-from finsleroid.kernel import radial_derivatives, radial_from_ratios
+from finsleroid.kernel import log_radial_derivatives, radial_derivatives, radial_from_ratios
 
 ANISO = Parameters(H=1.25, p=0.8)
 PSEUDO = Parameters(H=1.0, p=1.0)
@@ -88,6 +88,35 @@ def test_radial_euler_identity():
                 lambda a, b, c: radial_from_ratios(a, b, c, params), w
             )
             assert float(grad @ w) == pytest.approx(val, rel=1e-12)
+
+
+def test_log_radial_derivatives_match_the_radial_map():
+    # first and second derivatives of ln r against radial_derivatives, the third
+    # against central differences of the second and the Euler identity of the
+    # degree -2 Hessian (L3.w = -2 L2), and a frame contracts all three
+    pairs = ((1, 1), (1.25, 1), (1.25, 0.8), (1.5, 0.9), (2, 0.5), (5, 0.9), (1.1, 0.3))
+    frame = np.array([[0.3, -1.1], [0.8, 0.2], [-0.4, 0.9]])
+    for H, p in pairs:
+        params = Parameters(H=H, p=p)
+        for y in sample_vectors(params, 10, 17):
+            w = np.array(projections(y, Tetrad.canonical())[1:])
+            l1, l2, l3 = log_radial_derivatives(w, params)
+            r, g, h = radial_derivatives(w, params)
+            assert np.max(np.abs(l1 - g / r)) <= 1e-14 * np.max(np.abs(l1))
+            expected = h / r - np.outer(g, g) / (r * r)
+            assert np.max(np.abs(l2 - expected)) <= 1e-13 * np.max(np.abs(l2))
+            assert np.max(np.abs(l3 @ w + 2.0 * l2)) <= 1e-13 * np.max(np.abs(l3))
+            step = 1e-4 * np.linalg.norm(w)
+            for k in range(3):
+                e = step * np.eye(3)[k]
+                at = [log_radial_derivatives(w + s * e, params)[1] for s in (2.0, 1.0, -1.0, -2.0)]
+                fd = (-at[0] + 8.0 * at[1] - 8.0 * at[2] + at[3]) / (12.0 * step)
+                assert np.max(np.abs(l3[..., k] - fd)) <= 1e-7 * np.max(np.abs(l3))
+            f1, f2, f3 = log_radial_derivatives(w, params, frame)
+            assert np.max(np.abs(f1 - l1 @ frame)) <= 1e-14 * np.max(np.abs(l1))
+            assert np.max(np.abs(f2 - frame.T @ l2 @ frame)) <= 1e-13 * np.max(np.abs(l2))
+            contracted = np.einsum("abc,ai,bj,ck->ijk", l3, frame, frame, frame)
+            assert np.max(np.abs(f3 - contracted)) <= 1e-13 * np.max(np.abs(l3))
 
 
 def test_radial_derivatives_match_hyperdual_hessian():
