@@ -9,6 +9,8 @@ curvature p^2; both facts are verifiable numerically via the
 ``indicatrix`` module and the command-line reports.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DomainError,
     EmptyDomain,
@@ -83,65 +85,6 @@ from .sampling import sample_angles, sample_vectors
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AngleCoords",
-    "AngleGradients",
-    "AngularProfile",
-    "ClosedFormConstants",
-    "DomainError",
-    "DomainInfo",
-    "EmptyDomain",
-    "EvalBundle",
-    "FinsleroidError",
-    "FrameComponents",
-    "IndicatrixBundle",
-    "NotFutureTimelike",
-    "OutsideAxialRegion",
-    "OutsideClosedFormDomain",
-    "OutsideEtaDomain",
-    "OutsideRadialDomain",
-    "Parameters",
-    "PolarAxisSingular",
-    "QuadratureDeltas",
-    "TensorBundle",
-    "Tetrad",
-    "TetradDegenerate",
-    "TetradValidation",
-    "ThetaPole",
-    "angle_gradients",
-    "angles_from_vector",
-    "angular_metric",
-    "angular_metric_angle_form",
-    "angular_profile",
-    "closed_form_constants",
-    "covector_to_natural",
-    "domain_info",
-    "eta_from_r",
-    "finsler_norm",
-    "finsleroid3_metric",
-    "frame_components",
-    "indicatrix_bundle",
-    "indicatrix_curvature",
-    "indicatrix_metric",
-    "isotropic_v_squared",
-    "load_configuration",
-    "metric_determinant_closed",
-    "metric_tensor",
-    "metric_tensor_numeric",
-    "oracle_quadrature",
-    "pipeline_v_squared",
-    "projections",
-    "reduction_report",
-    "sample_angles",
-    "sample_vectors",
-    "section_curvature",
-    "structural_profile",
-    "tensor_to_natural",
-    "theta_from_f",
-    "theta_pole",
-    "unit_covector",
-    "unit_vector",
-    "unit_vector_angle_derivatives",
-    "validate_tetrad",
-    "vector_from_angles",
-]
+# every name imported above, and only those, is public
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

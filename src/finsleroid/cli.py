@@ -29,7 +29,7 @@ from .limits import reduction_report
 from .sampling import DEFAULT_SEED, sample_angles, sample_vectors
 from .tensors import metric_determinant_closed, metric_tensor
 
-CURVATURE_TOLERANCE = 1e-3
+CURVATURE_TOLERANCE = 1e-3  # on max|K + H^2| / H^2
 REDUCTION_TOLERANCE = 1e-10
 
 EVAL_CSV_COLUMNS = [
@@ -200,10 +200,12 @@ def _cmd_report_curvature(args) -> None:
         rows.append(row)
         for v in (ks[(0, 1)], ks[(0, 2)], ks[(1, 2)]):
             worst = max(worst, abs(v + params.H ** 2))
-    verdict = "pass" if worst < CURVATURE_TOLERANCE else "fail"
+    relative = worst / params.H ** 2
+    verdict = "pass" if relative < CURVATURE_TOLERANCE else "fail"
     summary = (
-        f"max|K+H^2| = {worst:.6g} "
-        f"({'<' if verdict == 'pass' else '>='} {CURVATURE_TOLERANCE:g}: {verdict})"
+        f"max|K+H^2|/H^2 = {relative:.6g} "
+        f"({'<' if verdict == 'pass' else '>='} {CURVATURE_TOLERANCE:g}: {verdict}), "
+        f"max|K+H^2| = {worst:.6g}"
     )
     doc = {
         "config": {"H": params.H, "p": params.p, "samples": args.samples, "seed": seed},

@@ -18,12 +18,13 @@ class NotFutureTimelike(DomainError):
 
 
 class OutsideAxialRegion(DomainError):
-    """The axial projection w3 is not strictly positive."""
+    """The axial projection w3 is not positive, or a chart's underflows: exp(gp theta) overflows."""
 
 
 class OutsideEtaDomain(DomainError):
-    """Hyperbolic angle below the floor eta_min, above ETA_CAP, where r(eta) >= r_sup,
-    or outside the measured gap bounds of the curvatures (GAP_MIN, GAP_MAX)."""
+    """Hyperbolic angle below the floor eta_min, above ETA_CAP, at or above the chart's
+    ceiling (ln(r_sup/r(eta)) not above the map noise, 15.9 to 17 above eta_min), or,
+    for the curvatures, closer to the floor than their measured bound GAP_MIN."""
 
 
 class ThetaPole(DomainError):
@@ -31,7 +32,8 @@ class ThetaPole(DomainError):
 
 
 class OutsideRadialDomain(DomainError):
-    """Radial value not reachable by the hyperbolic-angle parametrization.
+    """Radial value not reachable by the hyperbolic-angle parametrization (r = inf
+    where the log spiral's exp(gp angle) of a vector overflows).
 
     Carries the admissible open interval as ``r_min`` / ``r_sup``.
     """
@@ -54,5 +56,6 @@ class OutsideClosedFormDomain(DomainError):
 
 
 class PolarAxisSingular(DomainError):
-    """Quantity undefined on the polar axis (vanishing transversal part), or a
-    curvature nearer to it than its measured bound THETA_MIN."""
+    """Quantity undefined on the polar axis (vanishing transversal part), chart ratios
+    that underflow onto the time axis, or a curvature nearer to the axis than its
+    measured bound THETA_MIN."""

@@ -23,12 +23,13 @@ import numpy as np
 
 from . import dual as dm
 from .curvature import gauss_curvatures
-from .errors import OutsideAxialRegion, OutsideEtaDomain, PolarAxisSingular, ThetaPole
+from .errors import OutsideEtaDomain, PolarAxisSingular, ThetaPole
 from .frame import Parameters
 from .kernel import (
     AngleCoords,
     _chart_vector,
     _compose,
+    _spiral,
     log_radial_derivatives,
     theta_pole,
 )
@@ -36,11 +37,11 @@ from .tensors import _radial_point, finsleroid3_metric
 
 # Measured accuracy bounds of the Gauss-route curvatures (README, "Curvature
 # accuracy"): theta below THETA_MIN and, for the unit surface, eta - eta_min
-# outside [GAP_MIN, GAP_MAX] raise a DomainError instead of returning a value.
+# below GAP_MIN raise a DomainError instead of returning a value.  The chart
+# owns every other edge: the floor, its ceiling below r_sup, ETA_CAP, the pole
+# and the range of exp(gp theta).
 THETA_MIN = 1e-3
 GAP_MIN = 1e-8
-GAP_MAX = 16.0
-_LOG_HUGE = float(np.log(np.finfo(float).max))  # exp overflows above this
 
 
 @dataclass(frozen=True)
@@ -118,26 +119,21 @@ def _pullback(angles, params: Parameters, chart=None):
     return (sign * raw.T).T, sign, d
 
 
-def _check_theta(theta: float, params: Parameters):
-    """Reject a theta outside the measured bound THETA_MIN, or so large that
-    exp(gp theta) overflows, before any chart is evaluated."""
+def _check_theta(theta: float):
+    """Reject a theta below the measured bound THETA_MIN before any chart is evaluated."""
     if theta < THETA_MIN:
         raise PolarAxisSingular(f"curvature needs theta >= THETA_MIN = {THETA_MIN}, got {theta}")
-    if params.azimuthal_skew * theta > _LOG_HUGE:
-        raise OutsideAxialRegion(
-            f"exp(gp theta) overflows at theta={theta}: the axial projection w3 underflows to 0"
-        )
 
 
 def _curvature_chart(angles: AngleCoords, params: Parameters):
     """``_chart_point`` within the measured bounds: THETA_MIN, then the chart's
-    own domain errors, then eta - eta_min in [GAP_MIN, GAP_MAX]."""
-    _check_theta(angles.theta, params)
+    own domain errors, then eta - eta_min >= GAP_MIN."""
+    _check_theta(angles.theta)
     chart = _chart_point(angles, params)
     gap = angles.eta - params.eta_min
-    if not GAP_MIN <= gap <= GAP_MAX:
+    if not gap >= GAP_MIN:
         raise OutsideEtaDomain(
-            f"curvature needs eta - eta_min in [GAP_MIN, GAP_MAX] = [{GAP_MIN}, {GAP_MAX}], "
+            f"curvature needs eta - eta_min >= GAP_MIN = {GAP_MIN}, "
             f"got eta={angles.eta}, {gap} above the floor {params.eta_min}"
         )
     return chart
@@ -155,8 +151,8 @@ def indicatrix_curvature(angles: AngleCoords, params: Parameters) -> dict:
     """Sectional curvatures of the three coordinate planes of the unit surface.
 
     Pointwise, by the Gauss equation at the chart point; every plane must
-    return -H^2.  Raises PolarAxisSingular below THETA_MIN and
-    OutsideEtaDomain outside eta - eta_min in [GAP_MIN, GAP_MAX].
+    return -H^2.  Raises PolarAxisSingular below THETA_MIN, OutsideEtaDomain
+    below eta - eta_min = GAP_MIN, and the chart's own domain errors.
     """
     return _gauss_indicatrix(_curvature_chart(angles, params), params)
 
@@ -229,7 +225,7 @@ def _section_chart(x, params: Parameters):
     theta, phi = np.asarray(x, dtype=float).T
     gp = params.azimuthal_skew
     st, ct = dm.sin(theta), dm.cos(theta)
-    big_i = dm.exp(gp * theta)
+    big_i = _spiral(theta, params, chart=True)
     w_perp = st / (params.p * big_i)
     dw_perp = (ct - gp * st) / (params.p * big_i)
     cp, sp = dm.cos(phi), dm.sin(phi)
@@ -251,7 +247,7 @@ def section_curvature(theta: float, params: Parameters) -> float:
     angle 0.9: the surface is rotationally symmetric), and K = 1 - S/A must
     be p^2.  Raises PolarAxisSingular below THETA_MIN and ThetaPole at the pole.
     """
-    _check_theta(theta, params)
+    _check_theta(theta)
     if theta >= theta_pole(params):
         raise ThetaPole(f"section needs theta below the pole {theta_pole(params)}, got {theta}")
     w, jac_t = _section_chart(np.array([theta, 0.9]), params)

@@ -40,8 +40,9 @@ from .frame import FrameComponents, Parameters, Tetrad, projections
 # inner domain boundary, where angle derivatives degrade.
 BOUNDARY_TOL = 1e-8
 
-# Hyperbolic angles are capped here: the Newton bracket ends here, and so does
-# the chart, although r(eta) rounds to r_sup far earlier, 16 to 19 above eta_min.
+# Hyperbolic angles are capped here: the Newton bracket ends here, and the
+# chart checks it first, although its ceiling, where ln(r_sup/r) falls to
+# _MAP_NOISE, lies 15.9 to 17 above eta_min.
 ETA_CAP = 250.0
 
 NEWTON_MAX_ITER = 60
@@ -49,6 +50,7 @@ NEWTON_MAX_ITER = 60
 # A residual |r(eta) - r| within this share of r is rounding noise of the
 # map, which reaches 18 * 2^-52 at p = 0.05 against a 50-digit evaluation.
 _MAP_NOISE = 16 * 2.0 ** -52
+_LOG_HUGE = math.log(np.finfo(float).max)  # exp overflows above this
 _QUAD_NODES, _QUAD_PANELS = 40, 8  # the quadrature oracle's fixed rule
 _UPPER, _TWO_EYE = np.triu(np.ones((3, 3), dtype=bool)), 2.0 * np.eye(3)
 _EYE3 = np.eye(3)
@@ -153,6 +155,23 @@ def hyperbolic_profile(eta, params: Parameters):
     return A, R1, J, Y1, V, r
 
 
+def _spiral(angle, params: Parameters, chart: bool = False):
+    """exp(gp angle) at a float, hyper-dual or array angle, the one guard on its range:
+    where it overflows, a ``chart`` theta raises OutsideAxialRegion (w3 = r R2/exp(gp
+    theta) underflows to 0) and the spiral angle of a vector OutsideRadialDomain (its
+    r = |X + iY| exp(gp angle) lies above r_sup < e^(1 - gp pi/2))."""
+    t = params.azimuthal_skew * angle
+    if isinstance(t, float):  # the common case first: a float costs one comparison
+        if t <= _LOG_HUGE:
+            return math.exp(t)
+    elif not dm.any_set(getattr(t, "val", t) > _LOG_HUGE):
+        return dm.exp(t)
+    if chart:
+        raise OutsideAxialRegion(f"exp(gp theta) overflows at theta={np.max(angle)}: w3 -> 0")
+    dom = domain_info(params)
+    raise OutsideRadialDomain(math.inf, dom.r_min, dom.r_sup)
+
+
 def radial_from_ratios(w1, w2, w3, params: Parameters):
     """Algebraic radial variable of the frame ratios; degree-one homogeneous.
 
@@ -168,7 +187,7 @@ def radial_from_ratios(w1, w2, w3, params: Parameters):
     gp = params.azimuthal_skew
     y = params.p * fn.sqrt(w1 * w1 + w2 * w2)
     x = w3 - gp * y
-    return fn.sqrt(x * x + y * y) * fn.exp(gp * fn.atan2(y, x))
+    return fn.sqrt(x * x + y * y) * _spiral(fn.atan2(y, x), params)
 
 
 def radial_derivatives(w, params: Parameters):
@@ -206,7 +225,7 @@ def radial_derivatives(w, params: Parameters):
     x = w3 - gp * params.p * rho
     y = params.p * rho
     k2 = x * x + y * y
-    r = fn.sqrt(k2) * fn.exp(gp * fn.atan2(y, x))
+    r = fn.sqrt(k2) * _spiral(fn.atan2(y, x), params)
     n1, n2 = w1 / rho, w2 / rho
     u = np.array([-w3 * n1, -w3 * n2, rho])
     m = np.array([-n2, n1, 0.0 * rho])
@@ -276,11 +295,33 @@ def domain_info(params: Parameters) -> DomainInfo:
     return DomainInfo(eta_min=params.eta_min, r_min=r_min, r_sup=r_sup)
 
 
+def rim_depth(eta, a, params: Parameters):
+    """ln(r_sup/r(eta)), the depth below the top edge, at eta (float or array) and the
+    profile's A there, in closed form with no cancellation.
+
+    It is the log1p of (R1 - (1 + hh) sinh)/((1 + hh) sinh), where R1 - (1 + hh) sinh
+    = e^-eta - gp^2/(A + hh sinh), plus gp times the Y1 angle less its limit
+    atan2(gp, hh): the argument of (A + i gp cosh)(hh - i gp), whose imaginary part
+    gp (hh cosh - A) is gp (hh^2 + gp^2)/(hh cosh + A).  Both gp terms are 0 at p = 1
+    (0/0 at H = 1), where eta = 0, with sinh = 0, is +inf deep.
+    """
+    fn = dm.library(eta)
+    gp, hh = params.azimuthal_skew, params.boost_skew
+    sh, ch, num, turn = fn.sinh(eta), fn.cosh(eta), fn.exp(-eta), 0.0
+    if gp > 0.0:
+        num = num - gp * gp / (a + hh * sh)
+        turn = gp * fn.atan2(gp * (hh * hh + gp * gp) / (hh * ch + a), hh * a + gp * gp * ch)
+    if fn is math:
+        return (math.log1p(num / ((1.0 + hh) * sh)) if sh else math.inf) + turn
+    with np.errstate(divide="ignore"):
+        return np.log1p(num / ((1.0 + hh) * sh)) + turn
+
+
 def _chart_profile(eta, params: Parameters):
     """Eta clamped onto the floor, and ``hyperbolic_profile`` there, at chart angles
     (float or array): OutsideEtaDomain below the floor's 1e-12 max(1, eta_min)
-    slack, above ETA_CAP (before any profile runs), or where r(eta) is not below
-    r_sup, the open bound that ``eta_from_r`` applies."""
+    slack, above ETA_CAP (before any profile runs), or at the ceiling, where the
+    depth ln(r_sup/r(eta)) is not above _MAP_NOISE, one eta per (H, p)."""
     dom = domain_info(params)
     floor = dom.eta_min
     if dm.any_set(eta < floor - 1e-12 * max(1.0, floor)):
@@ -289,8 +330,8 @@ def _chart_profile(eta, params: Parameters):
         raise OutsideEtaDomain(f"eta={np.max(eta)} above the cap {ETA_CAP}")
     eta = np.maximum(eta, floor)
     prof = hyperbolic_profile(eta, params)
-    if dm.any_set(prof[5] >= dom.r_sup):
-        raise OutsideEtaDomain(f"eta={np.max(eta)} maps to r >= r_sup = {dom.r_sup}")
+    if dm.any_set(rim_depth(eta, prof[0], params) <= _MAP_NOISE):
+        raise OutsideEtaDomain(f"eta={np.max(eta)} maps to r within noise of r_sup = {dom.r_sup}")
     return eta, prof
 
 
@@ -306,7 +347,7 @@ def angular_profile(theta: float, params: Parameters) -> AngularProfile:
     r2 = math.cos(theta) + gp * math.sin(theta)
     if r2 <= 0.0:
         raise ThetaPole(f"angular divisor R2={r2} not positive at theta={theta}")
-    big_i = math.exp(gp * theta)
+    big_i = _spiral(theta, params)
     return AngularProfile(R2=r2, I=big_i, U=big_i / r2)
 
 
@@ -336,7 +377,7 @@ def eta_from_r(r: float, params: Parameters, *, with_iterations: bool = False):
     the slope d ln r/d eta = 1/(p^2 R1 sinh eta), seeded left of the root:
     near the floor in s, eta = eta_min + s^2, which smooths the map's
     (eta - eta_min)^(3/2) term, from the slope at the floor; near r_sup on
-    ln(ln r_sup - ln r(eta)), nearly linear in eta, from its asymptote
+    ln(rim_depth(eta)), nearly linear in eta, from its asymptote
     ln(2 e^(-2 eta) / (p^2 (1 + hh))), once that seed exceeds eta_min + 0.5.
     Stops when a step moves eta by at most 1e-12 of its value, or when r(eta)
     matches r to the rounding noise of the map.
@@ -365,11 +406,11 @@ def eta_from_r(r: float, params: Parameters, *, with_iterations: bool = False):
     lo, hi = floor, ETA_CAP
     step = before = hi - lo
     for iterations in range(1, NEWTON_MAX_ITER + 1):
-        _, r1v, _, _, _, rv = hyperbolic_profile(eta, params)
+        a, r1v, _, _, _, rv = hyperbolic_profile(eta, params)
         inv_slope = p2 * r1v * math.sinh(eta)
         if rim:
-            here = math.log(dom.r_sup / rv)
-            g = math.log(depth / here) if here > 0.0 else math.inf
+            here = rim_depth(eta, a, params)
+            g = math.log(depth / here)
             nxt = eta - g * here * inv_slope
         else:
             # Newton step in s = sqrt(eta - floor): s - g/(2 s slope), squared;
@@ -466,7 +507,7 @@ def _chart_ratios(angles, params: Parameters):
     r2 = ct + params.azimuthal_skew * st
     if dm.any_set(r2 <= 0.0):
         raise ThetaPole(f"angular divisor R2={np.min(r2)} not positive")
-    big_i = dm.exp(params.azimuthal_skew * theta)
+    big_i = _spiral(theta, params, chart=True)
     w_perp = r * st / (params.p * big_i)
     ratios = w_perp * dm.cos(phi), w_perp * dm.sin(phi), r * r2 / big_i, w_perp
     return (eta, r1v, v, a), (st, ct), ratios
@@ -521,8 +562,11 @@ def oracle_quadrature(eta0: float, eta1: float, params: Parameters) -> Quadratur
     Independent of the closed forms: only the integrands (which are part
     of the definition, not of the solution) are evaluated, by 40-point
     Gauss-Legendre on 8 geometric panels in s = sqrt(eta - eta_min), which
-    smooths R1's sqrt(eta - eta_min) term: within 2.5e-14 of the closed
-    forms on seven (H, p) pairs for gaps 1e-10 to 20 above eta_min.
+    smooths R1's sqrt(eta - eta_min) term: within 6e-15 of the closed forms
+    for p < 1 on six (H, p) pairs for gaps 1e-10 to 20 above eta_min.  At
+    p = 1 the d ln r integrand goes as 2/s next to eta_min = 0, too steep for
+    the panels there: the smallest supported eta0 is 1e-12 (within 7.8e-14,
+    2.5e-14 from 1e-8 on); below it the error grows, to 4.5e-6 on [1e-30, 30].
     """
     dom = domain_info(params)
     if not (dom.eta_min < eta0 < eta1):

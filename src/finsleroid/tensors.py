@@ -25,6 +25,7 @@ from . import dual as dm
 from .errors import OutsideAxialRegion, PolarAxisSingular
 from .frame import Parameters, Tetrad, projections
 from .kernel import (
+    _spiral,
     eta_from_r,
     hyperbolic_profile,
     norm_squared,
@@ -226,7 +227,7 @@ def metric_determinant_closed(
     gp = params.azimuthal_skew
     vth = params.p * math.hypot(w1, w2)
     theta = math.atan2(vth, w3 - gp * vth)
-    big_i = math.exp(gp * theta)
+    big_i = _spiral(theta, params)
     core = params.p ** 4 * big_i ** 3 * v ** 4 * r1v
     return -(core * core) * sh ** 6 / (params.H ** 6 * r ** 6)
 

@@ -180,6 +180,36 @@ def test_report_curvature_summary_and_rows():
     assert "pass" in doc["summary"]
 
 
+def test_report_curvature_verdict_is_relative_to_h_squared():
+    # |K + H^2| ~ 1e37 at H = 1e26 is 1e-15 of H^2: an absolute 1e-3 read "fail"
+    r = run_cli("report", "curvature", "--H", "1e26", "--p", "0.8", "--samples", "2")
+    assert r.returncode == 0
+    doc = json.loads(r.stdout)
+    assert doc["max_abs_k_plus_h_squared"] > 1e30
+    assert doc["summary"].startswith("max|K+H^2|/H^2 = ")
+    assert "(< 0.001: pass), max|K+H^2| = " in doc["summary"]
+    assert doc["summary"] in r.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("eval", "--H", "3.5795676089825723", "--p", "0.003641003953434029",
+         "--y=1,0.001,0,1e-300"),
+        ("report", "scan", "--H", "3.5795676089825723", "--p", "0.003641003953434029",
+         "--samples", "5"),
+    ],
+    ids=["eval-vector", "scan-chart"],
+)
+def test_overflowing_exp_gp_angle_is_a_domain_error(args):
+    # exp(gp angle) overflows at p = 0.0036: the vector's r lies above r_sup, and
+    # the sampler's chart theta maps w3 to 0; a traceback (exit 1) or, for the
+    # batch chart, a RuntimeWarning turned into an error, before
+    r = run_cli(*args, env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
+    assert r.returncode == 2, r.stderr
+    assert "domain error" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_report_domain_grid_with_empty_row():
     r = run_cli("report", "domain", "--Hgrid", "1,1.25", "--pgrid", "0.8,1",
                 "--format", "csv")
@@ -380,3 +410,17 @@ def test_domain_error_is_the_base_of_exactly_the_domain_classes():
     assert below == domain | {"DomainError"}
     assert not issubclass(errors.TetradDegenerate, errors.DomainError)
     assert finsleroid.DomainError is errors.DomainError
+
+
+def test_package_exports_its_imported_names_and_no_module():
+    # __all__ is derived from the package's imports: every public name, sorted,
+    # and none of the submodules that importing them binds on the package
+    import types
+
+    import finsleroid
+
+    names = finsleroid.__all__
+    assert names == sorted(names) and len(names) == 60
+    assert not any(isinstance(getattr(finsleroid, n), types.ModuleType) for n in names)
+    assert {"Parameters", "finsler_norm", "DomainError", "sample_vectors"} <= set(names)
+    assert not {"kernel", "errors", "dual", "__version__"} & set(names)

@@ -1,6 +1,7 @@
 """Induced unit-surface geometry: derivatives, metric, constant curvatures."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from finsleroid import (
     indicatrix_curvature,
     indicatrix_metric,
     sample_angles,
+    sample_vectors,
     section_curvature,
     theta_pole,
     unit_vector,
@@ -248,6 +250,36 @@ def test_chart_above_the_domain_raises_outside_eta_domain(H, p):
                 call(_angles(params, d_eta=gap))
 
 
+@pytest.mark.parametrize(
+    "H, p",
+    [(1.0, 1.0), (1.25, 1.0), (1.25, 0.8), (1.5, 0.9), (2.0, 0.5), (50.0, 0.05), (100.0, 0.999)],
+)
+def test_curvature_holds_up_to_the_chart_ceiling(H, p):
+    # With the chart's ceiling one eta per pair (15.9 to 17 above the floor),
+    # no curvature bound of its own is needed up there: the Gauss route stays
+    # within 3e-13 H^2 from a gap of 0.01 up to the last accepted eta, where a
+    # bound GAP_MAX = 16 raised for the pairs whose ceiling lies above 16.
+    params = Parameters(H=H, p=p)
+    floor = domain_info(params).eta_min
+    lo, hi = 10.0, 40.0  # bisect the chart's ceiling gap
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        try:
+            kernel.structural_profile(floor + mid, params)
+            lo = mid
+        except OutsideEtaDomain:
+            hi = mid
+    assert 15.9 < lo < 17.0
+    gaps = np.concatenate([np.linspace(0.01, lo, 12), lo - np.geomspace(1e-9, 0.5, 6)])
+    for gap in gaps:
+        for theta, phi in ((0.3, 0.5), (0.9, 4.0), (0.5 * theta_pole(params), 2.0)):
+            ks = indicatrix_curvature(AngleCoords(floor + gap, theta, phi), params)
+            for k in ks.values():
+                assert abs(k + H * H) <= 1e-9 * H * H, (gap, theta, phi, k)
+    with pytest.raises(OutsideEtaDomain, match="r_sup"):
+        indicatrix_curvature(AngleCoords(floor + hi, 0.6, 1.2), params)
+
+
 def test_curvature_domain_bounds():
     # the measured bounds of the Gauss route raise typed errors that name them
     params = Parameters(H=1.25, p=0.8)
@@ -255,13 +287,17 @@ def test_curvature_domain_bounds():
     for gap in (0.0, 0.5 * indicatrix.GAP_MIN):
         with pytest.raises(OutsideEtaDomain, match="GAP_MIN"):
             indicatrix_curvature(AngleCoords(eta=floor + gap, theta=0.7, phi=1.0), params)
-    # past GAP_MAX, where the chart still accepts a point (r(eta) dithers around
-    # r_sup) but the curvature was off by up to 1e-6 at 20 and by 7 at 30
+    # points the chart accepted while r(eta) dithered around r_sup, where the
+    # curvature was off by up to 1e-6 at gap 20 and by 7 at 30, so a bound
+    # GAP_MAX = 16 rejected them; the chart's own ceiling rejects them now, in
+    # every chart call
     for pair, gap in (((1.5, 0.9), 20.0), ((1.5, 0.9), 24.0), ((2.0, 0.5), 22.0)):
         far = Parameters(*pair)
-        assert np.isfinite(indicatrix_metric(_angles(far, d_eta=gap), far)).all()
-        for call in (indicatrix_curvature, indicatrix_bundle):
-            with pytest.raises(OutsideEtaDomain, match="GAP_MAX"):
+        for call in (indicatrix_curvature, indicatrix_bundle, indicatrix_metric, unit_vector,
+                     unit_vector_angle_derivatives,
+                     lambda a, q: kernel.vector_from_angles(a, 1.0, q),
+                     lambda a, q: kernel.structural_profile(a.eta, q)):
+            with pytest.raises(OutsideEtaDomain, match="eta=.*r_sup"):
                 call(_angles(far, d_eta=gap), far)
     for theta in (0.0, 0.9 * indicatrix.THETA_MIN):
         with pytest.raises(PolarAxisSingular, match="THETA_MIN"):
@@ -460,6 +496,34 @@ def test_section_chart_jacobian_matches_hyperdual_pass():
             assert np.max(np.abs(jac_t.T - jac0)) <= 1e-14 * np.max(np.abs(jac0))
             assert np.max(np.abs(batch_w[k] - w)) <= 1e-14 * np.max(np.abs(w))
             assert np.max(np.abs(batch_jac_t[k] - jac_t)) <= 1e-14 * np.max(np.abs(jac_t))
+
+
+def test_chart_overflow_of_exp_gp_theta_raises_outside_axial_region():
+    # At p = 0.0036 (gp = 275), exp(gp theta) overflows from theta = 2.58 on.
+    # Only the curvatures guarded it; every other chart call raised math's
+    # OverflowError, and a batch chart returned w3 = 0 with a RuntimeWarning.
+    params = Parameters(3.5795676089825723, 0.003641003953434029)
+    angles = AngleCoords(eta=params.eta_min + 0.0053, theta=2.806253026091126, phi=1.2)
+    calls = (
+        lambda: unit_vector(angles, params),
+        lambda: indicatrix_metric(angles, params),
+        lambda: unit_vector_angle_derivatives(angles, params),
+        lambda: kernel.vector_from_angles(angles, 1.0, params),
+        lambda: indicatrix_curvature(angles, params),
+        lambda: indicatrix._pullback(
+            np.array([[angles.eta, 0.5, 1.2], [angles.eta, angles.theta, 1.2]]), params),
+        lambda: sample_vectors(params, 5, 1),
+        lambda: indicatrix.section_metric(angles.theta, 0.9, params),
+        lambda: indicatrix._section_metric(np.array([[0.5, 0.9], [angles.theta, 0.9]]), params),
+        lambda: section_curvature(angles.theta, params),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(OutsideAxialRegion, match="exp.gp theta. overflows"):
+                call()
+    # below the overflow the same chart maps the point
+    assert np.isfinite(unit_vector(AngleCoords(angles.eta, 2.5, 1.2), params)).all()
 
 
 def test_batch_domain_failure_matches_scalar_error():

@@ -30,7 +30,11 @@ from finsleroid import (
     vector_from_angles,
 )
 from finsleroid import dual as dm
-from finsleroid.kernel import hyperbolic_profile, radial_from_ratios
+from finsleroid.kernel import hyperbolic_profile, radial_from_ratios, rim_depth
+
+# the five benchmark pairs, then a thin domain (gp ~ 20) and a large H
+SEVEN_PAIRS = ((1.0, 1.0), (1.25, 1.0), (1.25, 0.8), (1.5, 0.9), (2.0, 0.5),
+               (50.0, 0.05), (100.0, 0.999))
 
 
 # ---------------------------------------------------------------- profiles
@@ -342,6 +346,87 @@ def test_hyperbolic_profile_matches_a_40_digit_reference_near_the_floor():
             units = [float(abs(Decimal(g) - w) / w) / 2.0 ** -52 for g, w in zip(got, want)]
             bounds = (2.0, 2.0, 2.0 + abs(math.log(got[2])))
             assert all(u <= b for u, b in zip(units, bounds)), (H, p, gap, units)
+
+
+def _decimal_atan(z):
+    """atan(z), z >= 0, at the context precision: halve the argument by
+    atan(z) = 2 atan(z/(1 + sqrt(1 + z^2))) below 1e-3, then sum the Taylor series."""
+    halvings = 0
+    while z > Decimal("1e-3"):
+        z = z / (1 + (1 + z * z).sqrt())
+        halvings += 1
+    total, term, k = z, z, 1
+    while abs(term) > total * Decimal(10) ** -decimal.getcontext().prec:
+        term = -term * z * z
+        total += term / (2 * k + 1)
+        k += 1
+    return total * 2 ** halvings
+
+
+def _decimal_depth(eta, gp, hh):
+    """ln(r_sup/r(eta)) at 90 digits from its definition, ln(R1/((1 + hh) sinh))
+    plus gp (atan(gp cosh/A) - atan(gp/hh)), taking the float eta, gp, hh as exact."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 90
+        eta, gp, hh = map(Decimal, (eta, gp, hh))
+        e = eta.exp()
+        sh, ch = (e - 1 / e) / 2, (e + 1 / e) / 2
+        a = (hh * hh * sh * sh - gp * gp).sqrt()
+        depth = ((ch + a) / ((1 + hh) * sh)).ln()
+        if gp > 0:
+            depth += gp * (_decimal_atan(gp * ch / a) - _decimal_atan(gp / hh))
+        return depth
+
+
+def test_rim_depth_matches_a_90_digit_reference():
+    # The depth takes R1 - (1 + hh) sinh and the Y1 angle less its limit without
+    # cancellation, so it stays relative to its own size from next to the floor
+    # to e^(-2 eta) ~ 1e-35: worst 12.5 units of 2^-52 at (50, 0.05) within 0.1 of
+    # the floor (gp ~ 20 there), 4.7 from a gap of 0.1 on.  ln(r_sup/r(eta)) of
+    # floats is off by the rounding of r itself, which reaches the depth at gap ~ 17.
+    for H, p in SEVEN_PAIRS:
+        params = Parameters(H=H, p=p)
+        floor = domain_info(params).eta_min
+        for gap in np.logspace(-8, math.log10(40.0), 60):
+            eta = floor + float(gap)
+            got = rim_depth(eta, hyperbolic_profile(eta, params)[0], params)
+            want = _decimal_depth(eta, params.azimuthal_skew, params.boost_skew)
+            assert float(abs(Decimal(got) - want) / want) <= 16 * 2.0 ** -52, (H, p, gap)
+        # an array call (numpy's functions) against float calls (libm's)
+        etas = floor + np.array([1e-8, 1.0, 20.0, 40.0])
+        np.testing.assert_allclose(
+            rim_depth(etas, hyperbolic_profile(etas, params)[0], params),
+            [rim_depth(e, hyperbolic_profile(e, params)[0], params) for e in etas.tolist()],
+            rtol=16 * 2.0 ** -52, atol=0.0)
+    # at the p = 1 floor eta = 0, sinh = 0: +inf deep, on a float and in an array
+    for H in (1.0, 2.0):
+        assert rim_depth(0.0, 0.0, Parameters(H=H, p=1.0)) == math.inf
+        assert rim_depth(np.array([0.0, 1.0]), np.zeros(2), Parameters(H=1.0, p=1.0))[0] == math.inf
+
+
+def test_chart_ceiling_is_one_eta_per_pair():
+    # The chart rejects a point whose depth ln(r_sup/r(eta)) is not above the map
+    # noise 16 * 2^-52; the depth falls strictly, so every chart call accepts a
+    # block of gaps and rejects all above it, at 15.9 to 17 above the floor.  The
+    # test r(eta) >= r_sup dithered where r(eta) rounds onto r_sup and back: at
+    # (2, 0.5) gaps 19-21, 25 and 27 raised while 22-24, 26, 28 and 29 passed.
+    for H, p in SEVEN_PAIRS:
+        params = Parameters(H=H, p=p)
+        floor = domain_info(params).eta_min
+        calls = (
+            lambda eta: structural_profile(eta, params),
+            lambda eta: vector_from_angles(AngleCoords(eta=eta, theta=0.6, phi=1.2), 1.0, params),
+        )
+        for call in calls:
+            accepted = []
+            for gap in range(10, 40):
+                try:
+                    call(floor + gap)
+                    accepted.append(gap)
+                except OutsideEtaDomain as exc:
+                    assert "r_sup" in str(exc)
+            assert accepted == list(range(10, accepted[-1] + 1)), (H, p, accepted)
+            assert accepted[-1] in (15, 16), (H, p, accepted)
 
 
 def test_hyperbolic_profile_array_matches_float_calls():

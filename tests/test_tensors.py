@@ -1,12 +1,14 @@
 """Unit covector, angular metric routes, metric tensor and determinant."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from finsleroid import (
     OutsideAxialRegion,
+    OutsideRadialDomain,
     Parameters,
     PolarAxisSingular,
     Tetrad,
@@ -43,6 +45,35 @@ PSEUDO = Parameters(H=1.0, p=1.0)
 def test_omitted_params_is_a_type_error(fn):
     with pytest.raises(TypeError, match="params is required"):
         fn(np.array([2.0, 0.3, 0.2, 0.4]))
+
+
+TINY_P = Parameters(3.5795676089825723, 0.003641003953434029)  # gp = 275
+HUGE_R = np.array([1.0, 0.001, 0.0, 1e-300])  # spiral angle ~pi: exp(gp angle) overflows
+
+
+def _angles_of_vector(y, tetrad, params):
+    return angles_from_vector(frame_components(y, Tetrad.canonical()), params)
+
+
+def _section_metric_of_ratios(y, tetrad, params):
+    return finsleroid3_metric(y[1:] / y[0], params)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [finsler_norm, metric_tensor, unit_covector, angular_metric, metric_determinant_closed,
+     angle_gradients, metric_tensor_numeric, angular_metric_angle_form,
+     _angles_of_vector, _section_metric_of_ratios],
+    ids=lambda fn: fn.__name__,
+)
+def test_overflowing_spiral_factor_is_outside_the_radial_domain(fn):
+    # r = |X + iY| exp(gp atan2(Y, X)) of this vector lies far above r_sup; the
+    # log spiral's exp, or exp(gp theta) of the angular profile, raised math's
+    # OverflowError (a RuntimeWarning for arrays) instead of a domain error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutsideRadialDomain, match="r=inf"):
+            fn(HUGE_R, None, TINY_P)
 
 
 def test_unit_covector_axis_limit_pseudo_euclidean():
