@@ -22,18 +22,21 @@ there.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
+
+from .kernel import _packing
 
 STEP = 1e-3
 
 
 @lru_cache(maxsize=None)
 def _planes(n: int):
-    """The coordinate planes (i, j), i < j, of n coordinates, and their index arrays."""
-    i, j = np.triu_indices(n, 1)
-    return tuple(zip(i.tolist(), j.tolist())), i, j
+    """The coordinate planes (i, j), i < j, of n coordinates."""
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
 @lru_cache(maxsize=None)
@@ -43,8 +46,8 @@ def _offsets(n: int) -> np.ndarray:
     e = np.eye(n)
     corners = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
     rows = [0.0 * e[0]] + [s * e[k] for k in range(n) for s in (1.0, -1.0, 2.0, -2.0)]
-    planes = _planes(n)[0]
-    rows += [s * (a * e[i] + b * e[j]) for i, j in planes for s in (1.0, 2.0) for a, b in corners]
+    rows += [s * (a * e[i] + b * e[j])
+             for i, j in _planes(n) for s in (1.0, 2.0) for a, b in corners]
     return np.array(rows)
 
 
@@ -76,24 +79,48 @@ def christoffel(metric_fn, x):
     return g, _gamma(g, dg)
 
 
+def _inverse(m, k):
+    """Packed inverse of a packed symmetric k x k matrix, k = 2 or 3, by cofactors."""
+    if k == 2:
+        a, b, d = m
+        cofactors = [d, -b, a]
+        det = a * d - b * b
+    else:
+        a, b, c, d, e, f = m
+        cofactors = [d * f - e * e, c * e - b * f, b * e - c * d,
+                     a * f - c * c, b * c - a * e, a * d - b * b]
+        det = a * cofactors[0] + b * cofactors[1] + c * cofactors[2]
+    return [x / det for x in cofactors]
+
+
 def gauss_curvatures(cartan, chart_metric, sign) -> dict:
     """Sectional curvatures of every coordinate 2-plane of an indicatrix chart.
 
     The Gauss equation of a Finsler indicatrix (Bao, Chern & Shen, GTM 200;
-    Matsumoto 1986) at one point: ``cartan`` is the (k, k, k) Cartan tensor
-    and ``chart_metric`` the (k, k) metric m, both on the k chart tangent
-    vectors.  The Cartan tensor vanishes along the point's own direction y,
-    and g(y, X) = 0 for every tangent X, so m^-1 raises C's last slot:
+    Matsumoto 1986) at one point: ``cartan`` is the Cartan tensor and
+    ``chart_metric`` the metric m on the k = 2 or 3 chart tangent vectors, as
+    packed floats (``kernel._packing``: k(k + 1)(k + 2)/6 and k(k + 1)/2).  The
+    Cartan tensor vanishes along the point's own direction y, and g(y, X) = 0
+    for every tangent X, so m^-1 raises C's last slot:
     S = C_ii. m^-1 C_jj. - C_ij. m^-1 C_ij. and A = m_ii m_jj - m_ij^2 give
     {(i, j): sign (1 - S/A)}.  ``sign`` is +1 for the indicatrix of a positive
     definite norm and -1 for the unit surface of a Lorentzian one in the
     positive-definite convention of its induced metric.
     """
-    planes, i, j = _planes(len(chart_metric))
-    raised = cartan @ np.linalg.inv(chart_metric)
-    s = (cartan[i, i] * raised[j, j]).sum(-1) - (cartan[i, j] * raised[i, j]).sum(-1)
-    area = chart_metric[i, i] * chart_metric[j, j] - chart_metric[i, j] ** 2
-    return dict(zip(planes, (sign * (1.0 - s / area)).tolist()))
+    k = math.isqrt(2 * len(chart_metric))
+    pairs, _, pair_at, triple_at = _packing(k)
+    inv = _inverse(chart_metric, k)
+    inv_rows = [[inv[q] for q in row] for row in pair_at]
+    # C(a, b, .) for every packed pair ab, and the same raised by m^-1
+    lower = [[cartan[q] for q in triple_at[a][b]] for a, b in pairs]
+    raised = [[sum(map(mul, row, col)) for col in inv_rows] for row in lower]
+    out = {}
+    for i, j in _planes(k):
+        ii, jj, ij = pair_at[i][i], pair_at[j][j], pair_at[i][j]
+        s = sum(map(mul, lower[ii], raised[jj])) - sum(map(mul, lower[ij], raised[ij]))
+        area = chart_metric[ii] * chart_metric[jj] - chart_metric[ij] ** 2
+        out[(i, j)] = sign * (1.0 - s / area)
+    return out
 
 
 def coordinate_plane_curvatures(metric_fn, x) -> dict:
@@ -107,7 +134,7 @@ def coordinate_plane_curvatures(metric_fn, x) -> dict:
     g, dg, d2g, mixed = _stencil(metric_fn, x)
     gamma = _gamma(g, dg)
     out = {}
-    for (i, j), d_ij in zip(_planes(len(g))[0], mixed):
+    for (i, j), d_ij in zip(_planes(len(g)), mixed):
         r_ijij = (
             0.5 * (2.0 * d_ij[i, j] - d2g[j][i, i] - d2g[i][j, j])
             + gamma[:, i, j] @ g @ gamma[:, i, j]

@@ -74,6 +74,11 @@ class HyperDual:
     def __rtruediv__(self, other):
         return self._lift(other) / self
 
+    def __pow__(self, e: float):
+        """A float power e of a positive value."""
+        v = self.val
+        return self.chain(v ** e, e * v ** (e - 1.0), e * (e - 1.0) * v ** (e - 2.0))
+
     def _reciprocal(self):
         inv = 1.0 / self.val
         return self.chain(inv, -inv * inv, 2.0 * inv * inv * inv)

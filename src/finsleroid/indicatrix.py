@@ -29,6 +29,7 @@ from .kernel import (
     AngleCoords,
     _chart_vector,
     _compose,
+    _packing,
     _spiral,
     log_radial_derivatives,
     theta_pole,
@@ -140,10 +141,10 @@ def _curvature_chart(angles: AngleCoords, params: Parameters):
 
 
 def _ratio_scale(w) -> float:
-    """|w| of chart ratios, or PolarAxisSingular where they underflow to 0 (p < 0.005)."""
+    """|w| of chart ratios (floats), or PolarAxisSingular where they underflow to 0 (p < 0.005)."""
     scale = math.hypot(*w)
     if not scale > 0.0:
-        raise PolarAxisSingular(f"chart ratios {w.tolist()} underflow onto the time axis")
+        raise PolarAxisSingular(f"chart ratios {w} underflow onto the time axis")
     return scale
 
 
@@ -181,17 +182,20 @@ def _gauss_indicatrix(chart, params: Parameters) -> dict:
     f1 = -2.0 * (p2 / params.H ** 2) * phi * sh * sh
     f2 = 2.0 * p2 * m * f1
     f3 = 2.0 * p2 * p2 * f1 * (r1v * sh * (2.0 * hh2 * sh * ch + a_eta * ch + a * sh) + 2.0 * m * m)
-    b, w, x0 = y[0], y[1:] / y[0], d[0]
+    b, *rest = y.tolist()
+    x0, *rows = d.tolist()
+    w = [c / b for c in rest]
     # S/A is invariant under y -> (y0, y[1:]/|w|), which keeps the ratios, L's
     # derivatives and the metric at order 1 where |w| is 1e-100 (p ~ 0.005)
     scale = _ratio_scale(w)
-    tilde = d[1:] / scale
-    tilde[:, 0] = y[1:] / (p2 * r1v * sh * scale)
-    # Phi's derivatives along the X~: (3,), (3, 3) and (3, 3, 3)
-    phi1, phi2, phi3 = _compose(f1, f2, f3, *log_radial_derivatives(w / scale, params, tilde))
-    cross = np.outer(x0, phi1)
-    metric = 0.5 * (phi2 + cross + cross.T) + phi * np.outer(x0, x0)
-    return gauss_curvatures(phi3 / (4.0 * b), metric, -1.0)
+    eta_col = p2 * r1v * sh * scale
+    tilde = [[c / eta_col] + [x / scale for x in row[1:]] for c, row in zip(rest, rows)]
+    # Phi's derivatives along the X~, packed: 3, 6 and 10 floats
+    phi1, phi2, phi3 = _compose(f1, f2, f3, *log_radial_derivatives(
+        [c / scale for c in w], params, tilde))
+    metric = [0.5 * (x + x0[a] * phi1[b] + x0[b] * phi1[a]) + phi * (x0[a] * x0[b])
+              for (a, b), x in zip(_packing(3)[0], phi2)]
+    return gauss_curvatures([x / (4.0 * b) for x in phi3], metric, -1.0)
 
 
 def indicatrix_bundle(angles: AngleCoords, params: Parameters) -> IndicatrixBundle:
@@ -251,8 +255,10 @@ def section_curvature(theta: float, params: Parameters) -> float:
     if theta >= theta_pole(params):
         raise ThetaPole(f"section needs theta below the pole {theta_pole(params)}, got {theta}")
     w, jac_t = _section_chart(np.array([theta, 0.9]), params)
+    w, (d_theta, d_phi) = w.tolist(), jac_t.tolist()
     scale = _ratio_scale(w)  # as for the unit surface: S/A is invariant under w -> w/|w|
-    w, jac_t = w / scale, jac_t / scale
+    frame = [[x / scale, y / scale] for x, y in zip(d_theta, d_phi)]
     # r^2/2 = exp(2 L)/2 has L-derivatives 1, 2, 4 at r = 1; along the chart
-    _, metric, third = _compose(1.0, 2.0, 4.0, *log_radial_derivatives(w, params, jac_t.T))
-    return gauss_curvatures(0.5 * third, metric, 1.0)[(0, 1)]
+    _, metric, third = _compose(1.0, 2.0, 4.0, *log_radial_derivatives(
+        [c / scale for c in w], params, frame))
+    return gauss_curvatures([0.5 * x for x in third], metric, 1.0)[(0, 1)]

@@ -15,7 +15,8 @@ so derivatives pass through them unchanged, and arrays, so a batch of chart
 points is one call; ``radial_derivatives`` instead takes (3,) or (m, 3)
 ratios and returns the value, gradient and Hessian of the radial map in
 closed form for the tensor layer, and ``log_radial_derivatives`` the first
-three derivatives of ln r at one ratio vector for the curvature layer.
+three derivatives of ln r at one ratio vector for the curvature layer, on
+Python floats, each symmetric tensor packed as its distinct entries.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ _MAP_NOISE = 16 * 2.0 ** -52
 _LOG_HUGE = math.log(np.finfo(float).max)  # exp overflows above this
 _QUAD_NODES, _QUAD_PANELS = 40, 8  # the quadrature oracle's fixed rule
 _UPPER, _TWO_EYE = np.triu(np.ones((3, 3), dtype=bool)), 2.0 * np.eye(3)
-_EYE3 = np.eye(3)
+_EYE3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,7 @@ def hyperbolic_profile(eta, params: Parameters):
             raise OutsideEtaDomain(f"radicand of A not positive at eta={at} (floor {floor})")
         A = hh * fn.sqrt(2.0 * fn.cosh(0.5 * (eta + floor)) * fn.sinh(0.5 * gap) * (sh + gp / hh))
         R1 = ch + A
-        J = fn.exp(hh * fn.log((hh * ch + A) / math.sqrt(hh * hh + gp * gp)))
+        J = ((hh * ch + A) / math.sqrt(hh * hh + gp * gp)) ** hh
         Y1 = fn.exp(-gp * fn.atan2(gp * ch, A))
     V = J / R1
     r = sh * Y1 / R1
@@ -203,7 +204,9 @@ def radial_derivatives(w, params: Parameters):
     terms that cancel near the axis.  For p = 1 the map is sqrt(w.w),
     computed in the operation order of a hyper-dual pass (mirrored upper
     triangle), so it agrees bit for bit with ``dual.hessian`` and stays
-    defined for w3 <= 0 and on the axis.
+    defined for w3 <= 0 and on the axis.  For p < 1, where k^2 underflows to 0
+    (ratios below ~1e-154, as the chart gives below p ~ 0.05), it raises
+    OutsideRadialDomain for r = 0 instead of dividing by k^2.
     """
     # components first in w.T; .T of each result (hess is symmetric) restores (m, ...)
     w = np.asarray(w, dtype=float)
@@ -225,6 +228,9 @@ def radial_derivatives(w, params: Parameters):
     x = w3 - gp * params.p * rho
     y = params.p * rho
     k2 = x * x + y * y
+    if dm.any_set(k2 == 0.0):  # r is 0 in double precision, as eta_from_r would say
+        dom = domain_info(params)
+        raise OutsideRadialDomain(0.0, dom.r_min, dom.r_sup)
     r = fn.sqrt(k2) * _spiral(fn.atan2(y, x), params)
     n1, n2 = w1 / rho, w2 / rho
     u = np.array([-w3 * n1, -w3 * n2, rho])
@@ -234,41 +240,65 @@ def radial_derivatives(w, params: Parameters):
     return r, grad.T, hess.T
 
 
-def _sym(m, v):
-    """m_ab v_c + m_ac v_b + m_bc v_a for a square m and a vector v."""
-    t = m[:, :, None] * v
-    return t + t.transpose(0, 2, 1) + t.transpose(2, 0, 1)
+@lru_cache(maxsize=None)
+def _packing(k: int):
+    """Index tables, as tuples, of symmetric k-tensors stored packed as their distinct
+    entries: the pairs a <= b, per triple a <= b <= c the indices (a, b, c) and the
+    packed pairs ab, ac and bc, and the packed position of every pair and triple."""
+    pairs = tuple((a, b) for a in range(k) for b in range(a, k))
+    triples = [(a, b, c) for a, b in pairs for c in range(b, k)]
+    pair_at = tuple(tuple(pairs.index((min(a, b), max(a, b))) for b in range(k)) for a in range(k))
+    triple_at = tuple(tuple(tuple(triples.index(tuple(sorted((a, b, c)))) for c in range(k))
+                            for b in range(k)) for a in range(k))
+    spans = tuple((a, b, c, pair_at[a][b], pair_at[a][c], pair_at[b][c]) for a, b, c in triples)
+    return pairs, spans, pair_at, triple_at
+
+
+def _sym(m, v, spans):
+    """m_ab v_c + m_ac v_b + m_bc v_a, packed, for a packed symmetric m and a vector v."""
+    return [m[ab] * v[c] + m[ac] * v[b] + m[bc] * v[a] for a, b, c, ab, ac, bc in spans]
 
 
 def _compose(f1, f2, f3, d1, d2, d3):
-    """First three derivatives of f(g(w)) from f's scalar derivatives f1, f2, f3
-    at g(w) and g's derivatives d1 (n,), d2 (n, n), d3 (n, n, n) in w."""
-    outer = d1[:, None] * d1
-    return f1 * d1, f2 * outer + f1 * d2, f3 * outer[:, :, None] * d1 + f2 * _sym(d2, d1) + f1 * d3
+    """First three derivatives of f(g(w)), packed, from f's scalar derivatives f1, f2,
+    f3 at g(w) and g's packed derivatives d1, d2, d3 in w (floats or complex)."""
+    pairs, spans = _packing(len(d1))[:2]
+    outer = [d1[a] * d1[b] for a, b in pairs]
+    sym = _sym(d2, d1, spans)
+    return (
+        [f1 * x for x in d1],
+        [f2 * x + f1 * y for x, y in zip(outer, d2)],
+        [f3 * outer[ab] * d1[c] + f2 * x + f1 * y
+         for (_, _, c, ab, _, _), x, y in zip(spans, sym, d3)],
+    )
 
 
 def log_radial_derivatives(w, params: Parameters, frame=_EYE3):
-    """First three derivatives of L = ln r at one w (3,) off the axis, along the
-    columns of ``frame`` (3, k): (k,), (k, k) and (k, k, k) arrays, the plain
-    derivatives in w for the default identity frame.
+    """First three derivatives of L = ln r at one w (3 floats) off the axis, along the
+    k columns of ``frame`` (3 rows of k floats), packed: k, k(k + 1)/2 and
+    k(k + 1)(k + 2)/6 floats (``_packing``), the plain derivatives in w for the
+    default identity frame.
 
     L = Re[(1 - i gp) Log zeta] with zeta = w3 + p (i - gp) rho, rho = |(w1, w2)|,
     which is ln |w| at p = 1 (gp = 0).  zeta is linear in rho, whose derivatives
     along X, Y, Z are n.X, P(X, Y)/rho and -sym(P (x) n)/rho^2, with
     n = (w1, w2, 0)/rho and P(X, Y) = X1 Y1 + X2 Y2 - (n.X)(n.Y); Log's are
-    1/zeta, -1/zeta^2 and 2/zeta^3.
+    1/zeta, -1/zeta^2 and 2/zeta^3, composed in complex floats.
     """
-    w1, w2, w3 = w.tolist()
+    w1, w2, w3 = w
+    e1, e2, e3 = frame
+    pairs, spans = _packing(len(e1))[:2]
     gp = params.azimuthal_skew
     rho = math.hypot(w1, w2)
-    n = (w1 / rho) * frame[0] + (w2 / rho) * frame[1]
-    proj = frame[:2].T @ frame[:2] - n[:, None] * n
+    n = [(w1 / rho) * x + (w2 / rho) * y for x, y in zip(e1, e2)]
+    proj = [e1[a] * e1[b] + e2[a] * e2[b] - n[a] * n[b] for a, b in pairs]
     c = params.p * complex(-gp, 1.0)
     inv = 1.0 / (w3 + c * rho)
-    logs = _compose(inv, -inv * inv, 2.0 * inv ** 3,
-                    frame[2] + c * n, (c / rho) * proj, (-c / (rho * rho)) * _sym(proj, n))
+    cr, crr = c / rho, -c / (rho * rho)
+    logs = _compose(inv, -inv * inv, 2.0 * inv ** 3, [z + c * x for z, x in zip(e3, n)],
+                    [cr * x for x in proj], [crr * x for x in _sym(proj, n, spans)])
     alpha = complex(1.0, -gp)
-    return tuple((alpha * part).real for part in logs)
+    return tuple([(alpha * z).real for z in part] for part in logs)
 
 
 @lru_cache(maxsize=None)

@@ -70,13 +70,18 @@ def _check_ratios(w1, w2, w3, axial: bool):
         raise PolarAxisSingular("vector lies exactly on the time axis")
 
 
-def _frame_point(y, tetrad: Tetrad | None, params: Parameters):
-    """Frame ratios of a vector or an (m, 4) batch, with the domain guards."""
+def _frame_point(y, tetrad: Tetrad | None, params: Parameters, dual: bool = False):
+    """Frame ratios of a vector or an (m, 4) batch, with the domain guards; for the
+    hyper-dual routes (``dual``) also ``radial_derivatives``' guard: their passes
+    square the ratios, and divide by 0 in ``dual.sqrt`` where the squares underflow."""
     if params is None:
         raise TypeError("params is required")
     b, w1, w2, w3 = projections(y, Tetrad.canonical() if tetrad is None else tetrad)
     _check_ratios(w1, w2, w3, params.p < 1.0)
-    return b, np.array([w1, w2, w3]).T
+    w = np.array([w1, w2, w3]).T
+    if dual:
+        radial_derivatives(w, params)
+    return b, w
 
 
 def _profile_factors(r, params: Parameters, known=None):
@@ -131,7 +136,7 @@ def angular_metric(y, tetrad: Tetrad | None = None, params: Parameters | None = 
 
 def _angle_point(y, tetrad: Tetrad | None, params: Parameters):
     """Angle gradients, norm F, sinh(eta) and theta of one vector."""
-    b, w = _frame_point(y, tetrad, params)
+    b, w = _frame_point(y, tetrad, params, dual=True)
     _check_ratios(*w, True)
 
     def ratio_maps(y0, y1, y2, y3):
@@ -200,7 +205,7 @@ def metric_tensor_numeric(
     at eta - eta_min = 1e-10, 7e-8 at 1e-6 and 2.5e-15 at 0.2, likely because
     (eta - eta_min)^(-3/2) terms of A'' cancel through ``eta_lifted``.
     """
-    b, w = _frame_point(y, tetrad, params)
+    b, w = _frame_point(y, tetrad, params, dual=True)
     yf = np.array([b, b * w[0], b * w[1], b * w[2]])
     val, grad, hess = dm.hessian(
         lambda a, c, d, e: norm_squared(a, c, d, e, params), yf

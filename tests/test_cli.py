@@ -210,6 +210,15 @@ def test_overflowing_exp_gp_angle_is_a_domain_error(args):
     assert "domain error" in r.stderr and "Traceback" not in r.stderr
 
 
+def test_underflowing_frame_ratios_are_a_domain_error():
+    # a chart vector at p = 0.0036 whose frame ratios (~1e-272) square to 0: the
+    # tensor route divided by k^2 = X^2 + Y^2 = 0, a traceback and exit 1, before
+    r = run_cli("eval", "--H", "3.5795676089825723", "--p", "0.003641003953434029",
+                "--y=2.86037939e+002,1.36523286e-272,-4.12504660e-272,4.36226097e-272")
+    assert r.returncode == 2, r.stderr
+    assert "domain error: r=0.0 " in r.stderr and "Traceback" not in r.stderr
+
+
 def test_report_domain_grid_with_empty_row():
     r = run_cli("report", "domain", "--Hgrid", "1,1.25", "--pgrid", "0.8,1",
                 "--format", "csv")

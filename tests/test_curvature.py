@@ -1,12 +1,15 @@
-"""Finite-difference curvature machinery against textbook space forms."""
+"""Finite-difference curvature machinery against textbook space forms, and the
+packed Gauss equation against a dense evaluation."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from finsleroid import AngleCoords, Parameters, domain_info, indicatrix_curvature
-from finsleroid.curvature import STEP, christoffel, coordinate_plane_curvatures
+from finsleroid.curvature import STEP, christoffel, coordinate_plane_curvatures, gauss_curvatures
+from finsleroid.kernel import _packing
 
 
 def rows(metric):
@@ -108,3 +111,28 @@ def test_indicatrix_curvature_near_domain_floor(H, p):
     ks = indicatrix_curvature(AngleCoords(eta=eta, theta=0.5, phi=1.0), params)
     for plane, k in ks.items():
         assert abs(k + H * H) < 1e-9 * H * H, plane
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_gauss_curvatures_match_a_dense_evaluation(k):
+    # packed floats in, against S = C_ii. m^-1 C_jj. - C_ij. m^-1 C_ij. and
+    # A = m_ii m_jj - m_ij^2 contracted densely by einsum with an LU inverse
+    rng = np.random.default_rng(40 + k)
+    pairs, spans, _, _ = _packing(k)
+    assert (len(pairs), len(spans)) == (k * (k + 1) // 2, k * (k + 1) * (k + 2) // 6)
+    for _ in range(200):
+        raw = rng.normal(size=(k, k, k))
+        cartan = sum(raw.transpose(perm) for perm in itertools.permutations(range(3))) / 6.0
+        root = rng.normal(size=(k, k))
+        metric = root @ root.T + 0.1 * np.eye(k)
+        sign = rng.choice([-1.0, 1.0])
+        got = gauss_curvatures([cartan[span[:3]] for span in spans],
+                               [metric[pair] for pair in pairs], sign)
+        inv = np.linalg.inv(metric)
+        s = (np.einsum("iid,de,jje->ij", cartan, inv, cartan)
+             - np.einsum("ijd,de,ije->ij", cartan, inv, cartan))
+        area = np.outer(np.diag(metric), np.diag(metric)) - metric * metric
+        assert sorted(got) == [(i, j) for i in range(k) for j in range(i + 1, k)]
+        for (i, j), value in got.items():
+            want = sign * (1.0 - s[i, j] / area[i, j])
+            assert abs(value - want) <= 1e-13 * max(1.0, abs(want)), (i, j)  # measured 1.7e-14

@@ -27,6 +27,20 @@ def test_dual_division_and_log():
     assert out.d1 == pytest.approx(expected, rel=1e-13)
 
 
+def test_float_power_of_a_hyperdual():
+    # x^e with both slots seeded: value, e x^(e-1) and the mixed slot e (e-1) x^(e-2)
+    x0 = 1.7
+    for e in (0.4, 2.5, -1.3):
+        out = dm.HyperDual(x0, 1.0, 1.0) ** e
+        assert out.val == x0 ** e
+        assert out.d1 == out.d2 == pytest.approx(e * x0 ** (e - 1.0), rel=1e-15)
+        assert out.d12 == pytest.approx(e * (e - 1.0) * x0 ** (e - 2.0), rel=1e-15)
+        x = dm.HyperDual(x0, 0.3, -0.5, 0.2)
+        power, chained = x ** e, dm.exp(e * dm.log(x))
+        for slot in ("d1", "d2", "d12"):
+            assert getattr(power, slot) == pytest.approx(getattr(chained, slot), rel=1e-13)
+
+
 def test_hyperdual_second_derivative():
     # f(x) = cosh(x)^2: f'' = 2 cosh(2x)
     x0 = 0.45

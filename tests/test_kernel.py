@@ -333,9 +333,9 @@ def _decimal_profile(eta, floor, gp, hh):
 
 def test_hyperbolic_profile_matches_a_40_digit_reference_near_the_floor():
     # A = hh sqrt((sinh - sinh eta_min)(sinh + gp/hh)): nothing cancels above
-    # the floor, so A and R1 stay within 2 units of 2^-52, and J within 2 more
-    # than |ln J|, which exp(hh ln(...)) carries into it.  A radicand
-    # hh^2 sinh^2 - gp^2 is off by ~1e9 units at a gap of 1e-10.
+    # the floor, so A and R1 stay within 2 units of 2^-52, and J = x^hh as a
+    # power too (measured 1.9; exp(hh ln x) carried |ln J| more, up to 5.4).  A
+    # radicand hh^2 sinh^2 - gp^2 is off by ~1e9 units at a gap of 1e-10.
     for H, p in ((1.25, 0.8), (2.0, 0.5), (50.0, 0.05), (100.0, 0.999)):
         params = Parameters(H=H, p=p)
         floor = domain_info(params).eta_min
@@ -344,8 +344,7 @@ def test_hyperbolic_profile_matches_a_40_digit_reference_near_the_floor():
             got = hyperbolic_profile(eta, params)[:3]
             want = _decimal_profile(eta, floor, params.azimuthal_skew, params.boost_skew)
             units = [float(abs(Decimal(g) - w) / w) / 2.0 ** -52 for g, w in zip(got, want)]
-            bounds = (2.0, 2.0, 2.0 + abs(math.log(got[2])))
-            assert all(u <= b for u, b in zip(units, bounds)), (H, p, gap, units)
+            assert all(u <= 2.0 for u in units), (H, p, gap, units)
 
 
 def _decimal_atan(z):

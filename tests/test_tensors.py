@@ -30,7 +30,12 @@ from finsleroid import (
 )
 from finsleroid import dual as dm
 from finsleroid import tensors
-from finsleroid.kernel import log_radial_derivatives, radial_derivatives, radial_from_ratios
+from finsleroid.kernel import (
+    _packing,
+    log_radial_derivatives,
+    radial_derivatives,
+    radial_from_ratios,
+)
 
 ANISO = Parameters(H=1.25, p=0.8)
 PSEUDO = Parameters(H=1.0, p=1.0)
@@ -74,6 +79,31 @@ def test_overflowing_spiral_factor_is_outside_the_radial_domain(fn):
         warnings.simplefilter("error")
         with pytest.raises(OutsideRadialDomain, match="r=inf"):
             fn(HUGE_R, None, TINY_P)
+
+
+# a chart vector at TINY_P: its ratios near 1e-272 square to 0 in k^2 = X^2 + Y^2
+TINY_W = np.array([2.86037939e2, 1.36523286e-272, -4.12504660e-272, 4.36226097e-272])
+
+
+def _section_metrics_of_a_batch(y, tetrad, params):
+    return finsleroid3_metric(np.stack([y[1:] / y[0], [0.1, 0.2, 0.5]]), params)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [finsler_norm, metric_tensor, unit_covector, angular_metric, metric_determinant_closed,
+     angle_gradients, metric_tensor_numeric, angular_metric_angle_form,
+     _section_metric_of_ratios, _section_metrics_of_a_batch],
+    ids=lambda fn: fn.__name__,
+)
+def test_underflowing_spiral_modulus_is_outside_the_radial_domain(fn):
+    # the log spiral's r is 0 in double precision, which finsler_norm already
+    # reported; the radial derivatives divided by k^2 = 0 (ZeroDivisionError, or a
+    # RuntimeWarning for a batch) and the hyper-dual passes by sqrt(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutsideRadialDomain, match=r"r=0\.0 "):
+            fn(TINY_W, None, TINY_P)
 
 
 def test_unit_covector_axis_limit_pseudo_euclidean():
@@ -121,17 +151,25 @@ def test_radial_euler_identity():
             assert float(grad @ w) == pytest.approx(val, rel=1e-12)
 
 
+def _dense(packed, k):
+    """Dense arrays (k,), (k, k) and (k, k, k) of packed symmetric tensors."""
+    _, _, pair_at, triple_at = _packing(k)
+    d1, d2, d3 = map(np.asarray, packed)
+    return d1, d2[np.array(pair_at)], d3[np.array(triple_at)]
+
+
 def test_log_radial_derivatives_match_the_radial_map():
     # first and second derivatives of ln r against radial_derivatives, the third
     # against central differences of the second and the Euler identity of the
-    # degree -2 Hessian (L3.w = -2 L2), and a frame contracts all three
+    # degree -2 Hessian (L3.w = -2 L2), and a frame contracts all three; the
+    # packed results are unpacked to dense arrays first
     pairs = ((1, 1), (1.25, 1), (1.25, 0.8), (1.5, 0.9), (2, 0.5), (5, 0.9), (1.1, 0.3))
     frame = np.array([[0.3, -1.1], [0.8, 0.2], [-0.4, 0.9]])
     for H, p in pairs:
         params = Parameters(H=H, p=p)
         for y in sample_vectors(params, 10, 17):
             w = np.array(projections(y, Tetrad.canonical())[1:])
-            l1, l2, l3 = log_radial_derivatives(w, params)
+            l1, l2, l3 = _dense(log_radial_derivatives(w.tolist(), params), 3)
             r, g, h = radial_derivatives(w, params)
             assert np.max(np.abs(l1 - g / r)) <= 1e-14 * np.max(np.abs(l1))
             expected = h / r - np.outer(g, g) / (r * r)
@@ -140,10 +178,11 @@ def test_log_radial_derivatives_match_the_radial_map():
             step = 1e-4 * np.linalg.norm(w)
             for k in range(3):
                 e = step * np.eye(3)[k]
-                at = [log_radial_derivatives(w + s * e, params)[1] for s in (2.0, 1.0, -1.0, -2.0)]
+                at = [_dense(log_radial_derivatives((w + s * e).tolist(), params), 3)[1]
+                      for s in (2.0, 1.0, -1.0, -2.0)]
                 fd = (-at[0] + 8.0 * at[1] - 8.0 * at[2] + at[3]) / (12.0 * step)
                 assert np.max(np.abs(l3[..., k] - fd)) <= 1e-7 * np.max(np.abs(l3))
-            f1, f2, f3 = log_radial_derivatives(w, params, frame)
+            f1, f2, f3 = _dense(log_radial_derivatives(w.tolist(), params, frame.tolist()), 2)
             assert np.max(np.abs(f1 - l1 @ frame)) <= 1e-14 * np.max(np.abs(l1))
             assert np.max(np.abs(f2 - frame.T @ l2 @ frame)) <= 1e-13 * np.max(np.abs(l2))
             contracted = np.einsum("abc,ai,bj,ck->ijk", l3, frame, frame, frame)
