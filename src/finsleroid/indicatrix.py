@@ -34,7 +34,7 @@ from .kernel import (
     log_radial_derivatives,
     theta_pole,
 )
-from .tensors import _radial_point, finsleroid3_metric
+from .tensors import _radial_point, _unpack, finsleroid3_metric
 
 # Measured accuracy bounds of the Gauss-route curvatures (README, "Curvature
 # accuracy"): theta below THETA_MIN and, for the unit surface, eta - eta_min
@@ -114,7 +114,7 @@ def _pullback(angles, params: Parameters, chart=None):
     at that profile's eta, R1 and V, so r is not inverted back to eta.
     """
     prof, y, d = _chart_point(angles, params) if chart is None else chart
-    h = _radial_point(y, None, params, prof[:3])[2]
+    h = _unpack(_radial_point(y, None, params, prof[:3])[2])
     raw = -(np.swapaxes(d, -1, -2) @ h @ d)
     sign = np.where(raw[..., 0, 0] >= 0.0, 1, -1)
     return (sign * raw.T).T, sign, d

@@ -12,11 +12,11 @@ log-derivative integrals.
 The closed-form evaluators run float arguments on ``math``, choosing their
 functions once per call (``dual.library``), and accept HyperDual arguments,
 so derivatives pass through them unchanged, and arrays, so a batch of chart
-points is one call; ``radial_derivatives`` instead takes (3,) or (m, 3)
-ratios and returns the value, gradient and Hessian of the radial map in
-closed form for the tensor layer, and ``log_radial_derivatives`` the first
-three derivatives of ln r at one ratio vector for the curvature layer, on
-Python floats, each symmetric tensor packed as its distinct entries.
+points is one call; ``_radial_parts`` instead returns the value, gradient and
+Hessian of the radial map in closed form for the tensor layer, on float or
+array components, and ``log_radial_derivatives`` the first three derivatives
+of ln r at one ratio vector for the curvature layer, on Python floats, each
+symmetric tensor packed as its distinct entries.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .errors import (
     OutsideAxialRegion,
     OutsideEtaDomain,
     OutsideRadialDomain,
+    PolarAxisSingular,
     ThetaPole,
 )
 from .frame import FrameComponents, Parameters, Tetrad, projections
@@ -53,7 +54,6 @@ NEWTON_MAX_ITER = 60
 _MAP_NOISE = 16 * 2.0 ** -52
 _LOG_HUGE = math.log(np.finfo(float).max)  # exp overflows above this
 _QUAD_NODES, _QUAD_PANELS = 40, 8  # the quadrature oracle's fixed rule
-_UPPER, _TWO_EYE = np.triu(np.ones((3, 3), dtype=bool)), 2.0 * np.eye(3)
 _EYE3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
@@ -192,52 +192,60 @@ def radial_from_ratios(w1, w2, w3, params: Parameters):
 
 
 def radial_derivatives(w, params: Parameters):
-    """Value, gradient and Hessian of ``radial_from_ratios`` in closed form.
+    """``_radial_parts`` at (3,) or (m, 3) ratios as dense (..., 3) and (..., 3, 3) arrays."""
+    w = np.asarray(w, dtype=float)
+    r, grad, hess = _radial_parts(*(w.T if w.ndim == 2 else w.tolist()), params)
+    return r, np.array(grad).T, np.array(hess).T[..., np.array(_packing(3)[2])]
 
-    Takes (3,) or (m, 3) ratios.  For p < 1, with rho = |(w1, w2)| > 0,
-    X = w3 - gp p rho and Y = p rho, the map is the logarithmic spiral
-    r = k exp(gp atan2(Y, X)), k = |X + iY|.  ln r = Re[(1 - i gp) Log(X + iY)]
-    is harmonic in (X, Y), which collapses the derivatives to
-    grad = (r/k^2) (w1, w2, X - gp Y) and
+
+def _radial_parts(w1, w2, w3, params: Parameters):
+    """Value, gradient (3 components) and Hessian (6, packed) of ``radial_from_ratios``
+    in closed form, at ratios that are floats (one vector) or arrays (a batch).
+
+    For p < 1, with rho = |(w1, w2)| > 0, X = w3 - gp p rho and Y = p rho, the map
+    is the logarithmic spiral r = k exp(gp atan2(Y, X)), k = |X + iY|.
+    ln r = Re[(1 - i gp) Log(X + iY)] is harmonic in (X, Y), which collapses the
+    derivatives to grad = (r/k^2) (w1, w2, X - gp Y) and
     hess = (r/k^4) u u^T + (r/k^2) m m^T with u = (-w3 n, rho), m = (-n2, n1,
     0), n = (w1, w2)/rho.  Unlike hyper-dual passes, these carry no 1/rho
     terms that cancel near the axis.  For p = 1 the map is sqrt(w.w),
-    computed in the operation order of a hyper-dual pass (mirrored upper
-    triangle), so it agrees bit for bit with ``dual.hessian`` and stays
-    defined for w3 <= 0 and on the axis.  For p < 1, where k^2 underflows to 0
-    (ratios below ~1e-154, as the chart gives below p ~ 0.05), it raises
-    OutsideRadialDomain for r = 0 instead of dividing by k^2.
+    computed in the operation order of a hyper-dual pass, so it agrees bit
+    for bit with ``dual.hessian`` and stays defined for w3 <= 0 and on the
+    axis.  Where k^2 underflows to 0 it raises OutsideRadialDomain for r = 0,
+    and where k^4 or (w.w)^1.5 does (ratios below ~1e-81 or ~1e-108, as the
+    chart gives below p ~ 0.05) PolarAxisSingular: they lie on the time axis.
     """
-    # components first in w.T; .T of each result (hess is symmetric) restores (m, ...)
-    w = np.asarray(w, dtype=float)
-    batch = w.ndim == 2
-    w1, w2, w3 = w.T if batch else w.tolist()
-    fn = dm if batch else math
+    fn = dm.library(w1, w2, w3)
+    pairs = _packing(3)[0]
     if params.p == 1.0:
         s = w1 * w1 + w2 * w2 + w3 * w3
-        fp = 0.5 / fn.sqrt(s)
-        fpp = -0.25 / s ** 1.5
-        # the hyper-dual slot sum is -0.0 only where every sign bit is set
-        d = 2.0 * w.T + np.where(np.signbit(w.T).all(axis=0), -0.0, 0.0)
-        # hyper-dual order (fpp d_i) d_j on the upper triangle, mirrored
-        upper = (fpp * d * d[:, None]).T
-        hess = np.where(_UPPER, upper, np.swapaxes(upper, -1, -2))
-        return fn.sqrt(s), (fp * d).T, hess + np.asarray(fp)[..., None, None] * _TWO_EYE
+        s3 = s ** 1.5
+        if dm.any_set(s3 == 0.0):
+            raise PolarAxisSingular(f"ratios on the time axis: (w.w)^1.5 = 0 at w.w = {np.min(s)}")
+        fp, fpp = 0.5 / fn.sqrt(s), -0.25 / s3
+        # the hyper-dual slot sum 0 w1 + 0 w2 + 0 w3 is -0.0 only where every sign bit is set
+        zero = 0.0 * w1 + 0.0 * w2 + 0.0 * w3
+        d = (2.0 * w1 + zero, 2.0 * w2 + zero, 2.0 * w3 + zero)
+        # hyper-dual order (fpp d_a) d_b, plus 2 fp on the diagonal and 0 fp off it (-0.0 -> 0.0)
+        hess = [fpp * d[a] * d[b] + (2.0 if a == b else 0.0) * fp for a, b in pairs]
+        return fn.sqrt(s), [fp * x for x in d], hess
     gp = params.azimuthal_skew
-    rho = (np.hypot if batch else math.hypot)(w1, w2)
+    rho = (math.hypot if fn is math else np.hypot)(w1, w2)
     x = w3 - gp * params.p * rho
     y = params.p * rho
     k2 = x * x + y * y
-    if dm.any_set(k2 == 0.0):  # r is 0 in double precision, as eta_from_r would say
-        dom = domain_info(params)
-        raise OutsideRadialDomain(0.0, dom.r_min, dom.r_sup)
+    if dm.any_set(k2 * k2 == 0.0):
+        if dm.any_set(k2 == 0.0):  # r is 0 in double precision, as eta_from_r would say
+            dom = domain_info(params)
+            raise OutsideRadialDomain(0.0, dom.r_min, dom.r_sup)
+        raise PolarAxisSingular(f"ratios on the time axis: k^4 = 0 at k^2 = {np.min(k2)}")
     r = fn.sqrt(k2) * _spiral(fn.atan2(y, x), params)
     n1, n2 = w1 / rho, w2 / rho
-    u = np.array([-w3 * n1, -w3 * n2, rho])
-    m = np.array([-n2, n1, 0.0 * rho])
-    grad = (r / k2) * np.array([w1, w2, x - gp * y])
-    hess = (r / (k2 * k2)) * (u[:, None] * u) + (r / k2) * (m[:, None] * m)
-    return r, grad.T, hess.T
+    u = (-w3 * n1, -w3 * n2, rho)
+    m = (-n2, n1, 0.0 * rho)
+    rk2, rk4 = r / k2, r / (k2 * k2)
+    hess = [rk4 * (u[a] * u[b]) + rk2 * (m[a] * m[b]) for a, b in pairs]
+    return r, [rk2 * w1, rk2 * w2, rk2 * (x - gp * y)], hess
 
 
 @lru_cache(maxsize=None)
@@ -336,8 +344,12 @@ def rim_depth(eta, a, params: Parameters):
     (0/0 at H = 1), where eta = 0, with sinh = 0, is +inf deep.
     """
     fn = dm.library(eta)
-    gp, hh = params.azimuthal_skew, params.boost_skew
-    sh, ch, num, turn = fn.sinh(eta), fn.cosh(eta), fn.exp(-eta), 0.0
+    return _rim_depth(fn, fn.sinh(eta), fn.cosh(eta), fn.exp(-eta), a, params)
+
+
+def _rim_depth(fn, sh, ch, num, a, params: Parameters):
+    """``rim_depth`` from sinh, cosh and exp(-eta) at eta, on ``fn`` (``math`` or ``dual``)."""
+    gp, hh, turn = params.azimuthal_skew, params.boost_skew, 0.0
     if gp > 0.0:
         num = num - gp * gp / (a + hh * sh)
         turn = gp * fn.atan2(gp * (hh * hh + gp * gp) / (hh * ch + a), hh * a + gp * gp * ch)
@@ -437,9 +449,10 @@ def eta_from_r(r: float, params: Parameters, *, with_iterations: bool = False):
     step = before = hi - lo
     for iterations in range(1, NEWTON_MAX_ITER + 1):
         a, r1v, _, _, _, rv = hyperbolic_profile(eta, params)
-        inv_slope = p2 * r1v * math.sinh(eta)
+        sh = math.sinh(eta)
+        inv_slope = p2 * r1v * sh
         if rim:
-            here = rim_depth(eta, a, params)
+            here = _rim_depth(math, sh, math.cosh(eta), math.exp(-eta), a, params)
             g = math.log(depth / here)
             nxt = eta - g * here * inv_slope
         else:

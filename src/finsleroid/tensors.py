@@ -25,6 +25,8 @@ from . import dual as dm
 from .errors import OutsideAxialRegion, PolarAxisSingular
 from .frame import Parameters, Tetrad, projections
 from .kernel import (
+    _packing,
+    _radial_parts,
     _spiral,
     eta_from_r,
     hyperbolic_profile,
@@ -58,6 +60,15 @@ class AngleGradients:
     phi_grad: np.ndarray
 
 
+_PAIR_AT = np.array(_packing(4)[2])  # packed position of every pair of the 4 indices
+
+
+def _unpack(packed):
+    """Dense (4, 4), or (m, 4, 4), of a symmetric tensor packed as 10 floats (arrays of m)."""
+    dense = np.array(packed)
+    return dense[_PAIR_AT] if dense.ndim == 1 else dense.T[:, _PAIR_AT]
+
+
 def _check_ratios(w1, w2, w3, axial: bool):
     """Reject frame ratios (floats or arrays) off the axial region if ``axial``."""
     on_axis = (w1 == 0.0) & (w2 == 0.0)
@@ -71,17 +82,16 @@ def _check_ratios(w1, w2, w3, axial: bool):
 
 
 def _frame_point(y, tetrad: Tetrad | None, params: Parameters, dual: bool = False):
-    """Frame ratios of a vector or an (m, 4) batch, with the domain guards; for the
-    hyper-dual routes (``dual``) also ``radial_derivatives``' guard: their passes
-    square the ratios, and divide by 0 in ``dual.sqrt`` where the squares underflow."""
+    """b and the ratios (w1, w2, w3) of a vector (floats) or an (m, 4) batch, with the
+    domain guards; for the hyper-dual routes (``dual``) also ``_radial_parts``' guards:
+    their passes square the ratios, and divide by 0 in ``dual.sqrt`` where they underflow."""
     if params is None:
         raise TypeError("params is required")
     b, w1, w2, w3 = projections(y, Tetrad.canonical() if tetrad is None else tetrad)
     _check_ratios(w1, w2, w3, params.p < 1.0)
-    w = np.array([w1, w2, w3]).T
     if dual:
-        radial_derivatives(w, params)
-    return b, w
+        _radial_parts(w1, w2, w3, params)
+    return b, (w1, w2, w3)
 
 
 def _profile_factors(r, params: Parameters, known=None):
@@ -107,31 +117,26 @@ def _radial_point(y, tetrad: Tetrad | None, params: Parameters, known=None):
     Hessian in the frame ratios come from one closed-form call, and its
     value is inverted once, unless the caller passes ``known = (eta, R1, V)``
     (the indicatrix chart, also as arrays for an (m, 4) batch); l and h are
-    the component-route assemblies.
+    the component-route assemblies, 4 and 10 (packed) floats or arrays.
     """
     b, w = _frame_point(y, tetrad, params)
-    r, grad, hess = radial_derivatives(w, params)
+    r, grad, hess = _radial_parts(*w, params)
     sh, _, v, v_r, v_rr = _profile_factors(r, params, known)
-    # component-first (4, ...) and (4, 4, ...), then batch-first again at the end
-    grad, hess = grad.T, hess.T
-    l = np.empty((4,) + grad.shape[1:])
-    l[0] = v * (1.0 + (params.p ** 2 / params.H ** 2) * sh * sh)
-    l[1:] = v_r * grad
-    h = np.empty((4, 4) + grad.shape[1:])
-    h[0, 0] = v * v_rr * r * r
-    h[0, 1:] = h[1:, 0] = -v * v_rr * r * grad
-    h[1:, 1:] = v * v_rr * (grad[:, None] * grad) + v * v_r * hess
-    return b * v, l.T, np.swapaxes(h.T, -1, -2)
+    l = [v * (1.0 + (params.p ** 2 / params.H ** 2) * sh * sh)] + [v_r * x for x in grad]
+    vv, vr = v * v_rr, v * v_r
+    h = [vv * r * r] + [-vv * r * x for x in grad] + [
+        vv * (grad[a] * grad[c]) + vr * x for (a, c), x in zip(_packing(3)[0], hess)]
+    return b * v, l, h
 
 
 def unit_covector(y, tetrad: Tetrad | None = None, params: Parameters | None = None):
     """Covariant unit vector l_i = dF/dy^i in frame coordinates."""
-    return _radial_point(y, tetrad, params)[1]
+    return np.array(_radial_point(y, tetrad, params)[1]).T
 
 
 def angular_metric(y, tetrad: Tetrad | None = None, params: Parameters | None = None):
     """Angular metric h_ij = F * d^2F/dy^i dy^j, component route."""
-    return _radial_point(y, tetrad, params)[2]
+    return _unpack(_radial_point(y, tetrad, params)[2])
 
 
 def _angle_point(y, tetrad: Tetrad | None, params: Parameters):
@@ -189,8 +194,8 @@ def metric_tensor(
 ) -> TensorBundle:
     """Full bundle l, h, g = h + l (x) l and the LU determinant of g."""
     f, l, h = _radial_point(y, tetrad, params)
-    g = h + np.outer(l, l)
-    return TensorBundle(l=l, h=h, g=g, det_g=float(np.linalg.det(g)), F=f)
+    g = _unpack([x + l[a] * l[c] for (a, c), x in zip(_packing(4)[0], h)])
+    return TensorBundle(l=np.array(l), h=_unpack(h), g=g, det_g=float(np.linalg.det(g)), F=f)
 
 
 def metric_tensor_numeric(
@@ -225,8 +230,7 @@ def metric_determinant_closed(
     Depends on the hyperbolic and azimuthal angle but not on the polar
     one; reduces to -1 in the pseudo-Euclidean case.
     """
-    b, w = _frame_point(y, tetrad, params)
-    w1, w2, w3 = w.tolist()
+    b, (w1, w2, w3) = _frame_point(y, tetrad, params)
     r = radial_from_ratios(w1, w2, w3, params)
     sh, r1v, v, _, _ = _profile_factors(r, params)
     gp = params.azimuthal_skew

@@ -219,6 +219,19 @@ def test_underflowing_frame_ratios_are_a_domain_error():
     assert "domain error: r=0.0 " in r.stderr and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("--H", "1.25", "--p", "1", "--y=2,1e-170,1e-170,1e-170"),
+    ("--H", "2", "--p", "0.01", "--y=116.4356774903161,5.341513523503264e-102,"
+     "1.4056044271191692e-102,5.5714188562784366e-102"),
+], ids=("p=1", "p=0.01"))
+def test_vector_numerically_on_the_time_axis_is_a_domain_error(args):
+    # the radial Hessian divided by (w.w)^1.5 = 0 at p = 1 and by k^4 = 0 (k^2 ~ 4e-211)
+    # at p = 0.01: a ZeroDivisionError traceback and exit 1, before
+    r = run_cli("eval", *args)
+    assert r.returncode == 2, r.stderr
+    assert "on the time axis" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_report_domain_grid_with_empty_row():
     r = run_cli("report", "domain", "--Hgrid", "1,1.25", "--pgrid", "0.8,1",
                 "--format", "csv")

@@ -24,12 +24,13 @@ from finsleroid import (
     metric_tensor,
     metric_tensor_numeric,
     projections,
+    sample_angles,
     sample_vectors,
     tensor_to_natural,
     unit_covector,
 )
 from finsleroid import dual as dm
-from finsleroid import tensors
+from finsleroid import indicatrix, tensors
 from finsleroid.kernel import (
     _packing,
     log_radial_derivatives,
@@ -104,6 +105,59 @@ def test_underflowing_spiral_modulus_is_outside_the_radial_domain(fn):
         warnings.simplefilter("error")
         with pytest.raises(OutsideRadialDomain, match=r"r=0\.0 "):
             fn(TINY_W, None, TINY_P)
+
+
+# vectors numerically on the time axis: at p = 1 the ratios' (w.w)^1.5 underflows
+# to 0, at p = 0.01 (a chart vector) k^4 = (X^2 + Y^2)^2 while k^2 is ~4e-211
+ON_THE_TIME_AXIS = (
+    (Parameters(1.25, 1.0), np.array([2.0, 1e-170, 1e-170, 1e-170])),
+    (Parameters(2.0, 0.01), np.array([116.4356774903161, 5.341513523503264e-102,
+                                      1.4056044271191692e-102, 5.5714188562784366e-102])),
+)
+
+
+@pytest.mark.parametrize("params, y", ON_THE_TIME_AXIS, ids=("p=1", "p=0.01"))
+@pytest.mark.parametrize(
+    "fn",
+    [metric_tensor, unit_covector, angular_metric, angle_gradients, metric_tensor_numeric,
+     angular_metric_angle_form, _section_metric_of_ratios, _section_metrics_of_a_batch],
+    ids=lambda fn: fn.__name__,
+)
+def test_ratios_underflowing_onto_the_time_axis_are_polar_axis_singular(fn, params, y):
+    # the radial Hessian divided by (w.w)^1.5 = 0 or k^4 = 0 (ZeroDivisionError, or a
+    # RuntimeWarning for a batch), and the hyper-dual passes by sqrt(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PolarAxisSingular, match="on the time axis"):
+            fn(y, None, params)
+
+
+def test_one_path_for_floats_and_arrays():
+    # radial_derivatives on an (m, 3) batch, and _radial_point with ``known`` on a
+    # chart batch, against each row's one-vector call; the p = 1 rows include w3 <= 0,
+    # signed zeros and the axis.  Rows differ only where numpy's arctan2, exp, hypot,
+    # sinh or power round apart from math's: at most 1.0e-15 of max|.| here (the
+    # Hessian at (2, 0.5)), the same before the two paths became one
+    for H, p in ((1, 1), (1.25, 1), (1.25, 0.8), (1.5, 0.9), (2, 0.5)):
+        params = Parameters(H=H, p=p)
+        ws = [np.array(projections(y, Tetrad.canonical())[1:])
+              for y in sample_vectors(params, 20, 89)]
+        if p == 1.0:
+            ws += [np.array([w[0], w[1], -w[2]]) for w in ws[:5]]
+            ws += [np.array([w[0], -0.0, 0.0]) for w in ws[:3]]
+            ws += [np.array([0.0, -0.0, -w[2]]) for w in ws[:3]] + [np.array([-0.0, 0.0, 0.7])]
+        batch = radial_derivatives(np.array(ws), params)
+        for k, w in enumerate(ws):
+            for rows, one in zip(batch, radial_derivatives(w, params)):
+                assert np.max(np.abs(rows[k] - one)) <= 2e-15 * np.max(np.abs(one))
+        angles = np.array([[a.eta, a.theta, a.phi] for a in sample_angles(params, 20, 31)])
+        prof, y, _ = indicatrix._chart_point(angles, params)
+        batch = [np.array(part) for part in tensors._radial_point(y, None, params, prof[:3])]
+        for k in range(len(angles)):
+            known = [float(c[k]) for c in prof[:3]]
+            for rows, one in zip(batch, tensors._radial_point(y[k], None, params, known)):
+                one = np.array(one)
+                assert np.max(np.abs(rows[..., k] - one)) <= 2e-15 * np.max(np.abs(one))
 
 
 def test_unit_covector_axis_limit_pseudo_euclidean():
@@ -331,7 +385,7 @@ def test_metric_tensor_pseudo_euclidean():
 
 
 def test_metric_tensor_single_evaluation_chain(monkeypatch):
-    calls = {"projections": 0, "eta_from_r": 0, "radial_derivatives": 0, "hessian": 0}
+    calls = {"projections": 0, "eta_from_r": 0, "_radial_parts": 0, "hessian": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -344,7 +398,7 @@ def test_metric_tensor_single_evaluation_chain(monkeypatch):
 
     counted(tensors, "projections")
     counted(tensors, "eta_from_r")
-    counted(tensors, "radial_derivatives")
+    counted(tensors, "_radial_parts")
     counted(tensors.dm, "hessian")
     for params in (
         Parameters(H=1.0, p=1.0),
@@ -359,7 +413,7 @@ def test_metric_tensor_single_evaluation_chain(monkeypatch):
             assert calls == {
                 "projections": 1,
                 "eta_from_r": 1,
-                "radial_derivatives": 1,
+                "_radial_parts": 1,
                 "hessian": 0,
             }
             assert np.array_equal(tb.l, unit_covector(y, None, params))
