@@ -11,7 +11,9 @@ derivatives of ln r, with no analytic shortcut on the metric side and no
 chart derivatives of the metric.  The metrics themselves (``indicatrix_metric``,
 ``section_metric``) take (m, 3) or (m, 2) angle rows, so the finite-difference
 curvature of ``curvature.coordinate_plane_curvatures`` cross-checks both
-claims from one batch; the scalar functions are batches of one.
+claims from one batch.  The charts are written once on per-component values,
+Python floats at one point, so a curvature builds no numpy array, and arrays at
+a batch of rows; the public functions stack them into arrays.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class IndicatrixBundle:
 
 def unit_vector(angles: AngleCoords, params: Parameters) -> np.ndarray:
     """Contravariant unit vector (frame coordinates) at the given angles."""
-    return _chart_vector(angles, 1.0, params)[2]
+    return np.stack(_chart_vector(angles, 1.0, params)[2], axis=-1)
 
 
 def unit_vector_angle_derivatives(
@@ -70,30 +72,35 @@ def unit_vector_angle_derivatives(
     the polar column is written in product form so it stays finite at
     phi = pi/2 where the quotient form has a removable pole.
     """
-    return _chart_point(angles, params)[2]
+    return _derivative_array(_chart_point(angles, params)[2])
 
 
 def _chart_point(angles, params: Parameters):
-    """Profile (eta, R1, V, A), unit vector y (..., 4) and its angle derivatives
-    d (..., 4, 3)."""
+    """Profile (eta, R1, V, A), the 4 components of the unit vector y and its angle
+    derivatives d, 4 rows (one per component) of 3 (d/d eta, d/d theta, d/d phi):
+    Python floats at an AngleCoords, arrays of m at (m, 3) rows."""
     prof, (st, ct), y = _chart_vector(angles, 1.0, params)
     if dm.any_set(st == 0.0):
         raise PolarAxisSingular("azimuthal derivatives undefined on the polar axis")
     eta, r1v, _, _ = prof
     sh = dm.sinh(eta)
     gp = params.azimuthal_skew
+    y0, y1, y2, y3 = y
 
     dlnv = -(1.0 / params.H ** 2) * sh / r1v  # log slope of V in eta
     dlnr = 1.0 / (params.p ** 2 * r1v * sh)  # log slope of r in eta
-    lt = y.T  # component-first, like d until its last line
-    d = np.zeros((4, 3) + lt.shape[1:])
-    d[0, 0] = -dlnv * lt[0]
-    d[1:, 0] = (dlnr - dlnv) * lt[1:]
-    d[1:3, 1] = (ct / st - gp) * lt[1:3]
-    d[3, 1] = -(st / (params.p ** 2 * (ct + gp * st))) * lt[3]
-    d[1, 2] = -lt[2]
-    d[2, 2] = lt[1]
-    return prof, y, np.swapaxes(d.T, -1, -2)
+    radial, polar = dlnr - dlnv, ct / st - gp
+    zero = 0.0 * r1v  # +0.0, or zeros of the batch: R1 > 0
+    d = [[-dlnv * y0, zero, zero],
+         [radial * y1, polar * y1, -y2],
+         [radial * y2, polar * y2, y1],
+         [radial * y3, -(st / (params.p ** 2 * (ct + gp * st))) * y3, zero]]
+    return prof, y, d
+
+
+def _derivative_array(d) -> np.ndarray:
+    """``_chart_point``'s d as a (4, 3) array, or (m, 4, 3) for a batch."""
+    return np.swapaxes(np.array(d).T, -1, -2)
 
 
 def indicatrix_metric(angles: AngleCoords, params: Parameters) -> np.ndarray:
@@ -110,11 +117,13 @@ def _pullback(angles, params: Parameters, chart=None):
     """Signed pullback -(d^T h d), its sign and d, at the chart's own eta.
 
     One profile gives y and d (per point of a batch, like ``_chart_point``,
-    or taken from ``chart``); h is the component-route angular metric of y
-    at that profile's eta, R1 and V, so r is not inverted back to eta.
+    or taken from ``chart``), as arrays from here on; h is the component-route
+    angular metric of y at that profile's eta, R1 and V, so r is not inverted
+    back to eta.
     """
     prof, y, d = _chart_point(angles, params) if chart is None else chart
-    h = _unpack(_radial_point(y, None, params, prof[:3])[2])
+    d = _derivative_array(d)
+    h = _unpack(_radial_point(np.stack(y, axis=-1), None, params, prof[:3])[2])
     raw = -(np.swapaxes(d, -1, -2) @ h @ d)
     sign = np.where(raw[..., 0, 0] >= 0.0, 1, -1)
     return (sign * raw.T).T, sign, d
@@ -182,8 +191,8 @@ def _gauss_indicatrix(chart, params: Parameters) -> dict:
     f1 = -2.0 * (p2 / params.H ** 2) * phi * sh * sh
     f2 = 2.0 * p2 * m * f1
     f3 = 2.0 * p2 * p2 * f1 * (r1v * sh * (2.0 * hh2 * sh * ch + a_eta * ch + a * sh) + 2.0 * m * m)
-    b, *rest = y.tolist()
-    x0, *rows = d.tolist()
+    b, *rest = y
+    x0, *rows = d
     w = [c / b for c in rest]
     # S/A is invariant under y -> (y0, y[1:]/|w|), which keeps the ratios, L's
     # derivatives and the metric at order 1 where |w| is 1e-100 (p ~ 0.005)
@@ -216,30 +225,31 @@ def section_metric(theta: float, phi: float, params: Parameters) -> np.ndarray:
 
 def _section_metric(x, params: Parameters) -> np.ndarray:
     """Section metric at (theta, phi) rows: (2,) gives (2, 2), (m, 2) (m, 2, 2)."""
-    w, jac_t = _section_chart(x, params)
-    return jac_t @ finsleroid3_metric(w, params) @ np.swapaxes(jac_t, -1, -2)
+    w, jac = _section_chart(*np.asarray(x, dtype=float).T, params)
+    jac_t = np.array(jac).T  # (2, 3), or (m, 2, 3)
+    return jac_t @ finsleroid3_metric(np.array(w).T, params) @ np.swapaxes(jac_t, -1, -2)
 
 
-def _section_chart(x, params: Parameters):
-    """Point w of r = 1 at (theta, phi) rows and its Jacobian^T, closed-form.
+def _section_chart(theta, phi, params: Parameters):
+    """Point w of r = 1 at (theta, phi) and its Jacobian, closed-form: 3 components and
+    3 rows (one per component) of (d/d theta, d/d phi), floats for float angles and
+    arrays of m for arrays.
 
     w = (w_perp cos phi, w_perp sin phi, w3), I = exp(gp theta), w_perp =
     sin/(p I), w3 = (cos + gp sin)/I, d w_perp/d theta = (cos - gp sin)/(p I),
     d w3/d theta = -sin/(p^2 I)."""
-    theta, phi = np.asarray(x, dtype=float).T
+    fn = dm.library(theta, phi)
     gp = params.azimuthal_skew
-    st, ct = dm.sin(theta), dm.cos(theta)
+    st, ct = fn.sin(theta), fn.cos(theta)
     big_i = _spiral(theta, params, chart=True)
     w_perp = st / (params.p * big_i)
     dw_perp = (ct - gp * st) / (params.p * big_i)
-    cp, sp = dm.cos(phi), dm.sin(phi)
-    w = np.array([w_perp * cp, w_perp * sp, (ct + gp * st) / big_i]).T
-    jac = np.array([
-        [dw_perp * cp, -w_perp * sp],
-        [dw_perp * sp, w_perp * cp],
-        [-st / (params.p ** 2 * big_i), 0.0 * theta],
-    ])
-    return w, jac.T  # (m, 3) and (m, 2, 3), or (3,) and (2, 3)
+    cp, sp = fn.cos(phi), fn.sin(phi)
+    w = [w_perp * cp, w_perp * sp, (ct + gp * st) / big_i]
+    jac = [[dw_perp * cp, -w_perp * sp],
+           [dw_perp * sp, w_perp * cp],
+           [-st / (params.p ** 2 * big_i), 0.0 * theta]]
+    return w, jac
 
 
 def section_curvature(theta: float, params: Parameters) -> float:
@@ -254,10 +264,9 @@ def section_curvature(theta: float, params: Parameters) -> float:
     _check_theta(theta)
     if theta >= theta_pole(params):
         raise ThetaPole(f"section needs theta below the pole {theta_pole(params)}, got {theta}")
-    w, jac_t = _section_chart(np.array([theta, 0.9]), params)
-    w, (d_theta, d_phi) = w.tolist(), jac_t.tolist()
+    w, jac = _section_chart(theta, 0.9, params)
     scale = _ratio_scale(w)  # as for the unit surface: S/A is invariant under w -> w/|w|
-    frame = [[x / scale, y / scale] for x, y in zip(d_theta, d_phi)]
+    frame = [[x / scale, y / scale] for x, y in jac]
     # r^2/2 = exp(2 L)/2 has L-derivatives 1, 2, 4 at r = 1; along the chart
     _, metric, third = _compose(1.0, 2.0, 4.0, *log_radial_derivatives(
         [c / scale for c in w], params, frame))

@@ -361,16 +361,18 @@ def _rim_depth(fn, sh, ch, num, a, params: Parameters):
 
 def _chart_profile(eta, params: Parameters):
     """Eta clamped onto the floor, and ``hyperbolic_profile`` there, at chart angles
-    (float or array): OutsideEtaDomain below the floor's 1e-12 max(1, eta_min)
-    slack, above ETA_CAP (before any profile runs), or at the ceiling, where the
-    depth ln(r_sup/r(eta)) is not above _MAP_NOISE, one eta per (H, p)."""
+    (a float, which stays a float, or an array): OutsideEtaDomain below the floor's
+    1e-12 max(1, eta_min) slack, above ETA_CAP (before any profile runs), or at the
+    ceiling, where the depth ln(r_sup/r(eta)) is not above _MAP_NOISE, one eta per
+    (H, p)."""
     dom = domain_info(params)
     floor = dom.eta_min
     if dm.any_set(eta < floor - 1e-12 * max(1.0, floor)):
         raise OutsideEtaDomain(f"eta={np.min(eta)} below the domain floor {floor}")
     if dm.any_set(eta > ETA_CAP):
         raise OutsideEtaDomain(f"eta={np.max(eta)} above the cap {ETA_CAP}")
-    eta = np.maximum(eta, floor)
+    # the floor wins ties, as in np.maximum: -0.0 clamps onto a floor of 0.0
+    eta = (eta if eta > floor else floor) if isinstance(eta, float) else np.maximum(eta, floor)
     prof = hyperbolic_profile(eta, params)
     if dm.any_set(rim_depth(eta, prof[0], params) <= _MAP_NOISE):
         raise OutsideEtaDomain(f"eta={np.max(eta)} maps to r within noise of r_sup = {dom.r_sup}")
@@ -538,29 +540,31 @@ def vector_from_angles(
 
 def _chart_ratios(angles, params: Parameters):
     """Profile (eta, R1, V, A), (sin, cos) of theta and (w1, w2, w3, w_perp) at an
-    AngleCoords or at (m, 3) rows of (eta, theta, phi mod 2 pi), in one profile
-    call; a bad point raises what a scalar call does."""
+    AngleCoords, as Python floats, or at (m, 3) rows of (eta, theta, phi mod 2 pi), as
+    arrays of m, in one profile call; a bad point raises what a scalar call does."""
     if isinstance(angles, AngleCoords):
         eta, theta, phi = angles.eta, angles.theta, angles.phi
     else:
         eta, theta, phi = np.asarray(angles, dtype=float).T
         phi = phi % (2.0 * math.pi)
     eta, (a, r1v, _, _, v, r) = _chart_profile(eta, params)
-    st, ct = dm.sin(theta), dm.cos(theta)
+    fn = dm.library(theta, phi)
+    st, ct = fn.sin(theta), fn.cos(theta)
     r2 = ct + params.azimuthal_skew * st
     if dm.any_set(r2 <= 0.0):
         raise ThetaPole(f"angular divisor R2={np.min(r2)} not positive")
     big_i = _spiral(theta, params, chart=True)
     w_perp = r * st / (params.p * big_i)
-    ratios = w_perp * dm.cos(phi), w_perp * dm.sin(phi), r * r2 / big_i, w_perp
+    ratios = w_perp * fn.cos(phi), w_perp * fn.sin(phi), r * r2 / big_i, w_perp
     return (eta, r1v, v, a), (st, ct), ratios
 
 
 def _chart_vector(angles, norm, params: Parameters):
-    """``_chart_ratios``'s profile and (sin, cos), and the frame vector y of ``norm``."""
+    """``_chart_ratios``'s profile and (sin, cos), and the 4 components of the frame
+    vector y of ``norm``: floats at an AngleCoords, arrays of m at (m, 3) rows."""
     prof, trig, (w1, w2, w3, _) = _chart_ratios(angles, params)
     b = norm / prof[2]
-    return prof, trig, np.stack([b, b * w1, b * w2, b * w3], axis=-1)
+    return prof, trig, [b, b * w1, b * w2, b * w3]
 
 
 def angles_from_vector(

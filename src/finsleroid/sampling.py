@@ -63,5 +63,5 @@ def sample_vectors(
     norms = rng.uniform(*scale, size=count)
     if (norms <= 0.0).any():
         raise ValueError(f"norm must be positive, got {norms.min()}")
-    y = _chart_vector(rows, norms, params)[2]
+    y = np.stack(_chart_vector(rows, norms, params)[2], axis=-1)
     return y if tetrad is None else y @ np.linalg.inv(tetrad.rows).T

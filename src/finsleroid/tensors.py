@@ -81,16 +81,22 @@ def _check_ratios(w1, w2, w3, axial: bool):
         raise PolarAxisSingular("vector lies exactly on the time axis")
 
 
-def _frame_point(y, tetrad: Tetrad | None, params: Parameters, dual: bool = False):
+def _frame_point(y, tetrad: Tetrad | None, params: Parameters, dual: bool = False,
+                 axial: bool | None = None):
     """b and the ratios (w1, w2, w3) of a vector (floats) or an (m, 4) batch, with the
-    domain guards; for the hyper-dual routes (``dual``) also ``_radial_parts``' guards:
-    their passes square the ratios, and divide by 0 in ``dual.sqrt`` where they underflow."""
+    domain guards, off the axial region where ``axial`` (default p < 1); for the
+    hyper-dual routes (``dual``) also ``_radial_parts``' guards and, where axial, the
+    polar axis up to (w1^2 + w2^2)^2 = 0: their passes take sqrt and atan2 of the
+    squared ratios, and divide by 0 in ``dual.sqrt`` or ``dual.atan2`` where they underflow."""
     if params is None:
         raise TypeError("params is required")
     b, w1, w2, w3 = projections(y, Tetrad.canonical() if tetrad is None else tetrad)
-    _check_ratios(w1, w2, w3, params.p < 1.0)
+    axial = params.p < 1.0 if axial is None else axial
+    _check_ratios(w1, w2, w3, axial)
     if dual:
         _radial_parts(w1, w2, w3, params)
+        if axial and (w1 * w1 + w2 * w2) ** 2 == 0.0:
+            raise PolarAxisSingular(f"ratios on the polar axis: (w1^2 + w2^2)^2 = 0 at {w1}, {w2}")
     return b, (w1, w2, w3)
 
 
@@ -141,8 +147,7 @@ def angular_metric(y, tetrad: Tetrad | None = None, params: Parameters | None = 
 
 def _angle_point(y, tetrad: Tetrad | None, params: Parameters):
     """Angle gradients, norm F, sinh(eta) and theta of one vector."""
-    b, w = _frame_point(y, tetrad, params, dual=True)
-    _check_ratios(*w, True)
+    b, w = _frame_point(y, tetrad, params, dual=True, axial=True)
 
     def ratio_maps(y0, y1, y2, y3):
         w1, w2, w3 = y1 / y0, y2 / y0, y3 / y0
@@ -228,17 +233,23 @@ def metric_determinant_closed(
     """Closed-form determinant of g in frame coordinates.
 
     Depends on the hyperbolic and azimuthal angle but not on the polar
-    one; reduces to -1 in the pseudo-Euclidean case.
+    one; reduces to -1 in the pseudo-Euclidean case.  Raises
+    PolarAxisSingular where r^6 underflows to 0, r below ~1e-54: ratios that
+    near the time axis, as those of every admissible vector at p = 0.01 are.
     """
     b, (w1, w2, w3) = _frame_point(y, tetrad, params)
     r = radial_from_ratios(w1, w2, w3, params)
+    r6 = r ** 6
+    # r = 0 itself lies below r_min for p < 1, which eta_from_r reports
+    if r6 == 0.0 and (r > 0.0 or params.p == 1.0):
+        raise PolarAxisSingular(f"ratios on the time axis: r^6 = 0 at r = {r}")
     sh, r1v, v, _, _ = _profile_factors(r, params)
     gp = params.azimuthal_skew
     vth = params.p * math.hypot(w1, w2)
     theta = math.atan2(vth, w3 - gp * vth)
     big_i = _spiral(theta, params)
     core = params.p ** 4 * big_i ** 3 * v ** 4 * r1v
-    return -(core * core) * sh ** 6 / (params.H ** 6 * r ** 6)
+    return -(core * core) * sh ** 6 / (params.H ** 6 * r6)
 
 
 def finsleroid3_metric(w, params: Parameters):

@@ -488,14 +488,15 @@ def test_section_chart_jacobian_matches_hyperdual_pass():
             for theta in np.linspace(0.006, theta_pole(params) - 0.01, 30)
             for phi in (0.0, 0.9, 2.5, 4.4)
         ]
-        batch_w, batch_jac_t = indicatrix._section_chart(np.array(rows), params)
+        batch_w, batch_jac = (np.array(part).T for part in
+                              indicatrix._section_chart(*np.array(rows).T, params))
         for k, row in enumerate(rows):
             w0, jac0 = dm.gradient(chart, row)
-            w, jac_t = indicatrix._section_chart(np.array(row), params)
+            w, jac = (np.array(part) for part in indicatrix._section_chart(*row, params))
             assert np.max(np.abs(w - w0)) <= 1e-14 * np.max(np.abs(w0))
-            assert np.max(np.abs(jac_t.T - jac0)) <= 1e-14 * np.max(np.abs(jac0))
+            assert np.max(np.abs(jac - jac0)) <= 1e-14 * np.max(np.abs(jac0))
             assert np.max(np.abs(batch_w[k] - w)) <= 1e-14 * np.max(np.abs(w))
-            assert np.max(np.abs(batch_jac_t[k] - jac_t)) <= 1e-14 * np.max(np.abs(jac_t))
+            assert np.max(np.abs(batch_jac[k].T - jac)) <= 1e-14 * np.max(np.abs(jac))
 
 
 def test_chart_overflow_of_exp_gp_theta_raises_outside_axial_region():
@@ -547,3 +548,102 @@ def test_batch_domain_failure_matches_scalar_error():
             indicatrix.section_metric(theta, 0.9, params)
         with pytest.raises(error):
             indicatrix._section_metric(np.array([[0.6, 0.9], [theta, 0.9], [0.7, 0.9]]), params)
+
+
+# Rows of a batch chart call against the call on each row's AngleCoords: numpy's
+# sin, exp, sinh and arctan2 may round differently from math's, by at most 3.1
+# units of 2^-52 relative over 200 sample_angles points on each of the seven pairs
+CHART_ROW_BOUND = 4 * 2.0 ** -52
+CHART_PAIRS = ((1.0, 1.0), (1.25, 1.0), (1.25, 0.8), (1.5, 0.9), (2.0, 0.5), (50.0, 0.05),
+               (100.0, 0.999))
+
+
+def _floats_of(parts):
+    """Every leaf of nested tuples and lists of chart components."""
+    for part in parts:
+        if isinstance(part, (tuple, list)):
+            yield from _floats_of(part)
+        else:
+            yield part
+
+
+@pytest.mark.parametrize("H, p", CHART_PAIRS)
+def test_one_chart_path_for_floats_and_arrays(H, p):
+    # one chart code path: Python floats at an AngleCoords, arrays of m at (m, 3) rows
+    params = Parameters(H=H, p=p)
+    points = sample_angles(params, 40, 17)
+    rows = np.array([[a.eta, a.theta, a.phi] for a in points])
+    (prof, y, d), (w, jac) = (indicatrix._chart_point(rows, params),
+                              indicatrix._section_chart(rows[:, 1], rows[:, 2], params))
+    for k, angles in enumerate(points):
+        one = indicatrix._chart_point(angles, params)
+        section = indicatrix._section_chart(angles.theta, angles.phi, params)
+        assert all(type(c) is float for c in _floats_of((one, section)))
+        for c, single in zip(prof, one[0]):
+            assert abs(c[k] - single) <= CHART_ROW_BOUND * abs(single)
+        for batch, single in ((y, one[1]), (d, one[2]), (w, section[0]), (jac, section[1])):
+            single = np.array(single)
+            row = np.array([[c[k] for c in part] if isinstance(part, list) else part[k]
+                            for part in batch])
+            assert np.max(np.abs(row - single)) <= CHART_ROW_BOUND * np.max(np.abs(single))
+
+
+def test_public_chart_functions_keep_their_arrays():
+    params = Parameters(H=2.0, p=0.5)
+    points = sample_angles(params, 5, 3)
+    angles = points[0]
+    rows = np.array([[a.eta, a.theta, a.phi] for a in points])
+    bundle = indicatrix_bundle(angles, params)
+    pulled, sign, d = indicatrix._pullback(rows, params)
+    vectors = sample_vectors(params, 5, 3)
+    for array, shape in (
+        (unit_vector(angles, params), (4,)),
+        (unit_vector_angle_derivatives(angles, params), (4, 3)),
+        (indicatrix_metric(angles, params), (3, 3)),
+        (bundle.i_metric, (3, 3)),
+        (bundle.l_derivs, (4, 3)),
+        (pulled, (5, 3, 3)),
+        (sign, (5,)),
+        (d, (5, 4, 3)),
+        (indicatrix.section_metric(0.6, 0.9, params), (2, 2)),
+        (indicatrix._section_metric(rows[:, 1:], params), (5, 2, 2)),
+        (vectors, (5, 4)),
+    ):
+        assert isinstance(array, np.ndarray) and array.shape == shape
+    assert vectors.flags.c_contiguous
+
+
+def test_every_chart_edge_raises_the_same_error_for_a_point_and_a_batch_row():
+    params = Parameters(H=1.25, p=0.8)
+    floor = domain_info(params).eta_min
+    tiny_p = Parameters(3.5795676089825723, 0.003641003953434029)  # exp(gp theta) overflows
+    edges = (
+        (params, (floor - 1e-3, 0.6, 1.2), OutsideEtaDomain, "below the domain floor"),
+        (params, (kernel.ETA_CAP + 1.0, 0.6, 1.2), OutsideEtaDomain, "above the cap"),
+        (params, (floor + 20.0, 0.6, 1.2), OutsideEtaDomain, "r_sup"),
+        (params, (floor + 0.9, theta_pole(params) + 1e-3, 1.2), ThetaPole, "R2="),
+        (tiny_p, (tiny_p.eta_min + 0.0053, 2.806253026091126, 1.2), OutsideAxialRegion,
+         "exp.gp theta. overflows"),
+        (params, (floor + 0.9, 0.0, 1.2), PolarAxisSingular, "polar axis"),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q, bad, error, match in edges:
+            good = [domain_info(q).eta_min + 0.9, 0.5, 1.2]
+            with pytest.raises(error, match=match):
+                indicatrix._chart_point(AngleCoords(*bad), q)
+            with pytest.raises(error, match=match):
+                indicatrix._chart_point(np.array([good, bad, good]), q)
+            if error is OutsideAxialRegion:
+                with pytest.raises(error, match=match):
+                    indicatrix._section_chart(bad[1], 0.9, q)
+                with pytest.raises(error, match=match):
+                    indicatrix._section_chart(np.array([0.5, bad[1]]), np.array([0.9, 0.9]), q)
+        # the curvatures' measured bounds: no batch curvature exists, so one point each
+        for theta in (0.0, 0.5 * indicatrix.THETA_MIN):
+            with pytest.raises(PolarAxisSingular, match="THETA_MIN"):
+                indicatrix_curvature(AngleCoords(floor + 0.9, theta, 1.2), params)
+            with pytest.raises(PolarAxisSingular, match="THETA_MIN"):
+                section_curvature(theta, params)
+        with pytest.raises(OutsideEtaDomain, match="GAP_MIN"):
+            indicatrix_curvature(AngleCoords(floor + 0.5 * indicatrix.GAP_MIN, 0.6, 1.2), params)

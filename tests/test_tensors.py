@@ -120,15 +120,49 @@ ON_THE_TIME_AXIS = (
 @pytest.mark.parametrize(
     "fn",
     [metric_tensor, unit_covector, angular_metric, angle_gradients, metric_tensor_numeric,
-     angular_metric_angle_form, _section_metric_of_ratios, _section_metrics_of_a_batch],
+     angular_metric_angle_form, metric_determinant_closed, _section_metric_of_ratios,
+     _section_metrics_of_a_batch],
     ids=lambda fn: fn.__name__,
 )
 def test_ratios_underflowing_onto_the_time_axis_are_polar_axis_singular(fn, params, y):
     # the radial Hessian divided by (w.w)^1.5 = 0 or k^4 = 0 (ZeroDivisionError, or a
-    # RuntimeWarning for a batch), and the hyper-dual passes by sqrt(0)
+    # RuntimeWarning for a batch), the hyper-dual passes by sqrt(0), and the closed-form
+    # determinant by r^6 = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(PolarAxisSingular, match="on the time axis"):
+            fn(y, None, params)
+
+
+# vectors at p < 1 whose polar part (w1, w2) squares to 0 or to ~1e-200, with
+# w3 = 0.0688 and r inside the domain
+NEAR_THE_POLAR_AXIS = (np.array([1.0, 1e-170, 1e-170, 0.0688]),
+                       np.array([1.0, 1e-100, 1e-100, 0.0688]))
+
+
+@pytest.mark.parametrize("y", NEAR_THE_POLAR_AXIS, ids=("1e-170", "1e-100"))
+@pytest.mark.parametrize(
+    "fn", [angle_gradients, metric_tensor_numeric, angular_metric_angle_form],
+    ids=lambda fn: fn.__name__,
+)
+def test_hyperdual_routes_on_the_polar_axis_are_polar_axis_singular(fn, y):
+    # dual.sqrt of w1^2 + w2^2 (its second derivative divides by s^1.5) and dual.atan2
+    # of (w2, w1) (by s^2) divided by 0; the closed-form route is defined there
+    params = Parameters(2.0, 0.5)
+    assert np.isfinite(metric_tensor(y, None, params).g).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PolarAxisSingular, match="polar axis"):
+            fn(y, None, params)
+
+
+def test_angle_route_on_the_polar_axis_at_p_1():
+    # at p = 1 the radial map |w| has w3 in its sum, so only the angle route, which
+    # takes atan2(w2, w1), is singular there
+    params, y = Parameters(1.25, 1.0), np.array([1.0, 1e-170, 1e-170, 0.5])
+    assert np.isfinite(metric_tensor_numeric(y, None, params).g).all()
+    for fn in (angle_gradients, angular_metric_angle_form):
+        with pytest.raises(PolarAxisSingular, match="polar axis"):
             fn(y, None, params)
 
 
@@ -152,6 +186,7 @@ def test_one_path_for_floats_and_arrays():
                 assert np.max(np.abs(rows[k] - one)) <= 2e-15 * np.max(np.abs(one))
         angles = np.array([[a.eta, a.theta, a.phi] for a in sample_angles(params, 20, 31)])
         prof, y, _ = indicatrix._chart_point(angles, params)
+        y = np.stack(y, axis=-1)
         batch = [np.array(part) for part in tensors._radial_point(y, None, params, prof[:3])]
         for k in range(len(angles)):
             known = [float(c[k]) for c in prof[:3]]
