@@ -11,9 +11,11 @@ derivatives of ln r, with no analytic shortcut on the metric side and no
 chart derivatives of the metric.  The metrics themselves (``indicatrix_metric``,
 ``section_metric``) take (m, 3) or (m, 2) angle rows, so the finite-difference
 curvature of ``curvature.coordinate_plane_curvatures`` cross-checks both
-claims from one batch.  The charts are written once on per-component values,
-Python floats at one point, so a curvature builds no numpy array, and arrays at
-a batch of rows; the public functions stack them into arrays.
+claims from one batch.  Both surfaces use the kernel's one angular chart,
+``_section_chart``, the section at r = 1 and the unit surface at r(eta).  The
+charts are written once on per-component values, Python floats at one point,
+so a curvature builds no numpy array, and arrays at a batch of rows; the public
+functions stack them into arrays.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ from .kernel import (
     _chart_vector,
     _compose,
     _packing,
-    _spiral,
+    _section_chart,
+    _unpack,
     log_radial_derivatives,
     theta_pole,
 )
-from .tensors import _radial_point, _unpack, finsleroid3_metric
+from .tensors import _radial_point, finsleroid3_metric
 
 # Measured accuracy bounds of the Gauss-route curvatures (README, "Curvature
 # accuracy"): theta below THETA_MIN and, for the unit surface, eta - eta_min
@@ -68,9 +71,10 @@ def unit_vector_angle_derivatives(
     """Closed-form angle derivatives of the unit vector components.
 
     Returns the 4 x 3 matrix with columns d l^i / d eta, d l^i / d theta,
-    d l^i / d phi.  The logarithmic factors are the profile log-slopes;
-    the polar column is written in product form so it stays finite at
-    phi = pi/2 where the quotient form has a removable pole.
+    d l^i / d phi.  The eta column's logarithmic factors are the profile
+    log-slopes; the theta and phi columns are l^0 times the chart's Jacobian
+    of the ratios, in product form, so they stay finite at phi = pi/2 and
+    hold no cos/sin quotient in theta.
     """
     return _derivative_array(_chart_point(angles, params)[2])
 
@@ -78,23 +82,22 @@ def unit_vector_angle_derivatives(
 def _chart_point(angles, params: Parameters):
     """Profile (eta, R1, V, A), the 4 components of the unit vector y and its angle
     derivatives d, 4 rows (one per component) of 3 (d/d eta, d/d theta, d/d phi):
-    Python floats at an AngleCoords, arrays of m at (m, 3) rows."""
-    prof, (st, ct), y = _chart_vector(angles, 1.0, params)
+    Python floats at an AngleCoords, arrays of m at (m, 3) rows.  The theta and phi
+    columns are b times the section chart's Jacobian at r(eta)."""
+    prof, ((st, _), _, ((t1, f1), (t2, f2), (t3, f3))), y = _chart_vector(angles, 1.0, params)
     if dm.any_set(st == 0.0):
         raise PolarAxisSingular("azimuthal derivatives undefined on the polar axis")
     eta, r1v, _, _ = prof
     sh = dm.sinh(eta)
-    gp = params.azimuthal_skew
-    y0, y1, y2, y3 = y
-
+    b, y1, y2, y3 = y
     dlnv = -(1.0 / params.H ** 2) * sh / r1v  # log slope of V in eta
     dlnr = 1.0 / (params.p ** 2 * r1v * sh)  # log slope of r in eta
-    radial, polar = dlnr - dlnv, ct / st - gp
+    radial = dlnr - dlnv
     zero = 0.0 * r1v  # +0.0, or zeros of the batch: R1 > 0
-    d = [[-dlnv * y0, zero, zero],
-         [radial * y1, polar * y1, -y2],
-         [radial * y2, polar * y2, y1],
-         [radial * y3, -(st / (params.p ** 2 * (ct + gp * st))) * y3, zero]]
+    d = [[-dlnv * b, zero, zero],
+         [radial * y1, b * t1, b * f1],
+         [radial * y2, b * t2, b * f2],
+         [radial * y3, b * t3, b * f3]]
     return prof, y, d
 
 
@@ -123,7 +126,7 @@ def _pullback(angles, params: Parameters, chart=None):
     """
     prof, y, d = _chart_point(angles, params) if chart is None else chart
     d = _derivative_array(d)
-    h = _unpack(_radial_point(np.stack(y, axis=-1), None, params, prof[:3])[2])
+    h = _unpack(_radial_point(np.stack(y, axis=-1), None, params, prof[:3])[2], 4)
     raw = -(np.swapaxes(d, -1, -2) @ h @ d)
     sign = np.where(raw[..., 0, 0] >= 0.0, 1, -1)
     return (sign * raw.T).T, sign, d
@@ -225,31 +228,9 @@ def section_metric(theta: float, phi: float, params: Parameters) -> np.ndarray:
 
 def _section_metric(x, params: Parameters) -> np.ndarray:
     """Section metric at (theta, phi) rows: (2,) gives (2, 2), (m, 2) (m, 2, 2)."""
-    w, jac = _section_chart(*np.asarray(x, dtype=float).T, params)
+    _, w, jac = _section_chart(*np.asarray(x, dtype=float).T, params)
     jac_t = np.array(jac).T  # (2, 3), or (m, 2, 3)
-    return jac_t @ finsleroid3_metric(np.array(w).T, params) @ np.swapaxes(jac_t, -1, -2)
-
-
-def _section_chart(theta, phi, params: Parameters):
-    """Point w of r = 1 at (theta, phi) and its Jacobian, closed-form: 3 components and
-    3 rows (one per component) of (d/d theta, d/d phi), floats for float angles and
-    arrays of m for arrays.
-
-    w = (w_perp cos phi, w_perp sin phi, w3), I = exp(gp theta), w_perp =
-    sin/(p I), w3 = (cos + gp sin)/I, d w_perp/d theta = (cos - gp sin)/(p I),
-    d w3/d theta = -sin/(p^2 I)."""
-    fn = dm.library(theta, phi)
-    gp = params.azimuthal_skew
-    st, ct = fn.sin(theta), fn.cos(theta)
-    big_i = _spiral(theta, params, chart=True)
-    w_perp = st / (params.p * big_i)
-    dw_perp = (ct - gp * st) / (params.p * big_i)
-    cp, sp = fn.cos(phi), fn.sin(phi)
-    w = [w_perp * cp, w_perp * sp, (ct + gp * st) / big_i]
-    jac = [[dw_perp * cp, -w_perp * sp],
-           [dw_perp * sp, w_perp * cp],
-           [-st / (params.p ** 2 * big_i), 0.0 * theta]]
-    return w, jac
+    return jac_t @ finsleroid3_metric(np.array(w[:3]).T, params) @ np.swapaxes(jac_t, -1, -2)
 
 
 def section_curvature(theta: float, params: Parameters) -> float:
@@ -264,7 +245,7 @@ def section_curvature(theta: float, params: Parameters) -> float:
     _check_theta(theta)
     if theta >= theta_pole(params):
         raise ThetaPole(f"section needs theta below the pole {theta_pole(params)}, got {theta}")
-    w, jac = _section_chart(theta, 0.9, params)
+    _, (*w, _), jac = _section_chart(theta, 0.9, params)
     scale = _ratio_scale(w)  # as for the unit surface: S/A is invariant under w -> w/|w|
     frame = [[x / scale, y / scale] for x, y in jac]
     # r^2/2 = exp(2 L)/2 has L-derivatives 1, 2, 4 at r = 1; along the chart

@@ -191,13 +191,6 @@ def radial_from_ratios(w1, w2, w3, params: Parameters):
     return fn.sqrt(x * x + y * y) * _spiral(fn.atan2(y, x), params)
 
 
-def radial_derivatives(w, params: Parameters):
-    """``_radial_parts`` at (3,) or (m, 3) ratios as dense (..., 3) and (..., 3, 3) arrays."""
-    w = np.asarray(w, dtype=float)
-    r, grad, hess = _radial_parts(*(w.T if w.ndim == 2 else w.tolist()), params)
-    return r, np.array(grad).T, np.array(hess).T[..., np.array(_packing(3)[2])]
-
-
 def _radial_parts(w1, w2, w3, params: Parameters):
     """Value, gradient (3 components) and Hessian (6, packed) of ``radial_from_ratios``
     in closed form, at ratios that are floats (one vector) or arrays (a batch).
@@ -260,6 +253,15 @@ def _packing(k: int):
                             for b in range(k)) for a in range(k))
     spans = tuple((a, b, c, pair_at[a][b], pair_at[a][c], pair_at[b][c]) for a, b, c in triples)
     return pairs, spans, pair_at, triple_at
+
+
+_PAIR_INDEX = {k: np.array(_packing(k)[2]) for k in (3, 4)}  # pair_at as index arrays
+
+
+def _unpack(packed, k: int):
+    """Dense (k, k), or (m, k, k), of a packed symmetric k-tensor (k = 3 or 4)."""
+    dense = np.array(packed)
+    return dense[_PAIR_INDEX[k]] if dense.ndim == 1 else dense.T[:, _PAIR_INDEX[k]]
 
 
 def _sym(m, v, spans):
@@ -478,14 +480,12 @@ def eta_from_r(r: float, params: Parameters, *, with_iterations: bool = False):
 
 
 def eta_lifted(r, params: Parameters):
-    """Inverse map eta(r) lifted to HyperDual arguments.
+    """Inverse map eta(r) at a HyperDual r (``norm_squared``'s radial variable).
 
     The value is found by eta_from_r; derivative slots follow from the
     implicit-function rule, with r'(eta) and r''(eta) supplied exactly by
     a hyper-dual pass through the closed-form forward map.
     """
-    if not isinstance(r, dm.HyperDual):
-        return eta_from_r(r, params)
     eta0 = eta_from_r(r.val, params)
     probe = dm.HyperDual(eta0, 1.0, 1.0, 0.0)
     rr = hyperbolic_profile(probe, params)[5]
@@ -532,14 +532,39 @@ def vector_from_angles(
     """Frame components of the vector with the given angles and norm."""
     if norm <= 0.0:
         raise ValueError(f"norm must be positive, got {norm}")
-    prof, _, (w1, w2, w3, w_perp) = _chart_ratios(angles, params)
+    prof, (_, (w1, w2, w3, w_perp), _) = _chart_ratios(angles, params)
     b = norm / prof[2]
     s2 = b * b * (1.0 - w3 * w3 - w_perp * w_perp)
     return FrameComponents.from_ratios(b, w1, w2, w3, w_perp, s2)
 
 
+def _section_chart(theta, phi, params: Parameters, r=1.0):
+    """The one angular chart: (sin, cos) of theta, the ratios (w1, w2, w3, w_perp) of
+    radius r at (theta, phi), and 3 rows (w1, w2, w3) of (d/d theta, d/d phi); floats
+    or arrays of m.  At r = 1 it is the section, at r = r(eta) the unit surface.
+
+    With I = exp(gp theta), R2 = cos + gp sin: w_perp = r sin/(p I), w3 = r R2/I,
+    (w1, w2) = w_perp (cos phi, sin phi), d w_perp/d theta = r (cos - gp sin)/(p I),
+    d w3/d theta = -r sin/(p^2 I).  ThetaPole where R2 <= 0, OutsideAxialRegion
+    where I overflows (``_spiral``)."""
+    fn = dm.library(theta, phi)
+    gp = params.azimuthal_skew
+    st, ct = fn.sin(theta), fn.cos(theta)
+    r2 = ct + gp * st
+    if dm.any_set(r2 <= 0.0):
+        raise ThetaPole(f"angular divisor R2={np.min(r2)} not positive")
+    big_i = _spiral(theta, params, chart=True)
+    w_perp = r * st / (params.p * big_i)
+    dw_perp = r * (ct - gp * st) / (params.p * big_i)
+    cp, sp = fn.cos(phi), fn.sin(phi)
+    jac = [[dw_perp * cp, -w_perp * sp],
+           [dw_perp * sp, w_perp * cp],
+           [-(r * st) / (params.p ** 2 * big_i), 0.0 * theta]]
+    return (st, ct), (w_perp * cp, w_perp * sp, r * r2 / big_i, w_perp), jac
+
+
 def _chart_ratios(angles, params: Parameters):
-    """Profile (eta, R1, V, A), (sin, cos) of theta and (w1, w2, w3, w_perp) at an
+    """Profile (eta, R1, V, A) and ``_section_chart`` at the radius r(eta), at an
     AngleCoords, as Python floats, or at (m, 3) rows of (eta, theta, phi mod 2 pi), as
     arrays of m, in one profile call; a bad point raises what a scalar call does."""
     if isinstance(angles, AngleCoords):
@@ -548,23 +573,16 @@ def _chart_ratios(angles, params: Parameters):
         eta, theta, phi = np.asarray(angles, dtype=float).T
         phi = phi % (2.0 * math.pi)
     eta, (a, r1v, _, _, v, r) = _chart_profile(eta, params)
-    fn = dm.library(theta, phi)
-    st, ct = fn.sin(theta), fn.cos(theta)
-    r2 = ct + params.azimuthal_skew * st
-    if dm.any_set(r2 <= 0.0):
-        raise ThetaPole(f"angular divisor R2={np.min(r2)} not positive")
-    big_i = _spiral(theta, params, chart=True)
-    w_perp = r * st / (params.p * big_i)
-    ratios = w_perp * fn.cos(phi), w_perp * fn.sin(phi), r * r2 / big_i, w_perp
-    return (eta, r1v, v, a), (st, ct), ratios
+    return (eta, r1v, v, a), _section_chart(theta, phi, params, r)
 
 
 def _chart_vector(angles, norm, params: Parameters):
-    """``_chart_ratios``'s profile and (sin, cos), and the 4 components of the frame
+    """``_chart_ratios``' profile and section chart, and the 4 components of the frame
     vector y of ``norm``: floats at an AngleCoords, arrays of m at (m, 3) rows."""
-    prof, trig, (w1, w2, w3, _) = _chart_ratios(angles, params)
+    prof, chart = _chart_ratios(angles, params)
+    w1, w2, w3, _ = chart[1]
     b = norm / prof[2]
-    return prof, trig, [b, b * w1, b * w2, b * w3]
+    return prof, chart, [b, b * w1, b * w2, b * w3]
 
 
 def angles_from_vector(

@@ -28,10 +28,10 @@ from .kernel import (
     _packing,
     _radial_parts,
     _spiral,
+    _unpack,
     eta_from_r,
     hyperbolic_profile,
     norm_squared,
-    radial_derivatives,
     radial_from_ratios,
     theta_from_f,
 )
@@ -60,25 +60,13 @@ class AngleGradients:
     phi_grad: np.ndarray
 
 
-_PAIR_AT = np.array(_packing(4)[2])  # packed position of every pair of the 4 indices
-
-
-def _unpack(packed):
-    """Dense (4, 4), or (m, 4, 4), of a symmetric tensor packed as 10 floats (arrays of m)."""
-    dense = np.array(packed)
-    return dense[_PAIR_AT] if dense.ndim == 1 else dense.T[:, _PAIR_AT]
-
-
-def _check_ratios(w1, w2, w3, axial: bool):
-    """Reject frame ratios (floats or arrays) off the axial region if ``axial``."""
-    on_axis = (w1 == 0.0) & (w2 == 0.0)
-    if axial:
-        if dm.any_set(w3 <= 0.0):
-            raise OutsideAxialRegion(f"axial projection w3={np.min(w3)} not positive")
-        if dm.any_set(on_axis):
-            raise PolarAxisSingular("angle derivatives are undefined on the polar axis")
-    elif dm.any_set(on_axis & (w3 == 0.0)):
-        raise PolarAxisSingular("vector lies exactly on the time axis")
+def _check_axial(w1, w2, w3):
+    """Reject frame ratios (floats or arrays) off the axial region or on its polar axis;
+    ratios on the time axis fail ``_radial_parts``' guards at any p."""
+    if dm.any_set(w3 <= 0.0):
+        raise OutsideAxialRegion(f"axial projection w3={np.min(w3)} not positive")
+    if dm.any_set((w1 == 0.0) & (w2 == 0.0)):
+        raise PolarAxisSingular("angle derivatives are undefined on the polar axis")
 
 
 def _frame_point(y, tetrad: Tetrad | None, params: Parameters, dual: bool = False,
@@ -92,7 +80,8 @@ def _frame_point(y, tetrad: Tetrad | None, params: Parameters, dual: bool = Fals
         raise TypeError("params is required")
     b, w1, w2, w3 = projections(y, Tetrad.canonical() if tetrad is None else tetrad)
     axial = params.p < 1.0 if axial is None else axial
-    _check_ratios(w1, w2, w3, axial)
+    if axial:
+        _check_axial(w1, w2, w3)
     if dual:
         _radial_parts(w1, w2, w3, params)
         if axial and (w1 * w1 + w2 * w2) ** 2 == 0.0:
@@ -142,7 +131,7 @@ def unit_covector(y, tetrad: Tetrad | None = None, params: Parameters | None = N
 
 def angular_metric(y, tetrad: Tetrad | None = None, params: Parameters | None = None):
     """Angular metric h_ij = F * d^2F/dy^i dy^j, component route."""
-    return _unpack(_radial_point(y, tetrad, params)[2])
+    return _unpack(_radial_point(y, tetrad, params)[2], 4)
 
 
 def _angle_point(y, tetrad: Tetrad | None, params: Parameters):
@@ -199,8 +188,8 @@ def metric_tensor(
 ) -> TensorBundle:
     """Full bundle l, h, g = h + l (x) l and the LU determinant of g."""
     f, l, h = _radial_point(y, tetrad, params)
-    g = _unpack([x + l[a] * l[c] for (a, c), x in zip(_packing(4)[0], h)])
-    return TensorBundle(l=np.array(l), h=_unpack(h), g=g, det_g=float(np.linalg.det(g)), F=f)
+    g = _unpack([x + l[a] * l[c] for (a, c), x in zip(_packing(4)[0], h)], 4)
+    return TensorBundle(l=np.array(l), h=_unpack(h, 4), g=g, det_g=float(np.linalg.det(g)), F=f)
 
 
 def metric_tensor_numeric(
@@ -213,7 +202,10 @@ def metric_tensor_numeric(
     propagation through the evaluation pipeline.  Near the domain floor it
     drifts from ``metric_tensor``: max|g_dual - g|/max|g| at (2, 0.5) is 4e-2
     at eta - eta_min = 1e-10, 7e-8 at 1e-6 and 2.5e-15 at 0.2, likely because
-    (eta - eta_min)^(-3/2) terms of A'' cancel through ``eta_lifted``.
+    (eta - eta_min)^(-3/2) terms of A'' cancel through ``eta_lifted``.  For p < 1
+    it also drifts near the polar axis, with no error, where its passes carry
+    1/|(w1, w2)| terms that cancel: at (2, 0.5), y = [1, e, e, 0.0688], the same
+    ratio is 1.6e-8 at e = 1e-10 and 4.7e11 at e = 1e-30.
     """
     b, w = _frame_point(y, tetrad, params, dual=True)
     yf = np.array([b, b * w[0], b * w[1], b * w[2]])
@@ -255,14 +247,17 @@ def metric_determinant_closed(
 def finsleroid3_metric(w, params: Parameters):
     """Metric of the three-dimensional section: Hessian of r^2/2 in the ratios.
 
-    Assembled as grad(r) grad(r)^T + r Hess(r) from the closed-form radial
-    derivatives, also for an (m, 3) batch.  Positive definite away from the
-    polar axis; for p < 1 the axis itself is a conical point and is rejected.
+    Assembled as G_ab = d_a r d_b r + r d_ab r from the closed-form radial
+    derivatives (``_radial_parts``, packed), as ``metric_tensor`` assembles g,
+    also for an (m, 3) batch.  Positive definite away from the polar axis; for
+    p < 1 the axis itself is a conical point and is rejected.
     """
-    _check_ratios(*np.asarray(w, dtype=float).T, params.p < 1.0)
-    r, grad, hess = radial_derivatives(w, params)
-    grad = grad.T  # component-first, then batch-first again at the end
-    return np.swapaxes((grad[:, None] * grad + r * hess.T).T, -1, -2)
+    w = np.asarray(w, dtype=float)
+    w1, w2, w3 = w.T if w.ndim == 2 else w.tolist()
+    if params.p < 1.0:
+        _check_axial(w1, w2, w3)
+    r, grad, hess = _radial_parts(w1, w2, w3, params)
+    return _unpack([grad[a] * grad[b] + r * x for (a, b), x in zip(_packing(3)[0], hess)], 3)
 
 
 def covector_to_natural(vec, tetrad: Tetrad) -> np.ndarray:

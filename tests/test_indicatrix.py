@@ -488,11 +488,12 @@ def test_section_chart_jacobian_matches_hyperdual_pass():
             for theta in np.linspace(0.006, theta_pole(params) - 0.01, 30)
             for phi in (0.0, 0.9, 2.5, 4.4)
         ]
-        batch_w, batch_jac = (np.array(part).T for part in
-                              indicatrix._section_chart(*np.array(rows).T, params))
+        _, batch_w, batch_jac = kernel._section_chart(*np.array(rows).T, params)
+        batch_w, batch_jac = np.array(batch_w[:3]).T, np.array(batch_jac).T
         for k, row in enumerate(rows):
             w0, jac0 = dm.gradient(chart, row)
-            w, jac = (np.array(part) for part in indicatrix._section_chart(*row, params))
+            _, w, jac = kernel._section_chart(*row, params)
+            w, jac = np.array(w[:3]), np.array(jac)
             assert np.max(np.abs(w - w0)) <= 1e-14 * np.max(np.abs(w0))
             assert np.max(np.abs(jac - jac0)) <= 1e-14 * np.max(np.abs(jac0))
             assert np.max(np.abs(batch_w[k] - w)) <= 1e-14 * np.max(np.abs(w))
@@ -527,6 +528,17 @@ def test_chart_overflow_of_exp_gp_theta_raises_outside_axial_region():
     assert np.isfinite(unit_vector(AngleCoords(angles.eta, 2.5, 1.2), params)).all()
 
 
+def test_curvature_on_chart_ratios_that_underflow_is_polar_axis_singular():
+    # at p = 0.0036 (gp = 275) the chart ratios at theta = 2.5 all underflow to 0:
+    # exp(gp theta) stays finite, but w = r (sin, R2)/I rounds to zero
+    params = Parameters(3.5795676089825723, 0.003641003953434029)
+    angles = AngleCoords(eta=params.eta_min + 1.0, theta=2.5, phi=1.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PolarAxisSingular, match=r"chart ratios \[0.0, 0.0, 0.0\] underflow"):
+            indicatrix_curvature(angles, params)
+
+
 def test_batch_domain_failure_matches_scalar_error():
     # one bad row in a batch raises what the scalar call at that row raises
     params = Parameters(H=1.25, p=0.8)
@@ -543,7 +555,7 @@ def test_batch_domain_failure_matches_scalar_error():
             indicatrix_metric(AngleCoords(*bad), params)
         with pytest.raises(error):
             indicatrix._pullback(np.array([good, bad, good]), params)
-    for theta, error in ((pole + 1e-3, OutsideAxialRegion), (0.0, PolarAxisSingular)):
+    for theta, error in ((pole + 1e-3, ThetaPole), (0.0, PolarAxisSingular)):
         with pytest.raises(error):
             indicatrix.section_metric(theta, 0.9, params)
         with pytest.raises(error):
@@ -573,15 +585,16 @@ def test_one_chart_path_for_floats_and_arrays(H, p):
     params = Parameters(H=H, p=p)
     points = sample_angles(params, 40, 17)
     rows = np.array([[a.eta, a.theta, a.phi] for a in points])
-    (prof, y, d), (w, jac) = (indicatrix._chart_point(rows, params),
-                              indicatrix._section_chart(rows[:, 1], rows[:, 2], params))
+    (prof, y, d), (trig, w, jac) = (indicatrix._chart_point(rows, params),
+                                    kernel._section_chart(rows[:, 1], rows[:, 2], params))
     for k, angles in enumerate(points):
         one = indicatrix._chart_point(angles, params)
-        section = indicatrix._section_chart(angles.theta, angles.phi, params)
+        section = kernel._section_chart(angles.theta, angles.phi, params)
         assert all(type(c) is float for c in _floats_of((one, section)))
         for c, single in zip(prof, one[0]):
             assert abs(c[k] - single) <= CHART_ROW_BOUND * abs(single)
-        for batch, single in ((y, one[1]), (d, one[2]), (w, section[0]), (jac, section[1])):
+        for batch, single in ((y, one[1]), (d, one[2]), (trig, section[0]), (w, section[1]),
+                              (jac, section[2])):
             single = np.array(single)
             row = np.array([[c[k] for c in part] if isinstance(part, list) else part[k]
                             for part in batch])
@@ -634,11 +647,11 @@ def test_every_chart_edge_raises_the_same_error_for_a_point_and_a_batch_row():
                 indicatrix._chart_point(AngleCoords(*bad), q)
             with pytest.raises(error, match=match):
                 indicatrix._chart_point(np.array([good, bad, good]), q)
-            if error is OutsideAxialRegion:
+            if error in (OutsideAxialRegion, ThetaPole):
                 with pytest.raises(error, match=match):
-                    indicatrix._section_chart(bad[1], 0.9, q)
+                    kernel._section_chart(bad[1], 0.9, q)
                 with pytest.raises(error, match=match):
-                    indicatrix._section_chart(np.array([0.5, bad[1]]), np.array([0.9, 0.9]), q)
+                    kernel._section_chart(np.array([0.5, bad[1]]), np.array([0.9, 0.9]), q)
         # the curvatures' measured bounds: no batch curvature exists, so one point each
         for theta in (0.0, 0.5 * indicatrix.THETA_MIN):
             with pytest.raises(PolarAxisSingular, match="THETA_MIN"):

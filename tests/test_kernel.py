@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from finsleroid import (
     AngleCoords,
     EmptyDomain,
+    OutsideAxialRegion,
     OutsideEtaDomain,
     OutsideRadialDomain,
     Parameters,
@@ -519,6 +520,13 @@ def test_inverse_radial_map_domain_bounds():
         eta_from_r(dom.r_sup * 1.01, params)
 
 
+def test_inverse_radial_map_at_r_zero_for_p_one():
+    # r = 0 is the time axis, eta = 0, the one point below r_min = 0 that p = 1 admits
+    for params in (Parameters(H=1.0, p=1.0), Parameters(H=1.25, p=1.0)):
+        assert eta_from_r(0.0, params, with_iterations=True) == (0.0, 0)
+        assert eta_from_r(0.0, params) == 0.0
+
+
 # ----------------------------------------------------------------- norm
 
 
@@ -531,6 +539,11 @@ def test_norm_pseudo_euclidean_axis_regulator():
     assert f_axis == pytest.approx(math.sqrt(3.0), rel=1e-12)
     f_neg = finsler_norm([2.0, 1.0, 0.0, -0.5], params=params)
     assert f_neg == pytest.approx(math.sqrt(4.0 - 1.0 - 0.25), rel=1e-12)
+
+
+def test_norm_rejects_a_vector_outside_the_axial_region():
+    with pytest.raises(OutsideAxialRegion, match="w3=-0.15 is not positive"):
+        finsler_norm([2.0, 0.1, 0.1, -0.3], params=Parameters(H=2.0, p=0.5))
 
 
 def test_norm_rejects_non_finite_components():
@@ -592,6 +605,18 @@ def test_angle_coords_reject_non_finite_or_negative_eta(eta):
     # would turn into b = w1 = w3 = nan in vector_from_angles
     with pytest.raises(ValueError, match="eta"):
         AngleCoords(eta=eta, theta=0.5, phi=1.0)
+
+
+@pytest.mark.parametrize("theta", [-0.1, math.pi, math.nan])
+def test_angle_coords_reject_theta_outside_zero_to_pi(theta):
+    with pytest.raises(ValueError, match=r"theta must be in \[0, pi\)"):
+        AngleCoords(eta=0.5, theta=theta, phi=1.0)
+
+
+@pytest.mark.parametrize("phi", [-0.1, 2.0 * math.pi, math.nan])
+def test_angle_coords_reject_phi_outside_zero_to_two_pi(phi):
+    with pytest.raises(ValueError, match=r"phi must be in \[0, 2\*pi\)"):
+        AngleCoords(eta=0.5, theta=0.5, phi=phi)
 
 
 def test_vector_from_angles_isotropic_spherical_chart():

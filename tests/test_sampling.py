@@ -1,6 +1,7 @@
 """Sampler contract: one block of draws, one batch chart call."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from finsleroid import (
     Parameters,
     Tetrad,
     domain_info,
+    finsler_norm,
+    metric_tensor,
     sample_angles,
     sample_vectors,
     theta_pole,
@@ -99,3 +102,19 @@ def test_zero_samples_are_empty():
     params = Parameters(H=2.0, p=0.5)
     assert sample_angles(params, 0, 5) == []
     assert sample_vectors(params, 0, 5).size == 0
+
+
+# the five benchmark pairs, and p = 0.05, where the sampler's chart ratios still
+# square well above the underflow that rejects samples at p = 0.02 and below
+ACCEPTED_PAIRS = ((1.0, 1.0), (1.25, 1.0), (1.25, 0.8), (1.5, 0.9), (2.0, 0.5),
+                  (2.0, 0.05), (50.0, 0.05))
+
+
+@pytest.mark.parametrize("H, p", ACCEPTED_PAIRS)
+def test_sampled_vectors_pass_the_tensor_layer(H, p):
+    params = Parameters(H=H, p=p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for y in sample_vectors(params, 200, 1):
+            assert np.isfinite(metric_tensor(y, None, params).g).all()
+            assert finsler_norm(y, params=params) > 0.0

@@ -33,13 +33,21 @@ from finsleroid import dual as dm
 from finsleroid import indicatrix, tensors
 from finsleroid.kernel import (
     _packing,
+    _radial_parts,
+    _unpack,
     log_radial_derivatives,
-    radial_derivatives,
     radial_from_ratios,
 )
 
 ANISO = Parameters(H=1.25, p=0.8)
 PSEUDO = Parameters(H=1.0, p=1.0)
+
+
+def radial_derivatives(w, params):
+    """``_radial_parts`` at (3,) or (m, 3) ratios as dense (..., 3) and (..., 3, 3) arrays."""
+    w = np.asarray(w, dtype=float)
+    r, grad, hess = _radial_parts(*(w.T if w.ndim == 2 else w.tolist()), params)
+    return r, np.array(grad).T, _unpack(hess, 3)
 
 
 @pytest.mark.parametrize(
@@ -132,6 +140,24 @@ def test_ratios_underflowing_onto_the_time_axis_are_polar_axis_singular(fn, para
         warnings.simplefilter("error")
         with pytest.raises(PolarAxisSingular, match="on the time axis"):
             fn(y, None, params)
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=("vector", "batch"))
+@pytest.mark.parametrize(
+    "fn",
+    [metric_tensor, unit_covector, angular_metric, metric_tensor_numeric,
+     metric_determinant_closed, lambda y, tetrad, params: finsleroid3_metric(y[..., 1:], params)],
+    ids=("metric_tensor", "unit_covector", "angular_metric", "metric_tensor_numeric",
+         "metric_determinant_closed", "finsleroid3_metric"),
+)
+def test_a_vector_on_the_time_axis_is_polar_axis_singular(fn, batch):
+    # y = (1, 0, 0, 0) at p = 1: w = 0, so (w.w)^1.5 or r^6 is exactly 0; a batch is
+    # the one row as an (1, 4) array (metric_determinant_closed takes one vector)
+    y = np.array([1.0, 0.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PolarAxisSingular, match="on the time axis"):
+            fn(y[None] if batch else y, None, Parameters(1.25, 1.0))
 
 
 # vectors at p < 1 whose polar part (w1, w2) squares to 0 or to ~1e-200, with
