@@ -192,14 +192,9 @@ def _cmd_report_curvature(args) -> None:
     worst = 0.0
     for angles in sample_angles(params, args.samples, np.random.default_rng(seed)):
         ks = indicatrix_curvature(angles, params)
-        row = {
-            "eta": angles.eta, "theta": angles.theta, "phi": angles.phi,
-            "k_eta_theta": ks[(0, 1)], "k_eta_phi": ks[(0, 2)],
-            "k_theta_phi": ks[(1, 2)],
-        }
-        rows.append(row)
-        for v in (ks[(0, 1)], ks[(0, 2)], ks[(1, 2)]):
-            worst = max(worst, abs(v + params.H ** 2))
+        planes = dict(zip(CURVATURE_CSV_COLUMNS[3:], ks.values()))  # ks: (0, 1), (0, 2), (1, 2)
+        rows.append({"eta": angles.eta, "theta": angles.theta, "phi": angles.phi, **planes})
+        worst = max(worst, *(abs(v + params.H ** 2) for v in planes.values()))
     relative = worst / params.H ** 2
     verdict = "pass" if relative < CURVATURE_TOLERANCE else "fail"
     summary = (
@@ -286,14 +281,18 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_y=False):
-        p.add_argument("--H", type=float, required=True, help="curvature scale, H >= 1")
-        p.add_argument("--p", type=float, required=True, help="section scale, 0 < p <= 1")
-        p.add_argument("--tetrad", help="JSON file with a 4x4 covector frame")
-        if with_y:
-            p.add_argument("--y", required=True, help="vector components a,b,c,d")
+    def add_output(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", help="write the document here instead of stdout")
+
+    def add_common(p, with_tetrad=True, with_y=False):
+        p.add_argument("--H", type=float, required=True, help="curvature scale, H >= 1")
+        p.add_argument("--p", type=float, required=True, help="section scale, 0 < p <= 1")
+        if with_tetrad:
+            p.add_argument("--tetrad", help="JSON file with a 4x4 covector frame")
+        if with_y:
+            p.add_argument("--y", required=True, help="vector components a,b,c,d")
+        add_output(p)
 
     p_eval = sub.add_parser("eval", help="evaluate one vector")
     add_common(p_eval, with_y=True)
@@ -303,7 +302,7 @@ def build_parser() -> _Parser:
     rsub = p_report.add_subparsers(dest="kind", required=True)
 
     p_curv = rsub.add_parser("curvature", help="sectional curvatures of the unit surface")
-    add_common(p_curv)
+    add_common(p_curv, with_tetrad=False)
     p_curv.add_argument("--samples", type=_sample_count, default=20)
     p_curv.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_curv.set_defaults(run=_cmd_report_curvature)
@@ -313,16 +312,14 @@ def build_parser() -> _Parser:
     p_dom.add_argument("--p", type=float, default=1.0)
     p_dom.add_argument("--Hgrid", help="comma list of H values")
     p_dom.add_argument("--pgrid", help="comma list of p values")
-    p_dom.add_argument("--format", choices=("json", "csv"), default="json")
-    p_dom.add_argument("--out")
+    add_output(p_dom)
     p_dom.set_defaults(run=_cmd_report_domain)
 
     p_red = rsub.add_parser("reduction", help="isotropic closed-form comparison")
     p_red.add_argument("--Hgrid", help="comma list of H values (p = 1 implied)")
     p_red.add_argument("--samples", type=_sample_count, default=200)
     p_red.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_red.add_argument("--format", choices=("json", "csv"), default="json")
-    p_red.add_argument("--out")
+    add_output(p_red)
     p_red.set_defaults(run=_cmd_report_reduction)
 
     p_scan = rsub.add_parser("scan", help="norm and determinant over sampled vectors")

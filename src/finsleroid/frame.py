@@ -56,6 +56,11 @@ class Parameters:
         return math.asinh(gp / hh) if hh > 0.0 else math.inf if gp > 0.0 else 0.0
 
 
+def _assemble(b, i, j, i3) -> np.ndarray:
+    """The metric a = b b - i i - j j - i3 i3 that four covectors span."""
+    return np.outer(b, b) - np.outer(i, i) - np.outer(j, j) - np.outer(i3, i3)
+
+
 @dataclass(frozen=True, eq=False)
 class Tetrad:
     """Orthonormal covector frame and the metric tensor it spans.
@@ -80,7 +85,7 @@ class Tetrad:
         b, i, j, i3 = (np.asarray(v, dtype=float).reshape(4) for v in (b, i, j, i3))
         if not np.isfinite([b, i, j, i3]).all():
             raise ValueError(f"tetrad entries must be finite, got {np.array([b, i, j, i3]).tolist()}")
-        a = np.outer(b, b) - np.outer(i, i) - np.outer(j, j) - np.outer(i3, i3)
+        a = _assemble(b, i, j, i3)
         try:
             np.linalg.inv(a)  # only its singularity test is kept
         except np.linalg.LinAlgError as exc:
@@ -147,12 +152,7 @@ def validate_tetrad(tetrad: Tetrad, tol: float = 1e-12) -> TetradValidation:
     the reciprocal metric, the reciprocity a_inv @ a = id, and the
     time-space signature.  Raises TetradDegenerate when ``a`` is singular.
     """
-    assembled = (
-        np.outer(tetrad.b, tetrad.b)
-        - np.outer(tetrad.i, tetrad.i)
-        - np.outer(tetrad.j, tetrad.j)
-        - np.outer(tetrad.i3, tetrad.i3)
-    )
+    assembled = _assemble(tetrad.b, tetrad.i, tetrad.j, tetrad.i3)
     assembly_residual = float(np.max(np.abs(assembled - tetrad.a)))
 
     if abs(np.linalg.det(tetrad.a)) < 1e-300:
@@ -230,6 +230,12 @@ def projections(y, tetrad: Tetrad):
     if any_set(b <= 0.0):
         raise NotFutureTimelike(f"timelike projection b={np.min(b)} is not positive")
     return b, i / b, j / b, i3 / b
+
+
+def _one_vector(x) -> None:
+    """ValueError where x, a float per vector (b, r), is the (m,) array of an (m, 4) batch."""
+    if isinstance(x, np.ndarray):
+        raise ValueError(f"takes one vector of 4 components, got an array of shape ({len(x)}, 4)")
 
 
 def pseudo_norm_squared(y, tetrad: Tetrad) -> float:

@@ -111,7 +111,8 @@ def indicatrix_metric(angles: AngleCoords, params: Parameters) -> np.ndarray:
 
     Pullback of the angular metric through the angle derivatives of the
     unit vector, reported in the positive-definite convention (the raw
-    contraction sign is available from indicatrix_bundle).
+    contraction sign is available from indicatrix_bundle).  It stays this pullback:
+    the Gauss route's metric drifts from it as 1/theta^2 toward the polar axis.
     """
     return _pullback(angles, params)[0]
 

@@ -36,7 +36,7 @@ from .errors import (
     PolarAxisSingular,
     ThetaPole,
 )
-from .frame import FrameComponents, Parameters, Tetrad, projections
+from .frame import FrameComponents, Parameters, Tetrad, _one_vector, projections
 
 # Below this radicand-root value an evaluation is flagged as sitting on the
 # inner domain boundary, where angle derivatives degrade.
@@ -520,6 +520,7 @@ def finsler_norm(y, tetrad: Tetrad | None = None, params: Parameters | None = No
     if tetrad is None:
         tetrad = Tetrad.canonical()
     b, w1, w2, w3 = projections(y, tetrad)
+    _one_vector(b)
     if params.p < 1.0 and w3 <= 0.0:
         raise OutsideAxialRegion(f"axial projection w3={w3} is not positive")
     r = radial_from_ratios(w1, w2, w3, params)
@@ -532,8 +533,7 @@ def vector_from_angles(
     """Frame components of the vector with the given angles and norm."""
     if norm <= 0.0:
         raise ValueError(f"norm must be positive, got {norm}")
-    prof, (_, (w1, w2, w3, w_perp), _) = _chart_ratios(angles, params)
-    b = norm / prof[2]
+    _, (_, (w1, w2, w3, w_perp), _), (b, *_) = _chart_vector(angles, norm, params)
     s2 = b * b * (1.0 - w3 * w3 - w_perp * w_perp)
     return FrameComponents.from_ratios(b, w1, w2, w3, w_perp, s2)
 
@@ -563,26 +563,21 @@ def _section_chart(theta, phi, params: Parameters, r=1.0):
     return (st, ct), (w_perp * cp, w_perp * sp, r * r2 / big_i, w_perp), jac
 
 
-def _chart_ratios(angles, params: Parameters):
-    """Profile (eta, R1, V, A) and ``_section_chart`` at the radius r(eta), at an
-    AngleCoords, as Python floats, or at (m, 3) rows of (eta, theta, phi mod 2 pi), as
-    arrays of m, in one profile call; a bad point raises what a scalar call does."""
+def _chart_vector(angles, norm, params: Parameters):
+    """Profile (eta, R1, V, A), ``_section_chart`` at the radius r(eta), and the 4
+    components of the frame vector y of ``norm``, at an AngleCoords, as Python floats,
+    or at (m, 3) rows of (eta, theta, phi mod 2 pi), as arrays of m, in one profile
+    call; a bad point raises what a scalar call does."""
     if isinstance(angles, AngleCoords):
         eta, theta, phi = angles.eta, angles.theta, angles.phi
     else:
         eta, theta, phi = np.asarray(angles, dtype=float).T
         phi = phi % (2.0 * math.pi)
     eta, (a, r1v, _, _, v, r) = _chart_profile(eta, params)
-    return (eta, r1v, v, a), _section_chart(theta, phi, params, r)
-
-
-def _chart_vector(angles, norm, params: Parameters):
-    """``_chart_ratios``' profile and section chart, and the 4 components of the frame
-    vector y of ``norm``: floats at an AngleCoords, arrays of m at (m, 3) rows."""
-    prof, chart = _chart_ratios(angles, params)
+    chart = _section_chart(theta, phi, params, r)
     w1, w2, w3, _ = chart[1]
-    b = norm / prof[2]
-    return prof, chart, [b, b * w1, b * w2, b * w3]
+    b = norm / v
+    return (eta, r1v, v, a), chart, [b, b * w1, b * w2, b * w3]
 
 
 def angles_from_vector(

@@ -26,27 +26,21 @@ ETA_SPAN = 2.2
 THETA_MARGIN = 0.15
 
 
-def resolve_rng(rng_or_seed=None) -> np.random.Generator:
-    if isinstance(rng_or_seed, np.random.Generator):
-        return rng_or_seed
-    if rng_or_seed is None:
-        return np.random.default_rng(DEFAULT_SEED)
-    return np.random.default_rng(int(rng_or_seed))
-
-
-def _angle_box(params: Parameters, count: int, rng: np.random.Generator, *,
+def _angle_box(params: Parameters, count: int, rng, *,
                eta_margin=ETA_MARGIN, theta_margin=THETA_MARGIN, eta_span=ETA_SPAN):
-    """(count, 3) rows (eta, theta, phi) from one block of draws, each column in
-    numpy's own ``uniform`` formula low + (high - low) u: per-sample uniform bits."""
+    """(count, 3) rows (eta, theta, phi) from one block of draws, each column in numpy's
+    own ``uniform`` formula low + (high - low) u (per-sample uniform bits), and the generator
+    drawn from: ``rng`` itself, a new one of its seed, or DEFAULT_SEED's for None."""
+    rng = np.random.default_rng(DEFAULT_SEED if rng is None else rng)
     low = np.array([domain_info(params).eta_min + eta_margin, theta_margin, 0.0])
     width = np.array([eta_span, (theta_pole(params) - theta_margin) - theta_margin, 2.0 * math.pi])
-    return low + width * rng.random((count, 3))
+    return low + width * rng.random((count, 3)), rng
 
 
 def sample_angles(params: Parameters, count: int, rng=None, **box) -> list[AngleCoords]:
     """Angle triples uniform over an interior box of the chart; ``box`` may override
     ``eta_margin``, ``theta_margin`` and ``eta_span`` (the module constants)."""
-    rows = _angle_box(params, count, resolve_rng(rng), **box)
+    rows, _ = _angle_box(params, count, rng, **box)
     return list(starmap(AngleCoords, rows.tolist()))
 
 
@@ -61,8 +55,7 @@ def sample_vectors(
     """(count, 4) chart vectors (natural coordinates): the angles of ``sample_angles``,
     then a block of norms uniform over ``scale``, mapped by one batch chart call; the
     tensor layer accepts them for p >= 0.05 (module docstring)."""
-    rng = resolve_rng(rng)
-    rows = _angle_box(params, count, rng, **box)
+    rows, rng = _angle_box(params, count, rng, **box)
     norms = rng.uniform(*scale, size=count)
     if (norms <= 0.0).any():
         raise ValueError(f"norm must be positive, got {norms.min()}")

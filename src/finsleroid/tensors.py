@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dual as dm
 from .errors import OutsideAxialRegion, PolarAxisSingular
-from .frame import Parameters, Tetrad, projections
+from .frame import Parameters, Tetrad, _one_vector, projections
 from .kernel import (
     _packing,
     _radial_parts,
@@ -73,9 +73,9 @@ def _frame_point(y, tetrad: Tetrad | None, params: Parameters, dual: bool = Fals
                  axial: bool | None = None):
     """b and the ratios (w1, w2, w3) of a vector (floats) or an (m, 4) batch, with the
     domain guards, off the axial region where ``axial`` (default p < 1); for the
-    hyper-dual routes (``dual``) also ``_radial_parts``' guards and, where axial, the
-    polar axis up to (w1^2 + w2^2)^2 = 0: their passes take sqrt and atan2 of the
-    squared ratios, and divide by 0 in ``dual.sqrt`` or ``dual.atan2`` where they underflow."""
+    hyper-dual routes (``dual``) also ``_radial_parts``' guards, one vector, and, where axial,
+    the polar axis up to (w1^2 + w2^2)^2 = 0: their passes take sqrt and atan2 of the squared
+    ratios, and divide by 0 in ``dual.sqrt`` or ``dual.atan2`` where they underflow."""
     if params is None:
         raise TypeError("params is required")
     b, w1, w2, w3 = projections(y, Tetrad.canonical() if tetrad is None else tetrad)
@@ -84,14 +84,16 @@ def _frame_point(y, tetrad: Tetrad | None, params: Parameters, dual: bool = Fals
         _check_axial(w1, w2, w3)
     if dual:
         _radial_parts(w1, w2, w3, params)
+        _one_vector(b)
         if axial and (w1 * w1 + w2 * w2) ** 2 == 0.0:
             raise PolarAxisSingular(f"ratios on the polar axis: (w1^2 + w2^2)^2 = 0 at {w1}, {w2}")
     return b, (w1, w2, w3)
 
 
 def _profile_factors(r, params: Parameters, known=None):
-    """sinh(eta), R1, V, V_r and V_rr at r; ``known = (eta, R1, V)`` skips eta(r)."""
+    """sinh(eta), R1, V, V_r and V_rr at one vector's r; ``known = (eta, R1, V)`` skips eta(r)."""
     if known is None:
+        _one_vector(r)
         eta = eta_from_r(r, params)
         _, r1v, _, _, v, _ = hyperbolic_profile(eta, params)
     else:
@@ -233,7 +235,7 @@ def metric_determinant_closed(
     r = radial_from_ratios(w1, w2, w3, params)
     r6 = r ** 6
     # r = 0 itself lies below r_min for p < 1, which eta_from_r reports
-    if r6 == 0.0 and (r > 0.0 or params.p == 1.0):
+    if dm.any_set(r6 == 0.0) and (params.p == 1.0 or dm.any_set(r > 0.0)):
         raise PolarAxisSingular(f"ratios on the time axis: r^6 = 0 at r = {r}")
     sh, r1v, v, _, _ = _profile_factors(r, params)
     gp = params.azimuthal_skew

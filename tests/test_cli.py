@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, determinism, golden file."""
 
+import ast
 import csv
 import json
 import os
@@ -114,6 +115,23 @@ def test_import_leaves_scipy_unloaded():
     assert r.stdout.strip() == "False"
 
 
+def test_package_imports_only_the_standard_library_and_numpy():
+    # scipy, sympy and mpmath may be installed where the tests run; an import of
+    # one would pass here and fail on a clean install of the declared dependencies
+    allowed = set(sys.stdlib_module_names) | {"numpy", "finsleroid"}
+    stray = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "finsleroid").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            stray += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in allowed]
+    assert stray == []
+
+
 def test_eval_csv_format_columns():
     r = run_cli("eval", "--H", "1", "--p", "1", "--y", "2,1,0,0.0001",
                 "--format", "csv")
@@ -189,6 +207,15 @@ def test_report_curvature_verdict_is_relative_to_h_squared():
     assert doc["summary"].startswith("max|K+H^2|/H^2 = ")
     assert "(< 0.001: pass), max|K+H^2| = " in doc["summary"]
     assert doc["summary"] in r.stderr
+
+
+def test_report_curvature_takes_no_tetrad(tmp_path):
+    # the option was accepted and never read: a missing file still exited 0
+    r = run_cli("report", "curvature", "--H", "2", "--p", "0.5", "--samples", "2",
+                "--tetrad", str(tmp_path / "nokey.json"))
+    assert r.returncode == 1
+    assert "unrecognized arguments" in r.stderr
+    assert r.stdout == ""
 
 
 @pytest.mark.parametrize(

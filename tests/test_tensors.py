@@ -61,6 +61,22 @@ def test_omitted_params_is_a_type_error(fn):
         fn(np.array([2.0, 0.3, 0.2, 0.4]))
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("params", [Parameters(1.25, 1.0), Parameters(2.0, 0.5)], ids=str)
+@pytest.mark.parametrize(
+    "fn",
+    [finsler_norm, unit_covector, angular_metric, metric_tensor, metric_tensor_numeric,
+     metric_determinant_closed, angle_gradients, angular_metric_angle_form],
+    ids=lambda fn: fn.__name__,
+)
+def test_a_batch_at_a_one_vector_function_is_a_typed_value_error(fn, params, rows):
+    # a (1, 4) array raised numpy's TypeError "only 0-dimensional arrays can be
+    # converted", a (3, 4) one its "truth value of an array ... is ambiguous"
+    y = np.repeat(sample_vectors(params, 1), rows, axis=0)
+    with pytest.raises(ValueError, match=rf"one vector .* shape \({rows}, 4\)"):
+        fn(y, None, params)
+
+
 TINY_P = Parameters(3.5795676089825723, 0.003641003953434029)  # gp = 275
 HUGE_R = np.array([1.0, 0.001, 0.0, 1e-300])  # spiral angle ~pi: exp(gp angle) overflows
 
