@@ -55,6 +55,7 @@ _MAP_NOISE = 16 * 2.0 ** -52
 _LOG_HUGE = math.log(np.finfo(float).max)  # exp overflows above this
 _QUAD_NODES, _QUAD_PANELS = 40, 8  # the quadrature oracle's fixed rule
 _EYE3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+_BELOW_ONE = math.nextafter(1.0, 0.0)  # the p = 1 inversion's cap on tanh(eta)
 
 
 @dataclass(frozen=True)
@@ -346,11 +347,7 @@ def rim_depth(eta, a, params: Parameters):
     (0/0 at H = 1), where eta = 0, with sinh = 0, is +inf deep.
     """
     fn = dm.library(eta)
-    return _rim_depth(fn, fn.sinh(eta), fn.cosh(eta), fn.exp(-eta), a, params)
-
-
-def _rim_depth(fn, sh, ch, num, a, params: Parameters):
-    """``rim_depth`` from sinh, cosh and exp(-eta) at eta, on ``fn`` (``math`` or ``dual``)."""
+    sh, ch, num = fn.sinh(eta), fn.cosh(eta), fn.exp(-eta)
     gp, hh, turn = params.azimuthal_skew, params.boost_skew, 0.0
     if gp > 0.0:
         num = num - gp * gp / (a + hh * sh)
@@ -426,7 +423,10 @@ def eta_from_r(r: float, params: Parameters, *, with_iterations: bool = False):
     ln(rim_depth(eta)), nearly linear in eta, from its asymptote
     ln(2 e^(-2 eta) / (p^2 (1 + hh))), once that seed exceeds eta_min + 0.5.
     Stops when a step moves eta by at most 1e-12 of its value, or when r(eta)
-    matches r to the rounding noise of the map.
+    matches r to the rounding noise of the map.  A step evaluates r(eta), the
+    slope and the rim depth in one pass, in the operation order of
+    ``hyperbolic_profile`` and ``rim_depth``; the test
+    ``test_inversion_matches_the_profile_loop_bit_for_bit`` pins it bit for bit.
     """
     dom = domain_info(params)
     if params.p == 1.0 and r == 0.0:
@@ -435,36 +435,43 @@ def eta_from_r(r: float, params: Parameters, *, with_iterations: bool = False):
         raise OutsideRadialDomain(r, dom.r_min, dom.r_sup)
     hh = params.boost_skew
     if params.p == 1.0:
-        eta = math.atanh(min(r / (1.0 - hh * r), math.nextafter(1.0, 0.0)))
+        eta = math.atanh(min(r / (1.0 - hh * r), _BELOW_ONE))
         return (eta, 0) if with_iterations else eta
 
-    p2 = params.p * params.p
+    gp, p2 = params.azimuthal_skew, params.p * params.p
+    gp_hh, gp2, hh1, turn = gp / hh, gp * gp, 1.0 + hh, gp * (hh * hh + gp * gp)
     floor = dom.eta_min
     depth = math.log(dom.r_sup / r)
     # Both seeds lie left of the root: R1 sinh <= (1 + hh) e^(2 eta) / 4
     # bounds the rim asymptote, and ln r(eta) is concave.
-    eta = -0.5 * math.log(0.5 * p2 * (1.0 + hh) * depth)
+    eta = -0.5 * math.log(0.5 * p2 * hh1 * depth)
     rim = eta > floor + 0.5
     if not rim:
         # 1/slope at the floor, where A = 0, R1 = cosh and sinh = gp/hh
-        run = p2 * math.cosh(floor) * params.azimuthal_skew / hh
+        run = p2 * math.cosh(floor) * gp / hh
         eta = max(eta, floor + math.log(r / dom.r_min) * run)
     lo, hi = floor, ETA_CAP
     step = before = hi - lo
     for iterations in range(1, NEWTON_MAX_ITER + 1):
-        a, r1v, _, _, _, rv = hyperbolic_profile(eta, params)
-        sh = math.sinh(eta)
+        gap = eta - floor
+        if gap < 0.0:
+            raise OutsideEtaDomain(f"radicand of A not positive at eta={eta} (floor {floor})")
+        ch, sh = math.cosh(eta), math.sinh(eta)
+        a = hh * math.sqrt(2.0 * math.cosh(0.5 * (eta + floor)) * math.sinh(0.5 * gap)
+                           * (sh + gp_hh))
+        r1v = ch + a
+        rv = sh * math.exp(-gp * math.atan2(gp * ch, a)) / r1v
         inv_slope = p2 * r1v * sh
         if rim:
-            here = _rim_depth(math, sh, math.cosh(eta), math.exp(-eta), a, params)
+            here = (math.log1p((math.exp(-eta) - gp2 / (a + hh * sh)) / (hh1 * sh))
+                    + gp * math.atan2(turn / (hh * ch + a), hh * a + gp2 * ch))
             g = math.log(depth / here)
             nxt = eta - g * here * inv_slope
         else:
             # Newton step in s = sqrt(eta - floor): s - g/(2 s slope), squared;
             # a seed that rounded onto the floor has its root there too
             g = math.log(rv / r)
-            d = eta - floor
-            nxt = floor + (2.0 * d - g * inv_slope) ** 2 / (4.0 * d) if d > 0.0 else eta
+            nxt = floor + (2.0 * gap - g * inv_slope) ** 2 / (4.0 * gap) if gap > 0.0 else eta
         lo, hi = (lo, eta) if g > 0.0 else (eta, hi)
         if abs(rv - r) <= _MAP_NOISE * r:
             eta = nxt if lo <= nxt <= hi else eta

@@ -12,6 +12,9 @@ import pytest
 
 GOLDEN = Path(__file__).parent / "golden" / "eval_H1_p1.json"
 GOLDEN_ISOTROPIC = Path(__file__).parent / "golden" / "eval_H1.25_p1_w3neg.json"
+# p < 1: the radial inversion's Newton loop runs for every vector
+GOLDEN_AXIAL = Path(__file__).parent / "golden" / "eval_H2_p0.5.json"
+GOLDEN_SCAN = Path(__file__).parent / "golden" / "scan_H1.25_p0.8_n20.csv"
 
 
 def run_cli(*args, env_extra=None):
@@ -38,6 +41,19 @@ def test_eval_golden_isotropic_negative_axial():
     r = run_cli("eval", "--H", "1.25", "--p", "1", "--y", "2,0.3,0.2,-0.4")
     assert r.returncode == 0
     assert r.stdout == GOLDEN_ISOTROPIC.read_text()
+
+
+def test_eval_golden_axial_newton_inversion():
+    r = run_cli("eval", "--H", "2", "--p", "0.5",
+                "--y", "4.65668704,0.03959194,-0.11861117,0.18268289")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == GOLDEN_AXIAL.read_text()
+
+
+def test_report_scan_golden_csv():
+    r = run_cli("report", "scan", "--H", "1.25", "--p", "0.8", "--samples", "20", "--format", "csv")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == GOLDEN_SCAN.read_text()
 
 
 def test_eval_values_and_schema():
@@ -216,6 +232,24 @@ def test_report_curvature_takes_no_tetrad(tmp_path):
     assert r.returncode == 1
     assert "unrecognized arguments" in r.stderr
     assert r.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args, prog, unknown",
+    [
+        (("eval", "--H", "2", "--p", "0.5", "--y", "4,0.1,0.1,0.5", "--bogus"),
+         "finsleroid eval", "--bogus"),
+        (("report", "curvature", "--H", "2", "--p", "0.5", "--tetrad", "x"),
+         "finsleroid report curvature", "--tetrad x"),
+    ],
+)
+def test_unknown_option_prints_the_sub_command_usage(args, prog, unknown):
+    # the usage line lists the options the sub-command does take, not the root's
+    r = run_cli(*args)
+    assert r.returncode == 1
+    lines = r.stderr.splitlines()
+    assert lines[0].startswith(f"usage: {prog} [-h] --H H --p P"), r.stderr
+    assert lines[-1] == f"{prog}: error: unrecognized arguments: {unknown}"
 
 
 @pytest.mark.parametrize(

@@ -31,11 +31,17 @@ from finsleroid import (
     vector_from_angles,
 )
 from finsleroid import dual as dm
-from finsleroid.kernel import hyperbolic_profile, radial_from_ratios, rim_depth
+from finsleroid.kernel import (
+    _MAP_NOISE, ETA_CAP, NEWTON_MAX_ITER, hyperbolic_profile, radial_from_ratios, rim_depth,
+)
 
 # the five benchmark pairs, then a thin domain (gp ~ 20) and a large H
 SEVEN_PAIRS = ((1.0, 1.0), (1.25, 1.0), (1.25, 0.8), (1.5, 0.9), (2.0, 0.5),
                (50.0, 0.05), (100.0, 0.999))
+# p < 1 pairs of the inversion oracle: the benchmark's, a thin domain, a large H, an
+# H next to 1 (hh ~ 0.014) and gp ~ 50
+INVERSION_PAIRS = ((1.25, 0.8), (1.5, 0.9), (2.0, 0.5), (50.0, 0.05), (100.0, 0.999),
+                   (3.0, 0.3), (1.0001, 0.99), (7.0, 0.02))
 
 
 # ---------------------------------------------------------------- profiles
@@ -318,6 +324,103 @@ def test_inverse_radial_map_isotropic_round_trip():
             back = eta_from_r(r, params)
             assert 0.0 < back < 20.0
             assert abs(math.log(float(hyperbolic_profile(back, params)[5]) / r)) <= 2e-15
+
+
+def _reference_eta_from_r(r, params):
+    """eta_from_r(r, params, with_iterations=True) as a loop through the generic
+    hyperbolic_profile and rim_depth per Newton step: the oracle of the one-pass loop."""
+    dom = domain_info(params)
+    if params.p == 1.0 and r == 0.0:
+        return 0.0, 0
+    if not (dom.r_min < r < dom.r_sup):
+        raise OutsideRadialDomain(r, dom.r_min, dom.r_sup)
+    hh = params.boost_skew
+    if params.p == 1.0:
+        return math.atanh(min(r / (1.0 - hh * r), math.nextafter(1.0, 0.0))), 0
+    p2 = params.p * params.p
+    floor = dom.eta_min
+    depth = math.log(dom.r_sup / r)
+    eta = -0.5 * math.log(0.5 * p2 * (1.0 + hh) * depth)
+    rim = eta > floor + 0.5
+    if not rim:
+        run = p2 * math.cosh(floor) * params.azimuthal_skew / hh
+        eta = max(eta, floor + math.log(r / dom.r_min) * run)
+    lo, hi = floor, ETA_CAP
+    step = before = hi - lo
+    for iterations in range(1, NEWTON_MAX_ITER + 1):
+        a, r1v, _, _, _, rv = hyperbolic_profile(eta, params)
+        sh = math.sinh(eta)
+        inv_slope = p2 * r1v * sh
+        if rim:
+            here = rim_depth(eta, a, params)
+            g = math.log(depth / here)
+            nxt = eta - g * here * inv_slope
+        else:
+            g = math.log(rv / r)
+            d = eta - floor
+            nxt = floor + (2.0 * d - g * inv_slope) ** 2 / (4.0 * d) if d > 0.0 else eta
+        lo, hi = (lo, eta) if g > 0.0 else (eta, hi)
+        if abs(rv - r) <= _MAP_NOISE * r:
+            eta = nxt if lo <= nxt <= hi else eta
+            break
+        if not (lo <= nxt <= hi and abs(nxt - eta) <= 0.5 * before):
+            nxt = 0.5 * (lo + hi)
+        before, step, eta = step, abs(nxt - eta), nxt
+        if step <= 1e-12 * eta:
+            break
+    return eta, iterations
+
+
+def _inversion_outcome(invert, r, params):
+    """The bits of eta and the Newton count, or the error type, of one inversion."""
+    try:
+        eta, iters = invert(r, params)
+    except Exception as exc:  # the type is the outcome compared
+        return type(exc)
+    return eta.hex(), iters
+
+
+def test_inversion_matches_the_profile_loop_bit_for_bit():
+    rng = np.random.default_rng(22)
+    rim_seeds = 0  # 347 of the 3200 p < 1 radii here
+    with_iterations = lambda r, params: eta_from_r(r, params, with_iterations=True)  # noqa: E731
+    for H, p in INVERSION_PAIRS + ((1.25, 1.0), (2.0, 1.0)):
+        params = Parameters(H=H, p=p)
+        dom = domain_info(params)
+        gaps = np.exp(rng.uniform(math.log(1e-12), math.log(16.0), 400))
+        radii = [float(hyperbolic_profile(dom.eta_min + gap, params)[5]) for gap in gaps]
+        # the edges of the open interval (r_min, r_sup), their neighbours and beyond
+        radii += [dom.r_min, dom.r_sup, math.nextafter(dom.r_min, 1.0),
+                  math.nextafter(dom.r_sup, 0.0), 0.5 * dom.r_min, 2.0 * dom.r_sup, 0.0]
+        for r in radii:
+            expected = _inversion_outcome(_reference_eta_from_r, r, params)
+            got = _inversion_outcome(with_iterations, r, params)
+            assert got == expected, (H, p, r)
+            if p < 1.0 and dom.r_min < r < dom.r_sup:
+                depth = math.log(dom.r_sup / r)
+                seed = -0.5 * math.log(0.5 * p * p * (1.0 + params.boost_skew) * depth)
+                rim_seeds += seed > dom.eta_min + 0.5
+    assert rim_seeds >= 100, rim_seeds
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pair=st.sampled_from(((1.0, 1.0), (1.25, 1.0), (1.25, 0.8), (1.5, 0.9), (2.0, 0.5),
+                          (5.0, 0.9), (100.0, 0.999), (1.0001, 0.99))),
+    log_gap=st.floats(min_value=math.log(1e-12), max_value=math.log(16.0)),
+)
+def test_inversion_round_trip_property(pair, log_gap):
+    # r(eta_from_r(r)) returns r to the bound of the seeded Newton sweep, on its pairs and
+    # two more; it reaches 1.8e-15 at (3, 0.3), 7e-15 at (50, 0.05), 2e-14 at (7, 0.02)
+    params = Parameters(*pair)
+    dom = domain_info(params)
+    r = float(hyperbolic_profile(dom.eta_min + math.exp(log_gap), params)[5])
+    if not dom.r_min < r < dom.r_sup:  # a gap of ~16 can round r(eta) onto r_sup
+        with pytest.raises(OutsideRadialDomain):
+            eta_from_r(r, params)
+        return
+    back = eta_from_r(r, params)
+    assert abs(math.log(float(hyperbolic_profile(back, params)[5]) / r)) <= 2e-15
 
 
 def _decimal_profile(eta, floor, gp, hh):
