@@ -28,11 +28,9 @@ from .frame import (
     FrameComponents,
     Parameters,
     Tetrad,
-    TetradValidation,
     frame_components,
     load_configuration,
     projections,
-    validate_tetrad,
 )
 from .kernel import (
     AngleCoords,

@@ -56,28 +56,22 @@ class Parameters:
         return math.asinh(gp / hh) if hh > 0.0 else math.inf if gp > 0.0 else 0.0
 
 
-def _assemble(b, i, j, i3) -> np.ndarray:
-    """The metric a = b b - i i - j j - i3 i3 that four covectors span."""
-    return np.outer(b, b) - np.outer(i, i) - np.outer(j, j) - np.outer(i3, i3)
-
-
 @dataclass(frozen=True, eq=False)
 class Tetrad:
     """Orthonormal covector frame and the metric tensor it spans.
 
     ``b``, ``i``, ``j``, ``i3`` are covectors (length-4 arrays); ``a`` is
-    the covariant metric they assemble.
+    the covariant metric they assemble, derived from them and never stored.
     """
 
     b: np.ndarray
     i: np.ndarray
     j: np.ndarray
     i3: np.ndarray
-    a: np.ndarray
 
     @classmethod
     def from_covectors(cls, b, i, j, i3) -> "Tetrad":
-        """Assemble the metric from four covectors.
+        """Frame of four covectors.
 
         Raises ValueError for a non-finite entry and TetradDegenerate if the
         covectors do not span the space.
@@ -85,12 +79,12 @@ class Tetrad:
         b, i, j, i3 = (np.asarray(v, dtype=float).reshape(4) for v in (b, i, j, i3))
         if not np.isfinite([b, i, j, i3]).all():
             raise ValueError(f"tetrad entries must be finite, got {np.array([b, i, j, i3]).tolist()}")
-        a = _assemble(b, i, j, i3)
+        tetrad = cls(b=b, i=i, j=j, i3=i3)
         try:
-            np.linalg.inv(a)  # only its singularity test is kept
+            np.linalg.inv(tetrad.a)  # only its singularity test is kept
         except np.linalg.LinAlgError as exc:
             raise TetradDegenerate("frame covectors are linearly dependent") from exc
-        return cls(b=b, i=i, j=j, i3=i3, a=a)
+        return tetrad
 
     @classmethod
     def canonical(cls) -> "Tetrad":
@@ -118,9 +112,15 @@ class Tetrad:
         """Covector rows stacked as a 4x4 matrix (b, i, j, i3), built once."""
         return np.stack([self.b, self.i, self.j, self.i3])
 
+    @cached_property
+    def a(self) -> np.ndarray:
+        """The metric a = b b - i i - j j - i3 i3 that the covectors span, built once."""
+        b, i, j, i3 = self.b, self.i, self.j, self.i3
+        return np.outer(b, b) - np.outer(i, i) - np.outer(j, j) - np.outer(i3, i3)
+
 
 _CANONICAL = Tetrad.from_covectors(*np.eye(4))
-for _array in (_CANONICAL.rows, *vars(_CANONICAL).values()):
+for _array in (_CANONICAL.rows, _CANONICAL.a, *vars(_CANONICAL).values()):
     _array.setflags(write=False)
 
 
@@ -129,57 +129,6 @@ def load_configuration(doc: dict) -> tuple[Parameters, Tetrad]:
     without a "tetrad" entry the frame is the canonical one."""
     params = Parameters(H=float(doc["H"]), p=float(doc["p"]))
     return params, Tetrad.canonical() if doc.get("tetrad") is None else Tetrad.from_dict(doc)
-
-
-@dataclass(frozen=True)
-class TetradValidation:
-    """Residuals of the frame consistency checks."""
-
-    passed: bool
-    assembly_residual: float
-    norm_residuals: dict
-    reciprocity_residual: float
-    signature: tuple
-
-    def __bool__(self):
-        return self.passed
-
-
-def validate_tetrad(tetrad: Tetrad, tol: float = 1e-12) -> TetradValidation:
-    """Check the stored metric against the frame that claims to span it.
-
-    Verifies the rank-one assembly of ``a``, the four unit norms taken with
-    the reciprocal metric, the reciprocity a_inv @ a = id, and the
-    time-space signature.  Raises TetradDegenerate when ``a`` is singular.
-    """
-    assembled = _assemble(tetrad.b, tetrad.i, tetrad.j, tetrad.i3)
-    assembly_residual = float(np.max(np.abs(assembled - tetrad.a)))
-
-    if abs(np.linalg.det(tetrad.a)) < 1e-300:
-        raise TetradDegenerate("stored metric tensor is singular")
-
-    a_inv = np.linalg.inv(tetrad.a)
-    norms = {
-        name: float(v @ a_inv @ v - sign)
-        for name, v, sign in zip(("b", "i", "j", "i3"), tetrad.rows, (1.0, -1.0, -1.0, -1.0))
-    }
-    reciprocity = float(np.max(np.abs(a_inv @ tetrad.a - np.eye(4))))
-    eigs = np.linalg.eigvalsh(tetrad.a)
-    signature = tuple(int(np.sign(e)) for e in sorted(eigs, reverse=True))
-
-    passed = (
-        assembly_residual <= tol
-        and all(abs(v) <= tol for v in norms.values())
-        and reciprocity <= tol
-        and signature == (1, -1, -1, -1)
-    )
-    return TetradValidation(
-        passed=passed,
-        assembly_residual=assembly_residual,
-        norm_residuals=norms,
-        reciprocity_residual=reciprocity,
-        signature=signature,
-    )
 
 
 @dataclass(frozen=True)
@@ -256,8 +205,8 @@ def frame_components(y, tetrad: Tetrad | None = None) -> FrameComponents:
     """
     if tetrad is None:
         tetrad = Tetrad.canonical()
-    y = np.asarray(y, dtype=float).reshape(4)
     b, w1, w2, w3 = projections(y, tetrad)
+    _one_vector(b)
     if w3 <= 0.0:
         raise OutsideAxialRegion(f"axial projection w3={w3} is not positive")
     s2 = pseudo_norm_squared(y, tetrad)

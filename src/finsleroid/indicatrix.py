@@ -52,7 +52,8 @@ GAP_MIN = 1e-8
 
 @dataclass(frozen=True)
 class IndicatrixBundle:
-    """Angle derivatives of the unit vector, induced metric and curvatures."""
+    """Angle derivatives of the unit vector, induced metric and curvatures; i_metric and
+    raw_sign hold only below eta - eta_min ~ 8.9 (``indicatrix_metric``)."""
 
     l_derivs: np.ndarray  # 4 x 3, columns = d/d(eta, theta, phi)
     i_metric: np.ndarray  # 3 x 3, positive definite convention
@@ -113,6 +114,7 @@ def indicatrix_metric(angles: AngleCoords, params: Parameters) -> np.ndarray:
     unit vector, reported in the positive-definite convention (the raw
     contraction sign is available from indicatrix_bundle).  It stays this pullback:
     the Gauss route's metric drifts from it as 1/theta^2 toward the polar axis.
+    Rounding makes it indefinite at some points from eta - eta_min ~ 8.9 on (README).
     """
     return _pullback(angles, params)[0]
 
@@ -222,14 +224,10 @@ def indicatrix_bundle(angles: AngleCoords, params: Parameters) -> IndicatrixBund
     )
 
 
-def section_metric(theta: float, phi: float, params: Parameters) -> np.ndarray:
-    """Induced 2-metric of the section surface from the ratio-space metric."""
-    return _section_metric(np.array([theta, phi]), params)
-
-
-def _section_metric(x, params: Parameters) -> np.ndarray:
-    """Section metric at (theta, phi) rows: (2,) gives (2, 2), (m, 2) (m, 2, 2)."""
-    _, w, jac = _section_chart(*np.asarray(x, dtype=float).T, params)
+def section_metric(theta, phi, params: Parameters) -> np.ndarray:
+    """Induced 2-metric of the section surface from the ratio-space metric: (2, 2)
+    at floats theta, phi, (m, 2, 2) at arrays of m."""
+    _, w, jac = _section_chart(theta, phi, params)
     jac_t = np.array(jac).T  # (2, 3), or (m, 2, 3)
     return jac_t @ finsleroid3_metric(np.array(w[:3]).T, params) @ np.swapaxes(jac_t, -1, -2)
 

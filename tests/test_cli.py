@@ -148,6 +148,27 @@ def test_package_imports_only_the_standard_library_and_numpy():
     assert stray == []
 
 
+def test_every_traced_name_resolves():
+    # the benchmark's tracer wraps these (layer, attribute) pairs; read from its
+    # source, so a deleted or renamed name fails here, not only under --trace 1
+    import importlib
+
+    tracing = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    traced = next(
+        ast.literal_eval(node.value) for node in ast.parse(tracing.read_text()).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]
+    )
+    assert ("frame", "Tetrad.canonical") in traced and len(traced) > 20
+    missing = []
+    for layer, attribute in traced:
+        value = importlib.import_module(f"finsleroid.{layer}")
+        for part in attribute.split("."):
+            value = getattr(value, part, None)
+        if not callable(value):
+            missing.append(f"{layer}.{attribute}")
+    assert missing == []
+
+
 def test_eval_csv_format_columns():
     r = run_cli("eval", "--H", "1", "--p", "1", "--y", "2,1,0,0.0001",
                 "--format", "csv")
@@ -503,7 +524,7 @@ def test_package_exports_its_imported_names_and_no_module():
     import finsleroid
 
     names = finsleroid.__all__
-    assert names == sorted(names) and len(names) == 60
+    assert names == sorted(names) and len(names) == 58
     assert not any(isinstance(getattr(finsleroid, n), types.ModuleType) for n in names)
     assert {"Parameters", "finsler_norm", "DomainError", "sample_vectors"} <= set(names)
     assert not {"kernel", "errors", "dual", "__version__"} & set(names)

@@ -186,6 +186,21 @@ def test_indicatrix_bundle_records_positive_convention():
     assert np.all(np.linalg.eigvalsh(bundle.i_metric) > 0.0)
 
 
+@pytest.mark.parametrize("H, p", [(1.0, 1.0), (1.25, 0.8), (2.0, 0.5), (1.5, 0.9), (50.0, 0.05)])
+def test_indicatrix_metric_is_positive_definite_below_gap_8(H, p):
+    # Measured bound, not a mend: over eta - eta_min up to 15 (3000 points, seed 5),
+    # the pullback first has a non-positive eigenvalue at gaps 9.7, 8.9, 9.1, 9.7 and
+    # 9.8 on these pairs, and at about half the points above 10, where raw_sign
+    # flips the whole matrix.  Below gap 8 every point is positive definite.
+    params = Parameters(H=H, p=p)
+    points = sample_angles(params, 1000, 5, eta_margin=1e-6, theta_margin=0.05, eta_span=8.0)
+    assert max(a.eta for a in points) - params.eta_min < 8.0
+    for angles in points:
+        bundle = indicatrix_bundle(angles, params)
+        assert bundle.raw_sign == 1
+        assert np.linalg.eigvalsh(bundle.i_metric)[0] > 0.0
+
+
 def test_indicatrix_curvature_unit_hyperboloid():
     params = Parameters(H=1.0, p=1.0)
     ks = indicatrix_curvature(AngleCoords(eta=1.1, theta=0.8, phi=0.9), params)
@@ -371,7 +386,7 @@ def test_gauss_route_matches_stencil_at_interior_points(H, p):
             assert abs(k - stencil[plane]) <= abs(stencil[plane] + h2) + 1e-11 * h2
             assert abs(stencil[plane] + h2) < 1e-6 * h2
         section = coordinate_plane_curvatures(
-            lambda x: indicatrix._section_metric(x, params), np.array([angles.theta, 0.9])
+            lambda x: indicatrix.section_metric(*x.T, params), np.array([angles.theta, 0.9])
         )[(0, 1)]
         k = section_curvature(angles.theta, params)
         assert abs(k - p * p) < 1e-12
@@ -454,7 +469,7 @@ def test_stencil_batch_matches_scalar_metrics(H, p):
     x3 = np.array([angles.eta, angles.theta, angles.phi])
     ks = coordinate_plane_curvatures(recorded(lambda x: indicatrix._pullback(x, params)[0]), x3)
     k2 = coordinate_plane_curvatures(
-        recorded(lambda x: indicatrix._section_metric(x, params)), np.array([0.6, 0.9])
+        recorded(lambda x: indicatrix.section_metric(*x.T, params)), np.array([0.6, 0.9])
     )
     for k in ks.values():
         assert abs(k + H * H) < 1e-6 * H * H
@@ -516,7 +531,7 @@ def test_chart_overflow_of_exp_gp_theta_raises_outside_axial_region():
             np.array([[angles.eta, 0.5, 1.2], [angles.eta, angles.theta, 1.2]]), params),
         lambda: sample_vectors(params, 5, 1),
         lambda: indicatrix.section_metric(angles.theta, 0.9, params),
-        lambda: indicatrix._section_metric(np.array([[0.5, 0.9], [angles.theta, 0.9]]), params),
+        lambda: indicatrix.section_metric(np.array([0.5, angles.theta]), np.full(2, 0.9), params),
         lambda: section_curvature(angles.theta, params),
     )
     with warnings.catch_warnings():
@@ -559,7 +574,7 @@ def test_batch_domain_failure_matches_scalar_error():
         with pytest.raises(error):
             indicatrix.section_metric(theta, 0.9, params)
         with pytest.raises(error):
-            indicatrix._section_metric(np.array([[0.6, 0.9], [theta, 0.9], [0.7, 0.9]]), params)
+            indicatrix.section_metric(np.array([0.6, theta, 0.7]), np.full(3, 0.9), params)
 
 
 # Rows of a batch chart call against the call on each row's AngleCoords: numpy's
@@ -619,7 +634,7 @@ def test_public_chart_functions_keep_their_arrays():
         (sign, (5,)),
         (d, (5, 4, 3)),
         (indicatrix.section_metric(0.6, 0.9, params), (2, 2)),
-        (indicatrix._section_metric(rows[:, 1:], params), (5, 2, 2)),
+        (indicatrix.section_metric(rows[:, 1], rows[:, 2], params), (5, 2, 2)),
         (vectors, (5, 4)),
     ):
         assert isinstance(array, np.ndarray) and array.shape == shape

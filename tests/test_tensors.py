@@ -61,17 +61,23 @@ def test_omitted_params_is_a_type_error(fn):
         fn(np.array([2.0, 0.3, 0.2, 0.4]))
 
 
+def _frame_components(y, tetrad, params):
+    return frame_components(y, tetrad)
+
+
 @pytest.mark.parametrize("rows", [1, 3])
 @pytest.mark.parametrize("params", [Parameters(1.25, 1.0), Parameters(2.0, 0.5)], ids=str)
 @pytest.mark.parametrize(
     "fn",
     [finsler_norm, unit_covector, angular_metric, metric_tensor, metric_tensor_numeric,
-     metric_determinant_closed, angle_gradients, angular_metric_angle_form],
+     metric_determinant_closed, angle_gradients, angular_metric_angle_form, _frame_components],
     ids=lambda fn: fn.__name__,
 )
 def test_a_batch_at_a_one_vector_function_is_a_typed_value_error(fn, params, rows):
     # a (1, 4) array raised numpy's TypeError "only 0-dimensional arrays can be
-    # converted", a (3, 4) one its "truth value of an array ... is ambiguous"
+    # converted", a (3, 4) one its "truth value of an array ... is ambiguous";
+    # frame_components took a (1, 4) row as its one vector and let numpy's
+    # reshape fail on a (3, 4) one
     y = np.repeat(sample_vectors(params, 1), rows, axis=0)
     with pytest.raises(ValueError, match=rf"one vector .* shape \({rows}, 4\)"):
         fn(y, None, params)
@@ -295,12 +301,12 @@ def test_log_radial_derivatives_match_the_radial_map():
     # degree -2 Hessian (L3.w = -2 L2), and a frame contracts all three; the
     # packed results are unpacked to dense arrays first
     pairs = ((1, 1), (1.25, 1), (1.25, 0.8), (1.5, 0.9), (2, 0.5), (5, 0.9), (1.1, 0.3))
-    frame = np.array([[0.3, -1.1], [0.8, 0.2], [-0.4, 0.9]])
+    frame, eye = np.array([[0.3, -1.1], [0.8, 0.2], [-0.4, 0.9]]), np.eye(3).tolist()
     for H, p in pairs:
         params = Parameters(H=H, p=p)
         for y in sample_vectors(params, 10, 17):
             w = np.array(projections(y, Tetrad.canonical())[1:])
-            l1, l2, l3 = _dense(log_radial_derivatives(w.tolist(), params), 3)
+            l1, l2, l3 = _dense(log_radial_derivatives(w.tolist(), params, eye), 3)
             r, g, h = radial_derivatives(w, params)
             assert np.max(np.abs(l1 - g / r)) <= 1e-14 * np.max(np.abs(l1))
             expected = h / r - np.outer(g, g) / (r * r)
@@ -309,7 +315,7 @@ def test_log_radial_derivatives_match_the_radial_map():
             step = 1e-4 * np.linalg.norm(w)
             for k in range(3):
                 e = step * np.eye(3)[k]
-                at = [_dense(log_radial_derivatives((w + s * e).tolist(), params), 3)[1]
+                at = [_dense(log_radial_derivatives((w + s * e).tolist(), params, eye), 3)[1]
                       for s in (2.0, 1.0, -1.0, -2.0)]
                 fd = (-at[0] + 8.0 * at[1] - 8.0 * at[2] + at[3]) / (12.0 * step)
                 assert np.max(np.abs(l3[..., k] - fd)) <= 1e-7 * np.max(np.abs(l3))
