@@ -14,7 +14,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .dual import any_set
 from .errors import EmptyDomain, NotFutureTimelike, OutsideAxialRegion, TetradDegenerate
 
 H_MAX = 1e50  # H stays below this: H**6 of the closed-form determinant overflows from 2.4e51
@@ -73,13 +72,15 @@ class Tetrad:
     def from_covectors(cls, b, i, j, i3) -> "Tetrad":
         """Frame of four covectors.
 
-        Raises ValueError for a non-finite entry and TetradDegenerate if the
-        covectors do not span the space.
+        Raises ValueError for a covector of any shape but (4,) or a non-finite
+        entry, and TetradDegenerate if the covectors do not span the space.
         """
-        b, i, j, i3 = (np.asarray(v, dtype=float).reshape(4) for v in (b, i, j, i3))
-        if not np.isfinite([b, i, j, i3]).all():
-            raise ValueError(f"tetrad entries must be finite, got {np.array([b, i, j, i3]).tolist()}")
-        tetrad = cls(b=b, i=i, j=j, i3=i3)
+        covectors = [np.asarray(v, dtype=float) for v in (b, i, j, i3)]
+        if bad := {v.shape for v in covectors} - {(4,)}:
+            raise ValueError(f"takes covectors of 4 components, got an array of shape {bad.pop()}")
+        if not np.isfinite(covectors).all():
+            raise ValueError(f"tetrad entries must be finite, got {np.array(covectors).tolist()}")
+        tetrad = cls(*covectors)
         try:
             np.linalg.inv(tetrad.a)  # only its singularity test is kept
         except np.linalg.LinAlgError as exc:
@@ -161,30 +162,21 @@ class FrameComponents:
 
 
 def projections(y, tetrad: Tetrad):
-    """Raw frame projections (b, w1, w2, w3) of a vector (arrays for (m, 4)).
+    """Raw frame projections (b, w1, w2, w3) of one vector, as Python floats.
 
-    One vector gives Python floats, from one product with ``tetrad.rows``.
+    One product with ``tetrad.rows``; ValueError for any shape but (4,).
     Only the future-pointing condition b > 0 is enforced here; the axial
     restriction w3 > 0 is applied by frame_components.
     """
     y = np.asarray(y, dtype=float)
-    batch = y.ndim == 2
-    y = y if batch else y.reshape(4)
-    if not (np.isfinite(y).all() if batch else all(map(math.isfinite, y.tolist()))):
+    if y.shape != (4,):
+        raise ValueError(f"takes one vector of 4 components, got an array of shape {y.shape}")
+    if not all(map(math.isfinite, y.tolist())):
         raise ValueError(f"vector components must be finite, got {y.tolist()}")
-    if batch:
-        b, i, j, i3 = y @ tetrad.b, y @ tetrad.i, y @ tetrad.j, y @ tetrad.i3
-    else:
-        b, i, j, i3 = tetrad.rows.dot(y).tolist()  # ndarray.dot: half the cost of @ here
-    if any_set(b <= 0.0):
-        raise NotFutureTimelike(f"timelike projection b={np.min(b)} is not positive")
+    b, i, j, i3 = tetrad.rows.dot(y).tolist()  # ndarray.dot: half the cost of @ here
+    if b <= 0.0:
+        raise NotFutureTimelike(f"timelike projection b={b} is not positive")
     return b, i / b, j / b, i3 / b
-
-
-def _one_vector(x) -> None:
-    """ValueError where x, a float per vector (b, r), is the (m,) array of an (m, 4) batch."""
-    if isinstance(x, np.ndarray):
-        raise ValueError(f"takes one vector of 4 components, got an array of shape ({len(x)}, 4)")
 
 
 def pseudo_norm_squared(y, tetrad: Tetrad) -> float:
@@ -206,7 +198,6 @@ def frame_components(y, tetrad: Tetrad | None = None) -> FrameComponents:
     if tetrad is None:
         tetrad = Tetrad.canonical()
     b, w1, w2, w3 = projections(y, tetrad)
-    _one_vector(b)
     if w3 <= 0.0:
         raise OutsideAxialRegion(f"axial projection w3={w3} is not positive")
     s2 = pseudo_norm_squared(y, tetrad)

@@ -123,14 +123,16 @@ def _pullback(angles, params: Parameters, chart=None):
     """Signed pullback -(d^T h d), its sign and d, at the chart's own eta.
 
     One profile gives y and d (per point of a batch, like ``_chart_point``,
-    or taken from ``chart``), as arrays from here on; h is the component-route
-    angular metric of y at that profile's eta, R1 and V, so r is not inverted
-    back to eta.
+    or taken from ``chart``); h is the component-route angular metric at the
+    chart's frame point (y0, y[1:]/y0) and that profile's eta, R1 and V, so r
+    is not inverted back to eta.  The mean of d^T h d and its transpose is
+    exactly symmetric.
     """
-    prof, y, d = _chart_point(angles, params) if chart is None else chart
+    prof, (b, *rest), d = _chart_point(angles, params) if chart is None else chart
     d = _derivative_array(d)
-    h = _unpack(_radial_point(np.stack(y, axis=-1), None, params, prof[:3])[2], 4)
-    raw = -(np.swapaxes(d, -1, -2) @ h @ d)
+    h = _unpack(_radial_point(b, [c / b for c in rest], params, prof[:3])[2], 4)
+    dhd = np.swapaxes(d, -1, -2) @ h @ d
+    raw = -0.5 * (dhd + np.swapaxes(dhd, -1, -2))
     sign = np.where(raw[..., 0, 0] >= 0.0, 1, -1)
     return (sign * raw.T).T, sign, d
 
@@ -225,11 +227,12 @@ def indicatrix_bundle(angles: AngleCoords, params: Parameters) -> IndicatrixBund
 
 
 def section_metric(theta, phi, params: Parameters) -> np.ndarray:
-    """Induced 2-metric of the section surface from the ratio-space metric: (2, 2)
-    at floats theta, phi, (m, 2, 2) at arrays of m."""
+    """Induced 2-metric of the section surface, J^T G J of the ratio-space metric G made
+    exactly symmetric: (2, 2) at floats theta, phi, (m, 2, 2) at arrays of m."""
     _, w, jac = _section_chart(theta, phi, params)
     jac_t = np.array(jac).T  # (2, 3), or (m, 2, 3)
-    return jac_t @ finsleroid3_metric(np.array(w[:3]).T, params) @ np.swapaxes(jac_t, -1, -2)
+    jgj = jac_t @ finsleroid3_metric(np.array(w[:3]).T, params) @ np.swapaxes(jac_t, -1, -2)
+    return 0.5 * (jgj + np.swapaxes(jgj, -1, -2))
 
 
 def section_curvature(theta: float, params: Parameters) -> float:

@@ -36,7 +36,7 @@ from .errors import (
     PolarAxisSingular,
     ThetaPole,
 )
-from .frame import FrameComponents, Parameters, Tetrad, _one_vector, projections
+from .frame import FrameComponents, Parameters, Tetrad, projections
 
 # Below this radicand-root value an evaluation is flagged as sitting on the
 # inner domain boundary, where angle derivatives degrade.
@@ -524,10 +524,7 @@ def finsler_norm(y, tetrad: Tetrad | None = None, params: Parameters | None = No
     """
     if params is None:
         raise TypeError("params is required")
-    if tetrad is None:
-        tetrad = Tetrad.canonical()
-    b, w1, w2, w3 = projections(y, tetrad)
-    _one_vector(b)
+    b, w1, w2, w3 = projections(y, Tetrad.canonical() if tetrad is None else tetrad)
     if params.p < 1.0 and w3 <= 0.0:
         raise OutsideAxialRegion(f"axial projection w3={w3} is not positive")
     r = radial_from_ratios(w1, w2, w3, params)

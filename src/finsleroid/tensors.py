@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dual as dm
 from .errors import OutsideAxialRegion, PolarAxisSingular
-from .frame import Parameters, Tetrad, _one_vector, projections
+from .frame import Parameters, Tetrad, projections
 from .kernel import (
     _packing,
     _radial_parts,
@@ -71,11 +71,11 @@ def _check_axial(w1, w2, w3):
 
 def _frame_point(y, tetrad: Tetrad | None, params: Parameters, dual: bool = False,
                  axial: bool | None = None):
-    """b and the ratios (w1, w2, w3) of a vector (floats) or an (m, 4) batch, with the
-    domain guards, off the axial region where ``axial`` (default p < 1); for the
-    hyper-dual routes (``dual``) also ``_radial_parts``' guards, one vector, and, where axial,
-    the polar axis up to (w1^2 + w2^2)^2 = 0: their passes take sqrt and atan2 of the squared
-    ratios, and divide by 0 in ``dual.sqrt`` or ``dual.atan2`` where they underflow."""
+    """b and the ratios (w1, w2, w3) of one vector, as Python floats, with the domain guards,
+    off the axial region where ``axial`` (default p < 1); for the hyper-dual routes (``dual``)
+    also ``_radial_parts``' guards and, where axial, the polar axis up to (w1^2 + w2^2)^2 = 0:
+    their passes take sqrt and atan2 of the squared ratios, and divide by 0 in ``dual.sqrt``
+    or ``dual.atan2`` where they underflow."""
     if params is None:
         raise TypeError("params is required")
     b, w1, w2, w3 = projections(y, Tetrad.canonical() if tetrad is None else tetrad)
@@ -84,7 +84,6 @@ def _frame_point(y, tetrad: Tetrad | None, params: Parameters, dual: bool = Fals
         _check_axial(w1, w2, w3)
     if dual:
         _radial_parts(w1, w2, w3, params)
-        _one_vector(b)
         if axial and (w1 * w1 + w2 * w2) ** 2 == 0.0:
             raise PolarAxisSingular(f"ratios on the polar axis: (w1^2 + w2^2)^2 = 0 at {w1}, {w2}")
     return b, (w1, w2, w3)
@@ -93,7 +92,6 @@ def _frame_point(y, tetrad: Tetrad | None, params: Parameters, dual: bool = Fals
 def _profile_factors(r, params: Parameters, known=None):
     """sinh(eta), R1, V, V_r and V_rr at one vector's r; ``known = (eta, R1, V)`` skips eta(r)."""
     if known is None:
-        _one_vector(r)
         eta = eta_from_r(r, params)
         _, r1v, _, _, v, _ = hyperbolic_profile(eta, params)
     else:
@@ -107,16 +105,15 @@ def _profile_factors(r, params: Parameters, known=None):
     return sh, r1v, v, v_r, v_rr
 
 
-def _radial_point(y, tetrad: Tetrad | None, params: Parameters, known=None):
-    """Norm F, unit covector l and angular metric h of a vector or a batch.
+def _radial_point(b, w, params: Parameters, known=None):
+    """Norm F, unit covector l and angular metric h at a resolved frame point.
 
-    The frame point is resolved once, the radial map's value, gradient and
-    Hessian in the frame ratios come from one closed-form call, and its
-    value is inverted once, unless the caller passes ``known = (eta, R1, V)``
-    (the indicatrix chart, also as arrays for an (m, 4) batch); l and h are
-    the component-route assemblies, 4 and 10 (packed) floats or arrays.
+    ``b`` and the ratios ``w = (w1, w2, w3)`` are floats (``_frame_point``) or
+    arrays of m (the indicatrix chart).  The radial map's value, gradient and
+    Hessian in the ratios come from one closed-form call, and its value is
+    inverted once unless ``known = (eta, R1, V)`` is given (the chart's profile);
+    l and h are the component-route assemblies, 4 and 10 (packed) floats or arrays.
     """
-    b, w = _frame_point(y, tetrad, params)
     r, grad, hess = _radial_parts(*w, params)
     sh, _, v, v_r, v_rr = _profile_factors(r, params, known)
     l = [v * (1.0 + (params.p ** 2 / params.H ** 2) * sh * sh)] + [v_r * x for x in grad]
@@ -128,12 +125,12 @@ def _radial_point(y, tetrad: Tetrad | None, params: Parameters, known=None):
 
 def unit_covector(y, tetrad: Tetrad | None = None, params: Parameters | None = None):
     """Covariant unit vector l_i = dF/dy^i in frame coordinates."""
-    return np.array(_radial_point(y, tetrad, params)[1]).T
+    return np.array(_radial_point(*_frame_point(y, tetrad, params), params)[1])
 
 
 def angular_metric(y, tetrad: Tetrad | None = None, params: Parameters | None = None):
     """Angular metric h_ij = F * d^2F/dy^i dy^j, component route."""
-    return _unpack(_radial_point(y, tetrad, params)[2], 4)
+    return _unpack(_radial_point(*_frame_point(y, tetrad, params), params)[2], 4)
 
 
 def _angle_point(y, tetrad: Tetrad | None, params: Parameters):
@@ -189,7 +186,7 @@ def metric_tensor(
     y, tetrad: Tetrad | None = None, params: Parameters | None = None
 ) -> TensorBundle:
     """Full bundle l, h, g = h + l (x) l and the LU determinant of g."""
-    f, l, h = _radial_point(y, tetrad, params)
+    f, l, h = _radial_point(*_frame_point(y, tetrad, params), params)
     g = _unpack([x + l[a] * l[c] for (a, c), x in zip(_packing(4)[0], h)], 4)
     return TensorBundle(l=np.array(l), h=_unpack(h, 4), g=g, det_g=float(np.linalg.det(g)), F=f)
 
@@ -235,7 +232,7 @@ def metric_determinant_closed(
     r = radial_from_ratios(w1, w2, w3, params)
     r6 = r ** 6
     # r = 0 itself lies below r_min for p < 1, which eta_from_r reports
-    if dm.any_set(r6 == 0.0) and (params.p == 1.0 or dm.any_set(r > 0.0)):
+    if r6 == 0.0 and (params.p == 1.0 or r > 0.0):
         raise PolarAxisSingular(f"ratios on the time axis: r^6 = 0 at r = {r}")
     sh, r1v, v, _, _ = _profile_factors(r, params)
     gp = params.azimuthal_skew
@@ -255,6 +252,8 @@ def finsleroid3_metric(w, params: Parameters):
     p < 1 the axis itself is a conical point and is rejected.
     """
     w = np.asarray(w, dtype=float)
+    if w.ndim > 2 or w.shape[-1:] != (3,):
+        raise ValueError(f"takes 3 ratios or an (m, 3) batch, got an array of shape {w.shape}")
     w1, w2, w3 = w.T if w.ndim == 2 else w.tolist()
     if params.p < 1.0:
         _check_axial(w1, w2, w3)

@@ -416,11 +416,13 @@ def test_samples_must_be_positive():
      {"FINSLEROID_SEED": "abc"}, "FINSLEROID_SEED must be an integer, got 'abc'"),
     (("eval", "--H", "1.25", "--p", "0.8", "--y", "2,abc,0,0"),
      None, "--y expects four comma-separated numbers, got '2,abc,0,0'"),
+    (("eval", "--H", "1.25", "--p", "0.8", "--y", "2,0.1,0.1"),
+     None, "--y expects four comma-separated numbers, got '2,0.1,0.1'"),
     (("report", "domain", "--Hgrid", "1,x"),
      None, "--Hgrid expects comma-separated numbers, got '1,x'"),
     (("report", "domain", "--pgrid", "0.5,"),
      None, "--pgrid expects comma-separated numbers, got '0.5,'"),
-], ids=["FINSLEROID_SEED", "y", "Hgrid", "pgrid"])
+], ids=["FINSLEROID_SEED", "y", "y-length", "Hgrid", "pgrid"])
 def test_malformed_input_names_its_source(args, env, message):
     r = run_cli(*args, env_extra=env)
     assert r.returncode == 1

@@ -132,7 +132,7 @@ def test_pullback_is_transversal():
 
 
 def test_indicatrix_metric_known_eta_chain(monkeypatch):
-    # the chart's own eta: one profile, one frame resolution, no inversion
+    # the chart's own eta: one profile, no frame resolution, no inversion
     calls = {"projections": 0, "eta_from_r": 0, "hyperbolic_profile": 0}
 
     def counted(name):
@@ -148,9 +148,9 @@ def test_indicatrix_metric_known_eta_chain(monkeypatch):
 
     seen = []
 
-    def spy(y, *args):
-        seen.append(y)
-        return tensors._radial_point(y, *args)
+    def spy(b, w, *args):
+        seen.append((b, w))
+        return tensors._radial_point(b, w, *args)
 
     for name in calls:
         counted(name)
@@ -168,12 +168,14 @@ def test_indicatrix_metric_known_eta_chain(monkeypatch):
                 calls[key] = 0
             seen.clear()
             metric = indicatrix_metric(angles, params)
-            assert calls == {"projections": 1, "eta_from_r": 0, "hyperbolic_profile": 1}
+            assert calls == {"projections": 0, "eta_from_r": 0, "hyperbolic_profile": 1}
             d = indicatrix._pullback(angles, params)[2]
-            assert np.array_equal(seen[0], unit_vector(angles, params))
+            # the chart's frame point: b = y0 and the ratios y[1:]/b
+            b, w = seen[0]
+            y = unit_vector(angles, params)
+            assert b == y[0] and np.array_equal(w, y[1:] / y[0])
             assert np.array_equal(d, unit_vector_angle_derivatives(angles, params))
             # inversion route: h of the unit vector through eta_from_r(r)
-            y = unit_vector(angles, params)
             raw = -(d.T @ angular_metric(y, None, params) @ d)
             oracle = raw if raw[0, 0] >= 0.0 else -raw
             assert np.max(np.abs(metric - oracle)) <= 1e-11 * np.max(np.abs(oracle))
@@ -231,6 +233,52 @@ def test_indicatrix_curvature_constant_over_sample_points():
         values.extend(ks.values())
     values = np.array(values)
     assert np.max(values) - np.min(values) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "H, p", [(1.0, 1.0), (1.25, 0.8), (1.5, 0.9), (2.0, 0.5), (3.0, 0.3), (50.0, 0.05), (100.0, 0.999)]
+)
+def test_whole_curvature_tensor_is_constant(monkeypatch, H, p):
+    # the Gauss equation's whole tensor, not only its three coordinate planes:
+    # R_ijkl = sign [(m_ik m_jl - m_il m_jk) - (C_ik. m^-1 C_jl. - C_il. m^-1 C_jk.)]
+    # from the packed Cartan tensor and chart metric that gauss_curvatures receives,
+    # must be -H^2 (m_ik m_jl - m_il m_jk) in all six components, and in m-orthonormal
+    # 2-planes (Gaussian ones reach 1.6e-10 H^2 at (2, 0.5) from near-degenerate areas)
+    recorded = []
+    original = indicatrix.gauss_curvatures
+
+    def spy(cartan, chart_metric, sign):
+        recorded.append((cartan, chart_metric, sign))
+        return original(cartan, chart_metric, sign)
+
+    monkeypatch.setattr(indicatrix, "gauss_curvatures", spy)
+    params = Parameters(H=H, p=p)
+    _, _, pair_at, triple_at = kernel._packing(3)
+    rng = np.random.default_rng(3)
+    h2 = H * H
+    for angles in sample_angles(params, 300, 3):
+        recorded.clear()
+        indicatrix_curvature(angles, params)
+        (cartan, chart_metric, sign), = recorded
+        m = np.array(chart_metric)[np.array(pair_at)]
+        c = np.array(cartan)[np.array(triple_at)]
+        t = np.einsum("ikp,pq,jlq->ijkl", c, np.linalg.inv(m), c)
+        g = np.einsum("ik,jl->ijkl", m, m)
+        gauss = g - np.swapaxes(g, 2, 3)
+        r = sign * (gauss - (t - np.swapaxes(t, 2, 3)))
+        planes = [(0, 1), (0, 2), (1, 2)]
+        for a, (i, j) in enumerate(planes):
+            for k, l in planes[a:]:
+                norm = math.sqrt(gauss[i, j, i, j] * gauss[k, l, k, l])
+                assert abs(r[i, j, k, l] + h2 * gauss[i, j, k, l]) <= 1e-9 * h2 * norm
+        definite = -m  # the chart metric of the unit surface is negative definite
+        for _ in range(3):
+            x, y = rng.normal(size=(2, 3))
+            x = x / math.sqrt(x @ definite @ x)
+            y = y - (x @ definite @ y) * x
+            y = y / math.sqrt(y @ definite @ y)
+            k = np.einsum("ijkl,i,j,k,l->", r, x, y, x, y)
+            assert abs(k + h2) <= 1e-9 * h2
 
 
 def test_indicatrix_curvature_polar_translation_invariance():
@@ -480,9 +528,12 @@ def test_stencil_batch_matches_scalar_metrics(H, p):
     for point, metric in zip(points3, metrics3):
         scalar = indicatrix_metric(AngleCoords(*point), params)
         assert np.max(np.abs(metric - scalar)) <= 1e-13 * np.max(np.abs(scalar))
+        # exactly symmetric, at a point and in a batch
+        assert np.array_equal(metric, metric.T) and np.array_equal(scalar, scalar.T)
     for point, metric in zip(points2, metrics2):
         scalar = indicatrix.section_metric(point[0], point[1], params)
         assert np.max(np.abs(metric - scalar)) <= 1e-13 * np.max(np.abs(scalar))
+        assert np.array_equal(metric, metric.T) and np.array_equal(scalar, scalar.T)
 
 
 def test_section_chart_jacobian_matches_hyperdual_pass():

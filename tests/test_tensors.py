@@ -1,6 +1,7 @@
 """Unit covector, angular metric routes, metric tensor and determinant."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -65,22 +66,36 @@ def _frame_components(y, tetrad, params):
     return frame_components(y, tetrad)
 
 
-@pytest.mark.parametrize("rows", [1, 3])
+def _tetrad_of_covector(y, tetrad, params):
+    return Tetrad.from_covectors(y, *np.eye(4)[1:])
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (3, 4), (4, 1), (2, 2), (5,), (3,)], ids=str)
 @pytest.mark.parametrize("params", [Parameters(1.25, 1.0), Parameters(2.0, 0.5)], ids=str)
 @pytest.mark.parametrize(
     "fn",
     [finsler_norm, unit_covector, angular_metric, metric_tensor, metric_tensor_numeric,
-     metric_determinant_closed, angle_gradients, angular_metric_angle_form, _frame_components],
+     metric_determinant_closed, angle_gradients, angular_metric_angle_form, _frame_components,
+     _tetrad_of_covector],
     ids=lambda fn: fn.__name__,
 )
-def test_a_batch_at_a_one_vector_function_is_a_typed_value_error(fn, params, rows):
-    # a (1, 4) array raised numpy's TypeError "only 0-dimensional arrays can be
-    # converted", a (3, 4) one its "truth value of an array ... is ambiguous";
-    # frame_components took a (1, 4) row as its one vector and let numpy's
-    # reshape fail on a (3, 4) one
-    y = np.repeat(sample_vectors(params, 1), rows, axis=0)
-    with pytest.raises(ValueError, match=rf"one vector .* shape \({rows}, 4\)"):
+def test_a_batch_at_a_one_vector_function_is_a_typed_value_error(fn, params, shape):
+    # projections, and Tetrad.from_covectors for a covector, decide the shape before any
+    # arithmetic: a (4, 1) column met numpy's matmul core-dimension error, reshape(4) took
+    # a (2, 2) array as one vector or covector, and a (5,) or (3,) one met its error
+    y = np.resize(sample_vectors(params, 1)[0], shape)
+    message = f"of 4 components, got an array of shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         fn(y, None, params)
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (1, 3, 3), (2,), (4,), (2, 2), ()], ids=str)
+def test_section_metric_takes_3_ratios_or_an_m_by_3_batch(shape):
+    # a (3, 1) column failed in Python's unpacking, "expected 3, got 1"
+    w = np.resize([0.1, 0.2, 0.5], shape)
+    message = f"or an (m, 3) batch, got an array of shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        finsleroid3_metric(w, Parameters(1.25, 0.8))
 
 
 TINY_P = Parameters(3.5795676089825723, 0.003641003953434029)  # gp = 275
@@ -164,17 +179,21 @@ def test_ratios_underflowing_onto_the_time_axis_are_polar_axis_singular(fn, para
             fn(y, None, params)
 
 
-@pytest.mark.parametrize("batch", [False, True], ids=("vector", "batch"))
+def _finsleroid3_metric(y, tetrad, params):
+    return finsleroid3_metric(y[..., 1:], params)
+
+
 @pytest.mark.parametrize(
-    "fn",
-    [metric_tensor, unit_covector, angular_metric, metric_tensor_numeric,
-     metric_determinant_closed, lambda y, tetrad, params: finsleroid3_metric(y[..., 1:], params)],
-    ids=("metric_tensor", "unit_covector", "angular_metric", "metric_tensor_numeric",
-         "metric_determinant_closed", "finsleroid3_metric"),
+    "fn, batch",
+    [(fn, False) for fn in (metric_tensor, unit_covector, angular_metric, metric_tensor_numeric,
+                            metric_determinant_closed, _finsleroid3_metric)]
+    + [(_finsleroid3_metric, True)],
+    ids=lambda case: case.__name__.strip("_") if callable(case) else ("batch" if case else "vector"),
 )
 def test_a_vector_on_the_time_axis_is_polar_axis_singular(fn, batch):
-    # y = (1, 0, 0, 0) at p = 1: w = 0, so (w.w)^1.5 or r^6 is exactly 0; a batch is
-    # the one row as an (1, 4) array (metric_determinant_closed takes one vector)
+    # y = (1, 0, 0, 0) at p = 1: w = 0, so (w.w)^1.5 or r^6 is exactly 0; a batch, the
+    # one row as a (1, 3) array of ratios, only at finsleroid3_metric: the one-vector
+    # functions reject any shape but (4,) first
     y = np.array([1.0, 0.0, 0.0, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -233,12 +252,13 @@ def test_one_path_for_floats_and_arrays():
             for rows, one in zip(batch, radial_derivatives(w, params)):
                 assert np.max(np.abs(rows[k] - one)) <= 2e-15 * np.max(np.abs(one))
         angles = np.array([[a.eta, a.theta, a.phi] for a in sample_angles(params, 20, 31)])
-        prof, y, _ = indicatrix._chart_point(angles, params)
-        y = np.stack(y, axis=-1)
-        batch = [np.array(part) for part in tensors._radial_point(y, None, params, prof[:3])]
+        prof, (b, *rest), _ = indicatrix._chart_point(angles, params)
+        w = [c / b for c in rest]
+        batch = [np.array(part) for part in tensors._radial_point(b, w, params, prof[:3])]
         for k in range(len(angles)):
             known = [float(c[k]) for c in prof[:3]]
-            for rows, one in zip(batch, tensors._radial_point(y[k], None, params, known)):
+            point = float(b[k]), [float(c[k]) for c in w]
+            for rows, one in zip(batch, tensors._radial_point(*point, params, known)):
                 one = np.array(one)
                 assert np.max(np.abs(rows[..., k] - one)) <= 2e-15 * np.max(np.abs(one))
 
