@@ -163,8 +163,8 @@ def evaluate_document(params: Parameters, tetrad: Tetrad, y: np.ndarray) -> dict
         frame = {**vars(fc), "t": fc.t if math.isfinite(fc.t) else None}
         angles = vars(coords)
         bundle = vars(eb)
+    det_closed = metric_determinant_closed(y, tetrad, params)  # raises before LU warns
     tb = metric_tensor(y, tetrad, params)
-    det_closed = metric_determinant_closed(y, tetrad, params)
     return {
         "status": "ok",
         "input": {"H": params.H, "p": params.p, "y": [float(t) for t in y]},
@@ -259,12 +259,11 @@ def _cmd_report_scan(args) -> None:
     for y in sample_vectors(params, args.samples, rng, tetrad):
         fc = frame_components(y, tetrad)
         coords, eb = angles_from_vector(fc, params)
-        tb = metric_tensor(y, tetrad, params)
         rows.append({
             "y0": y[0], "y1": y[1], "y2": y[2], "y3": y[3],
-            "eta": coords.eta, "theta": coords.theta, "phi": coords.phi,
-            "F": eb.F, "det_g_numeric": tb.det_g,
-            "det_g_closed": metric_determinant_closed(y, tetrad, params),
+            "eta": coords.eta, "theta": coords.theta, "phi": coords.phi, "F": eb.F,
+            "det_g_closed": metric_determinant_closed(y, tetrad, params),  # raises before LU warns
+            "det_g_numeric": metric_tensor(y, tetrad, params).det_g,
         })
     _write(args, {"rows": rows}, SCAN_CSV_COLUMNS, rows)
 

@@ -6,12 +6,12 @@ curvatures must equal -H^2 everywhere; the horizontal section of the
 three-dimensional ratio space (the surface r = 1, charted by the
 azimuthal and polar angle) must have Gaussian curvature p^2.  Both claims
 are checked pointwise by the Gauss equation of an indicatrix: the metric
-and the Cartan tensor at the chart point, exact and in closed form from the
-derivatives of ln r, with no analytic shortcut on the metric side and no
-chart derivatives of the metric.  The metrics themselves (``indicatrix_metric``,
-``section_metric``) take (m, 3) or (m, 2) angle rows, so the finite-difference
-curvature of ``curvature.coordinate_plane_curvatures`` cross-checks both
-claims from one batch.  Both surfaces use the kernel's one angular chart,
+and the Cartan tensor at the chart point, exact and in closed form from one
+pass of the chain rule through ln r (``kernel.radial_chain``), with no analytic
+shortcut on the metric side and no chart derivatives of the metric.  The
+metrics themselves (``indicatrix_metric``, ``section_metric``) take (m, 3) or
+(m, 2) angle rows, so ``curvature.coordinate_plane_curvatures`` cross-checks
+both claims from one batch.  Both surfaces use the kernel's one angular chart,
 ``_section_chart``, the section at r = 1 and the unit surface at r(eta).  The
 charts are written once on per-component values, Python floats at one point,
 so a curvature builds no numpy array, and arrays at a batch of rows; the public
@@ -32,11 +32,10 @@ from .frame import Parameters
 from .kernel import (
     AngleCoords,
     _chart_vector,
-    _compose,
     _packing,
     _section_chart,
     _unpack,
-    log_radial_derivatives,
+    radial_chain,
     theta_pole,
 )
 from .tensors import _radial_point, finsleroid3_metric
@@ -208,8 +207,7 @@ def _gauss_indicatrix(chart, params: Parameters) -> dict:
     eta_col = p2 * r1v * sh * scale
     tilde = [[c / eta_col] + [x / scale for x in row[1:]] for c, row in zip(rest, rows)]
     # Phi's derivatives along the X~, packed: 3, 6 and 10 floats
-    phi1, phi2, phi3 = _compose(f1, f2, f3, *log_radial_derivatives(
-        [c / scale for c in w], params, tilde))
+    phi1, phi2, phi3 = radial_chain([c / scale for c in w], params, tilde, (f1, f2, f3))
     metric = [0.5 * (x + x0[a] * phi1[b] + x0[b] * phi1[a]) + phi * (x0[a] * x0[b])
               for (a, b), x in zip(_packing(3)[0], phi2)]
     return gauss_curvatures([x / (4.0 * b) for x in phi3], metric, -1.0)
@@ -251,6 +249,5 @@ def section_curvature(theta: float, params: Parameters) -> float:
     scale = _ratio_scale(w)  # as for the unit surface: S/A is invariant under w -> w/|w|
     frame = [[x / scale, y / scale] for x, y in jac]
     # r^2/2 = exp(2 L)/2 has L-derivatives 1, 2, 4 at r = 1; along the chart
-    _, metric, third = _compose(1.0, 2.0, 4.0, *log_radial_derivatives(
-        [c / scale for c in w], params, frame))
+    _, metric, third = radial_chain([c / scale for c in w], params, frame, (1.0, 2.0, 4.0))
     return gauss_curvatures([0.5 * x for x in third], metric, 1.0)[(0, 1)]

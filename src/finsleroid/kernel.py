@@ -14,9 +14,9 @@ functions once per call (``dual.library``), and accept HyperDual arguments,
 so derivatives pass through them unchanged, and arrays, so a batch of chart
 points is one call; ``_radial_parts`` instead returns the value, gradient and
 Hessian of the radial map in closed form for the tensor layer, on float or
-array components, and ``log_radial_derivatives`` the first three derivatives
-of ln r at one ratio vector for the curvature layer, on Python floats, each
-symmetric tensor packed as its distinct entries.
+array components, and ``radial_chain`` the first three derivatives of a
+function of ln r at one ratio vector for the curvature layer, on Python floats,
+each symmetric tensor packed as its distinct entries.
 """
 
 from __future__ import annotations
@@ -265,51 +265,49 @@ def _unpack(packed, k: int):
     return dense[_PAIR_INDEX[k]] if dense.ndim == 1 else dense.T[:, _PAIR_INDEX[k]]
 
 
-def _sym(m, v, spans):
-    """m_ab v_c + m_ac v_b + m_bc v_a, packed, for a packed symmetric m and a vector v."""
-    return [m[ab] * v[c] + m[ac] * v[b] + m[bc] * v[a] for a, b, c, ab, ac, bc in spans]
+def radial_chain(w, params: Parameters, frame, f):
+    """First three derivatives of Phi(L), L = ln r, at one w (3 floats) off the axis, along
+    the k columns of ``frame`` (3 rows of k floats), packed (``_packing``), from Phi's
+    L-derivatives f = (f1, f2, f3); at f = (1, 0, 0) they are L's own.
 
-
-def _compose(f1, f2, f3, d1, d2, d3):
-    """First three derivatives of f(g(w)), packed, from f's scalar derivatives f1, f2,
-    f3 at g(w) and g's packed derivatives d1, d2, d3 in w (floats or complex)."""
-    pairs, spans = _packing(len(d1))[:2]
-    outer = [d1[a] * d1[b] for a, b in pairs]
-    sym = _sym(d2, d1, spans)
-    return (
-        [f1 * x for x in d1],
-        [f2 * x + f1 * y for x, y in zip(outer, d2)],
-        [f3 * outer[ab] * d1[c] + f2 * x + f1 * y
-         for (_, _, c, ab, _, _), x, y in zip(spans, sym, d3)],
-    )
-
-
-def log_radial_derivatives(w, params: Parameters, frame):
-    """First three derivatives of L = ln r at one w (3 floats) off the axis, along the
-    k columns of ``frame`` (3 rows of k floats), packed: k, k(k + 1)/2 and
-    k(k + 1)(k + 2)/6 floats (``_packing``), the plain derivatives in w for the
-    identity frame.
-
-    L = Re[(1 - i gp) Log zeta] with zeta = w3 + p (i - gp) rho, rho = |(w1, w2)|,
-    which is ln |w| at p = 1 (gp = 0).  zeta is linear in rho, whose derivatives
-    along X, Y, Z are n.X, P(X, Y)/rho and -sym(P (x) n)/rho^2, with
-    n = (w1, w2, 0)/rho and P(X, Y) = X1 Y1 + X2 Y2 - (n.X)(n.Y); Log's are
-    1/zeta, -1/zeta^2 and 2/zeta^3, composed in complex floats.
+    L = Re[(1 - i gp) Log zeta], zeta = w3 + c rho, c = p (i - gp), rho = |(w1, w2)|: ln |w|
+    at p = 1 (gp = 0).  rho's derivatives along X, Y, Z are n.X, P(X, Y)/rho and
+    -sym(P (x) n)/rho^2, n = (w1, w2, 0)/rho, P(X, Y) = X1 Y1 + X2 Y2 - (n.X)(n.Y), so past
+    zeta' each of zeta's is c times a real tensor.  With u = 1/zeta, q = (1 - i gp) u and
+    kappa = q c/rho: L' = Re(q zeta'), L'' = Re(kappa) P - Re(q u zeta' zeta') and
+    L''' = 2 Re(q u^2 zeta' zeta' zeta') - sym(P (x) (Re(kappa u zeta') + Re(kappa) n/rho)),
+    and Phi' = f1 L', Phi'' = f2 L' L' + f1 L'', Phi''' = f3 L' L' L' + f2 sym(L'' (x) L')
+    + f1 L''', whose P terms gather into sym(P (x) g).  Each real vector is formed once, so
+    Phi''' contracts the same rounded L' wherever it enters.
     """
-    w1, w2, w3 = w
-    e1, e2, e3 = frame
+    (w1, w2, w3), (e1, e2, e3), (f1, f2, f3) = w, frame, f
     pairs, spans = _packing(len(e1))[:2]
-    gp = params.azimuthal_skew
-    rho = math.hypot(w1, w2)
-    n = [(w1 / rho) * x + (w2 / rho) * y for x, y in zip(e1, e2)]
-    proj = [e1[a] * e1[b] + e2[a] * e2[b] - n[a] * n[b] for a, b in pairs]
+    gp, rho = params.azimuthal_skew, math.hypot(w1, w2)
+    n1, n2 = w1 / rho, w2 / rho
     c = params.p * complex(-gp, 1.0)
-    inv = 1.0 / (w3 + c * rho)
-    cr, crr = c / rho, -c / (rho * rho)
-    logs = _compose(inv, -inv * inv, 2.0 * inv ** 3, [z + c * x for z, x in zip(e3, n)],
-                    [cr * x for x in proj], [crr * x for x in _sym(proj, n, spans)])
-    alpha = complex(1.0, -gp)
-    return tuple([(alpha * z).real for z in part] for part in logs)
+    u = 1.0 / (w3 + c * rho)
+    q = complex(1.0, -gp) * u
+    kappa = q * c / rho
+    qu, k_re, ku = q * u, kappa.real, kappa * u
+    n = [n1 * x + n2 * y for x, y in zip(e1, e2)]
+    d1 = [s + c * t for s, t in zip(e3, n)]  # zeta'
+    l1 = [(q * d).real for d in d1]
+    fk, f2k, third, cube = f1 * k_re / rho, f2 * k_re, f3 / 3.0, 2.0 * f1 * qu * u
+    g = [f2k * x - f1 * (ku * d).real - fk * t for x, d, t in zip(l1, d1, n)]
+    phi2, cross, proj, tri = [], [], [], []
+    for i, j in pairs:
+        pr = e1[i] * e1[j] + e2[i] * e2[j] - n[i] * n[j]
+        dd = d1[i] * d1[j]
+        re2 = (qu * dd).real
+        ll = l1[i] * l1[j]
+        phi2.append(f2 * ll + f1 * (k_re * pr - re2))
+        cross.append(third * ll - f2 * re2)  # sym(cross (x) L') = f3 L'L'L' - f2 sym(re2 (x) L')
+        proj.append(pr)
+        tri.append(cube * dd)
+    return ([f1 * x for x in l1], phi2,
+            [cross[ij] * l1[k] + cross[ik] * l1[j] + cross[jk] * l1[i]
+             + proj[ij] * g[k] + proj[ik] * g[j] + proj[jk] * g[i] + (tri[ij] * d1[k]).real
+             for i, j, k, ij, ik, jk in spans])
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual as dm
-from .errors import OutsideAxialRegion, PolarAxisSingular
+from .errors import DomainError, OutsideAxialRegion, PolarAxisSingular
 from .frame import Parameters, Tetrad, projections
 from .kernel import (
     _packing,
@@ -185,10 +185,13 @@ def angular_metric_angle_form(
 def metric_tensor(
     y, tetrad: Tetrad | None = None, params: Parameters | None = None
 ) -> TensorBundle:
-    """Full bundle l, h, g = h + l (x) l and the LU determinant of g."""
+    """Full bundle l, h, g = h + l (x) l and the LU determinant of g, which must be finite."""
     f, l, h = _radial_point(*_frame_point(y, tetrad, params), params)
     g = _unpack([x + l[a] * l[c] for (a, c), x in zip(_packing(4)[0], h)], 4)
-    return TensorBundle(l=np.array(l), h=_unpack(h, 4), g=g, det_g=float(np.linalg.det(g)), F=f)
+    det = float(np.linalg.det(g))
+    if not math.isfinite(det):
+        raise DomainError(f"det g overflows: the LU determinant is {det}")
+    return TensorBundle(l=np.array(l), h=_unpack(h, 4), g=g, det_g=det, F=f)
 
 
 def metric_tensor_numeric(
@@ -223,10 +226,10 @@ def metric_determinant_closed(
 ) -> float:
     """Closed-form determinant of g in frame coordinates.
 
-    Depends on the hyperbolic and azimuthal angle but not on the polar
-    one; reduces to -1 in the pseudo-Euclidean case.  Raises
-    PolarAxisSingular where r^6 underflows to 0, r below ~1e-54: ratios that
-    near the time axis, as those of every admissible vector at p = 0.01 are.
+    Depends on the hyperbolic and azimuthal angle but not on the polar one; reduces to -1
+    in the pseudo-Euclidean case.  Raises PolarAxisSingular where r^6 underflows to 0, r
+    below ~1e-54: ratios that near the time axis, as those of every admissible vector at
+    p = 0.01 are, and DomainError where the determinant overflows, as it can at p = 0.02.
     """
     b, (w1, w2, w3) = _frame_point(y, tetrad, params)
     r = radial_from_ratios(w1, w2, w3, params)
@@ -240,7 +243,10 @@ def metric_determinant_closed(
     theta = math.atan2(vth, w3 - gp * vth)
     big_i = _spiral(theta, params)
     core = params.p ** 4 * big_i ** 3 * v ** 4 * r1v
-    return -(core * core) * sh ** 6 / (params.H ** 6 * r6)
+    det = -(core * core) * sh ** 6 / (params.H ** 6 * r6)
+    if not math.isfinite(det):
+        raise DomainError(f"det g overflows: the closed form is {det} at r = {r}")
+    return det
 
 
 def finsleroid3_metric(w, params: Parameters):

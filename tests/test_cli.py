@@ -3,12 +3,16 @@
 import ast
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from finsleroid import FinsleroidError, Parameters, Tetrad, sample_vectors
+from finsleroid.cli import evaluate_document
 
 GOLDEN = Path(__file__).parent / "golden" / "eval_H1_p1.json"
 GOLDEN_ISOTROPIC = Path(__file__).parent / "golden" / "eval_H1.25_p1_w3neg.json"
@@ -312,6 +316,40 @@ def test_vector_numerically_on_the_time_axis_is_a_domain_error(args):
     r = run_cli("eval", *args)
     assert r.returncode == 2, r.stderr
     assert "on the time axis" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_overflowing_determinant_is_a_domain_error():
+    # at p = 0.02 det g exceeds the largest double: exit 0 with "det_g_closed":
+    # -Infinity under "status": "ok" and numpy's overflow warning from LU, before
+    r = run_cli("eval", "--H", "2", "--p", "0.02", "--y=47.17978965035082,-7.876622695296942e-54,"
+                "4.118232670337632e-54,8.993258062840328e-54")
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == "" and "det g overflows" in r.stderr
+    assert "Warning" not in r.stderr and "Traceback" not in r.stderr
+
+
+def _floats(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [x for item in node for x in _floats(item)]
+    return [node] if isinstance(node, float) else []
+
+
+@pytest.mark.parametrize("pair", [(2.0, 0.03), (2.0, 0.02)], ids=str)
+def test_eval_document_is_finite_or_a_domain_error(pair):
+    # where det g overflows for some sampled vectors: every document either holds
+    # finite floats only or is refused with a FinsleroidError
+    params = Parameters(*pair)
+    refused = 0
+    for y in sample_vectors(params, 200, 13):
+        try:
+            doc = evaluate_document(params, Tetrad.canonical(), y)
+        except FinsleroidError:
+            refused += 1
+            continue
+        assert all(math.isfinite(x) for x in _floats(doc)), doc
+    assert 0 < refused < 200
 
 
 def test_report_domain_grid_with_empty_row():

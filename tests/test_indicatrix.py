@@ -235,23 +235,29 @@ def test_indicatrix_curvature_constant_over_sample_points():
     assert np.max(values) - np.min(values) < 1e-9
 
 
+@pytest.fixture
+def recorded(monkeypatch):
+    """The (cartan, chart_metric, sign) of every gauss_curvatures call of the unit surface."""
+    calls = []
+    original = indicatrix.gauss_curvatures
+
+    def spy(cartan, chart_metric, sign):
+        calls.append((cartan, chart_metric, sign))
+        return original(cartan, chart_metric, sign)
+
+    monkeypatch.setattr(indicatrix, "gauss_curvatures", spy)
+    return calls
+
+
 @pytest.mark.parametrize(
     "H, p", [(1.0, 1.0), (1.25, 0.8), (1.5, 0.9), (2.0, 0.5), (3.0, 0.3), (50.0, 0.05), (100.0, 0.999)]
 )
-def test_whole_curvature_tensor_is_constant(monkeypatch, H, p):
+def test_whole_curvature_tensor_is_constant(recorded, H, p):
     # the Gauss equation's whole tensor, not only its three coordinate planes:
     # R_ijkl = sign [(m_ik m_jl - m_il m_jk) - (C_ik. m^-1 C_jl. - C_il. m^-1 C_jk.)]
     # from the packed Cartan tensor and chart metric that gauss_curvatures receives,
     # must be -H^2 (m_ik m_jl - m_il m_jk) in all six components, and in m-orthonormal
     # 2-planes (Gaussian ones reach 1.6e-10 H^2 at (2, 0.5) from near-degenerate areas)
-    recorded = []
-    original = indicatrix.gauss_curvatures
-
-    def spy(cartan, chart_metric, sign):
-        recorded.append((cartan, chart_metric, sign))
-        return original(cartan, chart_metric, sign)
-
-    monkeypatch.setattr(indicatrix, "gauss_curvatures", spy)
     params = Parameters(H=H, p=p)
     _, _, pair_at, triple_at = kernel._packing(3)
     rng = np.random.default_rng(3)
@@ -279,6 +285,61 @@ def test_whole_curvature_tensor_is_constant(monkeypatch, H, p):
             y = y / math.sqrt(y @ definite @ y)
             k = np.einsum("ijkl,i,j,k,l->", r, x, y, x, y)
             assert abs(k + h2) <= 1e-9 * h2
+
+
+# Worst measured error, each entry |c m_ij - ref_ij| over sqrt(ref_ii ref_jj), of the
+# section metric (c = p^2) against the round sphere diag(1, sin^2 theta), at 2000 points,
+# and of the Gauss route's chart metric (c = -H^2) against hyperbolic 3-space in polar
+# form diag(1, sinh^2 eta, sinh^2 eta sin^2 theta), below the gap 2.2; tolerances ~3x
+ISOMETRY_TOLERANCES = {  # (H, p): (section, Gauss route); measured worst in comments
+    (1.0, 1.0): (2e-15, 4e-15),  # 4.4e-16, 1.2e-15
+    (1.25, 1.0): (2e-15, 4e-15),  # 4.4e-16, 1.2e-15
+    (1.25, 0.8): (6e-15, 3e-14),  # 2.1e-15, 8.2e-15
+    (1.5, 0.9): (4e-15, 2e-14),  # 1.2e-15, 5.0e-15
+    (2.0, 0.5): (4e-14, 7e-14),  # 1.4e-14, 2.3e-14
+    (3.0, 0.3): (4e-13, 2e-13),  # 1.1e-13, 6.9e-14
+    (50.0, 0.05): (6e-10, 1.2e-11),  # 2.0e-10, 3.6e-12
+    (100.0, 0.999): (3e-15, 7e-15),  # 1.0e-15, 2.1e-15
+}
+
+
+def _isometry_error(c, m, ref):
+    """max_ij |c m_ij - ref_ij| / sqrt(ref_ii ref_jj), over a batch too."""
+    d = np.sqrt(np.diagonal(ref, axis1=-2, axis2=-1))
+    return np.max(np.abs(c * m - ref) / (d[..., :, None] * d[..., None, :]))
+
+
+@pytest.mark.parametrize("H, p", ISOMETRY_TOLERANCES)
+def test_section_metric_is_the_round_sphere(H, p):
+    # in (theta, phi) the section is the sphere of radius 1/p, in a batch and at points
+    params = Parameters(H=H, p=p)
+    rng = np.random.default_rng(3)
+    theta = rng.uniform(1e-3, theta_pole(params) - 1e-3, 2000)
+    phi = rng.uniform(0.0, 2.0 * math.pi, 2000)
+    ref = np.zeros((2000, 2, 2))
+    ref[:, 0, 0], ref[:, 1, 1] = 1.0, np.sin(theta) ** 2
+    tol = ISOMETRY_TOLERANCES[(H, p)][0]
+    assert _isometry_error(p * p, indicatrix.section_metric(theta, phi, params), ref) <= tol
+    for t, f, r in zip(theta.tolist(), phi.tolist(), ref):
+        assert _isometry_error(p * p, indicatrix.section_metric(t, f, params), r) <= tol
+
+
+@pytest.mark.parametrize("H, p", ISOMETRY_TOLERANCES)
+def test_gauss_route_metric_is_hyperbolic_space(recorded, H, p):
+    # in (eta, theta, phi) the unit surface is hyperbolic 3-space of curvature -H^2 in
+    # geodesic polar form, radius eta/H; checked on the chart metric gauss_curvatures
+    # receives (negative definite), from 1e-6 above the floor up to the gap 2.2
+    params = Parameters(H=H, p=p)
+    pair_at = np.array(kernel._packing(3)[2])
+    tol = ISOMETRY_TOLERANCES[(H, p)][1]
+    points = sample_angles(params, 3000, 5, eta_margin=1e-6, theta_margin=0.05, eta_span=15)
+    for angles in (a for a in points if a.eta - params.eta_min < 2.2):
+        recorded.clear()
+        indicatrix_curvature(angles, params)
+        (_, chart_metric, _), = recorded
+        sh2 = math.sinh(angles.eta) ** 2
+        ref = np.diag([1.0, sh2, sh2 * math.sin(angles.theta) ** 2])
+        assert _isometry_error(-H * H, np.array(chart_metric)[pair_at], ref) <= tol
 
 
 def test_indicatrix_curvature_polar_translation_invariance():

@@ -36,7 +36,7 @@ from finsleroid.kernel import (
     _packing,
     _radial_parts,
     _unpack,
-    log_radial_derivatives,
+    radial_chain,
     radial_from_ratios,
 )
 
@@ -308,6 +308,10 @@ def test_radial_euler_identity():
             assert float(grad @ w) == pytest.approx(val, rel=1e-12)
 
 
+RADIAL_PAIRS = ((1, 1), (1.25, 1), (1.25, 0.8), (1.5, 0.9), (2, 0.5), (5, 0.9), (1.1, 0.3))
+FRAME = [[0.3, -1.1], [0.8, 0.2], [-0.4, 0.9]]  # 2 columns along which the chain contracts
+
+
 def _dense(packed, k):
     """Dense arrays (k,), (k, k) and (k, k, k) of packed symmetric tensors."""
     _, _, pair_at, triple_at = _packing(k)
@@ -315,18 +319,17 @@ def _dense(packed, k):
     return d1, d2[np.array(pair_at)], d3[np.array(triple_at)]
 
 
-def test_log_radial_derivatives_match_the_radial_map():
-    # first and second derivatives of ln r against radial_derivatives, the third
-    # against central differences of the second and the Euler identity of the
-    # degree -2 Hessian (L3.w = -2 L2), and a frame contracts all three; the
-    # packed results are unpacked to dense arrays first
-    pairs = ((1, 1), (1.25, 1), (1.25, 0.8), (1.5, 0.9), (2, 0.5), (5, 0.9), (1.1, 0.3))
-    frame, eye = np.array([[0.3, -1.1], [0.8, 0.2], [-0.4, 0.9]]), np.eye(3).tolist()
-    for H, p in pairs:
+def test_radial_chain_matches_the_radial_map():
+    # at f = (1, 0, 0) the chain returns L = ln r's own derivatives: the first and
+    # second against radial_derivatives, the third against central differences of
+    # the second and the Euler identity of the degree -2 Hessian (L3.w = -2 L2), and a
+    # frame contracts all three; the packed results are unpacked to dense arrays first
+    frame, eye, ln = np.array(FRAME), np.eye(3).tolist(), (1, 0, 0)
+    for H, p in RADIAL_PAIRS:
         params = Parameters(H=H, p=p)
         for y in sample_vectors(params, 10, 17):
             w = np.array(projections(y, Tetrad.canonical())[1:])
-            l1, l2, l3 = _dense(log_radial_derivatives(w.tolist(), params, eye), 3)
+            l1, l2, l3 = _dense(radial_chain(w.tolist(), params, eye, ln), 3)
             r, g, h = radial_derivatives(w, params)
             assert np.max(np.abs(l1 - g / r)) <= 1e-14 * np.max(np.abs(l1))
             expected = h / r - np.outer(g, g) / (r * r)
@@ -335,22 +338,45 @@ def test_log_radial_derivatives_match_the_radial_map():
             step = 1e-4 * np.linalg.norm(w)
             for k in range(3):
                 e = step * np.eye(3)[k]
-                at = [_dense(log_radial_derivatives((w + s * e).tolist(), params, eye), 3)[1]
+                at = [_dense(radial_chain((w + s * e).tolist(), params, eye, ln), 3)[1]
                       for s in (2.0, 1.0, -1.0, -2.0)]
                 fd = (-at[0] + 8.0 * at[1] - 8.0 * at[2] + at[3]) / (12.0 * step)
                 assert np.max(np.abs(l3[..., k] - fd)) <= 1e-7 * np.max(np.abs(l3))
-            f1, f2, f3 = _dense(log_radial_derivatives(w.tolist(), params, frame.tolist()), 2)
+            f1, f2, f3 = _dense(radial_chain(w.tolist(), params, frame.tolist(), ln), 2)
             assert np.max(np.abs(f1 - l1 @ frame)) <= 1e-14 * np.max(np.abs(l1))
             assert np.max(np.abs(f2 - frame.T @ l2 @ frame)) <= 1e-13 * np.max(np.abs(l2))
             contracted = np.einsum("abc,ai,bj,ck->ijk", l3, frame, frame, frame)
             assert np.max(np.abs(f3 - contracted)) <= 1e-13 * np.max(np.abs(l3))
 
 
+def test_radial_chain_matches_the_dense_chain_rule():
+    # Phi(L)'s derivatives against f1 L1, f2 L1 L1 + f1 L2 and
+    # f3 L1 L1 L1 + f2 sym(L2 L1) + f1 L3 on dense arrays of L's own, along the
+    # identity and a 2-column frame, for the curvature layer's f and random ones
+    rng = np.random.default_rng(41)
+    frames = (np.eye(3), np.array(FRAME))
+    for H, p in RADIAL_PAIRS:
+        params = Parameters(H=H, p=p)
+        for y in sample_vectors(params, 10, 19):
+            w = list(projections(y, Tetrad.canonical())[1:])
+            for frame in frames:
+                k = frame.shape[1]
+                l1, l2, l3 = _dense(radial_chain(w, params, frame.tolist(), (1, 0, 0)), k)
+                sym = (np.einsum("ab,c->abc", l2, l1) + np.einsum("ac,b->abc", l2, l1)
+                       + np.einsum("bc,a->abc", l2, l1))
+                for f in ((1.0, 2.0, 4.0), tuple(rng.uniform(-3.0, 3.0, 3))):
+                    got = _dense(radial_chain(w, params, frame.tolist(), f), k)
+                    terms = ((f[0] * l1,), (f[1] * np.outer(l1, l1), f[0] * l2),
+                             (f[2] * np.einsum("a,b,c->abc", l1, l1, l1), f[1] * sym, f[0] * l3))
+                    for part, term in zip(got, terms):
+                        scale = max(np.max(np.abs(t)) for t in term)
+                        assert np.max(np.abs(part - sum(term))) <= 1e-13 * scale
+
+
 def test_radial_derivatives_match_hyperdual_hessian():
     # closed form against dm.hessian of radial_from_ratios, plus the Euler
     # identities of the degree-one map: grad.w = r and hess.w = 0
-    pairs = ((1, 1), (1.25, 1), (1.25, 0.8), (1.5, 0.9), (2, 0.5), (5, 0.9), (1.1, 0.3))
-    for H, p in pairs:
+    for H, p in RADIAL_PAIRS:
         params = Parameters(H=H, p=p)
         ws = [
             np.array(projections(y, Tetrad.canonical())[1:])
