@@ -3,7 +3,7 @@
 ``gauss_curvatures`` is the product route: the Gauss equation of a Finsler
 indicatrix gives every coordinate-plane curvature from the metric and the
 Cartan tensor at the point itself, with no chart derivatives; the indicatrix
-module supplies both in closed form.
+module supplies both in closed form (its chart metric is ``indicatrix_metric``).
 
 ``coordinate_plane_curvatures`` and ``christoffel`` are the chart-intrinsic
 cross-check for a metric given only as a function, used by the tests.  They
@@ -23,11 +23,13 @@ there.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from operator import mul
 
 import numpy as np
 
+from .errors import DomainError
 from .kernel import _packing
 
 STEP = 1e-3
@@ -80,7 +82,8 @@ def christoffel(metric_fn, x):
 
 
 def _inverse(m, k):
-    """Packed inverse of a packed symmetric k x k matrix, k = 2 or 3, by cofactors."""
+    """Packed inverse of a packed symmetric k x k matrix, k = 2 or 3, by cofactors, or a
+    DomainError where the determinant, and with it the inverse, underflows (H above ~1e46)."""
     if k == 2:
         a, b, d = m
         cofactors = [d, -b, a]
@@ -90,6 +93,8 @@ def _inverse(m, k):
         cofactors = [d * f - e * e, c * e - b * f, b * e - c * d,
                      a * f - c * c, b * c - a * e, a * d - b * b]
         det = a * cofactors[0] + b * cofactors[1] + c * cofactors[2]
+    if abs(det) < sys.float_info.min:
+        raise DomainError(f"the chart metric's {k} x {k} determinant underflows: {det}")
     return [x / det for x in cofactors]
 
 

@@ -24,7 +24,7 @@ class OutsideAxialRegion(DomainError):
 class OutsideEtaDomain(DomainError):
     """Hyperbolic angle below the floor eta_min, above ETA_CAP, at or above the chart's
     ceiling (ln(r_sup/r(eta)) not above the map noise, 15.9 to 17 above eta_min), or,
-    for the curvatures, closer to the floor than their measured bound GAP_MIN."""
+    for the unit surface's metric and curvatures, closer to the floor than GAP_MIN."""
 
 
 class ThetaPole(DomainError):
@@ -57,5 +57,5 @@ class OutsideClosedFormDomain(DomainError):
 
 class PolarAxisSingular(DomainError):
     """Quantity undefined on the polar axis (vanishing transversal part), chart ratios
-    that underflow onto the time axis, or a curvature nearer to the axis than its
-    measured bound THETA_MIN."""
+    that underflow onto the time axis, or a Gauss-route chart point nearer to the axis
+    than its measured bound THETA_MIN."""

@@ -1,21 +1,19 @@
 """Induced geometry of the unit level surface and of the horizontal section.
 
-The unit surface F = 1, charted by the angle triple, carries the pullback
-of (minus) the angular metric.  Its three coordinate-plane sectional
-curvatures must equal -H^2 everywhere; the horizontal section of the
-three-dimensional ratio space (the surface r = 1, charted by the
-azimuthal and polar angle) must have Gaussian curvature p^2.  Both claims
-are checked pointwise by the Gauss equation of an indicatrix: the metric
+The unit surface F = 1, charted by the angle triple, carries (minus) the
+angular metric on its tangent vectors: hyperbolic 3-space of curvature -H^2 in
+geodesic polar form, (d eta^2 + sinh^2 eta dOmega^2)/H^2.  The horizontal section
+of the three-dimensional ratio space (the surface r = 1, charted by the
+azimuthal and polar angle) is the round sphere of radius 1/p.  Both curvature
+claims are checked pointwise by the Gauss equation of an indicatrix: the metric
 and the Cartan tensor at the chart point, exact and in closed form from one
 pass of the chain rule through ln r (``kernel.radial_chain``), with no analytic
-shortcut on the metric side and no chart derivatives of the metric.  The
-metrics themselves (``indicatrix_metric``, ``section_metric``) take (m, 3) or
-(m, 2) angle rows, so ``curvature.coordinate_plane_curvatures`` cross-checks
-both claims from one batch.  Both surfaces use the kernel's one angular chart,
-``_section_chart``, the section at r = 1 and the unit surface at r(eta).  The
-charts are written once on per-component values, Python floats at one point,
-so a curvature builds no numpy array, and arrays at a batch of rows; the public
-functions stack them into arrays.
+shortcut on the metric side and no chart derivatives of the metric.  That chart
+metric is the one unit-surface metric, ``indicatrix_metric``, at one point;
+``section_metric`` also takes (m, 2) angle rows.  Both surfaces use the kernel's
+one angular chart, ``_section_chart``, the section at r = 1 and the unit surface at
+r(eta).  The charts are written once on per-component values, Python floats at one
+point, so a curvature builds no numpy array, and arrays at a batch of rows.
 """
 
 from __future__ import annotations
@@ -38,10 +36,10 @@ from .kernel import (
     radial_chain,
     theta_pole,
 )
-from .tensors import _radial_point, finsleroid3_metric
+from .tensors import finsleroid3_metric
 
-# Measured accuracy bounds of the Gauss-route curvatures (README, "Curvature
-# accuracy"): theta below THETA_MIN and, for the unit surface, eta - eta_min
+# Measured accuracy bounds of the Gauss route (README, "Curvature accuracy"): theta
+# below THETA_MIN and, for the unit surface's metric and curvatures, eta - eta_min
 # below GAP_MIN raise a DomainError instead of returning a value.  The chart
 # owns every other edge: the floor, its ceiling below r_sup, ETA_CAP, the pole
 # and the range of exp(gp theta).
@@ -51,12 +49,12 @@ GAP_MIN = 1e-8
 
 @dataclass(frozen=True)
 class IndicatrixBundle:
-    """Angle derivatives of the unit vector, induced metric and curvatures; i_metric and
-    raw_sign hold only below eta - eta_min ~ 8.9 (``indicatrix_metric``)."""
+    """Angle derivatives of the unit vector, induced metric (``indicatrix_metric``) and
+    curvatures; raw_sign is always 1 (the metric is positive definite), kept for callers."""
 
     l_derivs: np.ndarray  # 4 x 3, columns = d/d(eta, theta, phi)
     i_metric: np.ndarray  # 3 x 3, positive definite convention
-    raw_sign: int  # sign of the raw pullback before normalization
+    raw_sign: int  # 1
     sectional: dict  # {(plane): K}
 
 
@@ -107,50 +105,31 @@ def _derivative_array(d) -> np.ndarray:
 
 
 def indicatrix_metric(angles: AngleCoords, params: Parameters) -> np.ndarray:
-    """Induced metric on the unit surface in the angle chart, F = 1.
-
-    Pullback of the angular metric through the angle derivatives of the
-    unit vector, reported in the positive-definite convention (the raw
-    contraction sign is available from indicatrix_bundle).  It stays this pullback:
-    the Gauss route's metric drifts from it as 1/theta^2 toward the polar axis.
-    Rounding makes it indefinite at some points from eta - eta_min ~ 8.9 on (README).
-    """
-    return _pullback(angles, params)[0]
+    """Induced metric on the unit surface in the angle chart, F = 1, positive definite: the
+    Gauss route's chart metric (``_unit_surface``) negated, hyperbolic 3-space
+    (d eta^2 + sinh^2 eta dOmega^2)/H^2 to ~1e-14 below eta - eta_min = 2.2 and ~1e-6 up
+    to the chart's ceiling (README).  Bounded by THETA_MIN and GAP_MIN, as the curvatures are."""
+    return -_unpack(_unit_surface(_surface_chart(angles, params), params)[1], 3)
 
 
-def _pullback(angles, params: Parameters, chart=None):
-    """Signed pullback -(d^T h d), its sign and d, at the chart's own eta.
-
-    One profile gives y and d (per point of a batch, like ``_chart_point``,
-    or taken from ``chart``); h is the component-route angular metric at the
-    chart's frame point (y0, y[1:]/y0) and that profile's eta, R1 and V, so r
-    is not inverted back to eta.  The mean of d^T h d and its transpose is
-    exactly symmetric.
-    """
-    prof, (b, *rest), d = _chart_point(angles, params) if chart is None else chart
-    d = _derivative_array(d)
-    h = _unpack(_radial_point(b, [c / b for c in rest], params, prof[:3])[2], 4)
-    dhd = np.swapaxes(d, -1, -2) @ h @ d
-    raw = -0.5 * (dhd + np.swapaxes(dhd, -1, -2))
-    sign = np.where(raw[..., 0, 0] >= 0.0, 1, -1)
-    return (sign * raw.T).T, sign, d
-
-
-def _check_theta(theta: float):
+def _check_theta(theta: float, surface: str):
     """Reject a theta below the measured bound THETA_MIN before any chart is evaluated."""
     if theta < THETA_MIN:
-        raise PolarAxisSingular(f"curvature needs theta >= THETA_MIN = {THETA_MIN}, got {theta}")
+        raise PolarAxisSingular(f"the {surface} chart needs theta >= THETA_MIN = {THETA_MIN}, "
+                                f"got {theta}")
 
 
-def _curvature_chart(angles: AngleCoords, params: Parameters):
-    """``_chart_point`` within the measured bounds: THETA_MIN, then the chart's
-    own domain errors, then eta - eta_min >= GAP_MIN."""
-    _check_theta(angles.theta)
+def _surface_chart(angles: AngleCoords, params: Parameters):
+    """``_chart_point`` at one AngleCoords (else a ValueError) within the measured bounds:
+    THETA_MIN, then the chart's own domain errors, then eta - eta_min >= GAP_MIN."""
+    if not isinstance(angles, AngleCoords):
+        raise ValueError(f"the unit-surface chart takes AngleCoords, got {type(angles).__name__}")
+    _check_theta(angles.theta, "unit-surface")
     chart = _chart_point(angles, params)
     gap = angles.eta - params.eta_min
     if not gap >= GAP_MIN:
         raise OutsideEtaDomain(
-            f"curvature needs eta - eta_min >= GAP_MIN = {GAP_MIN}, "
+            f"the unit-surface chart needs eta - eta_min >= GAP_MIN = {GAP_MIN}, "
             f"got eta={angles.eta}, {gap} above the floor {params.eta_min}"
         )
     return chart
@@ -171,19 +150,20 @@ def indicatrix_curvature(angles: AngleCoords, params: Parameters) -> dict:
     return -H^2.  Raises PolarAxisSingular below THETA_MIN, OutsideEtaDomain
     below eta - eta_min = GAP_MIN, and the chart's own domain errors.
     """
-    return _gauss_indicatrix(_curvature_chart(angles, params), params)
+    return gauss_curvatures(*_unit_surface(_surface_chart(angles, params), params), -1.0)
 
 
-def _gauss_indicatrix(chart, params: Parameters) -> dict:
-    """Gauss-equation curvatures of the unit surface at one ``_chart_point``.
+def _unit_surface(chart, params: Parameters):
+    """Packed Cartan tensor and negative definite chart metric of the unit surface at one
+    ``_chart_point``: the Gauss equation's inputs and the one unit-surface metric.
 
     F^2 = b^2 Phi(w) with b = y0, w the frame ratios and Phi = V^2.  On the
     chart columns X, with X~ = Q^T X = X[1:] - w X0 = b dw (Q = [-w^T; I3]),
     g(X, Y) = Phi''(X~, Y~)/2 + (X0 Phi'.Y~ + Y0 Phi'.X~)/2 + Phi X0 Y0 and the
     Cartan tensor is C(X, Y, Z) = Phi'''(X~, Y~, Z~)/(4 b).  The eta column's
     X~ is (d ln r/d eta) y[1:] exactly: its two terms X[1:] and w X0 would
-    cancel by a factor e^(2 eta).  Phi depends on L = ln r alone; with
-    D = d/dL = p^2 R1 sinh d/d eta its L-derivatives are
+    cancel by a factor e^(2 eta), as in a frame pullback -(d^T h d).  Phi depends on
+    L = ln r alone; with D = d/dL = p^2 R1 sinh d/d eta its L-derivatives are
     f1 = -2 (p^2/H^2) Phi sinh^2, f2 = 2 p^2 m f1 with m = cosh R1 - sinh^2/H^2
     = 1 + hh^2 sinh^2 + A cosh, and f3 = 2 p^4 f1 (R1 sinh (2 hh^2 sinh cosh +
     A_eta cosh + A sinh) + 2 m^2), sums of like-signed terms.  K = -1 + S/A.
@@ -210,17 +190,17 @@ def _gauss_indicatrix(chart, params: Parameters) -> dict:
     phi1, phi2, phi3 = radial_chain([c / scale for c in w], params, tilde, (f1, f2, f3))
     metric = [0.5 * (x + x0[a] * phi1[b] + x0[b] * phi1[a]) + phi * (x0[a] * x0[b])
               for (a, b), x in zip(_packing(3)[0], phi2)]
-    return gauss_curvatures([x / (4.0 * b) for x in phi3], metric, -1.0)
+    return [x / (4.0 * b) for x in phi3], metric
 
 
 def indicatrix_bundle(angles: AngleCoords, params: Parameters) -> IndicatrixBundle:
     """Full indicatrix bundle: derivatives, induced metric, curvatures, all from
     one chart point."""
-    chart = _curvature_chart(angles, params)
-    i_metric, sign, d = _pullback(angles, params, chart)
+    chart = _surface_chart(angles, params)
+    cartan, metric = _unit_surface(chart, params)
     return IndicatrixBundle(
-        l_derivs=d, i_metric=i_metric, raw_sign=int(sign),
-        sectional=_gauss_indicatrix(chart, params),
+        l_derivs=_derivative_array(chart[2]), i_metric=-_unpack(metric, 3), raw_sign=1,
+        sectional=gauss_curvatures(cartan, metric, -1.0),
     )
 
 
@@ -242,7 +222,7 @@ def section_curvature(theta: float, params: Parameters) -> float:
     angle 0.9: the surface is rotationally symmetric), and K = 1 - S/A must
     be p^2.  Raises PolarAxisSingular below THETA_MIN and ThetaPole at the pole.
     """
-    _check_theta(theta)
+    _check_theta(theta, "section")
     if theta >= theta_pole(params):
         raise ThetaPole(f"section needs theta below the pole {theta_pole(params)}, got {theta}")
     _, (*w, _), jac = _section_chart(theta, 0.9, params)

@@ -89,14 +89,11 @@ def _frame_point(y, tetrad: Tetrad | None, params: Parameters, dual: bool = Fals
     return b, (w1, w2, w3)
 
 
-def _profile_factors(r, params: Parameters, known=None):
-    """sinh(eta), R1, V, V_r and V_rr at one vector's r; ``known = (eta, R1, V)`` skips eta(r)."""
-    if known is None:
-        eta = eta_from_r(r, params)
-        _, r1v, _, _, v, _ = hyperbolic_profile(eta, params)
-    else:
-        eta, r1v, v = known
-    sh = dm.sinh(eta)
+def _profile_factors(r, params: Parameters):
+    """sinh(eta), R1, V, V_r and V_rr at one vector's r, through eta = eta_from_r(r)."""
+    eta = eta_from_r(r, params)
+    _, r1v, _, _, v, _ = hyperbolic_profile(eta, params)
+    sh = math.sinh(eta)
     p2 = params.p * params.p
     h2 = params.H * params.H
     v_r = -v * (p2 / h2) * sh * sh / r
@@ -105,17 +102,15 @@ def _profile_factors(r, params: Parameters, known=None):
     return sh, r1v, v, v_r, v_rr
 
 
-def _radial_point(b, w, params: Parameters, known=None):
+def _radial_point(b, w, params: Parameters):
     """Norm F, unit covector l and angular metric h at a resolved frame point.
 
-    ``b`` and the ratios ``w = (w1, w2, w3)`` are floats (``_frame_point``) or
-    arrays of m (the indicatrix chart).  The radial map's value, gradient and
-    Hessian in the ratios come from one closed-form call, and its value is
-    inverted once unless ``known = (eta, R1, V)`` is given (the chart's profile);
-    l and h are the component-route assemblies, 4 and 10 (packed) floats or arrays.
+    ``b`` and the ratios ``w = (w1, w2, w3)`` are floats (``_frame_point``).  The radial
+    map's value, gradient and Hessian in the ratios come from one closed-form call, its
+    value is inverted once, and l and h are the component-route assemblies, packed.
     """
     r, grad, hess = _radial_parts(*w, params)
-    sh, _, v, v_r, v_rr = _profile_factors(r, params, known)
+    sh, _, v, v_r, v_rr = _profile_factors(r, params)
     l = [v * (1.0 + (params.p ** 2 / params.H ** 2) * sh * sh)] + [v_r * x for x in grad]
     vv, vr = v * v_rr, v * v_r
     h = [vv * r * r] + [-vv * r * x for x in grad] + [

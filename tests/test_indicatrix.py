@@ -8,6 +8,7 @@ import pytest
 
 from finsleroid import (
     AngleCoords,
+    DomainError,
     OutsideAxialRegion,
     OutsideEtaDomain,
     Parameters,
@@ -106,20 +107,6 @@ def test_indicatrix_metric_unit_hyperboloid():
     np.testing.assert_allclose(m, np.diag([1.0, sh2, sh2 * 0.5]), atol=1e-10)
 
 
-def test_indicatrix_metric_warped_product_form():
-    params = Parameters(H=1.5, p=0.9)
-    angles = _angles(params, d_eta=1.1, theta=0.8, phi=2.2)
-    m = indicatrix_metric(angles, params)
-    h2 = params.H**2
-    sh2 = math.sinh(angles.eta) ** 2
-    expected = np.diag(
-        [1.0 / h2, sh2 / h2, sh2 * math.sin(angles.theta) ** 2 / h2]
-    )
-    np.testing.assert_allclose(np.diag(m), np.diag(expected), rtol=1e-9)
-    off = m - np.diag(np.diag(m))
-    assert np.max(np.abs(off)) < 1e-10
-
-
 def test_pullback_is_transversal():
     # the angular metric annihilates the unit vector along every chart direction
     params = Parameters(H=1.25, p=0.8)
@@ -132,7 +119,10 @@ def test_pullback_is_transversal():
 
 
 def test_indicatrix_metric_known_eta_chain(monkeypatch):
-    # the chart's own eta: one profile, no frame resolution, no inversion
+    # the chart's own eta: one profile, no frame resolution, no inversion; against the
+    # pullback -(d^T h d) of the component-route h through eta_from_r(r), the one check
+    # of that h on the unit surface, in the default box (gaps 0.2 to 2.4) where the
+    # pullback's e^(2 eta) cancellation stays below 1e-11
     calls = {"projections": 0, "eta_from_r": 0, "hyperbolic_profile": 0}
 
     def counted(name):
@@ -146,15 +136,8 @@ def test_indicatrix_metric_known_eta_chain(monkeypatch):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
 
-    seen = []
-
-    def spy(b, w, *args):
-        seen.append((b, w))
-        return tensors._radial_point(b, w, *args)
-
     for name in calls:
         counted(name)
-    monkeypatch.setattr(indicatrix, "_radial_point", spy)
     for params in (
         Parameters(H=1.0, p=1.0),
         Parameters(H=1.25, p=0.8),
@@ -166,18 +149,10 @@ def test_indicatrix_metric_known_eta_chain(monkeypatch):
         for angles in sample_angles(params, 12, 29):
             for key in calls:
                 calls[key] = 0
-            seen.clear()
             metric = indicatrix_metric(angles, params)
             assert calls == {"projections": 0, "eta_from_r": 0, "hyperbolic_profile": 1}
-            d = indicatrix._pullback(angles, params)[2]
-            # the chart's frame point: b = y0 and the ratios y[1:]/b
-            b, w = seen[0]
-            y = unit_vector(angles, params)
-            assert b == y[0] and np.array_equal(w, y[1:] / y[0])
-            assert np.array_equal(d, unit_vector_angle_derivatives(angles, params))
-            # inversion route: h of the unit vector through eta_from_r(r)
-            raw = -(d.T @ angular_metric(y, None, params) @ d)
-            oracle = raw if raw[0, 0] >= 0.0 else -raw
+            d = unit_vector_angle_derivatives(angles, params)
+            oracle = -(d.T @ angular_metric(unit_vector(angles, params), None, params) @ d)
             assert np.max(np.abs(metric - oracle)) <= 1e-11 * np.max(np.abs(oracle))
 
 
@@ -189,14 +164,12 @@ def test_indicatrix_bundle_records_positive_convention():
 
 
 @pytest.mark.parametrize("H, p", [(1.0, 1.0), (1.25, 0.8), (2.0, 0.5), (1.5, 0.9), (50.0, 0.05)])
-def test_indicatrix_metric_is_positive_definite_below_gap_8(H, p):
-    # Measured bound, not a mend: over eta - eta_min up to 15 (3000 points, seed 5),
-    # the pullback first has a non-positive eigenvalue at gaps 9.7, 8.9, 9.1, 9.7 and
-    # 9.8 on these pairs, and at about half the points above 10, where raw_sign
-    # flips the whole matrix.  Below gap 8 every point is positive definite.
+def test_indicatrix_metric_is_positive_definite_up_to_gap_15(H, p):
+    # at every sampled gap up to 15, where a frame pullback -(d^T h d), whose eta row
+    # cancels by e^(2 eta), has a non-positive eigenvalue at 480 to 562 of these points
     params = Parameters(H=H, p=p)
-    points = sample_angles(params, 1000, 5, eta_margin=1e-6, theta_margin=0.05, eta_span=8.0)
-    assert max(a.eta for a in points) - params.eta_min < 8.0
+    points = sample_angles(params, 3000, 5, eta_margin=1e-6, theta_margin=0.05, eta_span=15)
+    assert 14.9 < max(a.eta for a in points) - params.eta_min < 15.0
     for angles in points:
         bundle = indicatrix_bundle(angles, params)
         assert bundle.raw_sign == 1
@@ -289,17 +262,18 @@ def test_whole_curvature_tensor_is_constant(recorded, H, p):
 
 # Worst measured error, each entry |c m_ij - ref_ij| over sqrt(ref_ii ref_jj), of the
 # section metric (c = p^2) against the round sphere diag(1, sin^2 theta), at 2000 points,
-# and of the Gauss route's chart metric (c = -H^2) against hyperbolic 3-space in polar
-# form diag(1, sinh^2 eta, sinh^2 eta sin^2 theta), below the gap 2.2; tolerances ~3x
-ISOMETRY_TOLERANCES = {  # (H, p): (section, Gauss route); measured worst in comments
-    (1.0, 1.0): (2e-15, 4e-15),  # 4.4e-16, 1.2e-15
-    (1.25, 1.0): (2e-15, 4e-15),  # 4.4e-16, 1.2e-15
-    (1.25, 0.8): (6e-15, 3e-14),  # 2.1e-15, 8.2e-15
-    (1.5, 0.9): (4e-15, 2e-14),  # 1.2e-15, 5.0e-15
-    (2.0, 0.5): (4e-14, 7e-14),  # 1.4e-14, 2.3e-14
-    (3.0, 0.3): (4e-13, 2e-13),  # 1.1e-13, 6.9e-14
-    (50.0, 0.05): (6e-10, 1.2e-11),  # 2.0e-10, 3.6e-12
-    (100.0, 0.999): (3e-15, 7e-15),  # 1.0e-15, 2.1e-15
+# and of indicatrix_metric (c = H^2) against hyperbolic 3-space in polar form
+# diag(1, sinh^2 eta, sinh^2 eta sin^2 theta), below the gap 2.2 and from 2.2 to 15
+# (3000 points); tolerances ~3x
+ISOMETRY_TOLERANCES = {  # (H, p): (section, unit surface, gap 2.2 to 15); worst in comments
+    (1.0, 1.0): (2e-15, 4e-15, 7e-10),  # 4.4e-16, 1.2e-15, 2.3e-10
+    (1.25, 1.0): (2e-15, 4e-15, 1.4e-9),  # 4.4e-16, 1.2e-15, 4.6e-10
+    (1.25, 0.8): (6e-15, 3e-14, 1.2e-8),  # 2.1e-15, 8.2e-15, 4.2e-9
+    (1.5, 0.9): (4e-15, 2e-14, 4.5e-9),  # 1.2e-15, 5.0e-15, 1.5e-9
+    (2.0, 0.5): (4e-14, 7e-14, 3e-8),  # 1.4e-14, 2.3e-14, 9.5e-9
+    (3.0, 0.3): (4e-13, 2e-13, 1.2e-7),  # 1.1e-13, 6.9e-14, 3.8e-8
+    (50.0, 0.05): (6e-10, 1.2e-11, 4e-6),  # 2.0e-10, 3.6e-12, 1.4e-6
+    (100.0, 0.999): (3e-15, 7e-15, 3e-9),  # 1.0e-15, 2.1e-15, 9.6e-10
 }
 
 
@@ -325,21 +299,23 @@ def test_section_metric_is_the_round_sphere(H, p):
 
 
 @pytest.mark.parametrize("H, p", ISOMETRY_TOLERANCES)
-def test_gauss_route_metric_is_hyperbolic_space(recorded, H, p):
+def test_indicatrix_metric_is_hyperbolic_space(recorded, H, p):
     # in (eta, theta, phi) the unit surface is hyperbolic 3-space of curvature -H^2 in
-    # geodesic polar form, radius eta/H; checked on the chart metric gauss_curvatures
-    # receives (negative definite), from 1e-6 above the floor up to the gap 2.2
+    # geodesic polar form, radius eta/H, from 1e-6 above the floor up to the gap 15;
+    # indicatrix_metric is the chart metric gauss_curvatures receives, negated, bit for bit
     params = Parameters(H=H, p=p)
     pair_at = np.array(kernel._packing(3)[2])
-    tol = ISOMETRY_TOLERANCES[(H, p)][1]
-    points = sample_angles(params, 3000, 5, eta_margin=1e-6, theta_margin=0.05, eta_span=15)
-    for angles in (a for a in points if a.eta - params.eta_min < 2.2):
+    _, near, far = ISOMETRY_TOLERANCES[(H, p)]
+    for angles in sample_angles(params, 3000, 5, eta_margin=1e-6, theta_margin=0.05, eta_span=15):
+        metric = indicatrix_metric(angles, params)
         recorded.clear()
         indicatrix_curvature(angles, params)
         (_, chart_metric, _), = recorded
+        assert np.array_equal(metric, -np.array(chart_metric)[pair_at])
         sh2 = math.sinh(angles.eta) ** 2
         ref = np.diag([1.0, sh2, sh2 * math.sin(angles.theta) ** 2])
-        assert _isometry_error(-H * H, np.array(chart_metric)[pair_at], ref) <= tol
+        tol = near if angles.eta - params.eta_min < 2.2 else far
+        assert _isometry_error(H * H, metric, ref) <= tol
 
 
 def test_indicatrix_curvature_polar_translation_invariance():
@@ -442,6 +418,25 @@ def test_curvature_domain_bounds():
             assert abs(k + params.H ** 2) < 1e-9 * params.H ** 2
 
 
+def test_chart_metric_whose_determinant_underflows_is_a_domain_error():
+    # at p = 1 with H near 3e48, next to eta = 0, the chart metric is of order 1/H^2 and
+    # its 3 x 3 cofactor determinant underflows, to 0 or below the normal floats, where
+    # the curvatures would be a ZeroDivisionError or off by 7.1e-2 H^2; the metric
+    # itself still holds the closed form
+    for H, angles in (
+        (2.931363727163423e48, (2.998039505363704e-08, 0.02920655995431038, 5.889776527593102)),
+        (2.6481816547456446e48, (1.9120458903081235e-07, 0.001652797120818133, 3.8983804519664225)),
+    ):
+        angles = AngleCoords(*angles)
+        params = Parameters(H, 1.0)
+        for call in (indicatrix_curvature, indicatrix_bundle):
+            with pytest.raises(DomainError, match="determinant underflows"):
+                call(angles, params)
+        sh2 = math.sinh(angles.eta) ** 2
+        ref = np.diag([1.0, sh2, sh2 * math.sin(angles.theta) ** 2])
+        assert _isometry_error(H * H, indicatrix_metric(angles, params), ref) <= 4e-15
+
+
 @pytest.mark.parametrize(
     "H, p, gap, theta",
     [
@@ -481,6 +476,11 @@ def test_curvature_at_inputs_the_stencil_missed():
                 assert abs(k + h2) < 1e-9 * h2
 
 
+def _metric_rows(params):
+    """``indicatrix_metric`` at each of (m, 3) angle rows, as the stencil asks."""
+    return lambda x: np.array([indicatrix_metric(AngleCoords(*row), params) for row in x])
+
+
 @pytest.mark.parametrize("H, p", [(1.0, 1.0), (1.25, 0.8), (1.5, 0.9), (2.0, 0.5), (5.0, 0.9)])
 def test_gauss_route_matches_stencil_at_interior_points(H, p):
     # the stencil's error, |K_stencil + H^2|, bounds the distance to the Gauss route
@@ -488,7 +488,7 @@ def test_gauss_route_matches_stencil_at_interior_points(H, p):
     h2 = H * H
     for angles in sample_angles(params, 4, 31):
         x0 = np.array([angles.eta, angles.theta, angles.phi])
-        stencil = coordinate_plane_curvatures(lambda x: indicatrix._pullback(x, params)[0], x0)
+        stencil = coordinate_plane_curvatures(_metric_rows(params), x0)
         gauss = indicatrix_curvature(angles, params)
         for plane, k in gauss.items():
             assert abs(k + h2) < 1e-11 * h2
@@ -561,8 +561,8 @@ def test_section_curvature_constant_over_chart():
 @pytest.mark.parametrize("H, p", [(1.0, 1.0), (1.25, 0.8), (2.0, 0.5)])
 def test_stencil_batch_matches_scalar_metrics(H, p):
     # the finite-difference cross-check calls each metric once on its whole
-    # stencil; every row of that batch must be the scalar metric at the row's
-    # chart point, and the curvatures stay within the stencil's 1e-6
+    # stencil (indicatrix_metric row by row); every row of that batch must be the
+    # scalar metric at the row's chart point, and the curvatures stay within 1e-6
     batches = []
 
     def recorded(metric_fn):
@@ -576,7 +576,7 @@ def test_stencil_batch_matches_scalar_metrics(H, p):
     params = Parameters(H=H, p=p)
     angles = _angles(params)
     x3 = np.array([angles.eta, angles.theta, angles.phi])
-    ks = coordinate_plane_curvatures(recorded(lambda x: indicatrix._pullback(x, params)[0]), x3)
+    ks = coordinate_plane_curvatures(recorded(_metric_rows(params)), x3)
     k2 = coordinate_plane_curvatures(
         recorded(lambda x: indicatrix.section_metric(*x.T, params)), np.array([0.6, 0.9])
     )
@@ -639,7 +639,7 @@ def test_chart_overflow_of_exp_gp_theta_raises_outside_axial_region():
         lambda: unit_vector_angle_derivatives(angles, params),
         lambda: kernel.vector_from_angles(angles, 1.0, params),
         lambda: indicatrix_curvature(angles, params),
-        lambda: indicatrix._pullback(
+        lambda: unit_vector_angle_derivatives(
             np.array([[angles.eta, 0.5, 1.2], [angles.eta, angles.theta, 1.2]]), params),
         lambda: sample_vectors(params, 5, 1),
         lambda: indicatrix.section_metric(angles.theta, 0.9, params),
@@ -681,7 +681,7 @@ def test_batch_domain_failure_matches_scalar_error():
         with pytest.raises(error):
             indicatrix_metric(AngleCoords(*bad), params)
         with pytest.raises(error):
-            indicatrix._pullback(np.array([good, bad, good]), params)
+            unit_vector_angle_derivatives(np.array([good, bad, good]), params)
     for theta, error in ((pole + 1e-3, ThetaPole), (0.0, PolarAxisSingular)):
         with pytest.raises(error):
             indicatrix.section_metric(theta, 0.9, params)
@@ -734,7 +734,7 @@ def test_public_chart_functions_keep_their_arrays():
     angles = points[0]
     rows = np.array([[a.eta, a.theta, a.phi] for a in points])
     bundle = indicatrix_bundle(angles, params)
-    pulled, sign, d = indicatrix._pullback(rows, params)
+    d = unit_vector_angle_derivatives(rows, params)
     vectors = sample_vectors(params, 5, 3)
     for array, shape in (
         (unit_vector(angles, params), (4,)),
@@ -742,8 +742,6 @@ def test_public_chart_functions_keep_their_arrays():
         (indicatrix_metric(angles, params), (3, 3)),
         (bundle.i_metric, (3, 3)),
         (bundle.l_derivs, (4, 3)),
-        (pulled, (5, 3, 3)),
-        (sign, (5,)),
         (d, (5, 4, 3)),
         (indicatrix.section_metric(0.6, 0.9, params), (2, 2)),
         (indicatrix.section_metric(rows[:, 1], rows[:, 2], params), (5, 2, 2)),
@@ -751,6 +749,10 @@ def test_public_chart_functions_keep_their_arrays():
     ):
         assert isinstance(array, np.ndarray) and array.shape == shape
     assert vectors.flags.c_contiguous
+    # the unit surface's metric and curvatures take one point: rows are malformed input
+    for call in (indicatrix_metric, indicatrix_curvature, indicatrix_bundle):
+        with pytest.raises(ValueError, match="takes AngleCoords, got ndarray"):
+            call(rows, params)
 
 
 def test_every_chart_edge_raises_the_same_error_for_a_point_and_a_batch_row():

@@ -25,13 +25,12 @@ from finsleroid import (
     metric_tensor,
     metric_tensor_numeric,
     projections,
-    sample_angles,
     sample_vectors,
     tensor_to_natural,
     unit_covector,
 )
 from finsleroid import dual as dm
-from finsleroid import indicatrix, tensors
+from finsleroid import tensors
 from finsleroid.kernel import (
     _packing,
     _radial_parts,
@@ -234,11 +233,10 @@ def test_angle_route_on_the_polar_axis_at_p_1():
 
 
 def test_one_path_for_floats_and_arrays():
-    # radial_derivatives on an (m, 3) batch, and _radial_point with ``known`` on a
-    # chart batch, against each row's one-vector call; the p = 1 rows include w3 <= 0,
-    # signed zeros and the axis.  Rows differ only where numpy's arctan2, exp, hypot,
-    # sinh or power round apart from math's: at most 1.0e-15 of max|.| here (the
-    # Hessian at (2, 0.5)), the same before the two paths became one
+    # radial_derivatives on an (m, 3) batch against each row's one-vector call; the
+    # p = 1 rows include w3 <= 0, signed zeros and the axis.  Rows differ only where
+    # numpy's arctan2, exp, hypot or power round apart from math's: at most 1.0e-15 of
+    # max|.| here (the Hessian at (2, 0.5)), the same before the two paths became one
     for H, p in ((1, 1), (1.25, 1), (1.25, 0.8), (1.5, 0.9), (2, 0.5)):
         params = Parameters(H=H, p=p)
         ws = [np.array(projections(y, Tetrad.canonical())[1:])
@@ -251,16 +249,6 @@ def test_one_path_for_floats_and_arrays():
         for k, w in enumerate(ws):
             for rows, one in zip(batch, radial_derivatives(w, params)):
                 assert np.max(np.abs(rows[k] - one)) <= 2e-15 * np.max(np.abs(one))
-        angles = np.array([[a.eta, a.theta, a.phi] for a in sample_angles(params, 20, 31)])
-        prof, (b, *rest), _ = indicatrix._chart_point(angles, params)
-        w = [c / b for c in rest]
-        batch = [np.array(part) for part in tensors._radial_point(b, w, params, prof[:3])]
-        for k in range(len(angles)):
-            known = [float(c[k]) for c in prof[:3]]
-            point = float(b[k]), [float(c[k]) for c in w]
-            for rows, one in zip(batch, tensors._radial_point(*point, params, known)):
-                one = np.array(one)
-                assert np.max(np.abs(rows[..., k] - one)) <= 2e-15 * np.max(np.abs(one))
 
 
 def test_unit_covector_axis_limit_pseudo_euclidean():
