@@ -9,8 +9,8 @@ claims are checked pointwise by the Gauss equation of an indicatrix: the metric
 and the Cartan tensor at the chart point, exact and in closed form from one
 pass of the chain rule through ln r (``kernel.radial_chain``), with no analytic
 shortcut on the metric side and no chart derivatives of the metric.  That chart
-metric is the one unit-surface metric, ``indicatrix_metric``, at one point;
-``section_metric`` also takes (m, 2) angle rows.  Both surfaces use the kernel's
+metric is each surface's one metric, ``indicatrix_metric`` and ``section_metric``, at one
+point.  Both surfaces use the kernel's
 one angular chart, ``_section_chart``, the section at r = 1 and the unit surface at
 r(eta).  The charts are written once on per-component values, Python floats at one
 point, so a curvature builds no numpy array, and arrays at a batch of rows.
@@ -36,7 +36,6 @@ from .kernel import (
     radial_chain,
     theta_pole,
 )
-from .tensors import finsleroid3_metric
 
 # Measured accuracy bounds of the Gauss route (README, "Curvature accuracy"): theta
 # below THETA_MIN and, for the unit surface's metric and curvatures, eta - eta_min
@@ -49,12 +48,10 @@ GAP_MIN = 1e-8
 
 @dataclass(frozen=True)
 class IndicatrixBundle:
-    """Angle derivatives of the unit vector, induced metric (``indicatrix_metric``) and
-    curvatures; raw_sign is always 1 (the metric is positive definite), kept for callers."""
+    """Angle derivatives of the unit vector, induced metric (``indicatrix_metric``), curvatures."""
 
     l_derivs: np.ndarray  # 4 x 3, columns = d/d(eta, theta, phi)
     i_metric: np.ndarray  # 3 x 3, positive definite convention
-    raw_sign: int  # 1
     sectional: dict  # {(plane): K}
 
 
@@ -199,35 +196,39 @@ def indicatrix_bundle(angles: AngleCoords, params: Parameters) -> IndicatrixBund
     chart = _surface_chart(angles, params)
     cartan, metric = _unit_surface(chart, params)
     return IndicatrixBundle(
-        l_derivs=_derivative_array(chart[2]), i_metric=-_unpack(metric, 3), raw_sign=1,
+        l_derivs=_derivative_array(chart[2]), i_metric=-_unpack(metric, 3),
         sectional=gauss_curvatures(cartan, metric, -1.0),
     )
 
 
-def section_metric(theta, phi, params: Parameters) -> np.ndarray:
-    """Induced 2-metric of the section surface, J^T G J of the ratio-space metric G made
-    exactly symmetric: (2, 2) at floats theta, phi, (m, 2, 2) at arrays of m."""
-    _, w, jac = _section_chart(theta, phi, params)
-    jac_t = np.array(jac).T  # (2, 3), or (m, 2, 3)
-    jgj = jac_t @ finsleroid3_metric(np.array(w[:3]).T, params) @ np.swapaxes(jac_t, -1, -2)
-    return 0.5 * (jgj + np.swapaxes(jgj, -1, -2))
+def section_metric(theta: float, phi: float, params: Parameters) -> np.ndarray:
+    """Induced 2-metric of the section at one (theta, phi), the chart metric of the Gauss route
+    (``_section_surface``): the round sphere (d theta^2 + sin^2 theta d phi^2)/p^2 (README)."""
+    return _unpack(_section_surface(theta, phi, params)[1], 2)
 
 
 def section_curvature(theta: float, params: Parameters) -> float:
-    """Gaussian curvature of the section surface at azimuth theta.
+    """Gaussian curvature of the section at azimuth theta, by the Gauss equation at polar
+    angle 0.9 (the section is rotationally symmetric); K = 1 - S/A must be p^2."""
+    return gauss_curvatures(*_section_surface(theta, 0.9, params), 1.0)[(0, 1)]
 
-    The section is the indicatrix r = 1 of the ratio-space metric G =
-    Hess(r^2/2), whose Cartan tensor is Hess(r^2/2)'s derivative over 2;
-    both come from the derivatives of L = ln r at the chart point (polar
-    angle 0.9: the surface is rotationally symmetric), and K = 1 - S/A must
-    be p^2.  Raises PolarAxisSingular below THETA_MIN and ThetaPole at the pole.
-    """
+
+def _section_surface(theta: float, phi: float, params: Parameters):
+    """Packed Cartan tensor and chart metric of the section at one (theta, phi): the Gauss
+    equation's inputs and the one section metric.  The section is the indicatrix r = 1 of
+    G = Hess(r^2/2), whose Cartan tensor is G's derivative over 2, both from the derivatives
+    of L = ln r.  An array is a ValueError; PolarAxisSingular below THETA_MIN, ThetaPole at
+    the pole."""
+    if isinstance(theta, np.ndarray) or isinstance(phi, np.ndarray):
+        raise ValueError("the section chart takes one theta and one phi, got an array of "
+                         f"shape {np.broadcast(theta, phi).shape}")
     _check_theta(theta, "section")
     if theta >= theta_pole(params):
         raise ThetaPole(f"section needs theta below the pole {theta_pole(params)}, got {theta}")
-    _, (*w, _), jac = _section_chart(theta, 0.9, params)
-    scale = _ratio_scale(w)  # as for the unit surface: S/A is invariant under w -> w/|w|
+    _, (*w, _), jac = _section_chart(theta, phi, params)
+    # r^2/2 = exp(2 L)/2 has L-derivatives 1, 2, 4 at r = 1; at w/|w| and along the
+    # columns jac/|w| the same 1, 2, 4 give back the metric and Cartan tensor at w
+    scale = _ratio_scale(w)
     frame = [[x / scale, y / scale] for x, y in jac]
-    # r^2/2 = exp(2 L)/2 has L-derivatives 1, 2, 4 at r = 1; along the chart
     _, metric, third = radial_chain([c / scale for c in w], params, frame, (1.0, 2.0, 4.0))
-    return gauss_curvatures([0.5 * x for x in third], metric, 1.0)[(0, 1)]
+    return [0.5 * x for x in third], metric

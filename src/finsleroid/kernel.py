@@ -256,11 +256,11 @@ def _packing(k: int):
     return pairs, spans, pair_at, triple_at
 
 
-_PAIR_INDEX = {k: np.array(_packing(k)[2]) for k in (3, 4)}  # pair_at as index arrays
+_PAIR_INDEX = {k: np.array(_packing(k)[2]) for k in (2, 3, 4)}  # pair_at as index arrays
 
 
 def _unpack(packed, k: int):
-    """Dense (k, k), or (m, k, k), of a packed symmetric k-tensor (k = 3 or 4)."""
+    """Dense (k, k), or (m, k, k), of a packed symmetric k-tensor (k = 2, 3 or 4)."""
     dense = np.array(packed)
     return dense[_PAIR_INDEX[k]] if dense.ndim == 1 else dense.T[:, _PAIR_INDEX[k]]
 
@@ -274,7 +274,8 @@ def radial_chain(w, params: Parameters, frame, f):
     at p = 1 (gp = 0).  rho's derivatives along X, Y, Z are n.X, P(X, Y)/rho and
     -sym(P (x) n)/rho^2, n = (w1, w2, 0)/rho, P(X, Y) = X1 Y1 + X2 Y2 - (n.X)(n.Y), so past
     zeta' each of zeta's is c times a real tensor.  With u = 1/zeta, q = (1 - i gp) u and
-    kappa = q c/rho: L' = Re(q zeta'), L'' = Re(kappa) P - Re(q u zeta' zeta') and
+    kappa = q c/rho = i u/(p rho) ((1 - i gp) c = i/p, so Re(kappa) = 1/|zeta|^2 has no 1/rho
+    cancellation near the axis): L' = Re(q zeta'), L'' = Re(kappa) P - Re(q u zeta' zeta') and
     L''' = 2 Re(q u^2 zeta' zeta' zeta') - sym(P (x) (Re(kappa u zeta') + Re(kappa) n/rho)),
     and Phi' = f1 L', Phi'' = f2 L' L' + f1 L'', Phi''' = f3 L' L' L' + f2 sym(L'' (x) L')
     + f1 L''', whose P terms gather into sym(P (x) g).  Each real vector is formed once, so
@@ -287,7 +288,7 @@ def radial_chain(w, params: Parameters, frame, f):
     c = params.p * complex(-gp, 1.0)
     u = 1.0 / (w3 + c * rho)
     q = complex(1.0, -gp) * u
-    kappa = q * c / rho
+    kappa = 1j * u / (params.p * rho)
     qu, k_re, ku = q * u, kappa.real, kappa * u
     n = [n1 * x + n2 * y for x, y in zip(e1, e2)]
     d1 = [s + c * t for s, t in zip(e3, n)]  # zeta'

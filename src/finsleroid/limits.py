@@ -10,7 +10,10 @@ import numpy as np
 from .errors import OutsideClosedFormDomain
 from .frame import Parameters, Tetrad
 from .kernel import domain_info, eta_from_r, hyperbolic_profile
+from .sampling import DEFAULT_SEED
 from .tensors import metric_tensor
+
+EDGE_MARGIN = 1e-6  # radial samples stay this fraction below r_sup: the powers lose precision
 
 
 @dataclass(frozen=True)
@@ -61,14 +64,11 @@ def pipeline_v_squared(r: float, H: float) -> float:
     return v * v
 
 
-def reduction_report(
-    h_grid, sample_count: int = 200, seed: int = 20240, edge_margin: float = 1e-6
-) -> dict:
+def reduction_report(h_grid, sample_count: int = 200, seed: int = DEFAULT_SEED) -> dict:
     """Deviation of the p = 1 pipeline from the closed form, per H value.
 
     For each H in ``h_grid``: max |V^2_pipeline - V^2_closed| over radial
-    samples kept ``edge_margin`` away from the supremum (the fractional
-    powers lose precision at the edge).  The pseudo-Euclidean pair
+    samples up to EDGE_MARGIN below the supremum.  The pseudo-Euclidean pair
     H = p = 1 is always included and additionally checks F^2 against
     b^2 - |y_spatial|^2 and det(g) against -1.
     """
@@ -77,9 +77,7 @@ def reduction_report(
     for h_val in h_grid:
         params = Parameters(H=float(h_val), p=1.0)
         dom = domain_info(params)
-        r_samples = rng.uniform(
-            1e-4, dom.r_sup * (1.0 - edge_margin), size=sample_count
-        )
+        r_samples = rng.uniform(1e-4, dom.r_sup * (1.0 - EDGE_MARGIN), size=sample_count)
         dev = 0.0
         for r in r_samples:
             dev = max(dev, abs(pipeline_v_squared(r, params.H) - isotropic_v_squared(r, params.H)))

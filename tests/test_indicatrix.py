@@ -159,7 +159,6 @@ def test_indicatrix_metric_known_eta_chain(monkeypatch):
 def test_indicatrix_bundle_records_positive_convention():
     params = Parameters(H=1.5, p=0.9)
     bundle = indicatrix_bundle(_angles(params), params)
-    assert bundle.raw_sign == 1
     assert np.all(np.linalg.eigvalsh(bundle.i_metric) > 0.0)
 
 
@@ -172,7 +171,6 @@ def test_indicatrix_metric_is_positive_definite_up_to_gap_15(H, p):
     assert 14.9 < max(a.eta for a in points) - params.eta_min < 15.0
     for angles in points:
         bundle = indicatrix_bundle(angles, params)
-        assert bundle.raw_sign == 1
         assert np.linalg.eigvalsh(bundle.i_metric)[0] > 0.0
 
 
@@ -210,7 +208,7 @@ def test_indicatrix_curvature_constant_over_sample_points():
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """The (cartan, chart_metric, sign) of every gauss_curvatures call of the unit surface."""
+    """The (cartan, chart_metric, sign) of every gauss_curvatures call of either surface."""
     calls = []
     original = indicatrix.gauss_curvatures
 
@@ -260,53 +258,73 @@ def test_whole_curvature_tensor_is_constant(recorded, H, p):
             assert abs(k + h2) <= 1e-9 * h2
 
 
-# Worst measured error, each entry |c m_ij - ref_ij| over sqrt(ref_ii ref_jj), of the
-# section metric (c = p^2) against the round sphere diag(1, sin^2 theta), at 2000 points,
-# and of indicatrix_metric (c = H^2) against hyperbolic 3-space in polar form
-# diag(1, sinh^2 eta, sinh^2 eta sin^2 theta), below the gap 2.2 and from 2.2 to 15
+# Worst measured error, each entry |c m_ij - ref_ij| over sqrt(ref_ii ref_jj), of
+# section_metric (c = p^2) against the round sphere diag(1, sin^2 theta), at 2000 points
+# and at 1000 in the axis band theta < AXIS_BAND, and of indicatrix_metric (c = H^2)
+# against hyperbolic 3-space in polar form diag(1, sinh^2 eta, sinh^2 eta sin^2 theta),
+# below the gap 2.2, in the axis band (1000 points, gaps up to 2.2) and from 2.2 to 15
 # (3000 points); tolerances ~3x
-ISOMETRY_TOLERANCES = {  # (H, p): (section, unit surface, gap 2.2 to 15); worst in comments
-    (1.0, 1.0): (2e-15, 4e-15, 7e-10),  # 4.4e-16, 1.2e-15, 2.3e-10
-    (1.25, 1.0): (2e-15, 4e-15, 1.4e-9),  # 4.4e-16, 1.2e-15, 4.6e-10
-    (1.25, 0.8): (6e-15, 3e-14, 1.2e-8),  # 2.1e-15, 8.2e-15, 4.2e-9
-    (1.5, 0.9): (4e-15, 2e-14, 4.5e-9),  # 1.2e-15, 5.0e-15, 1.5e-9
-    (2.0, 0.5): (4e-14, 7e-14, 3e-8),  # 1.4e-14, 2.3e-14, 9.5e-9
-    (3.0, 0.3): (4e-13, 2e-13, 1.2e-7),  # 1.1e-13, 6.9e-14, 3.8e-8
-    (50.0, 0.05): (6e-10, 1.2e-11, 4e-6),  # 2.0e-10, 3.6e-12, 1.4e-6
-    (100.0, 0.999): (3e-15, 7e-15, 3e-9),  # 1.0e-15, 2.1e-15, 9.6e-10
+AXIS_BAND = 0.05
+ISOMETRY_TOLERANCES = {  # (H, p): (section, axis band, unit surface, axis band, gap 2.2 to 15)
+    (1.0, 1.0): (2e-15, 2e-15, 4e-15, 4e-15, 7e-10),  # 6.7e-16, 6.7e-16, 1.2e-15, 1.3e-15, 2.3e-10
+    (1.25, 1.0): (2e-15, 2e-15, 4e-15, 4e-15, 1.4e-9),  # 6.7e-16, 6.7e-16, 1.1e-15, 1.3e-15, 4.6e-10
+    (1.25, 0.8): (6e-15, 3.5e-15, 3e-14, 9e-15, 1.2e-8),  # 1.9e-15, 1.1e-15, 8.2e-15, 3.0e-15, 4.2e-9
+    (1.5, 0.9): (4e-15, 3.5e-15, 2e-14, 5e-15, 4.5e-9),  # 1.3e-15, 1.1e-15, 5.0e-15, 1.6e-15, 1.5e-9
+    (2.0, 0.5): (1.6e-14, 4e-15, 7e-14, 1.5e-14, 3e-8),  # 5.3e-15, 1.3e-15, 2.3e-14, 4.8e-15, 9.5e-9
+    (3.0, 0.3): (6e-14, 4e-15, 2e-13, 1.4e-14, 1.2e-7),  # 1.8e-14, 1.3e-15, 6.9e-14, 4.7e-15, 3.8e-8
+    (50.0, 0.05): (2.2e-12, 6e-15, 1.2e-11, 3e-14, 4e-6),  # 7.3e-13, 2.0e-15, 3.6e-12, 1.0e-14, 1.4e-6
+    (100.0, 0.999): (3e-15, 3e-15, 7e-15, 5.5e-15, 3e-9),  # 1.0e-15, 9.5e-16, 2.1e-15, 1.8e-15, 9.6e-10
 }
 
 
 def _isometry_error(c, m, ref):
-    """max_ij |c m_ij - ref_ij| / sqrt(ref_ii ref_jj), over a batch too."""
-    d = np.sqrt(np.diagonal(ref, axis1=-2, axis2=-1))
-    return np.max(np.abs(c * m - ref) / (d[..., :, None] * d[..., None, :]))
+    """max_ij |c m_ij - ref_ij| / sqrt(ref_ii ref_jj)."""
+    d = np.sqrt(np.diag(ref))
+    return np.max(np.abs(c * m - ref) / np.outer(d, d))
+
+
+def _axis_band(rng, count):
+    """count thetas uniform from THETA_MIN to AXIS_BAND, then count phis."""
+    return (rng.uniform(indicatrix.THETA_MIN, AXIS_BAND, count).tolist(),
+            rng.uniform(0.0, 2.0 * math.pi, count).tolist())
 
 
 @pytest.mark.parametrize("H, p", ISOMETRY_TOLERANCES)
-def test_section_metric_is_the_round_sphere(H, p):
-    # in (theta, phi) the section is the sphere of radius 1/p, in a batch and at points
+def test_section_metric_is_the_round_sphere(recorded, H, p):
+    # in (theta, phi) the section is the sphere of radius 1/p, up to the pole and in the
+    # axis band; section_metric is, bit for bit, the chart metric that gauss_curvatures
+    # receives in section_curvature (at phi = 0.9)
     params = Parameters(H=H, p=p)
+    pair_at = np.array(kernel._packing(2)[2])
     rng = np.random.default_rng(3)
-    theta = rng.uniform(1e-3, theta_pole(params) - 1e-3, 2000)
-    phi = rng.uniform(0.0, 2.0 * math.pi, 2000)
-    ref = np.zeros((2000, 2, 2))
-    ref[:, 0, 0], ref[:, 1, 1] = 1.0, np.sin(theta) ** 2
-    tol = ISOMETRY_TOLERANCES[(H, p)][0]
-    assert _isometry_error(p * p, indicatrix.section_metric(theta, phi, params), ref) <= tol
-    for t, f, r in zip(theta.tolist(), phi.tolist(), ref):
-        assert _isometry_error(p * p, indicatrix.section_metric(t, f, params), r) <= tol
+    theta = rng.uniform(1e-3, theta_pole(params) - 1e-3, 2000).tolist()
+    phi = rng.uniform(0.0, 2.0 * math.pi, 2000).tolist()
+    tol, band_tol = ISOMETRY_TOLERANCES[(H, p)][:2]
+    for thetas, phis, bound in ((theta, phi, tol), (*_axis_band(rng, 1000), band_tol)):
+        for t, f in zip(thetas, phis):
+            ref = np.diag([1.0, math.sin(t) ** 2])
+            assert _isometry_error(p * p, indicatrix.section_metric(t, f, params), ref) <= bound
+            recorded.clear()
+            section_curvature(t, params)
+            (_, chart_metric, _), = recorded
+            metric = indicatrix.section_metric(t, 0.9, params)
+            assert np.array_equal(metric, np.array(chart_metric)[pair_at])
 
 
 @pytest.mark.parametrize("H, p", ISOMETRY_TOLERANCES)
 def test_indicatrix_metric_is_hyperbolic_space(recorded, H, p):
     # in (eta, theta, phi) the unit surface is hyperbolic 3-space of curvature -H^2 in
-    # geodesic polar form, radius eta/H, from 1e-6 above the floor up to the gap 15;
-    # indicatrix_metric is the chart metric gauss_curvatures receives, negated, bit for bit
+    # geodesic polar form, radius eta/H, from 1e-6 above the floor up to the gap 15 and in
+    # the axis band (gaps up to 2.2); indicatrix_metric is the chart metric
+    # gauss_curvatures receives, negated, bit for bit
     params = Parameters(H=H, p=p)
     pair_at = np.array(kernel._packing(3)[2])
-    _, near, far = ISOMETRY_TOLERANCES[(H, p)]
-    for angles in sample_angles(params, 3000, 5, eta_margin=1e-6, theta_margin=0.05, eta_span=15):
+    _, _, near, band_tol, far = ISOMETRY_TOLERANCES[(H, p)]
+    rng = np.random.default_rng(5)
+    gaps = rng.uniform(1e-6, 2.2, 1000).tolist()
+    band = [AngleCoords(params.eta_min + g, t, f) for g, t, f in zip(gaps, *_axis_band(rng, 1000))]
+    points = sample_angles(params, 3000, 5, eta_margin=1e-6, theta_margin=0.05, eta_span=15)
+    for k, angles in enumerate(points + band):
         metric = indicatrix_metric(angles, params)
         recorded.clear()
         indicatrix_curvature(angles, params)
@@ -314,7 +332,7 @@ def test_indicatrix_metric_is_hyperbolic_space(recorded, H, p):
         assert np.array_equal(metric, -np.array(chart_metric)[pair_at])
         sh2 = math.sinh(angles.eta) ** 2
         ref = np.diag([1.0, sh2, sh2 * math.sin(angles.theta) ** 2])
-        tol = near if angles.eta - params.eta_min < 2.2 else far
+        tol = band_tol if k >= 3000 else near if angles.eta - params.eta_min < 2.2 else far
         assert _isometry_error(H * H, metric, ref) <= tol
 
 
@@ -481,6 +499,11 @@ def _metric_rows(params):
     return lambda x: np.array([indicatrix_metric(AngleCoords(*row), params) for row in x])
 
 
+def _section_rows(params):
+    """``section_metric`` at each of (m, 2) angle rows, as the stencil asks."""
+    return lambda x: np.array([indicatrix.section_metric(t, f, params) for t, f in x.tolist()])
+
+
 @pytest.mark.parametrize("H, p", [(1.0, 1.0), (1.25, 0.8), (1.5, 0.9), (2.0, 0.5), (5.0, 0.9)])
 def test_gauss_route_matches_stencil_at_interior_points(H, p):
     # the stencil's error, |K_stencil + H^2|, bounds the distance to the Gauss route
@@ -495,7 +518,7 @@ def test_gauss_route_matches_stencil_at_interior_points(H, p):
             assert abs(k - stencil[plane]) <= abs(stencil[plane] + h2) + 1e-11 * h2
             assert abs(stencil[plane] + h2) < 1e-6 * h2
         section = coordinate_plane_curvatures(
-            lambda x: indicatrix.section_metric(*x.T, params), np.array([angles.theta, 0.9])
+            _section_rows(params), np.array([angles.theta, 0.9])
         )[(0, 1)]
         k = section_curvature(angles.theta, params)
         assert abs(k - p * p) < 1e-12
@@ -503,7 +526,7 @@ def test_gauss_route_matches_stencil_at_interior_points(H, p):
 
 
 def test_indicatrix_bundle_evaluates_one_chart_point(monkeypatch):
-    # i_metric, raw_sign, l_derivs and the curvatures share one _chart_point call
+    # i_metric, l_derivs and the curvatures share one _chart_point call
     calls = []
     original = indicatrix._chart_point
 
@@ -561,7 +584,7 @@ def test_section_curvature_constant_over_chart():
 @pytest.mark.parametrize("H, p", [(1.0, 1.0), (1.25, 0.8), (2.0, 0.5)])
 def test_stencil_batch_matches_scalar_metrics(H, p):
     # the finite-difference cross-check calls each metric once on its whole
-    # stencil (indicatrix_metric row by row); every row of that batch must be the
+    # stencil (both row by row); every row of that batch must be the
     # scalar metric at the row's chart point, and the curvatures stay within 1e-6
     batches = []
 
@@ -577,9 +600,7 @@ def test_stencil_batch_matches_scalar_metrics(H, p):
     angles = _angles(params)
     x3 = np.array([angles.eta, angles.theta, angles.phi])
     ks = coordinate_plane_curvatures(recorded(_metric_rows(params)), x3)
-    k2 = coordinate_plane_curvatures(
-        recorded(lambda x: indicatrix.section_metric(*x.T, params)), np.array([0.6, 0.9])
-    )
+    k2 = coordinate_plane_curvatures(recorded(_section_rows(params)), np.array([0.6, 0.9]))
     for k in ks.values():
         assert abs(k + H * H) < 1e-6 * H * H
     assert abs(k2[(0, 1)] - p * p) < 1e-6
@@ -643,7 +664,6 @@ def test_chart_overflow_of_exp_gp_theta_raises_outside_axial_region():
             np.array([[angles.eta, 0.5, 1.2], [angles.eta, angles.theta, 1.2]]), params),
         lambda: sample_vectors(params, 5, 1),
         lambda: indicatrix.section_metric(angles.theta, 0.9, params),
-        lambda: indicatrix.section_metric(np.array([0.5, angles.theta]), np.full(2, 0.9), params),
         lambda: section_curvature(angles.theta, params),
     )
     with warnings.catch_warnings():
@@ -651,6 +671,9 @@ def test_chart_overflow_of_exp_gp_theta_raises_outside_axial_region():
         for call in calls:
             with pytest.raises(OutsideAxialRegion, match="exp.gp theta. overflows"):
                 call()
+    # the section chart takes one point: rows are malformed input, before any domain guard
+    with pytest.raises(ValueError, match=r"takes one theta and one phi, got an array of shape \(2,\)"):
+        indicatrix.section_metric(np.array([0.5, angles.theta]), np.full(2, 0.9), params)
     # below the overflow the same chart maps the point
     assert np.isfinite(unit_vector(AngleCoords(angles.eta, 2.5, 1.2), params)).all()
 
@@ -667,7 +690,8 @@ def test_curvature_on_chart_ratios_that_underflow_is_polar_axis_singular():
 
 
 def test_batch_domain_failure_matches_scalar_error():
-    # one bad row in a batch raises what the scalar call at that row raises
+    # one bad row in a batch raises what the scalar call at that row raises; the section
+    # metric takes one point, so its batch is a ValueError whatever its rows
     params = Parameters(H=1.25, p=0.8)
     floor = domain_info(params).eta_min
     pole = theta_pole(params)
@@ -685,7 +709,7 @@ def test_batch_domain_failure_matches_scalar_error():
     for theta, error in ((pole + 1e-3, ThetaPole), (0.0, PolarAxisSingular)):
         with pytest.raises(error):
             indicatrix.section_metric(theta, 0.9, params)
-        with pytest.raises(error):
+        with pytest.raises(ValueError, match=r"got an array of shape \(3,\)"):
             indicatrix.section_metric(np.array([0.6, theta, 0.7]), np.full(3, 0.9), params)
 
 
@@ -744,15 +768,19 @@ def test_public_chart_functions_keep_their_arrays():
         (bundle.l_derivs, (4, 3)),
         (d, (5, 4, 3)),
         (indicatrix.section_metric(0.6, 0.9, params), (2, 2)),
-        (indicatrix.section_metric(rows[:, 1], rows[:, 2], params), (5, 2, 2)),
         (vectors, (5, 4)),
     ):
         assert isinstance(array, np.ndarray) and array.shape == shape
     assert vectors.flags.c_contiguous
-    # the unit surface's metric and curvatures take one point: rows are malformed input
+    # each surface's metric and curvatures take one point: rows are malformed input
     for call in (indicatrix_metric, indicatrix_curvature, indicatrix_bundle):
         with pytest.raises(ValueError, match="takes AngleCoords, got ndarray"):
             call(rows, params)
+    for call in (lambda: indicatrix.section_metric(rows[:, 1], rows[:, 2], params),
+                 lambda: indicatrix.section_metric(0.6, rows[:, 2], params),
+                 lambda: section_curvature(rows[:, 1], params)):
+        with pytest.raises(ValueError, match=r"one theta and one phi, got an array of shape \(5,\)"):
+            call()
 
 
 def test_every_chart_edge_raises_the_same_error_for_a_point_and_a_batch_row():
