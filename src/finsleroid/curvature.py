@@ -98,7 +98,7 @@ def _inverse(m, k):
     return [x / det for x in cofactors]
 
 
-def gauss_curvatures(cartan, chart_metric, sign) -> dict:
+def gauss_curvatures(cartan, chart_metric) -> dict:
     """Sectional curvatures of every coordinate 2-plane of an indicatrix chart.
 
     The Gauss equation of a Finsler indicatrix (Bao, Chern & Shen, GTM 200;
@@ -108,11 +108,12 @@ def gauss_curvatures(cartan, chart_metric, sign) -> dict:
     Cartan tensor vanishes along the point's own direction y, and g(y, X) = 0
     for every tangent X, so m^-1 raises C's last slot:
     S = C_ii. m^-1 C_jj. - C_ij. m^-1 C_ij. and A = m_ii m_jj - m_ij^2 give
-    {(i, j): sign (1 - S/A)}.  ``sign`` is +1 for the indicatrix of a positive
-    definite norm and -1 for the unit surface of a Lorentzian one in the
-    positive-definite convention of its induced metric.
+    {(i, j): sign (1 - S/A)}.  ``sign`` is the sign of m's first entry: +1 for the
+    indicatrix of a positive definite norm and -1 for the unit surface of a
+    Lorentzian one, whose chart metric is negative definite.
     """
     k = math.isqrt(2 * len(chart_metric))
+    sign = math.copysign(1.0, chart_metric[0])
     pairs, _, pair_at, triple_at = _packing(k)
     inv = _inverse(chart_metric, k)
     inv_rows = [[inv[q] for q in row] for row in pair_at]

@@ -10,10 +10,11 @@ and the Cartan tensor at the chart point, exact and in closed form from one
 pass of the chain rule through ln r (``kernel.radial_chain``), with no analytic
 shortcut on the metric side and no chart derivatives of the metric.  That chart
 metric is each surface's one metric, ``indicatrix_metric`` and ``section_metric``, at one
-point.  Both surfaces use the kernel's
-one angular chart, ``_section_chart``, the section at r = 1 and the unit surface at
-r(eta).  The charts are written once on per-component values, Python floats at one
-point, so a curvature builds no numpy array, and arrays at a batch of rows.
+point.  Both surfaces read the kernel's one angular chart, ``_section_chart``, at r = 1:
+the unit surface's ratios are r(eta) times the section's, which ln r's derivatives
+do not see, so no curvature builds the unit vector.  The charts are written once on
+per-component values, Python floats at one point, so a curvature builds no numpy array,
+and arrays at a batch of rows.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import OutsideEtaDomain, PolarAxisSingular, ThetaPole
 from .frame import Parameters
 from .kernel import (
     AngleCoords,
+    _chart_profile,
     _chart_vector,
     _packing,
     _section_chart,
@@ -71,7 +73,7 @@ def unit_vector_angle_derivatives(
     of the ratios, in product form, so they stay finite at phi = pi/2 and
     hold no cos/sin quotient in theta.
     """
-    return _derivative_array(_chart_point(angles, params)[2])
+    return np.swapaxes(np.array(_chart_point(angles, params)[2]).T, -1, -2)
 
 
 def _chart_point(angles, params: Parameters):
@@ -96,11 +98,6 @@ def _chart_point(angles, params: Parameters):
     return prof, y, d
 
 
-def _derivative_array(d) -> np.ndarray:
-    """``_chart_point``'s d as a (4, 3) array, or (m, 4, 3) for a batch."""
-    return np.swapaxes(np.array(d).T, -1, -2)
-
-
 def indicatrix_metric(angles: AngleCoords, params: Parameters) -> np.ndarray:
     """Induced metric on the unit surface in the angle chart, F = 1, positive definite: the
     Gauss route's chart metric (``_unit_surface``) negated, hyperbolic 3-space
@@ -117,12 +114,13 @@ def _check_theta(theta: float, surface: str):
 
 
 def _surface_chart(angles: AngleCoords, params: Parameters):
-    """``_chart_point`` at one AngleCoords (else a ValueError) within the measured bounds:
-    THETA_MIN, then the chart's own domain errors, then eta - eta_min >= GAP_MIN."""
+    """The eta profile (``_chart_profile``) and ``_section_chart`` at r = 1 of one AngleCoords
+    (else a ValueError) within the measured bounds: THETA_MIN, then the chart's own domain
+    errors, then eta - eta_min >= GAP_MIN."""
     if not isinstance(angles, AngleCoords):
         raise ValueError(f"the unit-surface chart takes AngleCoords, got {type(angles).__name__}")
     _check_theta(angles.theta, "unit-surface")
-    chart = _chart_point(angles, params)
+    chart = _chart_profile(angles.eta, params), _section_chart(angles.theta, angles.phi, params)
     gap = angles.eta - params.eta_min
     if not gap >= GAP_MIN:
         raise OutsideEtaDomain(
@@ -132,14 +130,6 @@ def _surface_chart(angles: AngleCoords, params: Parameters):
     return chart
 
 
-def _ratio_scale(w) -> float:
-    """|w| of chart ratios (floats), or PolarAxisSingular where they underflow to 0 (p < 0.005)."""
-    scale = math.hypot(*w)
-    if not scale > 0.0:
-        raise PolarAxisSingular(f"chart ratios {w} underflow onto the time axis")
-    return scale
-
-
 def indicatrix_curvature(angles: AngleCoords, params: Parameters) -> dict:
     """Sectional curvatures of the three coordinate planes of the unit surface.
 
@@ -147,25 +137,29 @@ def indicatrix_curvature(angles: AngleCoords, params: Parameters) -> dict:
     return -H^2.  Raises PolarAxisSingular below THETA_MIN, OutsideEtaDomain
     below eta - eta_min = GAP_MIN, and the chart's own domain errors.
     """
-    return gauss_curvatures(*_unit_surface(_surface_chart(angles, params), params), -1.0)
+    return gauss_curvatures(*_unit_surface(_surface_chart(angles, params), params))
 
 
 def _unit_surface(chart, params: Parameters):
     """Packed Cartan tensor and negative definite chart metric of the unit surface at one
-    ``_chart_point``: the Gauss equation's inputs and the one unit-surface metric.
+    ``_surface_chart``: the Gauss equation's inputs and the one unit-surface metric.
 
-    F^2 = b^2 Phi(w) with b = y0, w the frame ratios and Phi = V^2.  On the
+    F^2 = b^2 Phi(w) with b = y0 = 1/V, w the frame ratios and Phi = V^2.  On the
     chart columns X, with X~ = Q^T X = X[1:] - w X0 = b dw (Q = [-w^T; I3]),
     g(X, Y) = Phi''(X~, Y~)/2 + (X0 Phi'.Y~ + Y0 Phi'.X~)/2 + Phi X0 Y0 and the
-    Cartan tensor is C(X, Y, Z) = Phi'''(X~, Y~, Z~)/(4 b).  The eta column's
-    X~ is (d ln r/d eta) y[1:] exactly: its two terms X[1:] and w X0 would
-    cancel by a factor e^(2 eta), as in a frame pullback -(d^T h d).  Phi depends on
-    L = ln r alone; with D = d/dL = p^2 R1 sinh d/d eta its L-derivatives are
-    f1 = -2 (p^2/H^2) Phi sinh^2, f2 = 2 p^2 m f1 with m = cosh R1 - sinh^2/H^2
-    = 1 + hh^2 sinh^2 + A cosh, and f3 = 2 p^4 f1 (R1 sinh (2 hh^2 sinh cosh +
-    A_eta cosh + A sinh) + 2 m^2), sums of like-signed terms.  K = -1 + S/A.
+    Cartan tensor is C(X, Y, Z) = Phi'''(X~, Y~, Z~)/(4 b), with X0 = -b d ln V/d eta
+    on the eta column and 0 on the others.  The ratios are w = r(eta) u, u those of
+    the chart at r = 1, so X~ = b r [(d ln r/d eta) u, jac] with jac its Jacobian, and
+    L = ln r has at r u along X~ the derivatives it has at u along X~/r: ``radial_chain``
+    takes u and the columns b [(d ln r/d eta) u, jac], with no unit vector and no
+    difference X[1:] - w X0, which cancels by e^(2 eta) as in a frame pullback
+    -(d^T h d).  Phi depends on L alone; with D = d/dL = p^2 R1 sinh d/d eta its
+    L-derivatives are f1 = -2 (p^2/H^2) Phi sinh^2, f2 = 2 p^2 m f1 with
+    m = cosh R1 - sinh^2/H^2 = 1 + hh^2 sinh^2 + A cosh, and f3 = 2 p^4 f1 (R1 sinh
+    (2 hh^2 sinh cosh + A_eta cosh + A sinh) + 2 m^2), sums of like-signed terms.
+    K = -1 + S/A.
     """
-    (eta, r1v, v, a), y, d = chart
+    (eta, (a, r1v, _, _, v, _)), (_, (*u, _), jac) = chart
     p2 = params.p * params.p
     hh2 = params.boost_skew ** 2
     sh, ch = math.sinh(eta), math.cosh(eta)
@@ -175,29 +169,24 @@ def _unit_surface(chart, params: Parameters):
     f1 = -2.0 * (p2 / params.H ** 2) * phi * sh * sh
     f2 = 2.0 * p2 * m * f1
     f3 = 2.0 * p2 * p2 * f1 * (r1v * sh * (2.0 * hh2 * sh * ch + a_eta * ch + a * sh) + 2.0 * m * m)
-    b, *rest = y
-    x0, *rows = d
-    w = [c / b for c in rest]
-    # S/A is invariant under y -> (y0, y[1:]/|w|), which keeps the ratios, L's
-    # derivatives and the metric at order 1 where |w| is 1e-100 (p ~ 0.005)
-    scale = _ratio_scale(w)
-    eta_col = p2 * r1v * sh * scale
-    tilde = [[c / eta_col] + [x / scale for x in row[1:]] for c, row in zip(rest, rows)]
+    b = 1.0 / v
+    eta_col = b / (p2 * r1v * sh)  # b d ln r/d eta
+    tilde = [[eta_col * c] + [b * x for x in row] for c, row in zip(u, jac)]
     # Phi's derivatives along the X~, packed: 3, 6 and 10 floats
-    phi1, phi2, phi3 = radial_chain([c / scale for c in w], params, tilde, (f1, f2, f3))
+    phi1, phi2, phi3 = radial_chain(u, params, tilde, (f1, f2, f3))
+    x0 = ((1.0 / params.H ** 2) * sh / r1v * b, 0.0, 0.0)
     metric = [0.5 * (x + x0[a] * phi1[b] + x0[b] * phi1[a]) + phi * (x0[a] * x0[b])
               for (a, b), x in zip(_packing(3)[0], phi2)]
     return [x / (4.0 * b) for x in phi3], metric
 
 
 def indicatrix_bundle(angles: AngleCoords, params: Parameters) -> IndicatrixBundle:
-    """Full indicatrix bundle: derivatives, induced metric, curvatures, all from
-    one chart point."""
-    chart = _surface_chart(angles, params)
-    cartan, metric = _unit_surface(chart, params)
+    """Full indicatrix bundle: the induced metric and curvatures from one
+    ``_surface_chart``, and ``unit_vector_angle_derivatives``."""
+    cartan, metric = _unit_surface(_surface_chart(angles, params), params)
     return IndicatrixBundle(
-        l_derivs=_derivative_array(chart[2]), i_metric=-_unpack(metric, 3),
-        sectional=gauss_curvatures(cartan, metric, -1.0),
+        l_derivs=unit_vector_angle_derivatives(angles, params), i_metric=-_unpack(metric, 3),
+        sectional=gauss_curvatures(cartan, metric),
     )
 
 
@@ -210,25 +199,24 @@ def section_metric(theta: float, phi: float, params: Parameters) -> np.ndarray:
 def section_curvature(theta: float, params: Parameters) -> float:
     """Gaussian curvature of the section at azimuth theta, by the Gauss equation at polar
     angle 0.9 (the section is rotationally symmetric); K = 1 - S/A must be p^2."""
-    return gauss_curvatures(*_section_surface(theta, 0.9, params), 1.0)[(0, 1)]
+    return gauss_curvatures(*_section_surface(theta, 0.9, params))[(0, 1)]
 
 
 def _section_surface(theta: float, phi: float, params: Parameters):
     """Packed Cartan tensor and chart metric of the section at one (theta, phi): the Gauss
     equation's inputs and the one section metric.  The section is the indicatrix r = 1 of
     G = Hess(r^2/2), whose Cartan tensor is G's derivative over 2, both from the derivatives
-    of L = ln r.  An array is a ValueError; PolarAxisSingular below THETA_MIN, ThetaPole at
-    the pole."""
+    of L = ln r.  An array or a non-finite angle is a ValueError; PolarAxisSingular below
+    THETA_MIN, ThetaPole at the pole."""
     if isinstance(theta, np.ndarray) or isinstance(phi, np.ndarray):
         raise ValueError("the section chart takes one theta and one phi, got an array of "
                          f"shape {np.broadcast(theta, phi).shape}")
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ValueError(f"the section chart takes finite angles, got theta={theta}, phi={phi}")
     _check_theta(theta, "section")
     if theta >= theta_pole(params):
         raise ThetaPole(f"section needs theta below the pole {theta_pole(params)}, got {theta}")
     _, (*w, _), jac = _section_chart(theta, phi, params)
-    # r^2/2 = exp(2 L)/2 has L-derivatives 1, 2, 4 at r = 1; at w/|w| and along the
-    # columns jac/|w| the same 1, 2, 4 give back the metric and Cartan tensor at w
-    scale = _ratio_scale(w)
-    frame = [[x / scale, y / scale] for x, y in jac]
-    _, metric, third = radial_chain([c / scale for c in w], params, frame, (1.0, 2.0, 4.0))
+    # r^2/2 = exp(2 L)/2 has L-derivatives 1, 2, 4 at r = 1
+    _, metric, third = radial_chain(w, params, jac, (1.0, 2.0, 4.0))
     return [0.5 * x for x in third], metric

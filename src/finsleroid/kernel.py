@@ -270,6 +270,9 @@ def radial_chain(w, params: Parameters, frame, f):
     the k columns of ``frame`` (3 rows of k floats), packed (``_packing``), from Phi's
     L-derivatives f = (f1, f2, f3); at f = (1, 0, 0) they are L's own.
 
+    r is homogeneous of degree one, so L's derivatives at w along X are those at w/|w|
+    along X/|w|: both are divided by |w| first, which keeps 1/zeta^3 finite where the
+    ratios are tiny (|w| down to ~1e-306, next to the pole at p ~ 0.004).
     L = Re[(1 - i gp) Log zeta], zeta = w3 + c rho, c = p (i - gp), rho = |(w1, w2)|: ln |w|
     at p = 1 (gp = 0).  rho's derivatives along X, Y, Z are n.X, P(X, Y)/rho and
     -sym(P (x) n)/rho^2, n = (w1, w2, 0)/rho, P(X, Y) = X1 Y1 + X2 Y2 - (n.X)(n.Y), so past
@@ -281,7 +284,9 @@ def radial_chain(w, params: Parameters, frame, f):
     + f1 L''', whose P terms gather into sym(P (x) g).  Each real vector is formed once, so
     Phi''' contracts the same rounded L' wherever it enters.
     """
-    (w1, w2, w3), (e1, e2, e3), (f1, f2, f3) = w, frame, f
+    scale = math.hypot(*w)
+    (w1, w2, w3), (f1, f2, f3) = [c / scale for c in w], f
+    e1, e2, e3 = [[x / scale for x in row] for row in frame]
     pairs, spans = _packing(len(e1))[:2]
     gp, rho = params.azimuthal_skew, math.hypot(w1, w2)
     n1, n2 = w1 / rho, w2 / rho
@@ -544,7 +549,8 @@ def vector_from_angles(
 def _section_chart(theta, phi, params: Parameters, r=1.0):
     """The one angular chart: (sin, cos) of theta, the ratios (w1, w2, w3, w_perp) of
     radius r at (theta, phi), and 3 rows (w1, w2, w3) of (d/d theta, d/d phi); floats
-    or arrays of m.  At r = 1 it is the section, at r = r(eta) the unit surface.
+    or arrays of m.  At r = 1 it is the section, where both Gauss routes read it; at
+    r = r(eta) it gives the unit vector's ratios (``_chart_vector``).
 
     With I = exp(gp theta), R2 = cos + gp sin: w_perp = r sin/(p I), w3 = r R2/I,
     (w1, w2) = w_perp (cos phi, sin phi), d w_perp/d theta = r (cos - gp sin)/(p I),

@@ -125,9 +125,11 @@ def test_gauss_curvatures_match_a_dense_evaluation(k):
         cartan = sum(raw.transpose(perm) for perm in itertools.permutations(range(3))) / 6.0
         root = rng.normal(size=(k, k))
         metric = root @ root.T + 0.1 * np.eye(k)
+        # both definitenesses: gauss_curvatures reads the sign off the metric
         sign = rng.choice([-1.0, 1.0])
+        metric = sign * metric
         got = gauss_curvatures([cartan[span[:3]] for span in spans],
-                               [metric[pair] for pair in pairs], sign)
+                               [metric[pair] for pair in pairs])
         inv = np.linalg.inv(metric)
         s = (np.einsum("iid,de,jje->ij", cartan, inv, cartan)
              - np.einsum("ijd,de,ije->ij", cartan, inv, cartan))

@@ -208,13 +208,14 @@ def test_indicatrix_curvature_constant_over_sample_points():
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """The (cartan, chart_metric, sign) of every gauss_curvatures call of either surface."""
+    """The (cartan, chart_metric, sign) of every gauss_curvatures call of either surface,
+    with the sign of the metric's definiteness, as gauss_curvatures derives it."""
     calls = []
     original = indicatrix.gauss_curvatures
 
-    def spy(cartan, chart_metric, sign):
-        calls.append((cartan, chart_metric, sign))
-        return original(cartan, chart_metric, sign)
+    def spy(cartan, chart_metric):
+        calls.append((cartan, chart_metric, math.copysign(1.0, chart_metric[0])))
+        return original(cartan, chart_metric)
 
     monkeypatch.setattr(indicatrix, "gauss_curvatures", spy)
     return calls
@@ -258,6 +259,30 @@ def test_whole_curvature_tensor_is_constant(recorded, H, p):
             assert abs(k + h2) <= 1e-9 * h2
 
 
+@pytest.mark.parametrize("H", [1.0001, 1.01, 1.25, 2.0, 10.0, 100.0])
+def test_cartan_tensor_has_the_special_form_at_p_1(recorded, H):
+    # at p = 1 the norm is Asanov's finsleroid: on the chart metric m and Cartan tensor
+    # that gauss_curvatures receives, with C_k = m^ij C_ijk and C^2 = m^ij C_i C_j,
+    # C_ijk = (m_ij C_k + m_ik C_j + m_jk C_i - C_i C_j C_k/C^2)/4 and H^2 = 1 - C^2/16;
+    # the first residual grows as 1/hh towards H = 1 (worst 1.1e-15 max|C|/hh, and the
+    # second 1.8e-15 H^2, over 300 points per H)
+    params = Parameters(H=H, p=1.0)
+    _, _, pair_at, triple_at = kernel._packing(3)
+    for angles in sample_angles(params, 300, 3):
+        recorded.clear()
+        indicatrix_curvature(angles, params)
+        (cartan, chart_metric, _), = recorded
+        m = np.array(chart_metric)[np.array(pair_at)]
+        c = np.array(cartan)[np.array(triple_at)]
+        inv = np.linalg.inv(m)
+        ck = np.einsum("ij,ijk->k", inv, c)
+        c2 = ck @ inv @ ck
+        form = (np.einsum("ij,k->ijk", m, ck) + np.einsum("ik,j->ijk", m, ck)
+                + np.einsum("jk,i->ijk", m, ck) - np.einsum("i,j,k->ijk", ck, ck, ck) / c2) / 4.0
+        assert np.max(np.abs(form - c)) <= 4e-15 * np.max(np.abs(c)) / params.boost_skew
+        assert abs(1.0 - c2 / 16.0 - H * H) <= 6e-15 * H * H
+
+
 # Worst measured error, each entry |c m_ij - ref_ij| over sqrt(ref_ii ref_jj), of
 # section_metric (c = p^2) against the round sphere diag(1, sin^2 theta), at 2000 points
 # and at 1000 in the axis band theta < AXIS_BAND, and of indicatrix_metric (c = H^2)
@@ -266,14 +291,19 @@ def test_whole_curvature_tensor_is_constant(recorded, H, p):
 # (3000 points); tolerances ~3x
 AXIS_BAND = 0.05
 ISOMETRY_TOLERANCES = {  # (H, p): (section, axis band, unit surface, axis band, gap 2.2 to 15)
-    (1.0, 1.0): (2e-15, 2e-15, 4e-15, 4e-15, 7e-10),  # 6.7e-16, 6.7e-16, 1.2e-15, 1.3e-15, 2.3e-10
-    (1.25, 1.0): (2e-15, 2e-15, 4e-15, 4e-15, 1.4e-9),  # 6.7e-16, 6.7e-16, 1.1e-15, 1.3e-15, 4.6e-10
-    (1.25, 0.8): (6e-15, 3.5e-15, 3e-14, 9e-15, 1.2e-8),  # 1.9e-15, 1.1e-15, 8.2e-15, 3.0e-15, 4.2e-9
-    (1.5, 0.9): (4e-15, 3.5e-15, 2e-14, 5e-15, 4.5e-9),  # 1.3e-15, 1.1e-15, 5.0e-15, 1.6e-15, 1.5e-9
-    (2.0, 0.5): (1.6e-14, 4e-15, 7e-14, 1.5e-14, 3e-8),  # 5.3e-15, 1.3e-15, 2.3e-14, 4.8e-15, 9.5e-9
-    (3.0, 0.3): (6e-14, 4e-15, 2e-13, 1.4e-14, 1.2e-7),  # 1.8e-14, 1.3e-15, 6.9e-14, 4.7e-15, 3.8e-8
-    (50.0, 0.05): (2.2e-12, 6e-15, 1.2e-11, 3e-14, 4e-6),  # 7.3e-13, 2.0e-15, 3.6e-12, 1.0e-14, 1.4e-6
-    (100.0, 0.999): (3e-15, 3e-15, 7e-15, 5.5e-15, 3e-9),  # 1.0e-15, 9.5e-16, 2.1e-15, 1.8e-15, 9.6e-10
+    (1.0, 1.0): (2e-15, 2e-15, 4e-15, 4e-15, 7e-10),  # 6.7e-16, 6.7e-16, 1.3e-15, 1.3e-15, 2.3e-10
+    (1.25, 1.0): (2e-15, 2e-15, 4e-15, 4e-15, 1.4e-9),  # 6.7e-16, 6.7e-16, 1.3e-15, 1.3e-15, 4.4e-10
+    (1.25, 0.8): (6e-15, 3.5e-15, 3e-14, 9e-15, 1.2e-8),  # 1.9e-15, 1.1e-15, 5.3e-15, 3.0e-15, 3.2e-9
+    (1.5, 0.9): (4e-15, 3.5e-15, 2e-14, 5e-15, 4.5e-9),  # 1.3e-15, 1.1e-15, 3.7e-15, 2.6e-15, 1.7e-9
+    (2.0, 0.5): (1.6e-14, 4e-15, 7e-14, 1.5e-14, 3e-8),  # 5.3e-15, 1.3e-15, 2.2e-14, 4.9e-15, 7.1e-9
+    (3.0, 0.3): (6e-14, 4e-15, 2e-13, 1.4e-14, 1.2e-7),  # 1.8e-14, 1.3e-15, 1.0e-13, 4.6e-15, 3.3e-8
+    (50.0, 0.05): (2.2e-12, 6e-15, 1.2e-11, 3e-14, 4e-6),  # 7.3e-13, 2.0e-15, 3.0e-12, 9.2e-15, 1.0e-6
+    (100.0, 0.999): (3e-15, 3e-15, 7e-15, 5.5e-15, 3e-9),  # 1.0e-15, 9.5e-16, 3.3e-15, 1.4e-15, 9.3e-10
+    # small p, where the ratios of the unit vector, unlike those of the chart at r = 1,
+    # are subnormal or 0
+    (2.0, 0.006): (1.2e-10, 4e-13, 6e-10, 1.6e-12, 3e-4),  # 4.1e-11, 1.2e-13, 1.9e-10, 5.2e-13, 8.9e-5
+    (28.39204609561534, 0.0045755159348809015): (2.2e-10, 7e-13, 1e-9, 1.8e-12, 4e-4),
+    # 7.5e-11, 2.4e-13, 3.2e-10, 6.1e-13, 1.3e-4
 }
 
 
@@ -316,7 +346,8 @@ def test_indicatrix_metric_is_hyperbolic_space(recorded, H, p):
     # in (eta, theta, phi) the unit surface is hyperbolic 3-space of curvature -H^2 in
     # geodesic polar form, radius eta/H, from 1e-6 above the floor up to the gap 15 and in
     # the axis band (gaps up to 2.2); indicatrix_metric is the chart metric
-    # gauss_curvatures receives, negated, bit for bit
+    # gauss_curvatures receives, negated, bit for bit, and every curvature is -H^2 to
+    # 1e-9 H^2 (worst 4.3e-10 H^2, at (2, 0.006))
     params = Parameters(H=H, p=p)
     pair_at = np.array(kernel._packing(3)[2])
     _, _, near, band_tol, far = ISOMETRY_TOLERANCES[(H, p)]
@@ -327,9 +358,10 @@ def test_indicatrix_metric_is_hyperbolic_space(recorded, H, p):
     for k, angles in enumerate(points + band):
         metric = indicatrix_metric(angles, params)
         recorded.clear()
-        indicatrix_curvature(angles, params)
+        ks = indicatrix_curvature(angles, params)
         (_, chart_metric, _), = recorded
         assert np.array_equal(metric, -np.array(chart_metric)[pair_at])
+        assert max(abs(k + H * H) for k in ks.values()) <= 1e-9 * H * H
         sh2 = math.sinh(angles.eta) ** 2
         ref = np.diag([1.0, sh2, sh2 * math.sin(angles.theta) ** 2])
         tol = band_tol if k >= 3000 else near if angles.eta - params.eta_min < 2.2 else far
@@ -526,7 +558,8 @@ def test_gauss_route_matches_stencil_at_interior_points(H, p):
 
 
 def test_indicatrix_bundle_evaluates_one_chart_point(monkeypatch):
-    # i_metric, l_derivs and the curvatures share one _chart_point call
+    # the bundle's one _chart_point call is its l_derivs: the metric and the curvatures
+    # read the chart at r = 1 and build no unit vector
     calls = []
     original = indicatrix._chart_point
 
@@ -540,8 +573,9 @@ def test_indicatrix_bundle_evaluates_one_chart_point(monkeypatch):
     bundle = indicatrix_bundle(angles, params)
     assert len(calls) == 1
     assert np.array_equal(bundle.i_metric, indicatrix_metric(angles, params))
-    assert np.array_equal(bundle.l_derivs, unit_vector_angle_derivatives(angles, params))
     assert bundle.sectional == indicatrix_curvature(angles, params)
+    assert len(calls) == 1
+    assert np.array_equal(bundle.l_derivs, unit_vector_angle_derivatives(angles, params))
 
 
 def test_curvature_at_near_axis_theta_floor():
@@ -678,15 +712,22 @@ def test_chart_overflow_of_exp_gp_theta_raises_outside_axial_region():
     assert np.isfinite(unit_vector(AngleCoords(angles.eta, 2.5, 1.2), params)).all()
 
 
-def test_curvature_on_chart_ratios_that_underflow_is_polar_axis_singular():
-    # at p = 0.0036 (gp = 275) the chart ratios at theta = 2.5 all underflow to 0:
-    # exp(gp theta) stays finite, but w = r (sin, R2)/I rounds to zero
-    params = Parameters(3.5795676089825723, 0.003641003953434029)
-    angles = AngleCoords(eta=params.eta_min + 1.0, theta=2.5, phi=1.2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(PolarAxisSingular, match=r"chart ratios \[0.0, 0.0, 0.0\] underflow"):
-            indicatrix_curvature(angles, params)
+def test_curvature_where_the_unit_vector_ratios_underflow():
+    # below p ~ 0.005 the unit vector's ratios r(eta) (sin/p, R2)/exp(gp theta) underflow:
+    # to 0 at p = 0.0036 (gp = 275), theta = 2.5, where the curvature raised
+    # PolarAxisSingular, and to subnormals of one or two bits at p = 0.0046, where it was
+    # off by 1.6e-3 H^2; the chart at r = 1 keeps them normal, so both points are answered
+    for (H, p), (gap, theta, phi) in (
+        ((3.5795676089825723, 0.003641003953434029), (1.0, 2.5, 1.2)),
+        ((28.39204609561534, 0.0045755159348809015),
+         (0.6476158548487826, 1.8519469278613734, 0.21059059503240482)),
+    ):
+        params = Parameters(H, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ks = indicatrix_curvature(AngleCoords(params.eta_min + gap, theta, phi), params)
+        for k in ks.values():
+            assert abs(k + H * H) <= 1e-9 * H * H
 
 
 def test_batch_domain_failure_matches_scalar_error():
@@ -711,6 +752,17 @@ def test_batch_domain_failure_matches_scalar_error():
             indicatrix.section_metric(theta, 0.9, params)
         with pytest.raises(ValueError, match=r"got an array of shape \(3,\)"):
             indicatrix.section_metric(np.array([0.6, theta, 0.7]), np.full(3, 0.9), params)
+
+
+def test_non_finite_section_angles_are_malformed_input():
+    # a NaN or infinite angle is a ValueError before any domain guard, as in AngleCoords;
+    # these raised PolarAxisSingular, OutsideAxialRegion and math's bare ValueError
+    params = Parameters(H=1.25, p=0.8)
+    for theta, phi in ((0.6, math.nan), (math.nan, 0.9), (0.6, math.inf)):
+        with pytest.raises(ValueError, match="takes finite angles"):
+            indicatrix.section_metric(theta, phi, params)
+    with pytest.raises(ValueError, match="takes finite angles"):
+        section_curvature(math.nan, params)
 
 
 # Rows of a batch chart call against the call on each row's AngleCoords: numpy's
