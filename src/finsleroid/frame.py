@@ -9,7 +9,7 @@ Everything here is pointwise: one tangent space, one orthonormal frame
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -17,6 +17,20 @@ import numpy as np
 from .errors import EmptyDomain, NotFutureTimelike, OutsideAxialRegion, TetradDegenerate
 
 H_MAX = 1e50  # H stays below this: H**6 of the closed-form determinant overflows from 2.4e51
+
+
+@dataclass(frozen=True)
+class DomainInfo:
+    """Admissible radial interval and its hyperbolic-angle floor (``kernel.domain_info``), and
+    for p < 1, out of the repr, the kernel's (H, p) constants: J's divisor, gp/hh and the Newton
+    inversion's p^2, gp^2, 1 + hh, gp (hh^2 + gp^2) and 1/slope p^2 cosh(eta_min) gp/hh."""
+
+    eta_min: float
+    r_min: float
+    r_sup: float
+    j_scale: float = field(default=0.0, repr=False)  # sqrt(hh^2 + gp^2)
+    gp_hh: float = field(default=0.0, repr=False)
+    newton: tuple = field(default=(), repr=False)
 
 
 @dataclass(frozen=True)
@@ -53,6 +67,24 @@ class Parameters:
         """Floor asinh(gp/hh) of the hyperbolic angle: 0 at p = 1, inf at H = 1 > p."""
         gp, hh = self.azimuthal_skew, self.boost_skew
         return math.asinh(gp / hh) if hh > 0.0 else math.inf if gp > 0.0 else 0.0
+
+    @cached_property
+    def _domain(self) -> DomainInfo:
+        """``kernel.domain_info``'s record; an EmptyDomain is not stored, so each read raises it."""
+        gp, hh = self.azimuthal_skew, self.boost_skew
+        if gp > 0.0 and hh == 0.0:
+            raise EmptyDomain(f"no admissible eta for H={self.H}, p={self.p}")
+        r_min = gp / math.hypot(hh, gp) * math.exp(-gp * math.pi / 2.0) if gp > 0.0 else 0.0
+        r_sup = math.exp(-gp * math.atan2(gp, hh)) / (1.0 + hh)
+        if not r_min < r_sup:
+            raise EmptyDomain(f"radial interval ({r_min}, {r_sup}) is empty in double precision "
+                              f"for H={self.H}, p={self.p}")
+        if gp == 0.0:
+            return DomainInfo(self.eta_min, r_min, r_sup)
+        p2 = self.p * self.p
+        return DomainInfo(self.eta_min, r_min, r_sup, math.sqrt(hh * hh + gp * gp), gp / hh,
+                          (p2, gp * gp, 1.0 + hh, gp * (hh * hh + gp * gp),
+                           p2 * math.cosh(self.eta_min) * gp / hh))
 
 
 @dataclass(frozen=True, eq=False)

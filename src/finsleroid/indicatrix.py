@@ -86,6 +86,8 @@ def _chart_point(angles, params: Parameters):
         raise PolarAxisSingular("azimuthal derivatives undefined on the polar axis")
     eta, r1v, _, _ = prof
     sh = dm.sinh(eta)
+    if dm.any_set(sh < 2.0 ** -1022):  # not a normal float: only at p = 1, next to eta = 0
+        raise OutsideEtaDomain(f"d ln r/d eta = 1/(p^2 R1 sinh eta) overflows at eta={np.min(eta)}")
     b, y1, y2, y3 = y
     dlnv = -(1.0 / params.H ** 2) * sh / r1v  # log slope of V in eta
     dlnr = 1.0 / (params.p ** 2 * r1v * sh)  # log slope of r in eta

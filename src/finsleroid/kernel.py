@@ -29,14 +29,13 @@ import numpy as np
 
 from . import dual as dm
 from .errors import (
-    EmptyDomain,
     OutsideAxialRegion,
     OutsideEtaDomain,
     OutsideRadialDomain,
     PolarAxisSingular,
     ThetaPole,
 )
-from .frame import FrameComponents, Parameters, Tetrad, projections
+from .frame import DomainInfo, FrameComponents, Parameters, Tetrad, projections
 
 # Below this radicand-root value an evaluation is flagged as sitting on the
 # inner domain boundary, where angle derivatives degrade.
@@ -108,15 +107,6 @@ class EvalBundle:
     near_boundary: bool = False
 
 
-@dataclass(frozen=True)
-class DomainInfo:
-    """Admissible radial interval and its hyperbolic-angle floor."""
-
-    eta_min: float
-    r_min: float
-    r_sup: float
-
-
 def hyperbolic_profile(eta, params: Parameters):
     """Closed forms (A, R1, J, Y1, V, r) as functions of the hyperbolic angle.
 
@@ -148,9 +138,10 @@ def hyperbolic_profile(eta, params: Parameters):
         if low:
             at = np.min(getattr(eta, "val", eta))
             raise OutsideEtaDomain(f"radicand of A not positive at eta={at} (floor {floor})")
-        A = hh * fn.sqrt(2.0 * fn.cosh(0.5 * (eta + floor)) * fn.sinh(0.5 * gap) * (sh + gp / hh))
+        dom = params._domain  # after the floor check, which raises first at H = 1 < 1/p
+        A = hh * fn.sqrt(2.0 * fn.cosh(0.5 * (eta + floor)) * fn.sinh(0.5 * gap) * (sh + dom.gp_hh))
         R1 = ch + A
-        J = ((hh * ch + A) / math.sqrt(hh * hh + gp * gp)) ** hh
+        J = ((hh * ch + A) / dom.j_scale) ** hh
         Y1 = fn.exp(-gp * fn.atan2(gp * ch, A))
     V = J / R1
     r = sh * Y1 / R1
@@ -316,28 +307,16 @@ def radial_chain(w, params: Parameters, frame, f):
              for i, j, k, ij, ik, jk in spans])
 
 
-@lru_cache(maxsize=None)
 def domain_info(params: Parameters) -> DomainInfo:
-    """Domain floor eta_min, inner radius r_min and radial supremum r_sup.
+    """Domain floor eta_min, inner radius r_min and radial supremum r_sup, with the kernel's
+    (H, p) constants, formed once per ``Parameters`` and held by it (nothing outlives it).
 
-    Raises EmptyDomain when p < 1 and H = 1 (the floor eta_min is infinite),
-    and when the radial interval underflows to r_min >= r_sup in double
-    precision.  Both radii are limits of r = sinh Y1/R1.  At the floor A = 0
-    and J = 1, so r_min = tanh(eta_min) exp(-gp pi/2).  As eta -> inf,
-    sinh/R1 -> 1/(1 + hh) and the Y1 arctangent -> atan2(gp, hh).
+    EmptyDomain, on every call, when p < 1 and H = 1 (eta_min is infinite), or when r_min >=
+    r_sup in double precision.  Both radii are limits of r = sinh Y1/R1: at the floor A = 0
+    and J = 1, so r_min = tanh(eta_min) exp(-gp pi/2); as eta -> inf, sinh/R1 -> 1/(1 + hh)
+    and the Y1 arctangent -> atan2(gp, hh).
     """
-    gp = params.azimuthal_skew
-    hh = params.boost_skew
-    if gp > 0.0 and hh == 0.0:
-        raise EmptyDomain(f"no admissible eta for H={params.H}, p={params.p}")
-    r_min = gp / math.hypot(hh, gp) * math.exp(-gp * math.pi / 2.0) if gp > 0.0 else 0.0
-    r_sup = math.exp(-gp * math.atan2(gp, hh)) / (1.0 + hh)
-    if not r_min < r_sup:
-        raise EmptyDomain(
-            f"radial interval ({r_min}, {r_sup}) is empty in double precision "
-            f"for H={params.H}, p={params.p}"
-        )
-    return DomainInfo(eta_min=params.eta_min, r_min=r_min, r_sup=r_sup)
+    return params._domain
 
 
 def rim_depth(eta, a, params: Parameters):
@@ -358,7 +337,7 @@ def rim_depth(eta, a, params: Parameters):
         turn = gp * fn.atan2(gp * (hh * hh + gp * gp) / (hh * ch + a), hh * a + gp * gp * ch)
     if fn is math:
         return (math.log1p(num / ((1.0 + hh) * sh)) if sh else math.inf) + turn
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # sinh 0 or subnormal: +inf deep
         return np.log1p(num / ((1.0 + hh) * sh)) + turn
 
 
@@ -368,7 +347,7 @@ def _chart_profile(eta, params: Parameters):
     1e-12 max(1, eta_min) slack, above ETA_CAP (before any profile runs), or at the
     ceiling, where the depth ln(r_sup/r(eta)) is not above _MAP_NOISE, one eta per
     (H, p)."""
-    dom = domain_info(params)
+    dom = params._domain
     floor = dom.eta_min
     if dm.any_set(eta < floor - 1e-12 * max(1.0, floor)):
         raise OutsideEtaDomain(f"eta={np.min(eta)} below the domain floor {floor}")
@@ -430,9 +409,10 @@ def eta_from_r(r: float, params: Parameters, *, with_iterations: bool = False):
     matches r to the rounding noise of the map.  A step evaluates r(eta), the
     slope and the rim depth in one pass, in the operation order of
     ``hyperbolic_profile`` and ``rim_depth``; the test
-    ``test_inversion_matches_the_profile_loop_bit_for_bit`` pins it bit for bit.
+    ``test_inversion_matches_the_profile_loop_bit_for_bit`` pins it bit for bit.  The seeds'
+    and the step's (H, p) constants are read from ``domain_info``, formed once per instance.
     """
-    dom = domain_info(params)
+    dom = params._domain
     if params.p == 1.0 and r == 0.0:
         return (0.0, 0) if with_iterations else 0.0
     if not (dom.r_min < r < dom.r_sup):
@@ -442,17 +422,13 @@ def eta_from_r(r: float, params: Parameters, *, with_iterations: bool = False):
         eta = math.atanh(min(r / (1.0 - hh * r), _BELOW_ONE))
         return (eta, 0) if with_iterations else eta
 
-    gp, p2 = params.azimuthal_skew, params.p * params.p
-    gp_hh, gp2, hh1, turn = gp / hh, gp * gp, 1.0 + hh, gp * (hh * hh + gp * gp)
-    floor = dom.eta_min
-    depth = math.log(dom.r_sup / r)
+    gp, gp_hh, (p2, gp2, hh1, turn, run) = params.azimuthal_skew, dom.gp_hh, dom.newton
+    floor, depth = dom.eta_min, math.log(dom.r_sup / r)
     # Both seeds lie left of the root: R1 sinh <= (1 + hh) e^(2 eta) / 4
     # bounds the rim asymptote, and ln r(eta) is concave.
     eta = -0.5 * math.log(0.5 * p2 * hh1 * depth)
     rim = eta > floor + 0.5
-    if not rim:
-        # 1/slope at the floor, where A = 0, R1 = cosh and sinh = gp/hh
-        run = p2 * math.cosh(floor) * gp / hh
+    if not rim:  # run: 1/slope at the floor, where A = 0, R1 = cosh and sinh = gp/hh
         eta = max(eta, floor + math.log(r / dom.r_min) * run)
     lo, hi = floor, ETA_CAP
     step = before = hi - lo

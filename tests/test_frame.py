@@ -77,7 +77,9 @@ def test_parameters_stay_value_objects_after_their_skews_are_read():
     assert first.azimuthal_skew == math.sqrt(1.0 / (0.8 * 0.8) - 1.0)
     assert first.boost_skew == math.sqrt(1.0 - 1.0 / (1.25 * 1.25))
     assert first == second and hash(first) == hash(second)
-    assert domain_info(first) is domain_info(second)
+    # each instance forms its own domain record, once: equal values, no shared cache
+    assert domain_info(first) == domain_info(second)
+    assert domain_info(first) is domain_info(first)
     with pytest.raises(dataclasses.FrozenInstanceError):
         first.H = 2.0
 

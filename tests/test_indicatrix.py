@@ -682,6 +682,25 @@ def test_section_chart_jacobian_matches_hyperdual_pass():
             assert np.max(np.abs(batch_jac[k].T - jac)) <= 1e-14 * np.max(np.abs(jac))
 
 
+def test_eta_derivatives_at_the_p_1_floor_raise_outside_eta_domain():
+    # d ln r/d eta = 1/(p^2 R1 sinh eta) at eta = 0, the p = 1 floor, which AngleCoords and
+    # the chart accept: a float point raised ZeroDivisionError, a batch row gave inf with a
+    # RuntimeWarning, also where sinh eta is subnormal
+    params = Parameters(H=1.25, p=1.0)
+    good = [0.5, 0.5, 1.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eta in (0.0, 1e-310):
+            with pytest.raises(OutsideEtaDomain, match=f"overflows at eta={eta}"):
+                unit_vector_angle_derivatives(AngleCoords(eta, 0.5, 1.0), params)
+            with pytest.raises(OutsideEtaDomain, match=f"overflows at eta={eta}"):
+                unit_vector_angle_derivatives(np.array([good, [eta, 0.5, 1.0], good]), params)
+        # from the smallest normal sinh eta on, the derivatives are finite
+        d = unit_vector_angle_derivatives(AngleCoords(2.0 ** -1022, 0.5, 1.0), params)
+        assert np.isfinite(d).all()
+        assert unit_vector(AngleCoords(0.0, 0.5, 1.0), params).tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
 def test_chart_overflow_of_exp_gp_theta_raises_outside_axial_region():
     # At p = 0.0036 (gp = 275), exp(gp theta) overflows from theta = 2.58 on.
     # Only the curvatures guarded it; every other chart call raised math's
@@ -847,6 +866,7 @@ def test_every_chart_edge_raises_the_same_error_for_a_point_and_a_batch_row():
         (tiny_p, (tiny_p.eta_min + 0.0053, 2.806253026091126, 1.2), OutsideAxialRegion,
          "exp.gp theta. overflows"),
         (params, (floor + 0.9, 0.0, 1.2), PolarAxisSingular, "polar axis"),
+        (Parameters(H=1.25, p=1.0), (0.0, 0.5, 1.0), OutsideEtaDomain, "sinh eta\\) overflows"),
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")

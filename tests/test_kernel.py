@@ -1,8 +1,13 @@
 """Structural functions, angle maps, inversion and the quadrature oracles."""
 
+import copy
+import dataclasses
 import decimal
+import gc
 import math
+import pickle
 import warnings
+import weakref
 from decimal import Decimal
 
 import numpy as np
@@ -222,6 +227,63 @@ def test_domain_info_values():
         zero = c.c_tilde / -c.g_minus
         r_sup = domain_info(Parameters(H=h_val, p=1.0)).r_sup
         assert abs(r_sup - zero) <= math.ulp(zero), h_val
+
+
+def test_a_parameters_instance_is_released_after_use():
+    # the domain record lives on the instance, so no module-level cache keeps it alive
+    params = Parameters(H=2.0, p=0.5)
+    dom = domain_info(params)
+    eta_from_r(0.5 * (dom.r_min + dom.r_sup), params)
+    finsler_norm(np.array([4.65668704, 0.03959194, -0.11861117, 0.18268289]), params=params)
+    alive = weakref.ref(params)
+    del params
+    gc.collect()
+    assert alive() is None
+
+
+def _inversions(params, radii):
+    """The bits of eta and the Newton count of each radius, or the error type."""
+    outcomes = []
+    for r in radii:
+        try:
+            eta, iters = eta_from_r(r, params, with_iterations=True)
+            outcomes.append((eta.hex(), iters))
+        except Exception as exc:  # the type is the outcome compared
+            outcomes.append(type(exc))
+    return outcomes
+
+
+def test_copied_and_replaced_parameters_invert_their_own_pair():
+    params = Parameters(H=2.0, p=0.5)
+    dom = domain_info(params)  # its record is formed before it is copied or replaced
+    eta_from_r(0.5 * (dom.r_min + dom.r_sup), params)
+    others = (dataclasses.replace(params, p=0.8), dataclasses.replace(params, H=1.25),
+              dataclasses.replace(params, p=1.0), copy.copy(params), copy.deepcopy(params),
+              pickle.loads(pickle.dumps(params)),
+              pickle.loads(pickle.dumps(dataclasses.replace(params, p=0.8))))
+    for other in others:
+        fresh = Parameters(H=other.H, p=other.p)
+        dom = domain_info(fresh)
+        assert domain_info(other) == dom
+        radii = [float(hyperbolic_profile(dom.eta_min + gap, fresh)[5])
+                 for gap in (1e-9, 1e-3, 0.4, 2.0, 9.0)] + [0.5 * dom.r_min, 0.999 * dom.r_sup]
+        assert _inversions(other, radii) == _inversions(fresh, radii), (other.H, other.p)
+        assert _inversions(other, radii) != _inversions(params, radii) or other == params
+
+
+def test_an_empty_domain_raises_on_every_call():
+    # both domain checks run before any (H, p) constant, so gp/hh never divides by hh = 0
+    y = np.array([4.65668704, 0.03959194, -0.11861117, 0.18268289])
+    for params, match in ((Parameters(H=1.0, p=0.5), "no admissible eta"),
+                          (Parameters(H=2.0, p=1e-3), "is empty in double precision")):
+        for _ in range(3):
+            with pytest.raises(EmptyDomain, match=match):
+                domain_info(params)
+            with pytest.raises(EmptyDomain, match=match):
+                eta_from_r(0.1, params)
+            with pytest.raises(EmptyDomain, match=match):
+                finsler_norm(y, params=params)
+        assert "_domain" not in vars(params)
 
 
 def test_radial_map_strictly_increasing():
