@@ -22,7 +22,8 @@ import numpy as np
 from .errors import DomainError, EmptyDomain, FinsleroidError
 from .frame import Parameters, Tetrad, frame_components, projections, pseudo_norm_squared
 from .kernel import (
-    EvalBundle, angles_from_vector, domain_info, eta_from_r, hyperbolic_profile, radial_from_ratios,
+    EvalBundle, _azimuth, angles_from_vector, domain_info, eta_from_r, hyperbolic_profile,
+    radial_from_ratios,
 )
 from .indicatrix import indicatrix_curvature
 from .limits import reduction_report
@@ -155,7 +156,7 @@ def evaluate_document(params: Parameters, tetrad: Tetrad, y: np.ndarray) -> dict
         # r is admitted, so eta takes no chart check: r(eta) may round up to r_sup
         prof = EvalBundle(*hyperbolic_profile(eta, params))
         theta = math.atan2(math.hypot(w1, w2), w3)
-        angles = {"eta": eta, "theta": theta, "phi": math.atan2(w2, w1) % (2 * math.pi)}
+        angles = {"eta": eta, "theta": theta, "phi": _azimuth(w1, w2)}
         bundle = {**vars(prof), "r": r, "F": b * prof.V}
     else:
         fc = frame_components(y, tetrad)

@@ -25,12 +25,10 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
-from operator import mul
 
 import numpy as np
 
 from .errors import DomainError
-from .kernel import _packing
 
 STEP = 1e-3
 
@@ -83,11 +81,11 @@ def christoffel(metric_fn, x):
 
 def _inverse(m, k):
     """Packed inverse of a packed symmetric k x k matrix, k = 2 or 3, by cofactors, or a
-    DomainError where the determinant, and with it the inverse, underflows (H above ~1e46)."""
+    DomainError where the determinant underflows below the normal floats (p = 1, H above ~1e46):
+    a bound on what a double can represent, not on accuracy (README, "Curvature accuracy")."""
     if k == 2:
         a, b, d = m
-        cofactors = [d, -b, a]
-        det = a * d - b * b
+        cofactors, det = [d, -b, a], a * d - b * b
     else:
         a, b, c, d, e, f = m
         cofactors = [d * f - e * e, c * e - b * f, b * e - c * d,
@@ -101,32 +99,39 @@ def _inverse(m, k):
 def gauss_curvatures(cartan, chart_metric) -> dict:
     """Sectional curvatures of every coordinate 2-plane of an indicatrix chart.
 
-    The Gauss equation of a Finsler indicatrix (Bao, Chern & Shen, GTM 200;
-    Matsumoto 1986) at one point: ``cartan`` is the Cartan tensor and
-    ``chart_metric`` the metric m on the k = 2 or 3 chart tangent vectors, as
-    packed floats (``kernel._packing``: k(k + 1)(k + 2)/6 and k(k + 1)/2).  The
-    Cartan tensor vanishes along the point's own direction y, and g(y, X) = 0
-    for every tangent X, so m^-1 raises C's last slot:
+    The Gauss equation of a Finsler indicatrix (Bao, Chern & Shen, GTM 200; Matsumoto 1986)
+    at one point: ``cartan`` is the Cartan tensor and ``chart_metric`` the metric m on the
+    k = 2 or 3 chart tangent vectors, as packed floats (``kernel._packing``: k(k + 1)(k + 2)/6
+    and k(k + 1)/2).  The Cartan tensor vanishes along the point's own direction y, and
+    g(y, X) = 0 for every tangent X, so m^-1 raises C's last slot:
     S = C_ii. m^-1 C_jj. - C_ij. m^-1 C_ij. and A = m_ii m_jj - m_ij^2 give
-    {(i, j): sign (1 - S/A)}.  ``sign`` is the sign of m's first entry: +1 for the
-    indicatrix of a positive definite norm and -1 for the unit surface of a
-    Lorentzian one, whose chart metric is negative definite.
+    {(i, j): sign (1 - S/A)}.  ``sign`` is the sign of m's first entry: +1 for the indicatrix
+    of a positive definite norm and -1 for the unit surface of a Lorentzian one, whose chart
+    metric is negative definite.  The contraction is straight-line: m^-1 raises the rows
+    C(a, b, .) by explicit products, and every dot runs left to right, so it rounds alike
+    on every Python (``sum`` compensates from 3.12).
     """
     k = math.isqrt(2 * len(chart_metric))
     sign = math.copysign(1.0, chart_metric[0])
-    pairs, _, pair_at, triple_at = _packing(k)
     inv = _inverse(chart_metric, k)
-    inv_rows = [[inv[q] for q in row] for row in pair_at]
-    # C(a, b, .) for every packed pair ab, and the same raised by m^-1
-    lower = [[cartan[q] for q in triple_at[a][b]] for a, b in pairs]
-    raised = [[sum(map(mul, row, col)) for col in inv_rows] for row in lower]
-    out = {}
-    for i, j in _planes(k):
-        ii, jj, ij = pair_at[i][i], pair_at[j][j], pair_at[i][j]
-        s = sum(map(mul, lower[ii], raised[jj])) - sum(map(mul, lower[ij], raised[ij]))
-        area = chart_metric[ii] * chart_metric[jj] - chart_metric[ij] ** 2
-        out[(i, j)] = sign * (1.0 - s / area)
-    return out
+    if k == 2:
+        (a, b, d), (c0, c1, c2, c3), (m0, m1, m2) = inv, cartan, chart_metric
+        r01, r11 = (c1 * a + c2 * b, c1 * b + c2 * d), (c2 * a + c3 * b, c2 * b + c3 * d)
+        sums = [c0 * r11[0] + c1 * r11[1] - (c1 * r01[0] + c2 * r01[1])]
+        areas = [m0 * m2 - m1 ** 2]
+    else:
+        (a, b, c, d, e, f), (m0, m1, m2, m3, m4, m5) = inv, chart_metric
+        c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = cartan
+        lower = (c0, c1, c2), (c1, c3, c4), (c2, c4, c5), (c3, c6, c7), (c4, c7, c8), (c5, c8, c9)
+        raised = [(x * a + y * b + z * c, x * b + y * d + z * e, x * c + y * e + z * f)
+                  for x, y, z in lower]
+        sums = []
+        for ii, jj, ij in (0, 3, 1), (0, 5, 2), (3, 5, 4):  # the planes 01, 02 and 12
+            (x0, x1, x2), (y0, y1, y2) = lower[ii], raised[jj]
+            (u0, u1, u2), (v0, v1, v2) = lower[ij], raised[ij]
+            sums.append(x0 * y0 + x1 * y1 + x2 * y2 - (u0 * v0 + u1 * v1 + u2 * v2))
+        areas = [m0 * m3 - m1 ** 2, m0 * m5 - m2 ** 2, m3 * m5 - m4 ** 2]
+    return {plane: sign * (1.0 - s / area) for plane, s, area in zip(_planes(k), sums, areas)}
 
 
 def coordinate_plane_curvatures(metric_fn, x) -> dict:

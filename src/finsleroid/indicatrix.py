@@ -173,7 +173,7 @@ def _unit_surface(chart, params: Parameters):
     f3 = 2.0 * p2 * p2 * f1 * (r1v * sh * (2.0 * hh2 * sh * ch + a_eta * ch + a * sh) + 2.0 * m * m)
     b = 1.0 / v
     eta_col = b / (p2 * r1v * sh)  # b d ln r/d eta
-    tilde = [[eta_col * c] + [b * x for x in row] for c, row in zip(u, jac)]
+    tilde = [[eta_col * c, b * x, b * y] for c, (x, y) in zip(u, jac)]
     # Phi's derivatives along the X~, packed: 3, 6 and 10 floats
     phi1, phi2, phi3 = radial_chain(u, params, tilde, (f1, f2, f3))
     x0 = ((1.0 / params.H ** 2) * sh / r1v * b, 0.0, 0.0)
@@ -216,8 +216,8 @@ def _section_surface(theta: float, phi: float, params: Parameters):
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ValueError(f"the section chart takes finite angles, got theta={theta}, phi={phi}")
     _check_theta(theta, "section")
-    if theta >= theta_pole(params):
-        raise ThetaPole(f"section needs theta below the pole {theta_pole(params)}, got {theta}")
+    if theta >= (pole := theta_pole(params)):
+        raise ThetaPole(f"section needs theta below the pole {pole}, got {theta}")
     _, (*w, _), jac = _section_chart(theta, phi, params)
     # r^2/2 = exp(2 L)/2 has L-derivatives 1, 2, 4 at r = 1
     _, metric, third = radial_chain(w, params, jac, (1.0, 2.0, 4.0))

@@ -272,13 +272,12 @@ def radial_chain(w, params: Parameters, frame, f):
     cancellation near the axis): L' = Re(q zeta'), L'' = Re(kappa) P - Re(q u zeta' zeta') and
     L''' = 2 Re(q u^2 zeta' zeta' zeta') - sym(P (x) (Re(kappa u zeta') + Re(kappa) n/rho)),
     and Phi' = f1 L', Phi'' = f2 L' L' + f1 L'', Phi''' = f3 L' L' L' + f2 sym(L'' (x) L')
-    + f1 L''', whose P terms gather into sym(P (x) g).  Each real vector is formed once, so
-    Phi''' contracts the same rounded L' wherever it enters.
+    + f1 L''', whose P terms gather into sym(P (x) g).  One straight-line pass over the columns
+    forms X/|w|, n.X, zeta', L' and g, and one over the pairs Phi'' and the pair factors of
+    Phi''': each real vector is formed once, so Phi''' contracts one rounded L' everywhere.
     """
     scale = math.hypot(*w)
-    (w1, w2, w3), (f1, f2, f3) = [c / scale for c in w], f
-    e1, e2, e3 = [[x / scale for x in row] for row in frame]
-    pairs, spans = _packing(len(e1))[:2]
+    (w1, w2, w3), (f1, f2, f3) = (w[0] / scale, w[1] / scale, w[2] / scale), f
     gp, rho = params.azimuthal_skew, math.hypot(w1, w2)
     n1, n2 = w1 / rho, w2 / rho
     c = params.p * complex(-gp, 1.0)
@@ -286,25 +285,30 @@ def radial_chain(w, params: Parameters, frame, f):
     q = complex(1.0, -gp) * u
     kappa = 1j * u / (params.p * rho)
     qu, k_re, ku = q * u, kappa.real, kappa * u
-    n = [n1 * x + n2 * y for x, y in zip(e1, e2)]
-    d1 = [s + c * t for s, t in zip(e3, n)]  # zeta'
-    l1 = [(q * d).real for d in d1]
     fk, f2k, third, cube = f1 * k_re / rho, f2 * k_re, f3 / 3.0, 2.0 * f1 * qu * u
-    g = [f2k * x - f1 * (ku * d).real - fk * t for x, d, t in zip(l1, d1, n)]
+    cols = []  # per column X/|w|: X1, X2, n.X, zeta', L' and g
+    for x, y, z in zip(*frame):
+        x, y = x / scale, y / scale
+        t = n1 * x + n2 * y
+        d = z / scale + c * t
+        lx = (q * d).real
+        cols.append((x, y, t, d, lx, f2k * lx - f1 * (ku * d).real - fk * t))
+    *_, d1, l1, g = zip(*cols)
     phi2, cross, proj, tri = [], [], [], []
-    for i, j in pairs:
-        pr = e1[i] * e1[j] + e2[i] * e2[j] - n[i] * n[j]
-        dd = d1[i] * d1[j]
-        re2 = (qu * dd).real
-        ll = l1[i] * l1[j]
-        phi2.append(f2 * ll + f1 * (k_re * pr - re2))
-        cross.append(third * ll - f2 * re2)  # sym(cross (x) L') = f3 L'L'L' - f2 sym(re2 (x) L')
-        proj.append(pr)
-        tri.append(cube * dd)
+    for i, (x, y, t, d, lx, _) in enumerate(cols):
+        for x2, y2, t2, d2, ly, _ in cols[i:]:  # the pairs (i, j), j >= i, in packed order
+            pr = x * x2 + y * y2 - t * t2
+            dd = d * d2
+            re2 = (qu * dd).real
+            ll = lx * ly
+            phi2.append(f2 * ll + f1 * (k_re * pr - re2))
+            cross.append(third * ll - f2 * re2)  # sym(. (x) L') = f3 L'L'L' - f2 sym(re2 (x) L')
+            proj.append(pr)
+            tri.append(cube * dd)
     return ([f1 * x for x in l1], phi2,
             [cross[ij] * l1[k] + cross[ik] * l1[j] + cross[jk] * l1[i]
              + proj[ij] * g[k] + proj[ik] * g[j] + proj[jk] * g[i] + (tri[ij] * d1[k]).real
-             for i, j, k, ij, ik, jk in spans])
+             for i, j, k, ij, ik, jk in _packing(len(cols))[1]])
 
 
 def domain_info(params: Parameters) -> DomainInfo:
@@ -565,11 +569,16 @@ def _chart_vector(angles, norm, params: Parameters):
     return (eta, r1v, v, a), chart, [b, b * w1, b * w2, b * w3]
 
 
+def _azimuth(w1: float, w2: float) -> float:
+    """atan2(w2, w1) in [0, 2 pi): a second remainder takes a first that rounds to 2 pi to 0."""
+    return math.atan2(w2, w1) % (2.0 * math.pi) % (2.0 * math.pi)
+
+
 def angles_from_vector(
     fc: FrameComponents, params: Parameters
 ) -> tuple[AngleCoords, EvalBundle]:
     """Angles and full evaluation bundle for resolved frame components."""
-    phi = math.atan2(fc.w2, fc.w1) % (2.0 * math.pi)
+    phi = _azimuth(fc.w1, fc.w2)
     f = params.p * fc.w
     theta = theta_from_f(f, params)
     ang = angular_profile(theta, params)

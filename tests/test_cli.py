@@ -352,6 +352,25 @@ def test_eval_document_is_finite_or_a_domain_error(pair):
     assert 0 < refused < 200
 
 
+@pytest.mark.parametrize("pair, y", [
+    ((2.0, 0.5), (4.65668704, 0.12504451751969176, -1e-20, 0.18268289)),
+    ((1.25, 1.0), (2.0, 0.3, -1e-20, 0.5)),
+], ids=str)
+def test_tiny_negative_azimuth_is_phi_zero(pair, y):
+    # atan2 of a tiny negative w2 is a tiny negative angle, whose remainder mod 2 pi rounds
+    # up to 2 pi itself, which AngleCoords rejects: the azimuth takes it to 0.0
+    doc = evaluate_document(Parameters(*pair), Tetrad.canonical(), list(y))
+    assert doc["status"] == "ok"
+    assert doc["angles"]["phi"] == 0.0
+
+
+def test_isotropic_negative_axial_azimuth_is_below_two_pi():
+    # the p = 1, w3 < 0 branch forms its own angles, with the same azimuth
+    doc = evaluate_document(Parameters(1.25, 1.0), Tetrad.canonical(), [2.0, 0.3, -1e-20, -0.5])
+    assert doc["status"] == "ok"
+    assert 0.0 <= doc["angles"]["phi"] < 2.0 * math.pi
+
+
 def test_report_domain_grid_with_empty_row():
     r = run_cli("report", "domain", "--Hgrid", "1,1.25", "--pgrid", "0.8,1",
                 "--format", "csv")

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from finsleroid import AngleCoords, Parameters, domain_info, indicatrix_curvature
-from finsleroid.curvature import STEP, christoffel, coordinate_plane_curvatures, gauss_curvatures
+from finsleroid.curvature import (
+    STEP, _inverse, christoffel, coordinate_plane_curvatures, gauss_curvatures,
+)
 from finsleroid.kernel import _packing
 
 
@@ -138,3 +140,51 @@ def test_gauss_curvatures_match_a_dense_evaluation(k):
         for (i, j), value in got.items():
             want = sign * (1.0 - s[i, j] / area[i, j])
             assert abs(value - want) <= 1e-13 * max(1.0, abs(want)), (i, j)  # measured 1.7e-14
+
+
+def _left_to_right_gauss(cartan, metric, k):
+    """gauss_curvatures written out with explicit += loops: each dot summed in index order
+    from 0.0, a plain sum on every Python (``sum`` compensates from 3.12)."""
+    pairs, _, pair_at, triple_at = _packing(k)
+    inv = _inverse(metric, k)
+    lower = [[cartan[q] for q in triple_at[a][b]] for a, b in pairs]
+    raised = []
+    for row in lower:
+        up = []
+        for c in range(k):
+            acc = 0.0
+            for e in range(k):
+                acc += row[e] * inv[pair_at[c][e]]
+            up.append(acc)
+        raised.append(up)
+    out = {}
+    for i in range(k):
+        for j in range(i + 1, k):
+            ii, jj, ij = pair_at[i][i], pair_at[j][j], pair_at[i][j]
+            first = second = 0.0
+            for e in range(k):
+                first += lower[ii][e] * raised[jj][e]
+            for e in range(k):
+                second += lower[ij][e] * raised[ij][e]
+            area = metric[ii] * metric[jj] - metric[ij] ** 2
+            out[(i, j)] = math.copysign(1.0, metric[0]) * (1.0 - (first - second) / area)
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_gauss_curvatures_match_a_left_to_right_contraction_bit_for_bit(k):
+    # the straight-line contraction rounds as index-order loops do, on packed Python floats
+    # of either definiteness
+    rng = np.random.default_rng(70 + k)
+    pairs, spans, _, _ = _packing(k)
+    for trial in range(200):
+        root = rng.normal(size=(k, k))
+        metric = (-1.0) ** trial * (root @ root.T + 0.1 * np.eye(k))
+        cartan = rng.normal(size=len(spans)).tolist()
+        packed = [float(metric[pair]) for pair in pairs]
+        got = gauss_curvatures(cartan, packed)
+        want = _left_to_right_gauss(cartan, packed, k)
+        assert list(got) == list(want)
+        for plane, value in got.items():
+            assert type(value) is float
+            assert value.hex() == want[plane].hex(), (trial, plane)

@@ -209,11 +209,15 @@ def test_indicatrix_curvature_constant_over_sample_points():
 @pytest.fixture
 def recorded(monkeypatch):
     """The (cartan, chart_metric, sign) of every gauss_curvatures call of either surface,
-    with the sign of the metric's definiteness, as gauss_curvatures derives it."""
+    with the sign of the metric's definiteness, as gauss_curvatures derives it.  Every
+    packed entry is a Python float: a numpy scalar would put the scalar contraction on
+    numpy's far slower scalar arithmetic."""
     calls = []
     original = indicatrix.gauss_curvatures
 
     def spy(cartan, chart_metric):
+        assert (len(cartan), len(chart_metric)) in ((4, 3), (10, 6))
+        assert all(type(x) is float for x in (*cartan, *chart_metric)), (cartan, chart_metric)
         calls.append((cartan, chart_metric, math.copysign(1.0, chart_metric[0])))
         return original(cartan, chart_metric)
 
