@@ -201,7 +201,6 @@ def _radial_parts(w1, w2, w3, params: Parameters):
     chart gives below p ~ 0.05) PolarAxisSingular: they lie on the time axis.
     """
     fn = dm.library(w1, w2, w3)
-    pairs = _packing(3)[0]
     if params.p == 1.0:
         s = w1 * w1 + w2 * w2 + w3 * w3
         s3 = s ** 1.5
@@ -210,10 +209,11 @@ def _radial_parts(w1, w2, w3, params: Parameters):
         fp, fpp = 0.5 / fn.sqrt(s), -0.25 / s3
         # the hyper-dual slot sum 0 w1 + 0 w2 + 0 w3 is -0.0 only where every sign bit is set
         zero = 0.0 * w1 + 0.0 * w2 + 0.0 * w3
-        d = (2.0 * w1 + zero, 2.0 * w2 + zero, 2.0 * w3 + zero)
+        d1, d2, d3 = 2.0 * w1 + zero, 2.0 * w2 + zero, 2.0 * w3 + zero
         # hyper-dual order (fpp d_a) d_b, plus 2 fp on the diagonal and 0 fp off it (-0.0 -> 0.0)
-        hess = [fpp * d[a] * d[b] + (2.0 if a == b else 0.0) * fp for a, b in pairs]
-        return fn.sqrt(s), [fp * x for x in d], hess
+        e1, e2, e3, two, off = fpp * d1, fpp * d2, fpp * d3, 2.0 * fp, 0.0 * fp
+        return fn.sqrt(s), [fp * d1, fp * d2, fp * d3], [
+            e1 * d1 + two, e1 * d2 + off, e1 * d3 + off, e2 * d2 + two, e2 * d3 + off, e3 * d3 + two]
     gp = params.azimuthal_skew
     rho = (math.hypot if fn is math else np.hypot)(w1, w2)
     x = w3 - gp * params.p * rho
@@ -226,11 +226,13 @@ def _radial_parts(w1, w2, w3, params: Parameters):
         raise PolarAxisSingular(f"ratios on the time axis: k^4 = 0 at k^2 = {np.min(k2)}")
     r = fn.sqrt(k2) * _spiral(fn.atan2(y, x), params)
     n1, n2 = w1 / rho, w2 / rho
-    u = (-w3 * n1, -w3 * n2, rho)
-    m = (-n2, n1, 0.0 * rho)
+    u1, u2, u3 = -w3 * n1, -w3 * n2, rho
+    m1, m2, m3 = -n2, n1, 0.0 * rho
     rk2, rk4 = r / k2, r / (k2 * k2)
-    hess = [rk4 * (u[a] * u[b]) + rk2 * (m[a] * m[b]) for a, b in pairs]
-    return r, [rk2 * w1, rk2 * w2, rk2 * (x - gp * y)], hess
+    return r, [rk2 * w1, rk2 * w2, rk2 * (x - gp * y)], [
+        rk4 * (u1 * u1) + rk2 * (m1 * m1), rk4 * (u1 * u2) + rk2 * (m1 * m2),
+        rk4 * (u1 * u3) + rk2 * (m1 * m3), rk4 * (u2 * u2) + rk2 * (m2 * m2),
+        rk4 * (u2 * u3) + rk2 * (m2 * m3), rk4 * (u3 * u3) + rk2 * (m3 * m3)]
 
 
 @lru_cache(maxsize=None)
@@ -371,14 +373,18 @@ def structural_profile(eta: float, params: Parameters) -> EvalBundle:
     return EvalBundle(*values, near_boundary=params.p < 1.0 and values[0] < BOUNDARY_TOL)
 
 
-def angular_profile(theta: float, params: Parameters) -> AngularProfile:
-    """Azimuthal building blocks at ``theta``; fails at the pole R2 <= 0."""
-    gp = params.azimuthal_skew
-    r2 = math.cos(theta) + gp * math.sin(theta)
+def _angular_parts(theta: float, params: Parameters):
+    """(R2, I, U) at ``theta`` as a tuple; ThetaPole at the pole R2 <= 0."""
+    r2 = math.cos(theta) + params.azimuthal_skew * math.sin(theta)
     if r2 <= 0.0:
         raise ThetaPole(f"angular divisor R2={r2} not positive at theta={theta}")
     big_i = _spiral(theta, params)
-    return AngularProfile(R2=r2, I=big_i, U=big_i / r2)
+    return r2, big_i, big_i / r2
+
+
+def angular_profile(theta: float, params: Parameters) -> AngularProfile:
+    """Azimuthal building blocks at ``theta``; fails at the pole R2 <= 0."""
+    return AngularProfile(*_angular_parts(theta, params))
 
 
 def theta_from_f(f: float, params: Parameters) -> float:
@@ -561,7 +567,7 @@ def _chart_vector(angles, norm, params: Parameters):
         eta, theta, phi = angles.eta, angles.theta, angles.phi
     else:
         eta, theta, phi = np.asarray(angles, dtype=float).T
-        phi = phi % (2.0 * math.pi)
+        phi = phi % (2.0 * math.pi) % (2.0 * math.pi)  # as ``_azimuth``: 2 pi rounds to 0
     eta, (a, r1v, _, _, v, r) = _chart_profile(eta, params)
     chart = _section_chart(theta, phi, params, r)
     w1, w2, w3, _ = chart[1]
@@ -581,12 +587,12 @@ def angles_from_vector(
     phi = _azimuth(fc.w1, fc.w2)
     f = params.p * fc.w
     theta = theta_from_f(f, params)
-    ang = angular_profile(theta, params)
-    r = fc.w3 * ang.U
+    r2, big_i, u = _angular_parts(theta, params)
+    r = fc.w3 * u
     eta = eta_from_r(r, params)
     # eta_from_r admitted r, so eta takes no chart check: r(eta) may round up to r_sup
     a, r1v, j, y1, v, _ = hyperbolic_profile(eta, params)
-    bundle = EvalBundle(a, r1v, j, y1, v, r, ang.R2, ang.I, ang.U, f, fc.b * v,
+    bundle = EvalBundle(a, r1v, j, y1, v, r, r2, big_i, u, f, fc.b * v,
                         params.p < 1.0 and a < BOUNDARY_TOL)
     return AngleCoords(eta=eta, theta=theta, phi=phi), bundle
 

@@ -107,14 +107,17 @@ def _radial_point(b, w, params: Parameters):
 
     ``b`` and the ratios ``w = (w1, w2, w3)`` are floats (``_frame_point``).  The radial
     map's value, gradient and Hessian in the ratios come from one closed-form call, its
-    value is inverted once, and l and h are the component-route assemblies, packed.
+    value is inverted once, and l and h are the component-route assemblies, packed
+    (``_packing(4)``), written out entry by entry.
     """
-    r, grad, hess = _radial_parts(*w, params)
+    r, (g1, g2, g3), (k11, k12, k13, k22, k23, k33) = _radial_parts(*w, params)
     sh, _, v, v_r, v_rr = _profile_factors(r, params)
-    l = [v * (1.0 + (params.p ** 2 / params.H ** 2) * sh * sh)] + [v_r * x for x in grad]
+    l = [v * (1.0 + (params.p ** 2 / params.H ** 2) * sh * sh), v_r * g1, v_r * g2, v_r * g3]
     vv, vr = v * v_rr, v * v_r
-    h = [vv * r * r] + [-vv * r * x for x in grad] + [
-        vv * (grad[a] * grad[c]) + vr * x for (a, c), x in zip(_packing(3)[0], hess)]
+    t = -vv * r
+    h = [vv * r * r, t * g1, t * g2, t * g3,
+         vv * (g1 * g1) + vr * k11, vv * (g1 * g2) + vr * k12, vv * (g1 * g3) + vr * k13,
+         vv * (g2 * g2) + vr * k22, vv * (g2 * g3) + vr * k23, vv * (g3 * g3) + vr * k33]
     return b * v, l, h
 
 
@@ -180,13 +183,18 @@ def angular_metric_angle_form(
 def metric_tensor(
     y, tetrad: Tetrad | None = None, params: Parameters | None = None
 ) -> TensorBundle:
-    """Full bundle l, h, g = h + l (x) l and the LU determinant of g, which must be finite."""
+    """Full bundle l, h, g = h + l (x) l and the LU determinant of g, which must be finite
+    (DomainError, also where numpy's overflow warning is an error)."""
     f, l, h = _radial_point(*_frame_point(y, tetrad, params), params)
-    g = _unpack([x + l[a] * l[c] for (a, c), x in zip(_packing(4)[0], h)], 4)
-    det = float(np.linalg.det(g))
+    l, h = np.array(l), _unpack(h, 4)
+    g = h + l[:, None] * l
+    try:
+        det = float(np.linalg.det(g))
+    except RuntimeWarning as exc:
+        raise DomainError(f"det g overflows: {exc}") from None
     if not math.isfinite(det):
         raise DomainError(f"det g overflows: the LU determinant is {det}")
-    return TensorBundle(l=np.array(l), h=_unpack(h, 4), g=g, det_g=det, F=f)
+    return TensorBundle(l=l, h=h, g=g, det_g=det, F=f)
 
 
 def metric_tensor_numeric(

@@ -19,6 +19,7 @@ from finsleroid import (
     vector_from_angles,
 )
 from finsleroid import sampling
+from finsleroid.kernel import _chart_vector
 
 PAIRS = ((1.0, 1.0), (1.25, 0.8), (2.0, 0.5), (50.0, 0.05))
 BOXES = (
@@ -96,6 +97,15 @@ def test_sample_vectors_makes_one_chart_call(monkeypatch):
     monkeypatch.setattr(sampling, "_chart_vector", spy)
     sample_vectors(Parameters(H=1.25, p=0.8), 50, 3)
     assert calls == [(50, 3)]
+
+
+def test_batch_chart_takes_an_azimuth_rounding_to_two_pi_to_zero():
+    # -1e-20 mod 2 pi rounds to 2 pi, whose sine is -2.4e-16: a second remainder gives 0
+    params = Parameters(H=2.0, p=0.5)
+    eta = domain_info(params).eta_min + 0.7
+    batch = _chart_vector(np.array([[eta, 0.6, -1e-20]]), np.array([1.0]), params)[2]
+    scalar = _chart_vector(AngleCoords(eta=eta, theta=0.6, phi=0.0), 1.0, params)[2]
+    assert batch[2].tolist() == [scalar[2]] == [0.0]
 
 
 def test_zero_samples_are_empty():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from finsleroid import (
+    DomainError,
     OutsideAxialRegion,
     OutsideRadialDomain,
     Parameters,
@@ -32,11 +33,17 @@ from finsleroid import (
 from finsleroid import dual as dm
 from finsleroid import tensors
 from finsleroid.kernel import (
+    _azimuth,
     _packing,
     _radial_parts,
+    _spiral,
     _unpack,
+    angular_profile,
+    eta_from_r,
+    hyperbolic_profile,
     radial_chain,
     radial_from_ratios,
+    theta_from_f,
 )
 
 ANISO = Parameters(H=1.25, p=0.8)
@@ -536,6 +543,102 @@ def test_metric_tensor_single_evaluation_chain(monkeypatch):
             assert np.array_equal(tb.l, unit_covector(y, None, params))
             assert np.array_equal(tb.h, angular_metric(y, None, params))
             assert np.array_equal(tb.g, tb.h + np.outer(tb.l, tb.l))
+
+
+def _radial_parts_by_index(w1, w2, w3, params):
+    """``_radial_parts``' closed forms assembled in index order over ``_packing(3)``."""
+    fn = dm.library(w1, w2, w3)
+    pairs = _packing(3)[0]
+    if params.p == 1.0:
+        s = w1 * w1 + w2 * w2 + w3 * w3
+        fp, fpp = 0.5 / fn.sqrt(s), -0.25 / s ** 1.5
+        zero = 0.0 * w1 + 0.0 * w2 + 0.0 * w3
+        d = (2.0 * w1 + zero, 2.0 * w2 + zero, 2.0 * w3 + zero)
+        hess = [fpp * d[a] * d[b] + (2.0 if a == b else 0.0) * fp for a, b in pairs]
+        return fn.sqrt(s), [fp * x for x in d], hess
+    gp = params.azimuthal_skew
+    rho = (math.hypot if fn is math else np.hypot)(w1, w2)
+    x = w3 - gp * params.p * rho
+    y = params.p * rho
+    k2 = x * x + y * y
+    r = fn.sqrt(k2) * _spiral(fn.atan2(y, x), params)
+    n1, n2 = w1 / rho, w2 / rho
+    u = (-w3 * n1, -w3 * n2, rho)
+    m = (-n2, n1, 0.0 * rho)
+    rk2, rk4 = r / k2, r / (k2 * k2)
+    hess = [rk4 * (u[a] * u[b]) + rk2 * (m[a] * m[b]) for a, b in pairs]
+    return r, [rk2 * w1, rk2 * w2, rk2 * (x - gp * y)], hess
+
+
+def _metric_tensor_by_index(y, params):
+    """(l, h, g, det g, F) assembled in index order over ``_packing(3)`` and ``_packing(4)``."""
+    b, w = tensors._frame_point(y, None, params)
+    r, grad, hess = _radial_parts_by_index(*w, params)
+    sh, _, v, v_r, v_rr = tensors._profile_factors(r, params)
+    l = [v * (1.0 + (params.p ** 2 / params.H ** 2) * sh * sh)] + [v_r * x for x in grad]
+    vv, vr = v * v_rr, v * v_r
+    h = [vv * r * r] + [-vv * r * x for x in grad] + [
+        vv * (grad[a] * grad[c]) + vr * x for (a, c), x in zip(_packing(3)[0], hess)]
+    g = _unpack([x + l[a] * l[c] for (a, c), x in zip(_packing(4)[0], h)], 4)
+    return np.array(l), _unpack(h, 4), g, float(np.linalg.det(g)), b * v
+
+
+def _bundle_by_index(fc, params):
+    """Angles and ``EvalBundle`` entries of ``angles_from_vector`` through an AngularProfile."""
+    f = params.p * fc.w
+    theta = theta_from_f(f, params)
+    ang = angular_profile(theta, params)
+    r = fc.w3 * ang.U
+    eta = eta_from_r(r, params)
+    a, r1v, j, y1, v, _ = hyperbolic_profile(eta, params)
+    return [eta, theta, _azimuth(fc.w1, fc.w2), a, r1v, j, y1, v, r, ang.R2, ang.I, ang.U, f,
+            fc.b * v]
+
+
+def _bits(*values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+# the five benchmark pairs and (50, 0.05); p = 1 vectors are also taken with w3 < 0
+BIT_PAIRS = ((1.0, 1.0), (1.25, 1.0), (1.25, 0.8), (1.5, 0.9), (2.0, 0.5), (50.0, 0.05))
+
+
+@pytest.mark.parametrize("H, p", BIT_PAIRS)
+def test_straight_line_tensors_match_the_index_order_assembly_bit_for_bit(H, p):
+    params = Parameters(H=H, p=p)
+    ys = sample_vectors(params, 60, 71)
+    if p == 1.0:
+        ys = np.concatenate([ys, ys * [1.0, 1.0, -1.0, -1.0], ys * [1.0, -1.0, 1.0, -1.0]])
+    rows = np.array([projections(y, Tetrad.canonical())[1:] for y in ys])
+    for got, want in zip(_radial_parts(*rows.T, params), _radial_parts_by_index(*rows.T, params)):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    for w in rows.tolist():
+        r, grad, hess = _radial_parts(*w, params)
+        r0, grad0, hess0 = _radial_parts_by_index(*w, params)
+        assert _bits(r, *grad, *hess) == _bits(r0, *grad0, *hess0)
+    for y, w in zip(ys, rows):
+        tb = metric_tensor(y, None, params)
+        l, h, g, det, f = _metric_tensor_by_index(y, params)
+        assert _bits(*tb.l, *tb.h.ravel(), *tb.g.ravel(), tb.det_g, tb.F) == _bits(
+            *l, *h.ravel(), *g.ravel(), det, f)
+        assert unit_covector(y, None, params).tobytes() == l.tobytes()
+        assert angular_metric(y, None, params).tobytes() == h.tobytes()
+        if w[2] > 0.0:  # the angles need the axial region, at p = 1 too
+            fc = frame_components(y)
+            coords, eb = angles_from_vector(fc, params)
+            assert _bits(coords.eta, coords.theta, coords.phi, eb.A, eb.R1, eb.J, eb.Y1, eb.V,
+                         eb.r, eb.R2, eb.I, eb.U, eb.f, eb.F) == _bits(*_bundle_by_index(fc, params))
+
+
+def test_overflowing_lu_determinant_is_a_domain_error():
+    # det g overflows a double at p = 0.02; numpy's LU warns first, which may be an error
+    params = Parameters(H=2.0, p=0.02)
+    y = [47.17978965035082, -7.876622695296942e-54, 4.118232670337632e-54, 8.993258062840328e-54]
+    for action in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(DomainError, match="det g overflows"):
+                metric_tensor(y, None, params)
 
 
 def test_metric_tensor_norm_identity_and_signature():
