@@ -64,8 +64,6 @@ from .tensors import (
     unit_covector,
 )
 from .indicatrix import (
-    IndicatrixBundle,
-    indicatrix_bundle,
     indicatrix_curvature,
     indicatrix_metric,
     section_curvature,

@@ -107,9 +107,9 @@ def gauss_curvatures(cartan, chart_metric) -> dict:
     S = C_ii. m^-1 C_jj. - C_ij. m^-1 C_ij. and A = m_ii m_jj - m_ij^2 give
     {(i, j): sign (1 - S/A)}.  ``sign`` is the sign of m's first entry: +1 for the indicatrix
     of a positive definite norm and -1 for the unit surface of a Lorentzian one, whose chart
-    metric is negative definite.  The contraction is straight-line: m^-1 raises the rows
-    C(a, b, .) by explicit products, and every dot runs left to right, so it rounds alike
-    on every Python (``sum`` compensates from 3.12).
+    metric is negative definite.  The contraction is written out for each k: m^-1 raises
+    the rows C(a, b, .) that the planes read by explicit products, and every dot runs left
+    to right, so it rounds alike on every Python (``sum`` compensates from 3.12).
     """
     k = math.isqrt(2 * len(chart_metric))
     sign = math.copysign(1.0, chart_metric[0])
@@ -117,21 +117,22 @@ def gauss_curvatures(cartan, chart_metric) -> dict:
     if k == 2:
         (a, b, d), (c0, c1, c2, c3), (m0, m1, m2) = inv, cartan, chart_metric
         r01, r11 = (c1 * a + c2 * b, c1 * b + c2 * d), (c2 * a + c3 * b, c2 * b + c3 * d)
-        sums = [c0 * r11[0] + c1 * r11[1] - (c1 * r01[0] + c2 * r01[1])]
-        areas = [m0 * m2 - m1 ** 2]
-    else:
-        (a, b, c, d, e, f), (m0, m1, m2, m3, m4, m5) = inv, chart_metric
-        c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = cartan
-        lower = (c0, c1, c2), (c1, c3, c4), (c2, c4, c5), (c3, c6, c7), (c4, c7, c8), (c5, c8, c9)
-        raised = [(x * a + y * b + z * c, x * b + y * d + z * e, x * c + y * e + z * f)
-                  for x, y, z in lower]
-        sums = []
-        for ii, jj, ij in (0, 3, 1), (0, 5, 2), (3, 5, 4):  # the planes 01, 02 and 12
-            (x0, x1, x2), (y0, y1, y2) = lower[ii], raised[jj]
-            (u0, u1, u2), (v0, v1, v2) = lower[ij], raised[ij]
-            sums.append(x0 * y0 + x1 * y1 + x2 * y2 - (u0 * v0 + u1 * v1 + u2 * v2))
-        areas = [m0 * m3 - m1 ** 2, m0 * m5 - m2 ** 2, m3 * m5 - m4 ** 2]
-    return {plane: sign * (1.0 - s / area) for plane, s, area in zip(_planes(k), sums, areas)}
+        s01 = c0 * r11[0] + c1 * r11[1] - (c1 * r01[0] + c2 * r01[1])
+        return {(0, 1): sign * (1.0 - s01 / (m0 * m2 - m1 ** 2))}
+    (a, b, c, d, e, f), (m0, m1, m2, m3, m4, m5) = inv, chart_metric
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = cartan
+    # the rows C(i, j, .) raised by m^-1 that the planes read: 01, 02, 11, 12 and 22
+    r01 = c1 * a + c3 * b + c4 * c, c1 * b + c3 * d + c4 * e, c1 * c + c3 * e + c4 * f
+    r02 = c2 * a + c4 * b + c5 * c, c2 * b + c4 * d + c5 * e, c2 * c + c4 * e + c5 * f
+    r11 = c3 * a + c6 * b + c7 * c, c3 * b + c6 * d + c7 * e, c3 * c + c6 * e + c7 * f
+    r12 = c4 * a + c7 * b + c8 * c, c4 * b + c7 * d + c8 * e, c4 * c + c7 * e + c8 * f
+    r22 = c5 * a + c8 * b + c9 * c, c5 * b + c8 * d + c9 * e, c5 * c + c8 * e + c9 * f
+    s01 = c0 * r11[0] + c1 * r11[1] + c2 * r11[2] - (c1 * r01[0] + c3 * r01[1] + c4 * r01[2])
+    s02 = c0 * r22[0] + c1 * r22[1] + c2 * r22[2] - (c2 * r02[0] + c4 * r02[1] + c5 * r02[2])
+    s12 = c3 * r22[0] + c6 * r22[1] + c7 * r22[2] - (c4 * r12[0] + c7 * r12[1] + c8 * r12[2])
+    return {(0, 1): sign * (1.0 - s01 / (m0 * m3 - m1 ** 2)),
+            (0, 2): sign * (1.0 - s02 / (m0 * m5 - m2 ** 2)),
+            (1, 2): sign * (1.0 - s12 / (m3 * m5 - m4 ** 2))}
 
 
 def coordinate_plane_curvatures(metric_fn, x) -> dict:

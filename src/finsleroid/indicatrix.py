@@ -20,7 +20,6 @@ and arrays at a batch of rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .kernel import (
     AngleCoords,
     _chart_profile,
     _chart_vector,
-    _packing,
     _section_chart,
     _unpack,
     radial_chain,
@@ -46,15 +44,6 @@ from .kernel import (
 # and the range of exp(gp theta).
 THETA_MIN = 1e-3
 GAP_MIN = 1e-8
-
-
-@dataclass(frozen=True)
-class IndicatrixBundle:
-    """Angle derivatives of the unit vector, induced metric (``indicatrix_metric``), curvatures."""
-
-    l_derivs: np.ndarray  # 4 x 3, columns = d/d(eta, theta, phi)
-    i_metric: np.ndarray  # 3 x 3, positive definite convention
-    sectional: dict  # {(plane): K}
 
 
 def unit_vector(angles: AngleCoords, params: Parameters) -> np.ndarray:
@@ -173,23 +162,21 @@ def _unit_surface(chart, params: Parameters):
     f3 = 2.0 * p2 * p2 * f1 * (r1v * sh * (2.0 * hh2 * sh * ch + a_eta * ch + a * sh) + 2.0 * m * m)
     b = 1.0 / v
     eta_col = b / (p2 * r1v * sh)  # b d ln r/d eta
-    tilde = [[eta_col * c, b * x, b * y] for c, (x, y) in zip(u, jac)]
+    (u1, u2, u3), ((x1, y1), (x2, y2), (x3, y3)) = u, jac
+    tilde = [[eta_col * u1, b * x1, b * y1], [eta_col * u2, b * x2, b * y2],
+             [eta_col * u3, b * x3, b * y3]]
     # Phi's derivatives along the X~, packed: 3, 6 and 10 floats
     phi1, phi2, phi3 = radial_chain(u, params, tilde, (f1, f2, f3))
-    x0 = ((1.0 / params.H ** 2) * sh / r1v * b, 0.0, 0.0)
-    metric = [0.5 * (x + x0[a] * phi1[b] + x0[b] * phi1[a]) + phi * (x0[a] * x0[b])
-              for (a, b), x in zip(_packing(3)[0], phi2)]
-    return [x / (4.0 * b) for x in phi3], metric
-
-
-def indicatrix_bundle(angles: AngleCoords, params: Parameters) -> IndicatrixBundle:
-    """Full indicatrix bundle: the induced metric and curvatures from one
-    ``_surface_chart``, and ``unit_vector_angle_derivatives``."""
-    cartan, metric = _unit_surface(_surface_chart(angles, params), params)
-    return IndicatrixBundle(
-        l_derivs=unit_vector_angle_derivatives(angles, params), i_metric=-_unpack(metric, 3),
-        sectional=gauss_curvatures(cartan, metric),
-    )
+    (e0, e1, e2), (h00, h01, h02, h11, h12, h22) = phi1, phi2
+    x0 = (1.0 / params.H ** 2) * sh / r1v * b
+    # off the eta column X0 = 0, so its products there are signed zeros and phi X0 Y0 = +0.0:
+    # `+ 0.0` leaves a zero entry +0.0, as adding those terms did
+    metric = [0.5 * (h00 + x0 * e0 + x0 * e0) + phi * (x0 * x0), 0.5 * (h01 + x0 * e1) + 0.0,
+              0.5 * (h02 + x0 * e2) + 0.0, 0.5 * h11 + 0.0, 0.5 * h12 + 0.0, 0.5 * h22 + 0.0]
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = phi3
+    b4 = 4.0 * b
+    return [c0 / b4, c1 / b4, c2 / b4, c3 / b4, c4 / b4, c5 / b4, c6 / b4, c7 / b4, c8 / b4,
+            c9 / b4], metric
 
 
 def section_metric(theta: float, phi: float, params: Parameters) -> np.ndarray:
@@ -220,5 +207,5 @@ def _section_surface(theta: float, phi: float, params: Parameters):
         raise ThetaPole(f"section needs theta below the pole {pole}, got {theta}")
     _, (*w, _), jac = _section_chart(theta, phi, params)
     # r^2/2 = exp(2 L)/2 has L-derivatives 1, 2, 4 at r = 1
-    _, metric, third = radial_chain(w, params, jac, (1.0, 2.0, 4.0))
-    return [0.5 * x for x in third], metric
+    _, metric, (c0, c1, c2, c3) = radial_chain(w, params, jac, (1.0, 2.0, 4.0))
+    return [0.5 * c0, 0.5 * c1, 0.5 * c2, 0.5 * c3], metric

@@ -260,7 +260,7 @@ def _unpack(packed, k: int):
 
 def radial_chain(w, params: Parameters, frame, f):
     """First three derivatives of Phi(L), L = ln r, at one w (3 floats) off the axis, along
-    the k columns of ``frame`` (3 rows of k floats), packed (``_packing``), from Phi's
+    the k = 2 or 3 columns of ``frame`` (3 rows of k floats), packed (``_packing``), from Phi's
     L-derivatives f = (f1, f2, f3); at f = (1, 0, 0) they are L's own.
 
     r is homogeneous of degree one, so L's derivatives at w along X are those at w/|w|
@@ -274,9 +274,13 @@ def radial_chain(w, params: Parameters, frame, f):
     cancellation near the axis): L' = Re(q zeta'), L'' = Re(kappa) P - Re(q u zeta' zeta') and
     L''' = 2 Re(q u^2 zeta' zeta' zeta') - sym(P (x) (Re(kappa u zeta') + Re(kappa) n/rho)),
     and Phi' = f1 L', Phi'' = f2 L' L' + f1 L'', Phi''' = f3 L' L' L' + f2 sym(L'' (x) L')
-    + f1 L''', whose P terms gather into sym(P (x) g).  One straight-line pass over the columns
-    forms X/|w|, n.X, zeta', L' and g, and one over the pairs Phi'' and the pair factors of
-    Phi''': each real vector is formed once, so Phi''' contracts one rounded L' everywhere.
+    + f1 L''', whose P terms gather into sym(P (x) g).  One pass over the columns forms X/|w|,
+    n.X, zeta', L' and g.  The pairs and triples are then written out, those of columns 0 and 1
+    first and, at k = 3, those with column 2: per pair Phi'' and the factors P, s = f3 L'L'/3
+    - f2 Re(q u zeta' zeta') and z = 2 f1 q u^2 zeta' zeta', per triple the Phi''' entry
+    s_ij L'_k + s_ik L'_j + s_jk L'_i + P_ij g_k + P_ik g_j + P_jk g_i + Re(z_ij zeta'_k), summed
+    left to right.  Each real vector is formed once, so Phi''' contracts one rounded L'
+    everywhere.
     """
     scale = math.hypot(*w)
     (w1, w2, w3), (f1, f2, f3) = (w[0] / scale, w[1] / scale, w[2] / scale), f
@@ -295,22 +299,44 @@ def radial_chain(w, params: Parameters, frame, f):
         d = z / scale + c * t
         lx = (q * d).real
         cols.append((x, y, t, d, lx, f2k * lx - f1 * (ku * d).real - fk * t))
-    *_, d1, l1, g = zip(*cols)
-    phi2, cross, proj, tri = [], [], [], []
-    for i, (x, y, t, d, lx, _) in enumerate(cols):
-        for x2, y2, t2, d2, ly, _ in cols[i:]:  # the pairs (i, j), j >= i, in packed order
-            pr = x * x2 + y * y2 - t * t2
-            dd = d * d2
-            re2 = (qu * dd).real
-            ll = lx * ly
-            phi2.append(f2 * ll + f1 * (k_re * pr - re2))
-            cross.append(third * ll - f2 * re2)  # sym(. (x) L') = f3 L'L'L' - f2 sym(re2 (x) L')
-            proj.append(pr)
-            tri.append(cube * dd)
-    return ([f1 * x for x in l1], phi2,
-            [cross[ij] * l1[k] + cross[ik] * l1[j] + cross[jk] * l1[i]
-             + proj[ij] * g[k] + proj[ik] * g[j] + proj[jk] * g[i] + (tri[ij] * d1[k]).real
-             for i, j, k, ij, ik, jk in _packing(len(cols))[1]])
+    (x0, y0, t0, d0, l0, g0), (x1, y1, t1, d1, l1, g1) = cols[:2]
+    # per pair ij: P (pij), zeta' zeta' (dd), L'L' (ll), Re(q u zeta' zeta') (re2), Phi'' (hij),
+    # s (sij) and z (zij)
+    p00, dd, ll = x0 * x0 + y0 * y0 - t0 * t0, d0 * d0, l0 * l0
+    re2 = (qu * dd).real
+    h00, s00, z00 = f2 * ll + f1 * (k_re * p00 - re2), third * ll - f2 * re2, cube * dd
+    p01, dd, ll = x0 * x1 + y0 * y1 - t0 * t1, d0 * d1, l0 * l1
+    re2 = (qu * dd).real
+    h01, s01, z01 = f2 * ll + f1 * (k_re * p01 - re2), third * ll - f2 * re2, cube * dd
+    p11, dd, ll = x1 * x1 + y1 * y1 - t1 * t1, d1 * d1, l1 * l1
+    re2 = (qu * dd).real
+    h11, s11, z11 = f2 * ll + f1 * (k_re * p11 - re2), third * ll - f2 * re2, cube * dd
+    e000 = s00 * l0 + s00 * l0 + s00 * l0 + p00 * g0 + p00 * g0 + p00 * g0 + (z00 * d0).real
+    e001 = s00 * l1 + s01 * l0 + s01 * l0 + p00 * g1 + p01 * g0 + p01 * g0 + (z00 * d1).real
+    e011 = s01 * l1 + s01 * l1 + s11 * l0 + p01 * g1 + p01 * g1 + p11 * g0 + (z01 * d1).real
+    e111 = s11 * l1 + s11 * l1 + s11 * l1 + p11 * g1 + p11 * g1 + p11 * g1 + (z11 * d1).real
+    if len(cols) == 2:
+        return [f1 * l0, f1 * l1], [h00, h01, h11], [e000, e001, e011, e111]
+    (x2, y2, t2, d2, l2, g2), = cols[2:]
+    p02, dd, ll = x0 * x2 + y0 * y2 - t0 * t2, d0 * d2, l0 * l2
+    re2 = (qu * dd).real
+    h02, s02, z02 = f2 * ll + f1 * (k_re * p02 - re2), third * ll - f2 * re2, cube * dd
+    p12, dd, ll = x1 * x2 + y1 * y2 - t1 * t2, d1 * d2, l1 * l2
+    re2 = (qu * dd).real
+    h12, s12, z12 = f2 * ll + f1 * (k_re * p12 - re2), third * ll - f2 * re2, cube * dd
+    p22, dd, ll = x2 * x2 + y2 * y2 - t2 * t2, d2 * d2, l2 * l2
+    re2 = (qu * dd).real
+    h22, s22, z22 = f2 * ll + f1 * (k_re * p22 - re2), third * ll - f2 * re2, cube * dd
+    return ([f1 * l0, f1 * l1, f1 * l2], [h00, h01, h02, h11, h12, h22],
+            [e000, e001,
+             s00 * l2 + s02 * l0 + s02 * l0 + p00 * g2 + p02 * g0 + p02 * g0 + (z00 * d2).real,
+             e011,
+             s01 * l2 + s02 * l1 + s12 * l0 + p01 * g2 + p02 * g1 + p12 * g0 + (z01 * d2).real,
+             s02 * l2 + s02 * l2 + s22 * l0 + p02 * g2 + p02 * g2 + p22 * g0 + (z02 * d2).real,
+             e111,
+             s11 * l2 + s12 * l1 + s12 * l1 + p11 * g2 + p12 * g1 + p12 * g1 + (z11 * d2).real,
+             s12 * l2 + s12 * l2 + s22 * l1 + p12 * g2 + p12 * g2 + p22 * g1 + (z12 * d2).real,
+             s22 * l2 + s22 * l2 + s22 * l2 + p22 * g2 + p22 * g2 + p22 * g2 + (z22 * d2).real])
 
 
 def domain_info(params: Parameters) -> DomainInfo:

@@ -19,6 +19,8 @@ GOLDEN_ISOTROPIC = Path(__file__).parent / "golden" / "eval_H1.25_p1_w3neg.json"
 # p < 1: the radial inversion's Newton loop runs for every vector
 GOLDEN_AXIAL = Path(__file__).parent / "golden" / "eval_H2_p0.5.json"
 GOLDEN_SCAN = Path(__file__).parent / "golden" / "scan_H1.25_p0.8_n20.csv"
+# the Gauss route's k = 3 contraction, bit for bit (the summary goes to stderr)
+GOLDEN_CURVATURE = Path(__file__).parent / "golden" / "curvature_H2_p0.5_n20.csv"
 
 
 def run_cli(*args, env_extra=None):
@@ -58,6 +60,12 @@ def test_report_scan_golden_csv():
     r = run_cli("report", "scan", "--H", "1.25", "--p", "0.8", "--samples", "20", "--format", "csv")
     assert r.returncode == 0, r.stderr
     assert r.stdout == GOLDEN_SCAN.read_text()
+
+
+def test_report_curvature_golden_csv():
+    r = run_cli("report", "curvature", "--H", "2", "--p", "0.5", "--samples", "20", "--format", "csv")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == GOLDEN_CURVATURE.read_text()
 
 
 def test_eval_values_and_schema():
@@ -583,7 +591,7 @@ def test_package_exports_its_imported_names_and_no_module():
     import finsleroid
 
     names = finsleroid.__all__
-    assert names == sorted(names) and len(names) == 58
+    assert names == sorted(names) and len(names) == 56
     assert not any(isinstance(getattr(finsleroid, n), types.ModuleType) for n in names)
     assert {"Parameters", "finsler_norm", "DomainError", "sample_vectors"} <= set(names)
     assert not {"kernel", "errors", "dual", "__version__"} & set(names)

@@ -16,7 +16,6 @@ from finsleroid import (
     ThetaPole,
     angular_metric,
     domain_info,
-    indicatrix_bundle,
     indicatrix_curvature,
     indicatrix_metric,
     sample_angles,
@@ -156,10 +155,9 @@ def test_indicatrix_metric_known_eta_chain(monkeypatch):
             assert np.max(np.abs(metric - oracle)) <= 1e-11 * np.max(np.abs(oracle))
 
 
-def test_indicatrix_bundle_records_positive_convention():
+def test_indicatrix_metric_records_positive_convention():
     params = Parameters(H=1.5, p=0.9)
-    bundle = indicatrix_bundle(_angles(params), params)
-    assert np.all(np.linalg.eigvalsh(bundle.i_metric) > 0.0)
+    assert np.all(np.linalg.eigvalsh(indicatrix_metric(_angles(params), params)) > 0.0)
 
 
 @pytest.mark.parametrize("H, p", [(1.0, 1.0), (1.25, 0.8), (2.0, 0.5), (1.5, 0.9), (50.0, 0.05)])
@@ -170,8 +168,7 @@ def test_indicatrix_metric_is_positive_definite_up_to_gap_15(H, p):
     points = sample_angles(params, 3000, 5, eta_margin=1e-6, theta_margin=0.05, eta_span=15)
     assert 14.9 < max(a.eta for a in points) - params.eta_min < 15.0
     for angles in points:
-        bundle = indicatrix_bundle(angles, params)
-        assert np.linalg.eigvalsh(bundle.i_metric)[0] > 0.0
+        assert np.linalg.eigvalsh(indicatrix_metric(angles, params))[0] > 0.0
 
 
 def test_indicatrix_curvature_unit_hyperboloid():
@@ -447,7 +444,7 @@ def test_curvature_domain_bounds():
     # every chart call
     for pair, gap in (((1.5, 0.9), 20.0), ((1.5, 0.9), 24.0), ((2.0, 0.5), 22.0)):
         far = Parameters(*pair)
-        for call in (indicatrix_curvature, indicatrix_bundle, indicatrix_metric, unit_vector,
+        for call in (indicatrix_curvature, indicatrix_metric, unit_vector,
                      unit_vector_angle_derivatives,
                      lambda a, q: kernel.vector_from_angles(a, 1.0, q),
                      lambda a, q: kernel.structural_profile(a.eta, q)):
@@ -483,9 +480,8 @@ def test_chart_metric_whose_determinant_underflows_is_a_domain_error():
     ):
         angles = AngleCoords(*angles)
         params = Parameters(H, 1.0)
-        for call in (indicatrix_curvature, indicatrix_bundle):
-            with pytest.raises(DomainError, match="determinant underflows"):
-                call(angles, params)
+        with pytest.raises(DomainError, match="determinant underflows"):
+            indicatrix_curvature(angles, params)
         sh2 = math.sinh(angles.eta) ** 2
         ref = np.diag([1.0, sh2, sh2 * math.sin(angles.theta) ** 2])
         assert _isometry_error(H * H, indicatrix_metric(angles, params), ref) <= 4e-15
@@ -561,9 +557,9 @@ def test_gauss_route_matches_stencil_at_interior_points(H, p):
         assert abs(section - p * p) < 1e-8
 
 
-def test_indicatrix_bundle_evaluates_one_chart_point(monkeypatch):
-    # the bundle's one _chart_point call is its l_derivs: the metric and the curvatures
-    # read the chart at r = 1 and build no unit vector
+def test_unit_surface_metric_and_curvatures_evaluate_no_chart_point(monkeypatch):
+    # _chart_point, which builds the unit vector, is unit_vector_angle_derivatives' alone:
+    # the metric and the curvatures read the chart at r = 1 and build no unit vector
     calls = []
     original = indicatrix._chart_point
 
@@ -574,12 +570,11 @@ def test_indicatrix_bundle_evaluates_one_chart_point(monkeypatch):
     monkeypatch.setattr(indicatrix, "_chart_point", counted)
     params = Parameters(H=1.25, p=0.8)
     angles = _angles(params)
-    bundle = indicatrix_bundle(angles, params)
+    indicatrix_metric(angles, params)
+    indicatrix_curvature(angles, params)
+    assert not calls
+    unit_vector_angle_derivatives(angles, params)
     assert len(calls) == 1
-    assert np.array_equal(bundle.i_metric, indicatrix_metric(angles, params))
-    assert bundle.sectional == indicatrix_curvature(angles, params)
-    assert len(calls) == 1
-    assert np.array_equal(bundle.l_derivs, unit_vector_angle_derivatives(angles, params))
 
 
 def test_curvature_at_near_axis_theta_floor():
@@ -832,15 +827,12 @@ def test_public_chart_functions_keep_their_arrays():
     points = sample_angles(params, 5, 3)
     angles = points[0]
     rows = np.array([[a.eta, a.theta, a.phi] for a in points])
-    bundle = indicatrix_bundle(angles, params)
     d = unit_vector_angle_derivatives(rows, params)
     vectors = sample_vectors(params, 5, 3)
     for array, shape in (
         (unit_vector(angles, params), (4,)),
         (unit_vector_angle_derivatives(angles, params), (4, 3)),
         (indicatrix_metric(angles, params), (3, 3)),
-        (bundle.i_metric, (3, 3)),
-        (bundle.l_derivs, (4, 3)),
         (d, (5, 4, 3)),
         (indicatrix.section_metric(0.6, 0.9, params), (2, 2)),
         (vectors, (5, 4)),
@@ -848,7 +840,7 @@ def test_public_chart_functions_keep_their_arrays():
         assert isinstance(array, np.ndarray) and array.shape == shape
     assert vectors.flags.c_contiguous
     # each surface's metric and curvatures take one point: rows are malformed input
-    for call in (indicatrix_metric, indicatrix_curvature, indicatrix_bundle):
+    for call in (indicatrix_metric, indicatrix_curvature):
         with pytest.raises(ValueError, match="takes AngleCoords, got ndarray"):
             call(rows, params)
     for call in (lambda: indicatrix.section_metric(rows[:, 1], rows[:, 2], params),

@@ -22,16 +22,19 @@ from finsleroid import (
     finsler_norm,
     finsleroid3_metric,
     frame_components,
+    indicatrix_curvature,
     metric_determinant_closed,
     metric_tensor,
     metric_tensor_numeric,
     projections,
+    sample_angles,
     sample_vectors,
+    section_curvature,
     tensor_to_natural,
     unit_covector,
 )
 from finsleroid import dual as dm
-from finsleroid import tensors
+from finsleroid import indicatrix, tensors
 from finsleroid.kernel import (
     _azimuth,
     _packing,
@@ -366,6 +369,82 @@ def test_radial_chain_matches_the_dense_chain_rule():
                     for part, term in zip(got, terms):
                         scale = max(np.max(np.abs(t)) for t in term)
                         assert np.max(np.abs(part - sum(term))) <= 1e-13 * scale
+
+
+def _reference_radial_chain(w, params, frame, f):
+    """``radial_chain`` as the generic loop over any k columns that its written-out k = 2
+    and k = 3 branches replaced: one loop over the pairs (i, j >= i), one pass over
+    ``_packing(k)``'s triples, the sums in the order that the branches keep."""
+    scale = math.hypot(*w)
+    (w1, w2, w3), (f1, f2, f3) = (w[0] / scale, w[1] / scale, w[2] / scale), f
+    gp, rho = params.azimuthal_skew, math.hypot(w1, w2)
+    n1, n2 = w1 / rho, w2 / rho
+    c = params.p * complex(-gp, 1.0)
+    u = 1.0 / (w3 + c * rho)
+    q = complex(1.0, -gp) * u
+    kappa = 1j * u / (params.p * rho)
+    qu, k_re, ku = q * u, kappa.real, kappa * u
+    fk, f2k, third, cube = f1 * k_re / rho, f2 * k_re, f3 / 3.0, 2.0 * f1 * qu * u
+    cols = []  # per column X/|w|: X1, X2, n.X, zeta', L' and g
+    for x, y, z in zip(*frame):
+        x, y = x / scale, y / scale
+        t = n1 * x + n2 * y
+        d = z / scale + c * t
+        lx = (q * d).real
+        cols.append((x, y, t, d, lx, f2k * lx - f1 * (ku * d).real - fk * t))
+    *_, d1, l1, g = zip(*cols)
+    phi2, cross, proj, tri = [], [], [], []
+    for i, (x, y, t, d, lx, _) in enumerate(cols):
+        for x2, y2, t2, d2, ly, _ in cols[i:]:  # the pairs (i, j), j >= i, in packed order
+            pr = x * x2 + y * y2 - t * t2
+            dd = d * d2
+            re2 = (qu * dd).real
+            ll = lx * ly
+            phi2.append(f2 * ll + f1 * (k_re * pr - re2))
+            cross.append(third * ll - f2 * re2)  # sym(. (x) L') = f3 L'L'L' - f2 sym(re2 (x) L')
+            proj.append(pr)
+            tri.append(cube * dd)
+    return ([f1 * x for x in l1], phi2,
+            [cross[ij] * l1[k] + cross[ik] * l1[j] + cross[jk] * l1[i]
+             + proj[ij] * g[k] + proj[ik] * g[j] + proj[jk] * g[i] + (tri[ij] * d1[k]).real
+             for i, j, k, ij, ik, jk in _packing(len(cols))[1]])
+
+
+CHART_PAIRS = ((1.0, 1.0), (1.25, 1.0), (1.25, 0.8), (1.5, 0.9), (2.0, 0.5), (3.0, 0.3),
+               (50.0, 0.05), (100.0, 0.999), (2.0, 0.006),
+               (28.39204609561534, 0.0045755159348809015))  # test_indicatrix's ten (H, p)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_radial_chain_matches_the_generic_loop_bit_for_bit(monkeypatch, k):
+    # float.hex for float.hex against the generic loop, on the chart inputs that the
+    # section (k = 2) or the unit surface (k = 3) passes on CHART_PAIRS, on FRAME (k = 2)
+    # or the identity (k = 3) at sampled ratios, and again on all of them at a random f
+    inputs = []
+    monkeypatch.setattr(indicatrix, "radial_chain",
+                        lambda *args: inputs.append(args) or radial_chain(*args))
+    rng = np.random.default_rng(43)
+    for H, p in CHART_PAIRS:
+        params = Parameters(H=H, p=p)
+        for angles in sample_angles(params, 30, rng, eta_margin=1e-6, theta_margin=2e-3,
+                                    eta_span=15.0):
+            if k == 3:
+                indicatrix_curvature(angles, params)
+            else:
+                section_curvature(angles.theta, params)
+                indicatrix.section_metric(angles.theta, angles.phi, params)
+    assert len(inputs) == len(CHART_PAIRS) * 30 * (2 if k == 2 else 1)  # two section calls
+    frame = np.eye(3).tolist() if k == 3 else FRAME
+    for H, p in RADIAL_PAIRS:
+        params = Parameters(H=H, p=p)
+        for y in sample_vectors(params, 20, rng):
+            w = list(projections(y, Tetrad.canonical())[1:])
+            inputs += [(w, params, frame, f) for f in ((1.0, 0.0, 0.0), (1.0, 2.0, 4.0))]
+    inputs += [(*args[:3], tuple(rng.uniform(-3.0, 3.0, 3).tolist())) for args in inputs]
+    for args in inputs:
+        got, want = radial_chain(*args), _reference_radial_chain(*args)
+        assert [[x.hex() for x in part] for part in got] == \
+            [[x.hex() for x in part] for part in want], args
 
 
 def test_radial_derivatives_match_hyperdual_hessian():
