@@ -101,7 +101,7 @@ def gauss_curvatures(cartan, chart_metric) -> dict:
 
     The Gauss equation of a Finsler indicatrix (Bao, Chern & Shen, GTM 200; Matsumoto 1986)
     at one point: ``cartan`` is the Cartan tensor and ``chart_metric`` the metric m on the
-    k = 2 or 3 chart tangent vectors, as packed floats (``kernel._packing``: k(k + 1)(k + 2)/6
+    k = 2 or 3 chart tangent vectors, as packed floats (``kernel._PAIR_INDEX``: k(k + 1)(k + 2)/6
     and k(k + 1)/2).  The Cartan tensor vanishes along the point's own direction y, and
     g(y, X) = 0 for every tangent X, so m^-1 raises C's last slot:
     S = C_ii. m^-1 C_jj. - C_ij. m^-1 C_ij. and A = m_ii m_jj - m_ij^2 give

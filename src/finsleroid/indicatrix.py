@@ -94,7 +94,7 @@ def indicatrix_metric(angles: AngleCoords, params: Parameters) -> np.ndarray:
     Gauss route's chart metric (``_unit_surface``) negated, hyperbolic 3-space
     (d eta^2 + sinh^2 eta dOmega^2)/H^2 to ~1e-14 below eta - eta_min = 2.2 and ~1e-6 up
     to the chart's ceiling (README).  Bounded by THETA_MIN and GAP_MIN, as the curvatures are."""
-    return -_unpack(_unit_surface(_surface_chart(angles, params), params)[1], 3)
+    return -_unpack(_unit_surface(angles, params)[1], 3)
 
 
 def _check_theta(theta: float, surface: str):
@@ -104,23 +104,6 @@ def _check_theta(theta: float, surface: str):
                                 f"got {theta}")
 
 
-def _surface_chart(angles: AngleCoords, params: Parameters):
-    """The eta profile (``_chart_profile``) and ``_section_chart`` at r = 1 of one AngleCoords
-    (else a ValueError) within the measured bounds: THETA_MIN, then the chart's own domain
-    errors, then eta - eta_min >= GAP_MIN."""
-    if not isinstance(angles, AngleCoords):
-        raise ValueError(f"the unit-surface chart takes AngleCoords, got {type(angles).__name__}")
-    _check_theta(angles.theta, "unit-surface")
-    chart = _chart_profile(angles.eta, params), _section_chart(angles.theta, angles.phi, params)
-    gap = angles.eta - params.eta_min
-    if not gap >= GAP_MIN:
-        raise OutsideEtaDomain(
-            f"the unit-surface chart needs eta - eta_min >= GAP_MIN = {GAP_MIN}, "
-            f"got eta={angles.eta}, {gap} above the floor {params.eta_min}"
-        )
-    return chart
-
-
 def indicatrix_curvature(angles: AngleCoords, params: Parameters) -> dict:
     """Sectional curvatures of the three coordinate planes of the unit surface.
 
@@ -128,12 +111,13 @@ def indicatrix_curvature(angles: AngleCoords, params: Parameters) -> dict:
     return -H^2.  Raises PolarAxisSingular below THETA_MIN, OutsideEtaDomain
     below eta - eta_min = GAP_MIN, and the chart's own domain errors.
     """
-    return gauss_curvatures(*_unit_surface(_surface_chart(angles, params), params))
+    return gauss_curvatures(*_unit_surface(angles, params))
 
 
-def _unit_surface(chart, params: Parameters):
+def _unit_surface(angles: AngleCoords, params: Parameters):
     """Packed Cartan tensor and negative definite chart metric of the unit surface at one
-    ``_surface_chart``: the Gauss equation's inputs and the one unit-surface metric.
+    AngleCoords (else a ValueError) within THETA_MIN, the chart's own domain errors and
+    GAP_MIN, checked in that order: the Gauss equation's inputs and the one unit-surface metric.
 
     F^2 = b^2 Phi(w) with b = y0 = 1/V, w the frame ratios and Phi = V^2.  On the
     chart columns X, with X~ = Q^T X = X[1:] - w X0 = b dw (Q = [-w^T; I3]),
@@ -150,7 +134,17 @@ def _unit_surface(chart, params: Parameters):
     (2 hh^2 sinh cosh + A_eta cosh + A sinh) + 2 m^2), sums of like-signed terms.
     K = -1 + S/A.
     """
-    (eta, (a, r1v, _, _, v, _)), (_, (*u, _), jac) = chart
+    if not isinstance(angles, AngleCoords):
+        raise ValueError(f"the unit-surface chart takes AngleCoords, got {type(angles).__name__}")
+    _check_theta(angles.theta, "unit-surface")
+    eta, (a, r1v, _, _, v, _) = _chart_profile(angles.eta, params)
+    _, (*u, _), jac = _section_chart(angles.theta, angles.phi, params)
+    gap = angles.eta - params.eta_min
+    if not gap >= GAP_MIN:
+        raise OutsideEtaDomain(
+            f"the unit-surface chart needs eta - eta_min >= GAP_MIN = {GAP_MIN}, "
+            f"got eta={angles.eta}, {gap} above the floor {params.eta_min}"
+        )
     p2 = params.p * params.p
     hh2 = params.boost_skew ** 2
     sh, ch = math.sinh(eta), math.cosh(eta)

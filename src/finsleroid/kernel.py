@@ -235,21 +235,13 @@ def _radial_parts(w1, w2, w3, params: Parameters):
         rk4 * (u2 * u3) + rk2 * (m2 * m3), rk4 * (u3 * u3) + rk2 * (m3 * m3)]
 
 
-@lru_cache(maxsize=None)
-def _packing(k: int):
-    """Index tables, as tuples, of symmetric k-tensors stored packed as their distinct
-    entries: the pairs a <= b, per triple a <= b <= c the indices (a, b, c) and the
-    packed pairs ab, ac and bc, and the packed position of every pair and triple."""
-    pairs = tuple((a, b) for a in range(k) for b in range(a, k))
-    triples = [(a, b, c) for a, b in pairs for c in range(b, k)]
-    pair_at = tuple(tuple(pairs.index((min(a, b), max(a, b))) for b in range(k)) for a in range(k))
-    triple_at = tuple(tuple(tuple(triples.index(tuple(sorted((a, b, c)))) for c in range(k))
-                            for b in range(k)) for a in range(k))
-    spans = tuple((a, b, c, pair_at[a][b], pair_at[a][c], pair_at[b][c]) for a, b, c in triples)
-    return pairs, spans, pair_at, triple_at
-
-
-_PAIR_INDEX = {k: np.array(_packing(k)[2]) for k in (2, 3, 4)}  # pair_at as index arrays
+# A symmetric k-tensor is stored packed, as its distinct entries: the index tuples a <= b
+# (<= c) in lexicographic order.  _PAIR_INDEX[k][a, b] is the packed position of (a, b).
+_PAIR_INDEX = {
+    2: np.array([[0, 1], [1, 2]]),
+    3: np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]]),
+    4: np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]]),
+}
 
 
 def _unpack(packed, k: int):
@@ -260,7 +252,7 @@ def _unpack(packed, k: int):
 
 def radial_chain(w, params: Parameters, frame, f):
     """First three derivatives of Phi(L), L = ln r, at one w (3 floats) off the axis, along
-    the k = 2 or 3 columns of ``frame`` (3 rows of k floats), packed (``_packing``), from Phi's
+    the k = 2 or 3 columns of ``frame`` (3 rows of k floats), packed (``_PAIR_INDEX``), from Phi's
     L-derivatives f = (f1, f2, f3); at f = (1, 0, 0) they are L's own.
 
     r is homogeneous of degree one, so L's derivatives at w along X are those at w/|w|
@@ -469,9 +461,7 @@ def eta_from_r(r: float, params: Parameters, *, with_iterations: bool = False):
     lo, hi = floor, ETA_CAP
     step = before = hi - lo
     for iterations in range(1, NEWTON_MAX_ITER + 1):
-        gap = eta - floor
-        if gap < 0.0:
-            raise OutsideEtaDomain(f"radicand of A not positive at eta={eta} (floor {floor})")
+        gap = eta - floor  # >= 0: no seed, kept step or bisection goes below lo >= floor
         ch, sh = math.cosh(eta), math.sinh(eta)
         a = hh * math.sqrt(2.0 * math.cosh(0.5 * (eta + floor)) * math.sinh(0.5 * gap)
                            * (sh + gp_hh))

@@ -25,7 +25,6 @@ from . import dual as dm
 from .errors import DomainError, OutsideAxialRegion, PolarAxisSingular
 from .frame import Parameters, Tetrad, projections
 from .kernel import (
-    _packing,
     _radial_parts,
     _spiral,
     _unpack,
@@ -108,7 +107,7 @@ def _radial_point(b, w, params: Parameters):
     ``b`` and the ratios ``w = (w1, w2, w3)`` are floats (``_frame_point``).  The radial
     map's value, gradient and Hessian in the ratios come from one closed-form call, its
     value is inverted once, and l and h are the component-route assemblies, packed
-    (``_packing(4)``), written out entry by entry.
+    (``kernel._PAIR_INDEX``), written out entry by entry.
     """
     r, (g1, g2, g3), (k11, k12, k13, k22, k23, k33) = _radial_parts(*w, params)
     sh, _, v, v_r, v_rr = _profile_factors(r, params)
@@ -266,8 +265,9 @@ def finsleroid3_metric(w, params: Parameters):
     w1, w2, w3 = w.T if w.ndim == 2 else w.tolist()
     if params.p < 1.0:
         _check_axial(w1, w2, w3)
-    r, grad, hess = _radial_parts(w1, w2, w3, params)
-    return _unpack([grad[a] * grad[b] + r * x for (a, b), x in zip(_packing(3)[0], hess)], 3)
+    r, (g1, g2, g3), (k11, k12, k13, k22, k23, k33) = _radial_parts(w1, w2, w3, params)
+    return _unpack([g1 * g1 + r * k11, g1 * g2 + r * k12, g1 * g3 + r * k13,
+                    g2 * g2 + r * k22, g2 * g3 + r * k23, g3 * g3 + r * k33], 3)
 
 
 def covector_to_natural(vec, tetrad: Tetrad) -> np.ndarray:

@@ -11,7 +11,8 @@ from finsleroid import AngleCoords, Parameters, domain_info, indicatrix_curvatur
 from finsleroid.curvature import (
     STEP, _inverse, christoffel, coordinate_plane_curvatures, gauss_curvatures,
 )
-from finsleroid.kernel import _packing
+
+from packing import packing
 
 
 def rows(metric):
@@ -120,7 +121,7 @@ def test_gauss_curvatures_match_a_dense_evaluation(k):
     # packed floats in, against S = C_ii. m^-1 C_jj. - C_ij. m^-1 C_ij. and
     # A = m_ii m_jj - m_ij^2 contracted densely by einsum with an LU inverse
     rng = np.random.default_rng(40 + k)
-    pairs, spans, _, _ = _packing(k)
+    pairs, spans, _, _ = packing(k)
     assert (len(pairs), len(spans)) == (k * (k + 1) // 2, k * (k + 1) * (k + 2) // 6)
     for _ in range(200):
         raw = rng.normal(size=(k, k, k))
@@ -145,7 +146,7 @@ def test_gauss_curvatures_match_a_dense_evaluation(k):
 def _left_to_right_gauss(cartan, metric, k):
     """gauss_curvatures written out with explicit += loops: each dot summed in index order
     from 0.0, a plain sum on every Python (``sum`` compensates from 3.12)."""
-    pairs, _, pair_at, triple_at = _packing(k)
+    pairs, _, pair_at, triple_at = packing(k)
     inv = _inverse(metric, k)
     lower = [[cartan[q] for q in triple_at[a][b]] for a, b in pairs]
     raised = []
@@ -176,7 +177,7 @@ def test_gauss_curvatures_match_a_left_to_right_contraction_bit_for_bit(k):
     # the straight-line contraction rounds as index-order loops do, on packed Python floats
     # of either definiteness
     rng = np.random.default_rng(70 + k)
-    pairs, spans, _, _ = _packing(k)
+    pairs, spans, _, _ = packing(k)
     for trial in range(200):
         root = rng.normal(size=(k, k))
         metric = (-1.0) ** trial * (root @ root.T + 0.1 * np.eye(k))

@@ -29,6 +29,8 @@ from finsleroid import dual as dm
 from finsleroid import frame, indicatrix, kernel, tensors
 from finsleroid.curvature import coordinate_plane_curvatures
 
+from packing import packing
+
 
 def _angles(params, d_eta=0.9, theta=0.6, phi=1.2):
     dom = domain_info(params)
@@ -232,7 +234,7 @@ def test_whole_curvature_tensor_is_constant(recorded, H, p):
     # must be -H^2 (m_ik m_jl - m_il m_jk) in all six components, and in m-orthonormal
     # 2-planes (Gaussian ones reach 1.6e-10 H^2 at (2, 0.5) from near-degenerate areas)
     params = Parameters(H=H, p=p)
-    _, _, pair_at, triple_at = kernel._packing(3)
+    _, _, pair_at, triple_at = packing(3)
     rng = np.random.default_rng(3)
     h2 = H * H
     for angles in sample_angles(params, 300, 3):
@@ -268,7 +270,7 @@ def test_cartan_tensor_has_the_special_form_at_p_1(recorded, H):
     # the first residual grows as 1/hh towards H = 1 (worst 1.1e-15 max|C|/hh, and the
     # second 1.8e-15 H^2, over 300 points per H)
     params = Parameters(H=H, p=1.0)
-    _, _, pair_at, triple_at = kernel._packing(3)
+    _, _, pair_at, triple_at = packing(3)
     for angles in sample_angles(params, 300, 3):
         recorded.clear()
         indicatrix_curvature(angles, params)
@@ -326,7 +328,7 @@ def test_section_metric_is_the_round_sphere(recorded, H, p):
     # axis band; section_metric is, bit for bit, the chart metric that gauss_curvatures
     # receives in section_curvature (at phi = 0.9)
     params = Parameters(H=H, p=p)
-    pair_at = np.array(kernel._packing(2)[2])
+    pair_at = np.array(packing(2)[2])
     rng = np.random.default_rng(3)
     theta = rng.uniform(1e-3, theta_pole(params) - 1e-3, 2000).tolist()
     phi = rng.uniform(0.0, 2.0 * math.pi, 2000).tolist()
@@ -350,7 +352,7 @@ def test_indicatrix_metric_is_hyperbolic_space(recorded, H, p):
     # gauss_curvatures receives, negated, bit for bit, and every curvature is -H^2 to
     # 1e-9 H^2 (worst 4.3e-10 H^2, at (2, 0.006))
     params = Parameters(H=H, p=p)
-    pair_at = np.array(kernel._packing(3)[2])
+    pair_at = np.array(packing(3)[2])
     _, _, near, band_tol, far = ISOMETRY_TOLERANCES[(H, p)]
     rng = np.random.default_rng(5)
     gaps = rng.uniform(1e-6, 2.2, 1000).tolist()
@@ -432,12 +434,14 @@ def test_curvature_holds_up_to_the_chart_ceiling(H, p):
 
 
 def test_curvature_domain_bounds():
-    # the measured bounds of the Gauss route raise typed errors that name them
+    # the measured bounds of the Gauss route raise typed errors that name them, in the
+    # unit surface's metric as in its curvatures
     params = Parameters(H=1.25, p=0.8)
     floor = domain_info(params).eta_min
     for gap in (0.0, 0.5 * indicatrix.GAP_MIN):
-        with pytest.raises(OutsideEtaDomain, match="GAP_MIN"):
-            indicatrix_curvature(AngleCoords(eta=floor + gap, theta=0.7, phi=1.0), params)
+        for call in (indicatrix_curvature, indicatrix_metric):
+            with pytest.raises(OutsideEtaDomain, match="GAP_MIN"):
+                call(AngleCoords(eta=floor + gap, theta=0.7, phi=1.0), params)
     # points the chart accepted while r(eta) dithered around r_sup, where the
     # curvature was off by up to 1e-6 at gap 20 and by 7 at 30, so a bound
     # GAP_MAX = 16 rejected them; the chart's own ceiling rejects them now, in
@@ -451,8 +455,9 @@ def test_curvature_domain_bounds():
             with pytest.raises(OutsideEtaDomain, match="eta=.*r_sup"):
                 call(_angles(far, d_eta=gap), far)
     for theta in (0.0, 0.9 * indicatrix.THETA_MIN):
-        with pytest.raises(PolarAxisSingular, match="THETA_MIN"):
-            indicatrix_curvature(_angles(params, theta=theta), params)
+        for call in (indicatrix_curvature, indicatrix_metric):
+            with pytest.raises(PolarAxisSingular, match="THETA_MIN"):
+                call(_angles(params, theta=theta), params)
         with pytest.raises(PolarAxisSingular, match="THETA_MIN"):
             section_curvature(theta, params)
     with pytest.raises(ThetaPole):

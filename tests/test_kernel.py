@@ -388,9 +388,10 @@ def test_inverse_radial_map_isotropic_round_trip():
             assert abs(math.log(float(hyperbolic_profile(back, params)[5]) / r)) <= 2e-15
 
 
-def _reference_eta_from_r(r, params):
+def _reference_eta_from_r(r, params, bisections=None):
     """eta_from_r(r, params, with_iterations=True) as a loop through the generic
-    hyperbolic_profile and rim_depth per Newton step: the oracle of the one-pass loop."""
+    hyperbolic_profile and rim_depth per Newton step: the oracle of the one-pass loop.
+    Each rtsafe bisection appends its (r, iteration) to the list ``bisections``, if given."""
     dom = domain_info(params)
     if params.p == 1.0 and r == 0.0:
         return 0.0, 0
@@ -427,6 +428,8 @@ def _reference_eta_from_r(r, params):
             break
         if not (lo <= nxt <= hi and abs(nxt - eta) <= 0.5 * before):
             nxt = 0.5 * (lo + hi)
+            if bisections is not None:
+                bisections.append((r, iterations))
         before, step, eta = step, abs(nxt - eta), nxt
         if step <= 1e-12 * eta:
             break
@@ -444,9 +447,13 @@ def _inversion_outcome(invert, r, params):
 
 def test_inversion_matches_the_profile_loop_bit_for_bit():
     rng = np.random.default_rng(22)
-    rim_seeds = 0  # 347 of the 3200 p < 1 radii here
+    rim_seeds = 0  # 388 of the 3600 p < 1 radii here
+    bisections = []  # 4 here, all at (1.00002, 0.05)
+    reference = lambda r, params: _reference_eta_from_r(r, params, bisections)  # noqa: E731
     with_iterations = lambda r, params: eta_from_r(r, params, with_iterations=True)  # noqa: E731
-    for H, p in INVERSION_PAIRS + ((1.25, 1.0), (2.0, 1.0)):
+    # (1.00002, 0.05), where rtsafe bisects, comes last so that the earlier pairs keep their
+    # draws; it is not an INVERSION_PAIRS pair: its round trip reaches ~30 2^-52, above 2e-15
+    for H, p in INVERSION_PAIRS + ((1.25, 1.0), (2.0, 1.0), (1.00002, 0.05)):
         params = Parameters(H=H, p=p)
         dom = domain_info(params)
         gaps = np.exp(rng.uniform(math.log(1e-12), math.log(16.0), 400))
@@ -455,7 +462,7 @@ def test_inversion_matches_the_profile_loop_bit_for_bit():
         radii += [dom.r_min, dom.r_sup, math.nextafter(dom.r_min, 1.0),
                   math.nextafter(dom.r_sup, 0.0), 0.5 * dom.r_min, 2.0 * dom.r_sup, 0.0]
         for r in radii:
-            expected = _inversion_outcome(_reference_eta_from_r, r, params)
+            expected = _inversion_outcome(reference, r, params)
             got = _inversion_outcome(with_iterations, r, params)
             assert got == expected, (H, p, r)
             if p < 1.0 and dom.r_min < r < dom.r_sup:
@@ -463,6 +470,7 @@ def test_inversion_matches_the_profile_loop_bit_for_bit():
                 seed = -0.5 * math.log(0.5 * p * p * (1.0 + params.boost_skew) * depth)
                 rim_seeds += seed > dom.eta_min + 0.5
     assert rim_seeds >= 100, rim_seeds
+    assert len(bisections) >= 1  # the fallback runs, and matches the reference's
 
 
 @settings(max_examples=200, deadline=None)

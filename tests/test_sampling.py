@@ -99,6 +99,16 @@ def test_sample_vectors_makes_one_chart_call(monkeypatch):
     assert calls == [(50, 3)]
 
 
+def test_non_positive_norms_are_rejected():
+    # the scalar chart's norm and every norm the sampler draws from ``scale``
+    params = Parameters(H=1.25, p=0.8)
+    angles = AngleCoords(eta=domain_info(params).eta_min + 0.7, theta=0.6, phi=1.2)
+    with pytest.raises(ValueError, match="norm must be positive"):
+        vector_from_angles(angles, 0.0, params)
+    with pytest.raises(ValueError, match="norm must be positive"):
+        sample_vectors(params, 20, 3, scale=(-1.0, 1.0))
+
+
 def test_batch_chart_takes_an_azimuth_rounding_to_two_pi_to_zero():
     # -1e-20 mod 2 pi rounds to 2 pi, whose sine is -2.4e-16: a second remainder gives 0
     params = Parameters(H=2.0, p=0.5)

@@ -36,8 +36,8 @@ from finsleroid import (
 from finsleroid import dual as dm
 from finsleroid import indicatrix, tensors
 from finsleroid.kernel import (
+    _PAIR_INDEX,
     _azimuth,
-    _packing,
     _radial_parts,
     _spiral,
     _unpack,
@@ -49,8 +49,17 @@ from finsleroid.kernel import (
     theta_from_f,
 )
 
+from packing import packing
+
 ANISO = Parameters(H=1.25, p=0.8)
 PSEUDO = Parameters(H=1.0, p=1.0)
+
+
+def test_pair_index_is_the_reference_packing():
+    # the kernel's written-out index arrays, which _unpack reads, against the any-k tables
+    assert sorted(_PAIR_INDEX) == [2, 3, 4]
+    for k, index in _PAIR_INDEX.items():
+        assert index.tolist() == [list(row) for row in packing(k)[2]], k
 
 
 def radial_derivatives(w, params):
@@ -312,7 +321,7 @@ FRAME = [[0.3, -1.1], [0.8, 0.2], [-0.4, 0.9]]  # 2 columns along which the chai
 
 def _dense(packed, k):
     """Dense arrays (k,), (k, k) and (k, k, k) of packed symmetric tensors."""
-    _, _, pair_at, triple_at = _packing(k)
+    _, _, pair_at, triple_at = packing(k)
     d1, d2, d3 = map(np.asarray, packed)
     return d1, d2[np.array(pair_at)], d3[np.array(triple_at)]
 
@@ -374,7 +383,7 @@ def test_radial_chain_matches_the_dense_chain_rule():
 def _reference_radial_chain(w, params, frame, f):
     """``radial_chain`` as the generic loop over any k columns that its written-out k = 2
     and k = 3 branches replaced: one loop over the pairs (i, j >= i), one pass over
-    ``_packing(k)``'s triples, the sums in the order that the branches keep."""
+    ``packing(k)``'s triples, the sums in the order that the branches keep."""
     scale = math.hypot(*w)
     (w1, w2, w3), (f1, f2, f3) = (w[0] / scale, w[1] / scale, w[2] / scale), f
     gp, rho = params.azimuthal_skew, math.hypot(w1, w2)
@@ -407,7 +416,7 @@ def _reference_radial_chain(w, params, frame, f):
     return ([f1 * x for x in l1], phi2,
             [cross[ij] * l1[k] + cross[ik] * l1[j] + cross[jk] * l1[i]
              + proj[ij] * g[k] + proj[ik] * g[j] + proj[jk] * g[i] + (tri[ij] * d1[k]).real
-             for i, j, k, ij, ik, jk in _packing(len(cols))[1]])
+             for i, j, k, ij, ik, jk in packing(len(cols))[1]])
 
 
 CHART_PAIRS = ((1.0, 1.0), (1.25, 1.0), (1.25, 0.8), (1.5, 0.9), (2.0, 0.5), (3.0, 0.3),
@@ -625,9 +634,9 @@ def test_metric_tensor_single_evaluation_chain(monkeypatch):
 
 
 def _radial_parts_by_index(w1, w2, w3, params):
-    """``_radial_parts``' closed forms assembled in index order over ``_packing(3)``."""
+    """``_radial_parts``' closed forms assembled in index order over ``packing(3)``."""
     fn = dm.library(w1, w2, w3)
-    pairs = _packing(3)[0]
+    pairs = packing(3)[0]
     if params.p == 1.0:
         s = w1 * w1 + w2 * w2 + w3 * w3
         fp, fpp = 0.5 / fn.sqrt(s), -0.25 / s ** 1.5
@@ -650,16 +659,22 @@ def _radial_parts_by_index(w1, w2, w3, params):
 
 
 def _metric_tensor_by_index(y, params):
-    """(l, h, g, det g, F) assembled in index order over ``_packing(3)`` and ``_packing(4)``."""
+    """(l, h, g, det g, F) assembled in index order over ``packing(3)`` and ``packing(4)``."""
     b, w = tensors._frame_point(y, None, params)
     r, grad, hess = _radial_parts_by_index(*w, params)
     sh, _, v, v_r, v_rr = tensors._profile_factors(r, params)
     l = [v * (1.0 + (params.p ** 2 / params.H ** 2) * sh * sh)] + [v_r * x for x in grad]
     vv, vr = v * v_rr, v * v_r
     h = [vv * r * r] + [-vv * r * x for x in grad] + [
-        vv * (grad[a] * grad[c]) + vr * x for (a, c), x in zip(_packing(3)[0], hess)]
-    g = _unpack([x + l[a] * l[c] for (a, c), x in zip(_packing(4)[0], h)], 4)
+        vv * (grad[a] * grad[c]) + vr * x for (a, c), x in zip(packing(3)[0], hess)]
+    g = _unpack([x + l[a] * l[c] for (a, c), x in zip(packing(4)[0], h)], 4)
     return np.array(l), _unpack(h, 4), g, float(np.linalg.det(g)), b * v
+
+
+def _finsleroid3_metric_by_index(w1, w2, w3, params):
+    """``finsleroid3_metric``'s d_a r d_b r + r d_ab r in index order over ``packing(3)``."""
+    r, grad, hess = _radial_parts(w1, w2, w3, params)
+    return _unpack([grad[a] * grad[b] + r * x for (a, b), x in zip(packing(3)[0], hess)], 3)
 
 
 def _bundle_by_index(fc, params):
@@ -691,10 +706,14 @@ def test_straight_line_tensors_match_the_index_order_assembly_bit_for_bit(H, p):
     rows = np.array([projections(y, Tetrad.canonical())[1:] for y in ys])
     for got, want in zip(_radial_parts(*rows.T, params), _radial_parts_by_index(*rows.T, params)):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    want = _finsleroid3_metric_by_index(*rows.T, params)
+    assert finsleroid3_metric(rows, params).tobytes() == want.tobytes()
     for w in rows.tolist():
         r, grad, hess = _radial_parts(*w, params)
         r0, grad0, hess0 = _radial_parts_by_index(*w, params)
         assert _bits(r, *grad, *hess) == _bits(r0, *grad0, *hess0)
+        want = _finsleroid3_metric_by_index(*w, params)
+        assert finsleroid3_metric(w, params).tobytes() == want.tobytes()
     for y, w in zip(ys, rows):
         tb = metric_tensor(y, None, params)
         l, h, g, det, f = _metric_tensor_by_index(y, params)
