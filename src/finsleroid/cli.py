@@ -22,8 +22,7 @@ import numpy as np
 from .errors import DomainError, EmptyDomain, FinsleroidError
 from .frame import Parameters, Tetrad, frame_components, projections, pseudo_norm_squared
 from .kernel import (
-    EvalBundle, _azimuth, angles_from_vector, domain_info, eta_from_r, hyperbolic_profile,
-    radial_from_ratios,
+    EvalBundle, _azimuth, _inverted_profile, angles_from_vector, domain_info, radial_from_ratios,
 )
 from .indicatrix import indicatrix_curvature
 from .limits import reduction_report
@@ -152,9 +151,8 @@ def evaluate_document(params: Parameters, tetrad: Tetrad, y: np.ndarray) -> dict
             "s2": pseudo_norm_squared(y, tetrad),
         }
         r = radial_from_ratios(w1, w2, w3, params)
-        eta = eta_from_r(r, params)
-        # r is admitted, so eta takes no chart check: r(eta) may round up to r_sup
-        prof = EvalBundle(*hyperbolic_profile(eta, params))
+        eta, prof = _inverted_profile(r, params)  # metric_tensor and det g reuse it
+        prof = EvalBundle(*prof)
         theta = math.atan2(math.hypot(w1, w2), w3)
         angles = {"eta": eta, "theta": theta, "phi": _azimuth(w1, w2)}
         bundle = {**vars(prof), "r": r, "F": b * prof.V}

@@ -69,6 +69,11 @@ class Parameters:
         return math.asinh(gp / hh) if hh > 0.0 else math.inf if gp > 0.0 else 0.0
 
     @cached_property
+    def _last_inversion(self) -> list:
+        """``kernel._inverted_profile``'s one slot: [(r, (eta, profile))], empty at first."""
+        return [(None, None)]
+
+    @cached_property
     def _domain(self) -> DomainInfo:
         """``kernel.domain_info``'s record; an EmptyDomain is not stored, so each read raises it."""
         gp, hh = self.azimuthal_skew, self.boost_skew

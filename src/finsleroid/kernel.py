@@ -492,6 +492,20 @@ def eta_from_r(r: float, params: Parameters, *, with_iterations: bool = False):
     return (eta, iterations) if with_iterations else eta
 
 
+def _inverted_profile(r: float, params: Parameters):
+    """eta_from_r(r) and hyperbolic_profile at it, held for the last r in a slot on params: a
+    scan row's angle, tensor and determinant calls often share r bit for bit, and both maps are
+    deterministic, so a hit returns a miss's bits.  Errors are not stored: each call re-raises."""
+    slot = params._last_inversion
+    held = slot[0]  # replaced whole, never mutated
+    if held[0] == r:
+        return held[1]
+    eta = eta_from_r(r, params)
+    # eta_from_r admitted r, so eta takes no chart check: r(eta) may round up to r_sup
+    held = slot[0] = (r, (eta, hyperbolic_profile(eta, params)))
+    return held[1]
+
+
 def eta_lifted(r, params: Parameters):
     """Inverse map eta(r) at a HyperDual r (``norm_squared``'s radial variable).
 
@@ -526,7 +540,8 @@ def finsler_norm(y, tetrad: Tetrad | None = None, params: Parameters | None = No
 
     For p < 1 the vector must lie in the axial region w3 > 0; at p = 1 the
     restriction is lifted because the radial variable reduces to the
-    Euclidean length of the spatial ratios.
+    Euclidean length of the spatial ratios.  It inverts r directly: one norm per vector
+    never repeats a radius, so ``_inverted_profile``'s slot check would only cost time.
     """
     if params is None:
         raise TypeError("params is required")
@@ -605,9 +620,7 @@ def angles_from_vector(
     theta = theta_from_f(f, params)
     r2, big_i, u = _angular_parts(theta, params)
     r = fc.w3 * u
-    eta = eta_from_r(r, params)
-    # eta_from_r admitted r, so eta takes no chart check: r(eta) may round up to r_sup
-    a, r1v, j, y1, v, _ = hyperbolic_profile(eta, params)
+    eta, (a, r1v, j, y1, v, _) = _inverted_profile(r, params)
     bundle = EvalBundle(a, r1v, j, y1, v, r, r2, big_i, u, f, fc.b * v,
                         params.p < 1.0 and a < BOUNDARY_TOL)
     return AngleCoords(eta=eta, theta=theta, phi=phi), bundle

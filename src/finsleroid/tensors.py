@@ -25,11 +25,10 @@ from . import dual as dm
 from .errors import DomainError, OutsideAxialRegion, PolarAxisSingular
 from .frame import Parameters, Tetrad, projections
 from .kernel import (
+    _inverted_profile,
     _radial_parts,
     _spiral,
     _unpack,
-    eta_from_r,
-    hyperbolic_profile,
     norm_squared,
     radial_from_ratios,
     theta_from_f,
@@ -89,9 +88,8 @@ def _frame_point(y, tetrad: Tetrad | None, params: Parameters, dual: bool = Fals
 
 
 def _profile_factors(r, params: Parameters):
-    """sinh(eta), R1, V, V_r and V_rr at one vector's r, through eta = eta_from_r(r)."""
-    eta = eta_from_r(r, params)
-    _, r1v, _, _, v, _ = hyperbolic_profile(eta, params)
+    """sinh(eta), R1, V, V_r and V_rr at one vector's r, through ``_inverted_profile``."""
+    eta, (_, r1v, _, _, v, _) = _inverted_profile(r, params)
     sh = math.sinh(eta)
     p2 = params.p * params.p
     h2 = params.H * params.H

@@ -19,6 +19,8 @@ GOLDEN_ISOTROPIC = Path(__file__).parent / "golden" / "eval_H1.25_p1_w3neg.json"
 # p < 1: the radial inversion's Newton loop runs for every vector
 GOLDEN_AXIAL = Path(__file__).parent / "golden" / "eval_H2_p0.5.json"
 GOLDEN_SCAN = Path(__file__).parent / "golden" / "scan_H1.25_p0.8_n20.csv"
+# a second p < 1 scan: rows whose angle, tensor and determinant radii agree share one inversion
+GOLDEN_SCAN_H2 = Path(__file__).parent / "golden" / "scan_H2_p0.5_n20.csv"
 # the Gauss route's k = 3 contraction, bit for bit (the summary goes to stderr)
 GOLDEN_CURVATURE = Path(__file__).parent / "golden" / "curvature_H2_p0.5_n20.csv"
 
@@ -60,6 +62,12 @@ def test_report_scan_golden_csv():
     r = run_cli("report", "scan", "--H", "1.25", "--p", "0.8", "--samples", "20", "--format", "csv")
     assert r.returncode == 0, r.stderr
     assert r.stdout == GOLDEN_SCAN.read_text()
+
+
+def test_report_scan_golden_csv_h2_p05():
+    r = run_cli("report", "scan", "--H", "2", "--p", "0.5", "--samples", "20", "--format", "csv")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == GOLDEN_SCAN_H2.read_text()
 
 
 def test_report_curvature_golden_csv():

@@ -28,16 +28,22 @@ from finsleroid import (
     domain_info,
     eta_from_r,
     finsler_norm,
+    frame_components,
     isotropic_v_squared,
+    metric_determinant_closed,
+    metric_tensor,
     oracle_quadrature,
+    sample_vectors,
     structural_profile,
     theta_from_f,
     theta_pole,
     vector_from_angles,
 )
 from finsleroid import dual as dm
+from finsleroid import kernel
 from finsleroid.kernel import (
-    _MAP_NOISE, ETA_CAP, NEWTON_MAX_ITER, hyperbolic_profile, radial_from_ratios, rim_depth,
+    _MAP_NOISE, ETA_CAP, NEWTON_MAX_ITER, _inverted_profile, hyperbolic_profile,
+    radial_from_ratios, rim_depth,
 )
 
 # the five benchmark pairs, then a thin domain (gp ~ 20) and a large H
@@ -284,6 +290,65 @@ def test_an_empty_domain_raises_on_every_call():
             with pytest.raises(EmptyDomain, match=match):
                 finsler_norm(y, params=params)
         assert "_domain" not in vars(params)
+
+
+def test_an_inversion_error_is_never_stored(monkeypatch):
+    # a radius outside (r_min, r_sup) is inverted, and raises, on every call; the slot keeps
+    # the last good r, and a new r after the errors inverts as on a fresh Parameters
+    radii = []
+    original = kernel.eta_from_r
+    monkeypatch.setattr(kernel, "eta_from_r", lambda r, params: radii.append(r) or original(r, params))
+    for pair in ((1.25, 0.8), (2.0, 0.5), (1.25, 1.0)):
+        params = Parameters(*pair)
+        dom = domain_info(params)
+        good = 0.5 * (dom.r_min + dom.r_sup)
+        held = _inverted_profile(good, params)
+        for bad in (dom.r_min if params.p < 1.0 else -0.1, dom.r_sup, 2.0 * dom.r_sup):
+            for _ in range(2):
+                radii.clear()
+                with pytest.raises(OutsideRadialDomain):
+                    _inverted_profile(bad, params)
+                assert radii == [bad]
+        radii.clear()
+        assert _inverted_profile(good, params) is held and radii == []
+        other = 0.25 * dom.r_min + 0.75 * dom.r_sup
+        eta, profile = _inverted_profile(other, params)
+        assert radii == [other]
+        fresh = Parameters(*pair)
+        want = original(other, fresh)
+        assert [x.hex() for x in (eta, *profile)] == [
+            float(x).hex() for x in (want, *hyperbolic_profile(want, fresh))]
+    for params in (Parameters(H=1.0, p=0.5), Parameters(H=2.0, p=1e-3)):
+        for _ in range(2):
+            with pytest.raises(EmptyDomain):
+                _inverted_profile(0.1, params)
+        assert params._last_inversion == [(None, None)]
+
+
+def _scan_bits(params, ys):
+    """float.hex of the angles, bundle, tensors and closed det g of each vector's scan row."""
+    rows = []
+    for y in ys:
+        coords, bundle = angles_from_vector(frame_components(y), params)
+        tb = metric_tensor(y, None, params)
+        values = [*vars(coords).values(), *vars(bundle).values(), *tb.l, *tb.h.ravel(),
+                  *tb.g.ravel(), tb.det_g, tb.F, metric_determinant_closed(y, None, params)]
+        rows.append([float(x).hex() for x in values])
+    return rows
+
+
+def test_a_used_parameters_survives_copy_and_pickle():
+    # the slot travels with the instance (a shallow copy shares it, for the same H and p); the
+    # first row after a copy, the last row before it, starts on the carried slot
+    for pair in ((2.0, 0.5), (1.25, 1.0)):
+        params = Parameters(*pair)
+        ys = sample_vectors(params, 8, 79)
+        want = _scan_bits(params, ys)
+        assert want == _scan_bits(Parameters(*pair), ys)
+        for other in (copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+            assert other == params and other._last_inversion == params._last_inversion
+            assert _scan_bits(other, ys[::-1]) == want[::-1]
+            assert _scan_bits(params, ys) == want
 
 
 def test_radial_map_strictly_increasing():

@@ -6,9 +6,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finsleroid import (
     DomainError,
+    FinsleroidError,
     OutsideAxialRegion,
     OutsideRadialDomain,
     Parameters,
@@ -34,7 +36,7 @@ from finsleroid import (
     unit_covector,
 )
 from finsleroid import dual as dm
-from finsleroid import indicatrix, tensors
+from finsleroid import indicatrix, kernel, tensors
 from finsleroid.kernel import (
     _PAIR_INDEX,
     _azimuth,
@@ -597,6 +599,7 @@ def test_metric_tensor_pseudo_euclidean():
 
 
 def test_metric_tensor_single_evaluation_chain(monkeypatch):
+    # the inversion runs in kernel._inverted_profile, whose slot on params serves a repeat
     calls = {"projections": 0, "eta_from_r": 0, "_radial_parts": 0, "hessian": 0}
 
     def counted(owner, name):
@@ -609,7 +612,7 @@ def test_metric_tensor_single_evaluation_chain(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(tensors, "projections")
-    counted(tensors, "eta_from_r")
+    counted(kernel, "eta_from_r")
     counted(tensors, "_radial_parts")
     counted(tensors.dm, "hessian")
     for params in (
@@ -628,6 +631,10 @@ def test_metric_tensor_single_evaluation_chain(monkeypatch):
                 "_radial_parts": 1,
                 "hessian": 0,
             }
+            calls["eta_from_r"] = 0
+            again = metric_tensor(y, None, params)
+            assert calls["eta_from_r"] == 0
+            assert again.F == tb.F and np.array_equal(again.g, tb.g)
             assert np.array_equal(tb.l, unit_covector(y, None, params))
             assert np.array_equal(tb.h, angular_metric(y, None, params))
             assert np.array_equal(tb.g, tb.h + np.outer(tb.l, tb.l))
@@ -726,6 +733,89 @@ def test_straight_line_tensors_match_the_index_order_assembly_bit_for_bit(H, p):
             coords, eb = angles_from_vector(fc, params)
             assert _bits(coords.eta, coords.theta, coords.phi, eb.A, eb.R1, eb.J, eb.Y1, eb.V,
                          eb.r, eb.R2, eb.I, eb.U, eb.f, eb.F) == _bits(*_bundle_by_index(fc, params))
+
+
+def _hexes(fields):
+    """float.hex of each (name, value): finite, but for frame_components' t, inf on w1 = 0."""
+    out = []
+    for name, x in fields:
+        x = np.asarray(x, dtype=float).ravel()  # near_boundary, a bool, reads 0.0 or 1.0
+        assert name == "t" or np.all(np.isfinite(x)), (name, x)
+        out += [float(e).hex() for e in x]
+    return out
+
+
+# a report scan row's four calls (perfbench's scan_row), each as (name, value) pairs
+SCAN_CALLS = {
+    "frame_components": lambda y, params: vars(frame_components(y)).items(),
+    "angles_from_vector": lambda y, params: [
+        item for part in angles_from_vector(frame_components(y), params)
+        for item in vars(part).items()],
+    "metric_tensor": lambda y, params: vars(metric_tensor(y, None, params)).items(),
+    "metric_determinant_closed": lambda y, params: [
+        ("det", metric_determinant_closed(y, None, params))],
+}
+
+
+def _scan_outcome(name, y, params):
+    """A scan-row call's floats as float.hex, or its error's type and message."""
+    try:
+        return _hexes(SCAN_CALLS[name](y, params))
+    except (FinsleroidError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _count_inversions(monkeypatch):
+    """Count kernel.eta_from_r calls, where ``_inverted_profile`` inverts on a miss."""
+    radii = []
+    original = kernel.eta_from_r
+    monkeypatch.setattr(kernel, "eta_from_r", lambda r, params: radii.append(r) or original(r, params))
+    return radii
+
+
+@pytest.mark.parametrize("H, p", BIT_PAIRS)
+def test_a_shared_parameters_gives_each_scan_call_its_fresh_bits(monkeypatch, H, p):
+    # one Parameters across rows and calls, in both orders: its slot serves the radii a row
+    # repeats, with the bits of each call made on a new Parameters
+    radii = _count_inversions(monkeypatch)
+    shared = Parameters(H=H, p=p)
+    ys = sample_vectors(shared, 40, 73)
+    shared_inversions = 0
+    for order in (list(SCAN_CALLS), list(SCAN_CALLS)[::-1]):
+        for y in ys:
+            fresh = [_scan_outcome(name, y, Parameters(H=H, p=p)) for name in order]
+            before = len(radii)
+            assert [_scan_outcome(name, y, shared) for name in order] == fresh
+            shared_inversions += len(radii) - before
+    assert shared_inversions < 2 * 3 * len(ys)  # 3 inversions per row without the slot
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    log_h_gap=st.one_of(st.none(), st.floats(min_value=-12.0, max_value=4.0)),
+    log_p=st.one_of(st.just(0.0), st.floats(min_value=-2.0, max_value=0.0)),
+    seed=st.integers(min_value=0, max_value=2 ** 16),
+    scale=st.sampled_from((1e-300, 1e-100, 1e-8, 1.0, 1e8, 1e100, 1e300)),
+    tilts=st.lists(st.floats(min_value=0.5, max_value=1.5), min_size=1, max_size=3),
+    reverse=st.booleans(),
+)
+def test_scan_calls_on_a_shared_parameters_property(log_h_gap, log_p, seed, scale, tilts,
+                                                    reverse):
+    # H - 1 log-uniform on [1e-12, 1e4] or 0, p on [0.01, 1]; scaled sampler vectors, their
+    # spatial part tilted off the domain too: each call ends finite or typed, as on a fresh
+    # Parameters
+    H = 1.0 if log_h_gap is None else 1.0 + 10.0 ** log_h_gap
+    p = 10.0 ** log_p
+    shared = Parameters(H=H, p=p)
+    try:
+        base = sample_vectors(shared, 1, seed)[0]
+    except FinsleroidError:  # no domain to sample: the (2, 0.5) golden's vector
+        base = np.array([4.65668704, 0.03959194, -0.11861117, 0.18268289])
+    order = list(SCAN_CALLS)[::-1] if reverse else list(SCAN_CALLS)
+    for tilt in tilts:
+        y = scale * np.concatenate([base[:1], tilt * base[1:]])
+        for name in order:
+            assert _scan_outcome(name, y, shared) == _scan_outcome(name, y, Parameters(H=H, p=p))
 
 
 def test_overflowing_lu_determinant_is_a_domain_error():
