@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, EmptyDomain, FinsleroidError
-from .frame import Parameters, Tetrad, frame_components, projections, pseudo_norm_squared
+from .frame import (FrameComponents, Parameters, Tetrad, frame_components, projections,
+                    pseudo_norm_squared)
 from .kernel import (
     EvalBundle, _azimuth, _inverted_profile, angles_from_vector, domain_info, radial_from_ratios,
 )
@@ -144,18 +145,13 @@ def evaluate_document(params: Parameters, tetrad: Tetrad, y: np.ndarray) -> dict
     b, w1, w2, w3 = projections(y, tetrad)
     if params.p == 1.0 and w3 <= 0.0:
         # axial restriction lifted in the isotropic case
-        frame = {
-            "b": b, "w1": w1, "w2": w2, "w3": w3,
-            "w_perp": math.hypot(w1, w2), "w": None, "t": None,
-            "y_perp": b * math.hypot(w1, w2),
-            "s2": pseudo_norm_squared(y, tetrad),
-        }
+        w_perp = math.hypot(w1, w2)
+        frame = vars(FrameComponents(b, w1, w2, w3, w_perp, None, None, b * w_perp,
+                                     pseudo_norm_squared(y, tetrad)))
         r = radial_from_ratios(w1, w2, w3, params)
         eta, prof = _inverted_profile(r, params)  # metric_tensor and det g reuse it
-        prof = EvalBundle(*prof)
-        theta = math.atan2(math.hypot(w1, w2), w3)
-        angles = {"eta": eta, "theta": theta, "phi": _azimuth(w1, w2)}
-        bundle = {**vars(prof), "r": r, "F": b * prof.V}
+        angles = {"eta": eta, "theta": math.atan2(w_perp, w3), "phi": _azimuth(w1, w2)}
+        bundle = vars(EvalBundle(*prof[:5], r, F=b * prof[4]))
     else:
         fc = frame_components(y, tetrad)
         coords, eb = angles_from_vector(fc, params)

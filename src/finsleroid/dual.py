@@ -71,9 +71,6 @@ class HyperDual:
         q.val = self.val / o.val  # correctly rounded, as a float division is
         return q
 
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
-
     def __pow__(self, e: float):
         """A float power e of a positive value."""
         v = self.val
@@ -97,8 +94,6 @@ class HyperDual:
 
 
 def _apply(x, f, fp, fpp):
-    if isinstance(x, float):
-        return f(x)
     if isinstance(x, HyperDual):
         return x.chain(f(x.val), fp(x.val), fpp(x.val))
     # the numpy ufunc of the same name as the math function
@@ -113,10 +108,6 @@ def sqrt(x):
 
 def exp(x):
     return _apply(x, math.exp, math.exp, math.exp)
-
-
-def log(x):
-    return _apply(x, math.log, lambda v: 1.0 / v, lambda v: -1.0 / (v * v))
 
 
 def sin(x):

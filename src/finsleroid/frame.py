@@ -176,6 +176,7 @@ class FrameComponents:
     ``b`` is the timelike projection, ``w1``/``w2``/``w3`` the spacelike
     projections divided by ``b``; the rest are the derived ratios used by
     the scalar pipeline.  ``s2`` is the pseudo-Riemannian norm squared.
+    ``w`` and ``t`` are None only in the eval document's isotropic branch (p = 1, w3 <= 0).
     """
 
     b: float
@@ -183,8 +184,8 @@ class FrameComponents:
     w2: float
     w3: float
     w_perp: float
-    w: float
-    t: float
+    w: float | None
+    t: float | None
     y_perp: float
     s2: float
 

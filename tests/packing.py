@@ -8,6 +8,8 @@ the tests build their generic loops and dense views over these tables.
 
 from functools import lru_cache
 
+import numpy as np
+
 
 @lru_cache(maxsize=None)
 def packing(k: int):
@@ -21,3 +23,20 @@ def packing(k: int):
                             for b in range(k)) for a in range(k))
     spans = tuple((a, b, c, pair_at[a][b], pair_at[a][c], pair_at[b][c]) for a, b, c in triples)
     return pairs, spans, pair_at, triple_at
+
+
+def gauss_tensor(cartan, chart_metric):
+    """Dense curvature tensor of a k = 3 indicatrix chart by the Gauss equation, and the
+    tensor of unit constant curvature, from the packed Cartan tensor and chart metric that
+    ``curvature.gauss_curvatures`` takes: at one point, or at m points as rows of m.
+    R_ijkl = sign [G_ijkl - (C_ik. m^-1 C_jl. - C_il. m^-1 C_jk.)] with
+    G_ijkl = m_ik m_jl - m_il m_jk, sign that of m's first entry; R_ijij is the sectional
+    curvature of the ij plane times its area G_ijij."""
+    _, _, pair_at, triple_at = packing(3)
+    m = np.asarray(chart_metric)[..., np.array(pair_at)]
+    c = np.asarray(cartan)[..., np.array(triple_at)]
+    t = np.einsum("...ikp,...pq,...jlq->...ijkl", c, np.linalg.inv(m), c)
+    g = np.einsum("...ik,...jl->...ijkl", m, m)
+    gauss = g - np.swapaxes(g, -1, -2)
+    sign = np.sign(m[..., 0, 0])[..., None, None, None, None]
+    return sign * (gauss - (t - np.swapaxes(t, -1, -2))), gauss

@@ -34,8 +34,10 @@ from finsleroid import (
     unit_covector,
     vector_from_angles,
 )
-from finsleroid.indicatrix import section_metric
+from finsleroid.indicatrix import _unit_surface, section_metric
 from finsleroid.kernel import hyperbolic_profile
+
+from packing import gauss_tensor
 
 PAIRS = [
     Parameters(H=1.0, p=1.0),
@@ -69,6 +71,13 @@ def test_criterion_1_indicatrix_curvature_constant():
                 ks = indicatrix_curvature(angles, params)
                 for plane, k in ks.items():
                     assert abs(k + params.H**2) < tol, (params, angles, plane, k)
+                # the off-diagonal components R_ijkl, (i, j) != (k, l), of the Gauss
+                # equation's whole tensor, over sqrt(G_ijij G_klkl) as K over its area G_ijij
+                r, gauss = gauss_tensor(*_unit_surface(angles, params))
+                for (i, j), (k, l) in (((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 2), (1, 2))):
+                    area = math.sqrt(gauss[i, j, i, j] * gauss[k, l, k, l])
+                    mixed = (r[i, j, k, l] + params.H**2 * gauss[i, j, k, l]) / area
+                    assert abs(mixed) < tol, (params, angles, (i, j, k, l), mixed)
                 sh2 = math.sinh(angles.eta) ** 2
                 ref = [1.0, sh2, sh2 * math.sin(angles.theta) ** 2]
                 err = _isometry_error(params.H**2, indicatrix_metric(angles, params), ref)

@@ -19,11 +19,12 @@ def test_dual_composite_derivative():
     assert out.d1 == pytest.approx(expected, rel=1e-14)
 
 
-def test_dual_division_and_log():
+def test_dual_division_of_a_square_root():
+    # f(x) = sqrt(x)/(1 + x); f'(x) = ((1 + x)/(2 sqrt x) - sqrt x)/(1 + x)^2
     x0 = 0.7
     x = dm.HyperDual(x0, 1.0)
-    out = dm.log(x) / (1.0 + x)
-    expected = (1.0 / x0 * (1.0 + x0) - math.log(x0)) / (1.0 + x0) ** 2
+    out = dm.sqrt(x) / (1.0 + x)
+    expected = ((1.0 + x0) / (2.0 * math.sqrt(x0)) - math.sqrt(x0)) / (1.0 + x0) ** 2
     assert out.d1 == pytest.approx(expected, rel=1e-13)
 
 
@@ -35,10 +36,12 @@ def test_float_power_of_a_hyperdual():
         assert out.val == x0 ** e
         assert out.d1 == out.d2 == pytest.approx(e * x0 ** (e - 1.0), rel=1e-15)
         assert out.d12 == pytest.approx(e * (e - 1.0) * x0 ** (e - 2.0), rel=1e-15)
-        x = dm.HyperDual(x0, 0.3, -0.5, 0.2)
-        power, chained = x ** e, dm.exp(e * dm.log(x))
-        for slot in ("d1", "d2", "d12"):
-            assert getattr(power, slot) == pytest.approx(getattr(chained, slot), rel=1e-13)
+        # seeded slots (0.3, -0.5, 0.2): the chain rule f' d1, f' d2, f' d12 + f'' d1 d2
+        power = dm.HyperDual(x0, 0.3, -0.5, 0.2) ** e
+        fp, fpp = e * x0 ** (e - 1.0), e * (e - 1.0) * x0 ** (e - 2.0)
+        chained = {"d1": 0.3 * fp, "d2": -0.5 * fp, "d12": 0.2 * fp - 0.15 * fpp}
+        for slot, value in chained.items():
+            assert getattr(power, slot) == pytest.approx(value, rel=1e-13)
 
 
 def test_hyperdual_second_derivative():
@@ -120,3 +123,21 @@ def test_gradient_helper():
     np.testing.assert_allclose(
         jac, [[0.5, 2.0], [math.cos(2.0), 1.0], [0.0, 1.0]], rtol=1e-15
     )
+
+
+@pytest.mark.parametrize(
+    "name, ufunc",
+    [("sqrt", np.sqrt), ("exp", np.exp), ("sin", np.sin), ("cos", np.cos), ("sinh", np.sinh),
+     ("cosh", np.cosh), ("atan2", np.arctan2)],
+)
+def test_floats_take_math_and_arrays_take_numpy(name, ufunc):
+    # a Python float and an np.float64 end in the math function, bit for bit; an ndarray
+    # in the numpy ufunc of the same name
+    f, exact = getattr(dm, name), getattr(math, name)
+    args = (0.7, 1.3) if name == "atan2" else (0.7,)
+    for scalar in (float, np.float64):
+        assert f(*map(scalar, args)).hex() == exact(*args).hex()
+    arrays = [np.array([0.3, 0.7, 2.5]) + k for k in range(len(args))]
+    out = f(*arrays)
+    assert isinstance(out, np.ndarray)
+    assert np.array_equal(out, ufunc(*arrays))

@@ -29,7 +29,7 @@ from finsleroid import dual as dm
 from finsleroid import frame, indicatrix, kernel, tensors
 from finsleroid.curvature import coordinate_plane_curvatures
 
-from packing import packing
+from packing import gauss_tensor, packing
 
 
 def _angles(params, d_eta=0.9, theta=0.6, phi=1.2):
@@ -234,25 +234,20 @@ def test_whole_curvature_tensor_is_constant(recorded, H, p):
     # must be -H^2 (m_ik m_jl - m_il m_jk) in all six components, and in m-orthonormal
     # 2-planes (Gaussian ones reach 1.6e-10 H^2 at (2, 0.5) from near-degenerate areas)
     params = Parameters(H=H, p=p)
-    _, _, pair_at, triple_at = packing(3)
+    pair_at = np.array(packing(3)[2])
     rng = np.random.default_rng(3)
     h2 = H * H
     for angles in sample_angles(params, 300, 3):
         recorded.clear()
         indicatrix_curvature(angles, params)
-        (cartan, chart_metric, sign), = recorded
-        m = np.array(chart_metric)[np.array(pair_at)]
-        c = np.array(cartan)[np.array(triple_at)]
-        t = np.einsum("ikp,pq,jlq->ijkl", c, np.linalg.inv(m), c)
-        g = np.einsum("ik,jl->ijkl", m, m)
-        gauss = g - np.swapaxes(g, 2, 3)
-        r = sign * (gauss - (t - np.swapaxes(t, 2, 3)))
+        (cartan, chart_metric, _), = recorded
+        r, gauss = gauss_tensor(cartan, chart_metric)
         planes = [(0, 1), (0, 2), (1, 2)]
         for a, (i, j) in enumerate(planes):
             for k, l in planes[a:]:
                 norm = math.sqrt(gauss[i, j, i, j] * gauss[k, l, k, l])
                 assert abs(r[i, j, k, l] + h2 * gauss[i, j, k, l]) <= 1e-9 * h2 * norm
-        definite = -m  # the chart metric of the unit surface is negative definite
+        definite = -np.array(chart_metric)[pair_at]  # the unit surface's m is negative definite
         for _ in range(3):
             x, y = rng.normal(size=(2, 3))
             x = x / math.sqrt(x @ definite @ x)
@@ -369,6 +364,46 @@ def test_indicatrix_metric_is_hyperbolic_space(recorded, H, p):
         ref = np.diag([1.0, sh2, sh2 * math.sin(angles.theta) ** 2])
         tol = band_tol if k >= 3000 else near if angles.eta - params.eta_min < 2.2 else far
         assert _isometry_error(H * H, metric, ref) <= tol
+
+
+# Worst measured max|R + H^2 (m m - m m)| / max|R| over all 81 entries of the Gauss
+# equation's whole tensor (gauss_tensor), over seeds 0 to 19 at 300 points per band: the
+# sample box, the floor band (gaps log-uniform from GAP_MIN to 1e-2) and the axis band
+# (thetas from THETA_MIN to AXIS_BAND, gaps up to 2.2); bounds c ~3x.  Next to the floor the
+# error grows as ~1.5 eps/sqrt(gap) for p < 1 and ~2 eps/gap at p = 1, where eta = 0 is the
+# chart's pole; at H = 1 the Cartan tensor is 0 and R is -(m m - m m) all but exactly
+WHOLE_TENSOR_TOLERANCES = {  # (H, p): (box, floor band, axis band)
+    (1.0, 1.0): (7e-31, 1e-14, 2e-29),  # 2.2e-31, 3.2e-15, 6.7e-30
+    (1.25, 1.0): (7e-15, 2e-7, 6e-12),  # 2.4e-15, 6.4e-8, 1.9e-12
+    (1.25, 0.8): (2e-15, 5e-12, 3.5e-14),  # 6.4e-16, 1.6e-12, 1.1e-14
+    (1.5, 0.9): (3.5e-15, 1.1e-11, 2.6e-14),  # 1.0e-15, 3.5e-12, 8.6e-15
+    (2.0, 0.5): (4e-15, 1.2e-11, 6e-14),  # 1.2e-15, 3.7e-12, 1.9e-14
+    (3.0, 0.3): (4.5e-15, 1.4e-11, 1.4e-13),  # 1.5e-15, 4.4e-12, 4.7e-14
+    (50.0, 0.05): (9e-14, 7e-12, 2.7e-14),  # 2.9e-14, 2.4e-12, 8.8e-15
+    (100.0, 0.999): (1.2e-14, 6e-11, 1e-13),  # 3.9e-15, 2.1e-11, 3.3e-14
+    (2.0, 0.006): (5e-12, 4e-12, 2e-13),  # 1.6e-12, 1.2e-12, 6.5e-14
+    (28.39204609561534, 0.0045755159348809015): (1e-11, 7e-12, 2.4e-13),  # 3.3e-12, 2.3e-12, 7.9e-14
+}
+
+
+@pytest.mark.parametrize("H, p", ISOMETRY_TOLERANCES)
+def test_every_entry_of_the_curvature_tensor_is_constant(H, p):
+    # the whole tensor of the unit surface by the Gauss equation, from _unit_surface's packed
+    # Cartan tensor and chart metric, is -H^2 (m_ik m_jl - m_il m_jk) in all 81 entries
+    params = Parameters(H=H, p=p)
+    rng = np.random.default_rng(5)
+    box = sample_angles(params, 300, rng)
+    gaps = np.exp(rng.uniform(math.log(indicatrix.GAP_MIN), math.log(1e-2), 300)).tolist()
+    thetas = rng.uniform(0.15, theta_pole(params) - 0.15, 300).tolist()
+    phis = rng.uniform(0.0, 2.0 * math.pi, 300).tolist()
+    floor = [AngleCoords(params.eta_min + g, t, f) for g, t, f in zip(gaps, thetas, phis)]
+    gaps = rng.uniform(1e-6, 2.2, 300).tolist()
+    band = [AngleCoords(params.eta_min + g, t, f) for g, t, f in zip(gaps, *_axis_band(rng, 300))]
+    for points, c in zip((box, floor, band), WHOLE_TENSOR_TOLERANCES[(H, p)]):
+        cartan, chart_metric = zip(*(indicatrix._unit_surface(a, params) for a in points))
+        r, gauss = gauss_tensor(np.array(cartan), np.array(chart_metric))
+        err = np.abs(r + H * H * gauss).max(axis=(1, 2, 3, 4))
+        assert np.all(err <= c * np.abs(r).max(axis=(1, 2, 3, 4)))
 
 
 def test_indicatrix_curvature_polar_translation_invariance():
