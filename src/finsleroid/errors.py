@@ -24,7 +24,8 @@ class OutsideAxialRegion(DomainError):
 class OutsideEtaDomain(DomainError):
     """Hyperbolic angle below the floor eta_min, above ETA_CAP, at or above the chart's
     ceiling (ln(r_sup/r(eta)) not above the map noise, 15.9 to 17 above eta_min), or,
-    for the unit surface's metric and curvatures, closer to the floor than GAP_MIN."""
+    for the unit surface's metric and curvatures, closer to the floor than GAP_MIN
+    (GAP_MIN_P1 at p = 1)."""
 
 
 class ThetaPole(DomainError):

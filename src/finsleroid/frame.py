@@ -9,7 +9,7 @@ Everything here is pointwise: one tangent space, one orthonormal frame
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,16 +21,11 @@ H_MAX = 1e50  # H stays below this: H**6 of the closed-form determinant overflow
 
 @dataclass(frozen=True)
 class DomainInfo:
-    """Admissible radial interval and its hyperbolic-angle floor (``kernel.domain_info``), and
-    for p < 1, out of the repr, the kernel's (H, p) constants: J's divisor, gp/hh and the Newton
-    inversion's p^2, gp^2, 1 + hh, gp (hh^2 + gp^2) and 1/slope p^2 cosh(eta_min) gp/hh."""
+    """Admissible radial interval and its hyperbolic-angle floor (``kernel.domain_info``)."""
 
     eta_min: float
     r_min: float
     r_sup: float
-    j_scale: float = field(default=0.0, repr=False)  # sqrt(hh^2 + gp^2)
-    gp_hh: float = field(default=0.0, repr=False)
-    newton: tuple = field(default=(), repr=False)
 
 
 @dataclass(frozen=True)
@@ -84,12 +79,18 @@ class Parameters:
         if not r_min < r_sup:
             raise EmptyDomain(f"radial interval ({r_min}, {r_sup}) is empty in double precision "
                               f"for H={self.H}, p={self.p}")
-        if gp == 0.0:
-            return DomainInfo(self.eta_min, r_min, r_sup)
-        p2 = self.p * self.p
-        return DomainInfo(self.eta_min, r_min, r_sup, math.sqrt(hh * hh + gp * gp), gp / hh,
-                          (p2, gp * gp, 1.0 + hh, gp * (hh * hh + gp * gp),
-                           p2 * math.cosh(self.eta_min) * gp / hh))
+        return DomainInfo(self.eta_min, r_min, r_sup)
+
+    @cached_property
+    def _kernel_constants(self) -> tuple:
+        """The kernel's (H, p) constants for p < 1, after ``_domain``, whose EmptyDomain raises
+        first: J's divisor sqrt(hh^2 + gp^2), gp/hh and the Newton inversion's p^2, gp^2,
+        1 + hh, gp (hh^2 + gp^2) and 1/slope p^2 cosh(eta_min) gp/hh at the floor."""
+        self._domain
+        gp, hh, p2 = self.azimuthal_skew, self.boost_skew, self.p * self.p
+        return (math.sqrt(hh * hh + gp * gp), gp / hh,
+                (p2, gp * gp, 1.0 + hh, gp * (hh * hh + gp * gp),
+                 p2 * math.cosh(self.eta_min) * gp / hh))
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,11 +39,12 @@ from .kernel import (
 
 # Measured accuracy bounds of the Gauss route (README, "Curvature accuracy"): theta
 # below THETA_MIN and, for the unit surface's metric and curvatures, eta - eta_min
-# below GAP_MIN raise a DomainError instead of returning a value.  The chart
-# owns every other edge: the floor, its ceiling below r_sup, ETA_CAP, the pole
-# and the range of exp(gp theta).
+# below GAP_MIN (GAP_MIN_P1 at p = 1, where eta = 0 is the chart's pole) raise a
+# DomainError instead of returning a value.  The chart owns every other edge: the
+# floor, its ceiling below r_sup, ETA_CAP, the pole and the range of exp(gp theta).
 THETA_MIN = 1e-3
 GAP_MIN = 1e-8
+GAP_MIN_P1 = 1e-5
 
 
 def unit_vector(angles: AngleCoords, params: Parameters) -> np.ndarray:
@@ -56,24 +57,16 @@ def unit_vector_angle_derivatives(
 ) -> np.ndarray:
     """Closed-form angle derivatives of the unit vector components.
 
-    Returns the 4 x 3 matrix with columns d l^i / d eta, d l^i / d theta,
-    d l^i / d phi.  The eta column's logarithmic factors are the profile
-    log-slopes; the theta and phi columns are l^0 times the chart's Jacobian
-    of the ratios, in product form, so they stay finite at phi = pi/2 and
+    Returns the 4 x 3 matrix with columns d l^i / d eta, d l^i / d theta, d l^i / d phi at
+    an AngleCoords, and an (m, 4, 3) array at (m, 3) rows.  The eta column's logarithmic
+    factors are the profile log-slopes; the theta and phi columns are l^0 times the chart's
+    Jacobian of the ratios at r(eta), in product form, so they stay finite at phi = pi/2 and
     hold no cos/sin quotient in theta.
     """
-    return np.swapaxes(np.array(_chart_point(angles, params)[2]).T, -1, -2)
-
-
-def _chart_point(angles, params: Parameters):
-    """Profile (eta, R1, V, A), the 4 components of the unit vector y and its angle
-    derivatives d, 4 rows (one per component) of 3 (d/d eta, d/d theta, d/d phi):
-    Python floats at an AngleCoords, arrays of m at (m, 3) rows.  The theta and phi
-    columns are b times the section chart's Jacobian at r(eta)."""
-    prof, ((st, _), _, ((t1, f1), (t2, f2), (t3, f3))), y = _chart_vector(angles, 1.0, params)
+    (eta, r1v, _, _), ((st, _), _, ((t1, f1), (t2, f2), (t3, f3))), y = _chart_vector(
+        angles, 1.0, params)
     if dm.any_set(st == 0.0):
         raise PolarAxisSingular("azimuthal derivatives undefined on the polar axis")
-    eta, r1v, _, _ = prof
     sh = dm.sinh(eta)
     if dm.any_set(sh < 2.0 ** -1022):  # not a normal float: only at p = 1, next to eta = 0
         raise OutsideEtaDomain(f"d ln r/d eta = 1/(p^2 R1 sinh eta) overflows at eta={np.min(eta)}")
@@ -86,14 +79,14 @@ def _chart_point(angles, params: Parameters):
          [radial * y1, b * t1, b * f1],
          [radial * y2, b * t2, b * f2],
          [radial * y3, b * t3, b * f3]]
-    return prof, y, d
+    return np.swapaxes(np.array(d).T, -1, -2)
 
 
 def indicatrix_metric(angles: AngleCoords, params: Parameters) -> np.ndarray:
     """Induced metric on the unit surface in the angle chart, F = 1, positive definite: the
     Gauss route's chart metric (``_unit_surface``) negated, hyperbolic 3-space
     (d eta^2 + sinh^2 eta dOmega^2)/H^2 to ~1e-14 below eta - eta_min = 2.2 and ~1e-6 up
-    to the chart's ceiling (README).  Bounded by THETA_MIN and GAP_MIN, as the curvatures are."""
+    to the chart's ceiling (README).  Bounded as the curvatures are (THETA_MIN, GAP_MIN)."""
     return -_unpack(_unit_surface(angles, params)[1], 3)
 
 
@@ -108,16 +101,16 @@ def indicatrix_curvature(angles: AngleCoords, params: Parameters) -> dict:
     """Sectional curvatures of the three coordinate planes of the unit surface.
 
     Pointwise, by the Gauss equation at the chart point; every plane must
-    return -H^2.  Raises PolarAxisSingular below THETA_MIN, OutsideEtaDomain
-    below eta - eta_min = GAP_MIN, and the chart's own domain errors.
+    return -H^2.  Raises PolarAxisSingular below THETA_MIN, OutsideEtaDomain below
+    eta - eta_min = GAP_MIN (GAP_MIN_P1 at p = 1), and the chart's own domain errors.
     """
     return gauss_curvatures(*_unit_surface(angles, params))
 
 
 def _unit_surface(angles: AngleCoords, params: Parameters):
     """Packed Cartan tensor and negative definite chart metric of the unit surface at one
-    AngleCoords (else a ValueError) within THETA_MIN, the chart's own domain errors and
-    GAP_MIN, checked in that order: the Gauss equation's inputs and the one unit-surface metric.
+    AngleCoords (else a ValueError) within THETA_MIN, the chart's edges and GAP_MIN (GAP_MIN_P1
+    at p = 1), checked in that order: the Gauss equation's inputs and the one unit-surface metric.
 
     F^2 = b^2 Phi(w) with b = y0 = 1/V, w the frame ratios and Phi = V^2.  On the
     chart columns X, with X~ = Q^T X = X[1:] - w X0 = b dw (Q = [-w^T; I3]),
@@ -140,11 +133,10 @@ def _unit_surface(angles: AngleCoords, params: Parameters):
     eta, (a, r1v, _, _, v, _) = _chart_profile(angles.eta, params)
     _, (*u, _), jac = _section_chart(angles.theta, angles.phi, params)
     gap = angles.eta - params.eta_min
-    if not gap >= GAP_MIN:
-        raise OutsideEtaDomain(
-            f"the unit-surface chart needs eta - eta_min >= GAP_MIN = {GAP_MIN}, "
-            f"got eta={angles.eta}, {gap} above the floor {params.eta_min}"
-        )
+    name, bound = ("GAP_MIN", GAP_MIN) if params.p < 1.0 else ("GAP_MIN_P1", GAP_MIN_P1)
+    if not gap >= bound:
+        raise OutsideEtaDomain(f"the unit-surface chart needs eta - eta_min >= {name} = {bound}, "
+                               f"got eta={angles.eta}, {gap} above the floor {params.eta_min}")
     p2 = params.p * params.p
     hh2 = params.boost_skew ** 2
     sh, ch = math.sinh(eta), math.cosh(eta)

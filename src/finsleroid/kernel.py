@@ -138,10 +138,10 @@ def hyperbolic_profile(eta, params: Parameters):
         if low:
             at = np.min(getattr(eta, "val", eta))
             raise OutsideEtaDomain(f"radicand of A not positive at eta={at} (floor {floor})")
-        dom = params._domain  # after the floor check, which raises first at H = 1 < 1/p
-        A = hh * fn.sqrt(2.0 * fn.cosh(0.5 * (eta + floor)) * fn.sinh(0.5 * gap) * (sh + dom.gp_hh))
+        j_scale, gp_hh, _ = params._kernel_constants  # the floor check raises first at H = 1 < 1/p
+        A = hh * fn.sqrt(2.0 * fn.cosh(0.5 * (eta + floor)) * fn.sinh(0.5 * gap) * (sh + gp_hh))
         R1 = ch + A
-        J = ((hh * ch + A) / dom.j_scale) ** hh
+        J = ((hh * ch + A) / j_scale) ** hh
         Y1 = fn.exp(-gp * fn.atan2(gp * ch, A))
     V = J / R1
     r = sh * Y1 / R1
@@ -332,8 +332,8 @@ def radial_chain(w, params: Parameters, frame, f):
 
 
 def domain_info(params: Parameters) -> DomainInfo:
-    """Domain floor eta_min, inner radius r_min and radial supremum r_sup, with the kernel's
-    (H, p) constants, formed once per ``Parameters`` and held by it (nothing outlives it).
+    """Domain floor eta_min, inner radius r_min and radial supremum r_sup, formed once per
+    ``Parameters`` and held by it (nothing outlives it).
 
     EmptyDomain, on every call, when p < 1 and H = 1 (eta_min is infinite), or when r_min >=
     r_sup in double precision.  Both radii are limits of r = sinh Y1/R1: at the floor A = 0
@@ -438,7 +438,7 @@ def eta_from_r(r: float, params: Parameters, *, with_iterations: bool = False):
     slope and the rim depth in one pass, in the operation order of
     ``hyperbolic_profile`` and ``rim_depth``; the test
     ``test_inversion_matches_the_profile_loop_bit_for_bit`` pins it bit for bit.  The seeds'
-    and the step's (H, p) constants are read from ``domain_info``, formed once per instance.
+    and the step's (H, p) constants are formed once per instance (``_kernel_constants``).
     """
     dom = params._domain
     if params.p == 1.0 and r == 0.0:
@@ -450,7 +450,7 @@ def eta_from_r(r: float, params: Parameters, *, with_iterations: bool = False):
         eta = math.atanh(min(r / (1.0 - hh * r), _BELOW_ONE))
         return (eta, 0) if with_iterations else eta
 
-    gp, gp_hh, (p2, gp2, hh1, turn, run) = params.azimuthal_skew, dom.gp_hh, dom.newton
+    gp, (_, gp_hh, (p2, gp2, hh1, turn, run)) = params.azimuthal_skew, params._kernel_constants
     floor, depth = dom.eta_min, math.log(dom.r_sup / r)
     # Both seeds lie left of the root: R1 sinh <= (1 + hh) e^(2 eta) / 4
     # bounds the rim asymptote, and ln r(eta) is concave.

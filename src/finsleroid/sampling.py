@@ -1,10 +1,10 @@
 """Deterministic samplers of admissible angles and vectors.
 
-Sampling goes through the angle chart, so every vector lies in the chart's
-domain.  The tensor layer accepts them down to p = 0.05; below it their frame
-ratios underflow there: ``metric_tensor`` or ``finsler_norm`` rejects 156 of 200
-samples at (2, 0.02) and all 200 at (2, 0.01).  All randomness flows through a
-caller-supplied generator (or seed), keeping reports and tests reproducible.
+Sampling goes through the angle chart, so every vector lies in the chart's domain.  In the
+canonical frame the tensor layer accepts them down to p = 0.05, and rejects 156 of 200 at
+(2, 0.02) and all 200 at (2, 0.01), where their frame ratios underflow; in a frame boosted by
+rapidity 0.4 in (b, i) it rejects 127 of 400 at (10, 0.1) and 381 at (50, 0.05).  All randomness
+flows through a caller-supplied generator (or seed), keeping reports and tests reproducible.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ def sample_vectors(
     **box,
 ) -> np.ndarray:
     """(count, 4) chart vectors (natural coordinates): the angles of ``sample_angles``,
-    then a block of norms uniform over ``scale``, mapped by one batch chart call; the
-    tensor layer accepts them for p >= 0.05 (module docstring)."""
+    then a block of norms uniform over ``scale``, mapped by one batch chart call; in the
+    canonical frame the tensor layer accepts them for p >= 0.05 (module docstring)."""
     rows, rng = _angle_box(params, count, rng, **box)
     norms = rng.uniform(*scale, size=count)
     if (norms <= 0.0).any():

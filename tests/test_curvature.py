@@ -9,7 +9,7 @@ import pytest
 
 from finsleroid import AngleCoords, Parameters, domain_info, indicatrix_curvature
 from finsleroid.curvature import (
-    STEP, _inverse, christoffel, coordinate_plane_curvatures, gauss_curvatures,
+    _inverse, christoffel, coordinate_plane_curvatures, gauss_curvatures,
 )
 
 from packing import packing
@@ -107,10 +107,13 @@ def test_single_level_stencil_evaluation_count(n, expected):
     assert calls[0].shape == (expected, n)
 
 
+FLOOR_GAP = 3e-3  # eta - eta_min of the point next to the floor
+
+
 @pytest.mark.parametrize("H, p", [(1.25, 0.8), (2.0, 0.5)])
 def test_indicatrix_curvature_near_domain_floor(H, p):
     params = Parameters(H=H, p=p)
-    eta = domain_info(params).eta_min + 3 * STEP
+    eta = domain_info(params).eta_min + FLOOR_GAP
     ks = indicatrix_curvature(AngleCoords(eta=eta, theta=0.5, phi=1.0), params)
     for plane, k in ks.items():
         assert abs(k + H * H) < 1e-9 * H * H, plane

@@ -27,7 +27,6 @@ from finsleroid import (
 )
 from finsleroid import dual as dm
 from finsleroid import frame, indicatrix, kernel, tensors
-from finsleroid.curvature import coordinate_plane_curvatures
 
 from packing import gauss_tensor, packing
 
@@ -305,6 +304,11 @@ ISOMETRY_TOLERANCES = {  # (H, p): (section, axis band, unit surface, axis band,
 }
 
 
+def _gap_bound(params):
+    """The unit surface's measured gap bound at params: GAP_MIN, or GAP_MIN_P1 at p = 1."""
+    return indicatrix.GAP_MIN if params.p < 1.0 else indicatrix.GAP_MIN_P1
+
+
 def _isometry_error(c, m, ref):
     """max_ij |c m_ij - ref_ij| / sqrt(ref_ii ref_jj)."""
     d = np.sqrt(np.diag(ref))
@@ -342,17 +346,18 @@ def test_section_metric_is_the_round_sphere(recorded, H, p):
 @pytest.mark.parametrize("H, p", ISOMETRY_TOLERANCES)
 def test_indicatrix_metric_is_hyperbolic_space(recorded, H, p):
     # in (eta, theta, phi) the unit surface is hyperbolic 3-space of curvature -H^2 in
-    # geodesic polar form, radius eta/H, from 1e-6 above the floor up to the gap 15 and in
-    # the axis band (gaps up to 2.2); indicatrix_metric is the chart metric
-    # gauss_curvatures receives, negated, bit for bit, and every curvature is -H^2 to
+    # geodesic polar form, radius eta/H, from 1e-6 above the floor (GAP_MIN_P1 at p = 1) up
+    # to the gap 15 and in the axis band (gaps up to 2.2); indicatrix_metric is the chart
+    # metric gauss_curvatures receives, negated, bit for bit, and every curvature is -H^2 to
     # 1e-9 H^2 (worst 4.3e-10 H^2, at (2, 0.006))
     params = Parameters(H=H, p=p)
     pair_at = np.array(packing(3)[2])
     _, _, near, band_tol, far = ISOMETRY_TOLERANCES[(H, p)]
+    low = max(1e-6, _gap_bound(params))
     rng = np.random.default_rng(5)
-    gaps = rng.uniform(1e-6, 2.2, 1000).tolist()
+    gaps = rng.uniform(low, 2.2, 1000).tolist()
     band = [AngleCoords(params.eta_min + g, t, f) for g, t, f in zip(gaps, *_axis_band(rng, 1000))]
-    points = sample_angles(params, 3000, 5, eta_margin=1e-6, theta_margin=0.05, eta_span=15)
+    points = sample_angles(params, 3000, 5, eta_margin=low, theta_margin=0.05, eta_span=15)
     for k, angles in enumerate(points + band):
         metric = indicatrix_metric(angles, params)
         recorded.clear()
@@ -366,15 +371,39 @@ def test_indicatrix_metric_is_hyperbolic_space(recorded, H, p):
         assert _isometry_error(H * H, metric, ref) <= tol
 
 
+def _bands(params, rng):
+    """Three bands of 300 AngleCoords each: the sample_angles box, the floor band (gaps
+    log-uniform from the gap bound to 1e-2) and the axis band (thetas from THETA_MIN to
+    AXIS_BAND, gaps from 1e-6, or the gap bound if larger, up to 2.2)."""
+    box = sample_angles(params, 300, rng)
+    bound = _gap_bound(params)
+    gaps = np.exp(rng.uniform(math.log(bound), math.log(1e-2), 300)).tolist()
+    thetas = rng.uniform(0.15, theta_pole(params) - 0.15, 300).tolist()
+    phis = rng.uniform(0.0, 2.0 * math.pi, 300).tolist()
+    floor = [AngleCoords(params.eta_min + g, t, f) for g, t, f in zip(gaps, thetas, phis)]
+    gaps = rng.uniform(max(1e-6, bound), 2.2, 300).tolist()
+    band = [AngleCoords(params.eta_min + g, t, f) for g, t, f in zip(gaps, *_axis_band(rng, 300))]
+    return box, floor, band
+
+
+def _gauss_bands(params, rng):
+    """Per band of ``_bands``, the dense Gauss-equation tensors (gauss_tensor) and the chart
+    metrics, from _unit_surface's packed Cartan tensor and chart metric."""
+    pair_at = np.array(packing(3)[2])
+    for points in _bands(params, rng):
+        cartan, chart_metric = zip(*(indicatrix._unit_surface(a, params) for a in points))
+        yield (*gauss_tensor(np.array(cartan), np.array(chart_metric)),
+               np.array(chart_metric)[:, pair_at])
+
+
 # Worst measured max|R + H^2 (m m - m m)| / max|R| over all 81 entries of the Gauss
-# equation's whole tensor (gauss_tensor), over seeds 0 to 19 at 300 points per band: the
-# sample box, the floor band (gaps log-uniform from GAP_MIN to 1e-2) and the axis band
-# (thetas from THETA_MIN to AXIS_BAND, gaps up to 2.2); bounds c ~3x.  Next to the floor the
-# error grows as ~1.5 eps/sqrt(gap) for p < 1 and ~2 eps/gap at p = 1, where eta = 0 is the
-# chart's pole; at H = 1 the Cartan tensor is 0 and R is -(m m - m m) all but exactly
+# equation's whole tensor (gauss_tensor), over seeds 0 to 19 at 300 points per band of
+# _bands; bounds c ~3x.  Next to the floor the error grows as ~1.5 eps/sqrt(gap) for p < 1
+# and ~2 eps/gap at p = 1, where eta = 0 is the chart's pole; at H = 1 the Cartan tensor is 0
+# and R is -(m m - m m) all but exactly
 WHOLE_TENSOR_TOLERANCES = {  # (H, p): (box, floor band, axis band)
-    (1.0, 1.0): (7e-31, 1e-14, 2e-29),  # 2.2e-31, 3.2e-15, 6.7e-30
-    (1.25, 1.0): (7e-15, 2e-7, 6e-12),  # 2.4e-15, 6.4e-8, 1.9e-12
+    (1.0, 1.0): (7e-31, 2e-26, 6e-30),  # 2.2e-31, 6.0e-27, 1.8e-30
+    (1.25, 1.0): (7e-15, 2.2e-10, 6e-12),  # 2.4e-15, 7.4e-11, 2.0e-12
     (1.25, 0.8): (2e-15, 5e-12, 3.5e-14),  # 6.4e-16, 1.6e-12, 1.1e-14
     (1.5, 0.9): (3.5e-15, 1.1e-11, 2.6e-14),  # 1.0e-15, 3.5e-12, 8.6e-15
     (2.0, 0.5): (4e-15, 1.2e-11, 6e-14),  # 1.2e-15, 3.7e-12, 1.9e-14
@@ -391,19 +420,47 @@ def test_every_entry_of_the_curvature_tensor_is_constant(H, p):
     # the whole tensor of the unit surface by the Gauss equation, from _unit_surface's packed
     # Cartan tensor and chart metric, is -H^2 (m_ik m_jl - m_il m_jk) in all 81 entries
     params = Parameters(H=H, p=p)
-    rng = np.random.default_rng(5)
-    box = sample_angles(params, 300, rng)
-    gaps = np.exp(rng.uniform(math.log(indicatrix.GAP_MIN), math.log(1e-2), 300)).tolist()
-    thetas = rng.uniform(0.15, theta_pole(params) - 0.15, 300).tolist()
-    phis = rng.uniform(0.0, 2.0 * math.pi, 300).tolist()
-    floor = [AngleCoords(params.eta_min + g, t, f) for g, t, f in zip(gaps, thetas, phis)]
-    gaps = rng.uniform(1e-6, 2.2, 300).tolist()
-    band = [AngleCoords(params.eta_min + g, t, f) for g, t, f in zip(gaps, *_axis_band(rng, 300))]
-    for points, c in zip((box, floor, band), WHOLE_TENSOR_TOLERANCES[(H, p)]):
-        cartan, chart_metric = zip(*(indicatrix._unit_surface(a, params) for a in points))
-        r, gauss = gauss_tensor(np.array(cartan), np.array(chart_metric))
+    bands = _gauss_bands(params, np.random.default_rng(5))
+    for (r, gauss, _), c in zip(bands, WHOLE_TENSOR_TOLERANCES[(H, p)]):
         err = np.abs(r + H * H * gauss).max(axis=(1, 2, 3, 4))
         assert np.all(err <= c * np.abs(r).max(axis=(1, 2, 3, 4)))
+
+
+# Worst measured |K + H^2| / (H^2 cond) of random 2-planes, K = R(X,Y,X,Y)/A(X,Y) with
+# A = m(X,X) m(Y,Y) - m(X,Y)^2 and the area condition cond = m(X,X) m(Y,Y)/A, over seeds 0 to
+# 19 at 300 planes per band of _bands; bounds c ~3x.  At small p the floor band misses
+# 1e-9 H^2 cond: the (eta, phi) coordinate plane itself is off by up to 3.0e-8 H^2 in
+# indicatrix_curvature at gaps below ~1e-6, which its other tests start above
+PLANE_TOLERANCES = {  # (H, p): (box, floor band, axis band)
+    (1.0, 1.0): (2.5e-15, 2.2e-15, 2.5e-15),  # 8.0e-16, 7.4e-16, 8.2e-16
+    (1.25, 1.0): (5e-15, 6.5e-11, 1e-13),  # 1.6e-15, 2.1e-11, 3.2e-14
+    (1.25, 0.8): (2.7e-15, 1.9e-12, 2.5e-15),  # 9.0e-16, 6.2e-13, 8.4e-16
+    (1.5, 0.9): (4e-15, 2.3e-12, 2.7e-15),  # 1.3e-15, 7.5e-13, 9.1e-16
+    (2.0, 0.5): (2.7e-15, 5e-12, 3e-15),  # 9.0e-16, 1.7e-12, 1.0e-15
+    (3.0, 0.3): (2.7e-15, 2.2e-11, 6e-15),  # 9.1e-16, 7.2e-12, 1.9e-15
+    (50.0, 0.05): (4.2e-14, 1.2e-9, 4.2e-15),  # 1.4e-14, 3.9e-10, 1.4e-15
+    (100.0, 0.999): (7e-15, 3e-11, 1.6e-14),  # 2.4e-15, 9.7e-12, 5.2e-15
+    (2.0, 0.006): (2.3e-12, 1.8e-8, 3e-14),  # 7.7e-13, 6.0e-9, 1.0e-14
+    (28.39204609561534, 0.0045755159348809015): (8e-12, 1.1e-7, 2.8e-14),  # 2.6e-12, 3.7e-8, 9.4e-15
+}
+
+
+@pytest.mark.parametrize("H, p", ISOMETRY_TOLERANCES)
+def test_sectional_curvature_of_random_planes(H, p):
+    # every 2-plane, not only the coordinate ones: X and Y are not m-orthonormal, each
+    # component scaled by the chart metric's diagonal, and Y is turned off X by an angle
+    # log-uniform from 1e-4 to 1, so thin planes, whose area cancels, are drawn too
+    params = Parameters(H=H, p=p)
+    rng = np.random.default_rng(7)
+    for (r, _, m), c in zip(_gauss_bands(params, rng), PLANE_TOLERANCES[(H, p)]):
+        scale = 1.0 / np.sqrt(np.abs(np.diagonal(m, axis1=1, axis2=2)))
+        x, z = rng.normal(size=(2, *scale.shape)) * scale
+        turn = np.exp(rng.uniform(math.log(1e-4), 0.0, len(m)))[:, None]
+        y = np.cos(turn) * x + np.sin(turn) * z
+        xx, yy, xy = (np.einsum("nij,ni,nj->n", m, u, v) for u, v in ((x, x), (y, y), (x, y)))
+        area = xx * yy - xy * xy
+        k = np.einsum("nijkl,ni,nj,nk,nl->n", r, x, y, x, y) / area
+        assert np.all(np.abs(k + H * H) <= c * H * H * xx * yy / area)
 
 
 def test_indicatrix_curvature_polar_translation_invariance():
@@ -475,8 +532,17 @@ def test_curvature_domain_bounds():
     floor = domain_info(params).eta_min
     for gap in (0.0, 0.5 * indicatrix.GAP_MIN):
         for call in (indicatrix_curvature, indicatrix_metric):
-            with pytest.raises(OutsideEtaDomain, match="GAP_MIN"):
+            with pytest.raises(OutsideEtaDomain, match="GAP_MIN = "):
                 call(AngleCoords(eta=floor + gap, theta=0.7, phi=1.0), params)
+    # at p = 1, where eta = 0 is the chart's pole, the bound is GAP_MIN_P1: at a gap of 1e-8
+    # the curvatures were off by up to 1.3e-7 H^2; at the bound they are within 1e-9 H^2
+    unit = Parameters(H=1e3, p=1.0)
+    for gap in (2.0 * indicatrix.GAP_MIN, 0.5 * indicatrix.GAP_MIN_P1):
+        for call in (indicatrix_curvature, indicatrix_metric):
+            with pytest.raises(OutsideEtaDomain, match="GAP_MIN_P1 = 1e-05"):
+                call(AngleCoords(eta=gap, theta=0.7, phi=1.0), unit)
+    for k in indicatrix_curvature(AngleCoords(indicatrix.GAP_MIN_P1, 0.7, 1.0), unit).values():
+        assert abs(k + 1e6) <= 1e-9 * 1e6
     # points the chart accepted while r(eta) dithered around r_sup, where the
     # curvature was off by up to 1e-6 at gap 20 and by 7 at 30, so a bound
     # GAP_MAX = 16 rejected them; the chart's own ceiling rejects them now, in
@@ -510,13 +576,13 @@ def test_curvature_domain_bounds():
 
 
 def test_chart_metric_whose_determinant_underflows_is_a_domain_error():
-    # at p = 1 with H near 3e48, next to eta = 0, the chart metric is of order 1/H^2 and
-    # its 3 x 3 cofactor determinant underflows, to 0 or below the normal floats, where
-    # the curvatures would be a ZeroDivisionError or off by 7.1e-2 H^2; the metric
-    # itself still holds the closed form
+    # at p = 1 with H near 3e49, next to eta = 0 (above GAP_MIN_P1), the chart metric is of
+    # order 1/H^2 and its 3 x 3 cofactor determinant underflows below the normal floats, to
+    # -3e-323, where the curvatures would be off by 6.9e-2 and 2.1e-2 H^2; the metric itself
+    # still holds the closed form
     for H, angles in (
-        (2.931363727163423e48, (2.998039505363704e-08, 0.02920655995431038, 5.889776527593102)),
-        (2.6481816547456446e48, (1.9120458903081235e-07, 0.001652797120818133, 3.8983804519664225)),
+        (3.831642594508353e49, (1.548442026958528e-05, 0.001232395882317426, 4.996759922332686)),
+        (2.8226178674228885e49, (1.0021609286595079e-05, 0.0012063603419593177, 5.776427275498227)),
     ):
         angles = AngleCoords(*angles)
         params = Parameters(H, 1.0)
@@ -567,47 +633,59 @@ def test_curvature_at_inputs_the_stencil_missed():
 
 
 def _metric_rows(params):
-    """``indicatrix_metric`` at each of (m, 3) angle rows, as the stencil asks."""
+    """``indicatrix_metric`` at each of (m, 3) angle rows, as an (m, 3, 3) array."""
     return lambda x: np.array([indicatrix_metric(AngleCoords(*row), params) for row in x])
 
 
 def _section_rows(params):
-    """``section_metric`` at each of (m, 2) angle rows, as the stencil asks."""
+    """``section_metric`` at each of (m, 2) angle rows, as an (m, 2, 2) array."""
     return lambda x: np.array([indicatrix.section_metric(t, f, params) for t, f in x.tolist()])
 
 
+# Both chart metrics against their closed forms, hyperbolic 3-space
+# diag(1, sinh^2 eta, sinh^2 eta sin^2 theta)/H^2 and the sphere diag(1, sin^2 theta)/p^2:
+# worst 3.6e-15 and 1.8e-15 (_isometry_error) over the points of the two tests below
+CLOSED_FORM_BOUND = 1e-14
+
+
+def _hyperbolic_space(eta, theta):
+    """H^2 times the unit surface's closed-form metric at (eta, theta)."""
+    sh2 = math.sinh(eta) ** 2
+    return np.diag([1.0, sh2, sh2 * math.sin(theta) ** 2])
+
+
+def _sphere(theta):
+    """p^2 times the section's closed-form metric at theta."""
+    return np.diag([1.0, math.sin(theta) ** 2])
+
+
 @pytest.mark.parametrize("H, p", [(1.0, 1.0), (1.25, 0.8), (1.5, 0.9), (2.0, 0.5), (5.0, 0.9)])
-def test_gauss_route_matches_stencil_at_interior_points(H, p):
-    # the stencil's error, |K_stencil + H^2|, bounds the distance to the Gauss route
+def test_gauss_route_matches_the_closed_forms_at_interior_points(H, p):
+    # the Gauss route's inputs, both chart metrics, are the closed forms of spaces of
+    # curvature -H^2 and p^2, and its curvatures are those values
     params = Parameters(H=H, p=p)
     h2 = H * H
     for angles in sample_angles(params, 4, 31):
-        x0 = np.array([angles.eta, angles.theta, angles.phi])
-        stencil = coordinate_plane_curvatures(_metric_rows(params), x0)
-        gauss = indicatrix_curvature(angles, params)
-        for plane, k in gauss.items():
+        ref = _hyperbolic_space(angles.eta, angles.theta)
+        assert _isometry_error(h2, indicatrix_metric(angles, params), ref) <= CLOSED_FORM_BOUND
+        section = indicatrix.section_metric(angles.theta, 0.9, params)
+        assert _isometry_error(p * p, section, _sphere(angles.theta)) <= CLOSED_FORM_BOUND
+        for k in indicatrix_curvature(angles, params).values():
             assert abs(k + h2) < 1e-11 * h2
-            assert abs(k - stencil[plane]) <= abs(stencil[plane] + h2) + 1e-11 * h2
-            assert abs(stencil[plane] + h2) < 1e-6 * h2
-        section = coordinate_plane_curvatures(
-            _section_rows(params), np.array([angles.theta, 0.9])
-        )[(0, 1)]
-        k = section_curvature(angles.theta, params)
-        assert abs(k - p * p) < 1e-12
-        assert abs(section - p * p) < 1e-8
+        assert abs(section_curvature(angles.theta, params) - p * p) < 1e-12
 
 
-def test_unit_surface_metric_and_curvatures_evaluate_no_chart_point(monkeypatch):
-    # _chart_point, which builds the unit vector, is unit_vector_angle_derivatives' alone:
+def test_unit_surface_metric_and_curvatures_build_no_unit_vector(monkeypatch):
+    # _chart_vector, which builds the unit vector, is read by unit_vector_angle_derivatives:
     # the metric and the curvatures read the chart at r = 1 and build no unit vector
     calls = []
-    original = indicatrix._chart_point
+    original = indicatrix._chart_vector
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(indicatrix, "_chart_point", counted)
+    monkeypatch.setattr(indicatrix, "_chart_vector", counted)
     params = Parameters(H=1.25, p=0.8)
     angles = _angles(params)
     indicatrix_metric(angles, params)
@@ -655,40 +733,27 @@ def test_section_curvature_constant_over_chart():
 
 
 @pytest.mark.parametrize("H, p", [(1.0, 1.0), (1.25, 0.8), (2.0, 0.5)])
-def test_stencil_batch_matches_scalar_metrics(H, p):
-    # the finite-difference cross-check calls each metric once on its whole
-    # stencil (both row by row); every row of that batch must be the
-    # scalar metric at the row's chart point, and the curvatures stay within 1e-6
-    batches = []
-
-    def recorded(metric_fn):
-        def call(points):
-            metrics = metric_fn(points)
-            batches.append((points, metrics))
-            return metrics
-
-        return call
-
+def test_metric_rows_match_the_scalar_metrics_and_the_closed_forms(H, p):
+    # each metric taken on a block of rows around one point (37 and 17 of them): every row
+    # is the scalar metric at the row's chart point and the closed form there
     params = Parameters(H=H, p=p)
     angles = _angles(params)
-    x3 = np.array([angles.eta, angles.theta, angles.phi])
-    ks = coordinate_plane_curvatures(recorded(_metric_rows(params)), x3)
-    k2 = coordinate_plane_curvatures(recorded(_section_rows(params)), np.array([0.6, 0.9]))
-    for k in ks.values():
-        assert abs(k + H * H) < 1e-6 * H * H
-    assert abs(k2[(0, 1)] - p * p) < 1e-6
-    (points3, metrics3), (points2, metrics2) = batches
-    assert points3.shape == (37, 3) and metrics3.shape == (37, 3, 3)
-    assert points2.shape == (17, 2) and metrics2.shape == (17, 2, 2)
+    rng = np.random.default_rng(11)
+    points3 = np.array([angles.eta, angles.theta, angles.phi]) + rng.uniform(-2e-3, 2e-3, (37, 3))
+    points2 = np.array([0.6, 0.9]) + rng.uniform(-2e-3, 2e-3, (17, 2))
+    metrics3, metrics2 = _metric_rows(params)(points3), _section_rows(params)(points2)
+    assert metrics3.shape == (37, 3, 3) and metrics2.shape == (17, 2, 2)
     for point, metric in zip(points3, metrics3):
         scalar = indicatrix_metric(AngleCoords(*point), params)
         assert np.max(np.abs(metric - scalar)) <= 1e-13 * np.max(np.abs(scalar))
         # exactly symmetric, at a point and in a batch
         assert np.array_equal(metric, metric.T) and np.array_equal(scalar, scalar.T)
+        assert _isometry_error(H * H, metric, _hyperbolic_space(*point[:2])) <= CLOSED_FORM_BOUND
     for point, metric in zip(points2, metrics2):
         scalar = indicatrix.section_metric(point[0], point[1], params)
         assert np.max(np.abs(metric - scalar)) <= 1e-13 * np.max(np.abs(scalar))
         assert np.array_equal(metric, metric.T) and np.array_equal(scalar, scalar.T)
+        assert _isometry_error(p * p, metric, _sphere(point[0])) <= CLOSED_FORM_BOUND
 
 
 def test_section_chart_jacobian_matches_hyperdual_pass():
@@ -846,15 +911,18 @@ def test_one_chart_path_for_floats_and_arrays(H, p):
     params = Parameters(H=H, p=p)
     points = sample_angles(params, 40, 17)
     rows = np.array([[a.eta, a.theta, a.phi] for a in points])
-    (prof, y, d), (trig, w, jac) = (indicatrix._chart_point(rows, params),
-                                    kernel._section_chart(rows[:, 1], rows[:, 2], params))
+    (prof, _, y), d = (kernel._chart_vector(rows, 1.0, params),
+                       unit_vector_angle_derivatives(rows, params))
+    trig, w, jac = kernel._section_chart(rows[:, 1], rows[:, 2], params)
     for k, angles in enumerate(points):
-        one = indicatrix._chart_point(angles, params)
+        one = kernel._chart_vector(angles, 1.0, params)
         section = kernel._section_chart(angles.theta, angles.phi, params)
         assert all(type(c) is float for c in _floats_of((one, section)))
         for c, single in zip(prof, one[0]):
             assert abs(c[k] - single) <= CHART_ROW_BOUND * abs(single)
-        for batch, single in ((y, one[1]), (d, one[2]), (trig, section[0]), (w, section[1]),
+        single = unit_vector_angle_derivatives(angles, params)
+        assert np.max(np.abs(d[k] - single)) <= CHART_ROW_BOUND * np.max(np.abs(single))
+        for batch, single in ((y, one[2]), (trig, section[0]), (w, section[1]),
                               (jac, section[2])):
             single = np.array(single)
             row = np.array([[c[k] for c in part] if isinstance(part, list) else part[k]
@@ -909,9 +977,9 @@ def test_every_chart_edge_raises_the_same_error_for_a_point_and_a_batch_row():
         for q, bad, error, match in edges:
             good = [domain_info(q).eta_min + 0.9, 0.5, 1.2]
             with pytest.raises(error, match=match):
-                indicatrix._chart_point(AngleCoords(*bad), q)
+                unit_vector_angle_derivatives(AngleCoords(*bad), q)
             with pytest.raises(error, match=match):
-                indicatrix._chart_point(np.array([good, bad, good]), q)
+                unit_vector_angle_derivatives(np.array([good, bad, good]), q)
             if error in (OutsideAxialRegion, ThetaPole):
                 with pytest.raises(error, match=match):
                     kernel._section_chart(bad[1], 0.9, q)

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from finsleroid import (
     AngleCoords,
+    DomainInfo,
     EmptyDomain,
     OutsideAxialRegion,
     OutsideEtaDomain,
@@ -235,6 +236,16 @@ def test_domain_info_values():
         assert abs(r_sup - zero) <= math.ulp(zero), h_val
 
 
+def test_domain_info_is_the_three_field_domain():
+    # the record holds the domain it prints and nothing else: equal, with the same hash, to
+    # a DomainInfo built from its three fields, on a p < 1 pair and a p = 1 pair
+    for params in (Parameters(H=2.0, p=0.5), Parameters(H=1.25, p=1.0)):
+        dom = domain_info(params)
+        same = DomainInfo(dom.eta_min, dom.r_min, dom.r_sup)
+        assert dom == same and hash(dom) == hash(same)
+        assert list(dataclasses.asdict(dom)) == ["eta_min", "r_min", "r_sup"]
+
+
 def test_a_parameters_instance_is_released_after_use():
     # the domain record lives on the instance, so no module-level cache keeps it alive
     params = Parameters(H=2.0, p=0.5)
@@ -289,7 +300,7 @@ def test_an_empty_domain_raises_on_every_call():
                 eta_from_r(0.1, params)
             with pytest.raises(EmptyDomain, match=match):
                 finsler_norm(y, params=params)
-        assert "_domain" not in vars(params)
+        assert "_domain" not in vars(params) and "_kernel_constants" not in vars(params)
 
 
 def test_an_inversion_error_is_never_stored(monkeypatch):
@@ -668,7 +679,7 @@ def test_chart_ceiling_is_one_eta_per_pair():
 
 
 def test_hyperbolic_profile_array_matches_float_calls():
-    # one call on an array of angles, as a curvature stencil makes, against
+    # one call on an array of angles, as the batch chart makes, against
     # float calls, from next to the floor through the box that sample_angles
     # draws curvature points from (eta - eta_min in [0.2, 2.4])
     gaps = np.concatenate([np.logspace(-10, -1, 46), np.linspace(0.2, 2.4, 111)])
