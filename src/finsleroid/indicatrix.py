@@ -25,7 +25,7 @@ import numpy as np
 
 from . import dual as dm
 from .curvature import gauss_curvatures
-from .errors import OutsideEtaDomain, PolarAxisSingular, ThetaPole
+from .errors import OutsideEtaDomain, PolarAxisSingular
 from .frame import Parameters
 from .kernel import (
     AngleCoords,
@@ -34,7 +34,6 @@ from .kernel import (
     _section_chart,
     _unpack,
     radial_chain,
-    theta_pole,
 )
 
 # Measured accuracy bounds of the Gauss route (README, "Curvature accuracy"): theta
@@ -182,15 +181,13 @@ def _section_surface(theta: float, phi: float, params: Parameters):
     equation's inputs and the one section metric.  The section is the indicatrix r = 1 of
     G = Hess(r^2/2), whose Cartan tensor is G's derivative over 2, both from the derivatives
     of L = ln r.  An array or a non-finite angle is a ValueError; PolarAxisSingular below
-    THETA_MIN, ThetaPole at the pole."""
+    THETA_MIN, and the chart's ThetaPole at theta >= theta_pole."""
     if isinstance(theta, np.ndarray) or isinstance(phi, np.ndarray):
         raise ValueError("the section chart takes one theta and one phi, got an array of "
                          f"shape {np.broadcast(theta, phi).shape}")
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ValueError(f"the section chart takes finite angles, got theta={theta}, phi={phi}")
     _check_theta(theta, "section")
-    if theta >= (pole := theta_pole(params)):
-        raise ThetaPole(f"section needs theta below the pole {pole}, got {theta}")
     _, (*w, _), jac = _section_chart(theta, phi, params)
     # r^2/2 = exp(2 L)/2 has L-derivatives 1, 2, 4 at r = 1
     _, metric, (c0, c1, c2, c3) = radial_chain(w, params, jac, (1.0, 2.0, 4.0))

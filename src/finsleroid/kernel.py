@@ -391,18 +391,13 @@ def structural_profile(eta: float, params: Parameters) -> EvalBundle:
     return EvalBundle(*values, near_boundary=params.p < 1.0 and values[0] < BOUNDARY_TOL)
 
 
-def _angular_parts(theta: float, params: Parameters):
-    """(R2, I, U) at ``theta`` as a tuple; ThetaPole at the pole R2 <= 0."""
-    r2 = math.cos(theta) + params.azimuthal_skew * math.sin(theta)
-    if r2 <= 0.0:
-        raise ThetaPole(f"angular divisor R2={r2} not positive at theta={theta}")
-    big_i = _spiral(theta, params)
-    return r2, big_i, big_i / r2
-
-
 def angular_profile(theta: float, params: Parameters) -> AngularProfile:
-    """Azimuthal building blocks at ``theta``; fails at the pole R2 <= 0."""
-    return AngularProfile(*_angular_parts(theta, params))
+    """Azimuthal building blocks at ``theta``; ThetaPole outside the chart's [0, theta_pole)."""
+    if not theta < (pole := theta_pole(params)) or theta < 0.0:
+        raise ThetaPole(f"theta={theta} not in [0, {pole}), where R2=cos + gp sin > 0")
+    r2 = math.cos(theta) + params.azimuthal_skew * math.sin(theta)
+    big_i = _spiral(theta, params)
+    return AngularProfile(r2, big_i, big_i / r2)
 
 
 def theta_from_f(f: float, params: Parameters) -> float:
@@ -572,14 +567,13 @@ def _section_chart(theta, phi, params: Parameters, r=1.0):
 
     With I = exp(gp theta), R2 = cos + gp sin: w_perp = r sin/(p I), w3 = r R2/I,
     (w1, w2) = w_perp (cos phi, sin phi), d w_perp/d theta = r (cos - gp sin)/(p I),
-    d w3/d theta = -r sin/(p^2 I).  ThetaPole where R2 <= 0, OutsideAxialRegion
-    where I overflows (``_spiral``)."""
+    d w3/d theta = -r sin/(p^2 I).  ThetaPole at theta >= theta_pole (any element of an
+    array), the chart's domain, OutsideAxialRegion where I overflows (``_spiral``)."""
+    if dm.any_set(theta >= (pole := theta_pole(params))):
+        raise ThetaPole(f"R2=cos + gp sin <= 0 at theta={np.max(theta)} >= the pole {pole}")
     fn = dm.library(theta, phi)
     gp = params.azimuthal_skew
     st, ct = fn.sin(theta), fn.cos(theta)
-    r2 = ct + gp * st
-    if dm.any_set(r2 <= 0.0):
-        raise ThetaPole(f"angular divisor R2={np.min(r2)} not positive")
     big_i = _spiral(theta, params, chart=True)
     w_perp = r * st / (params.p * big_i)
     dw_perp = r * (ct - gp * st) / (params.p * big_i)
@@ -587,7 +581,7 @@ def _section_chart(theta, phi, params: Parameters, r=1.0):
     jac = [[dw_perp * cp, -w_perp * sp],
            [dw_perp * sp, w_perp * cp],
            [-(r * st) / (params.p ** 2 * big_i), 0.0 * theta]]
-    return (st, ct), (w_perp * cp, w_perp * sp, r * r2 / big_i, w_perp), jac
+    return (st, ct), (w_perp * cp, w_perp * sp, r * (ct + gp * st) / big_i, w_perp), jac
 
 
 def _chart_vector(angles, norm, params: Parameters):
@@ -599,6 +593,8 @@ def _chart_vector(angles, norm, params: Parameters):
         eta, theta, phi = angles.eta, angles.theta, angles.phi
     else:
         eta, theta, phi = np.asarray(angles, dtype=float).T
+        if not ((theta >= 0.0) & (theta < math.pi)).all():  # as AngleCoords
+            raise ValueError(f"theta must be in [0, pi), got {theta.min()} to {theta.max()}")
         phi = phi % (2.0 * math.pi) % (2.0 * math.pi)  # as ``_azimuth``: 2 pi rounds to 0
     eta, (a, r1v, _, _, v, r) = _chart_profile(eta, params)
     chart = _section_chart(theta, phi, params, r)
@@ -612,19 +608,24 @@ def _azimuth(w1: float, w2: float) -> float:
     return math.atan2(w2, w1) % (2.0 * math.pi) % (2.0 * math.pi)
 
 
-def angles_from_vector(
-    fc: FrameComponents, params: Parameters
-) -> tuple[AngleCoords, EvalBundle]:
-    """Angles and full evaluation bundle for resolved frame components."""
-    phi = _azimuth(fc.w1, fc.w2)
-    f = params.p * fc.w
-    theta = theta_from_f(f, params)
-    r2, big_i, u = _angular_parts(theta, params)
-    r = fc.w3 * u
+def angles_from_vector(fc: FrameComponents, params: Parameters) -> tuple[AngleCoords, EvalBundle]:
+    """Angles and evaluation bundle of resolved frame components, read off the spiral of
+    ``radial_from_ratios``: theta = atan2(Y, X), its r (F is ``finsler_norm``'s), U = r/w3 and
+    R2 = I/U, nothing that cancels as w3 -> 0.  PolarAxisSingular at r = 0 (p = 1: below r_min
+    otherwise), OutsideAxialRegion where U overflows."""
+    vth = params.p * fc.w_perp
+    theta = math.atan2(vth, fc.w3 - params.azimuthal_skew * vth)
+    big_i = _spiral(theta, params)
+    r = radial_from_ratios(fc.w1, fc.w2, fc.w3, params)
     eta, (a, r1v, j, y1, v, _) = _inverted_profile(r, params)
-    bundle = EvalBundle(a, r1v, j, y1, v, r, r2, big_i, u, f, fc.b * v,
+    if r == 0.0:
+        raise PolarAxisSingular(f"ratios on the time axis: r = 0 at w3 = {fc.w3}")
+    u = r / fc.w3
+    if u == math.inf:
+        raise OutsideAxialRegion(f"axial projection w3={fc.w3} so small that U = r/w3 overflows")
+    bundle = EvalBundle(a, r1v, j, y1, v, r, big_i / u, big_i, u, params.p * fc.w, fc.b * v,
                         params.p < 1.0 and a < BOUNDARY_TOL)
-    return AngleCoords(eta=eta, theta=theta, phi=phi), bundle
+    return AngleCoords(eta=eta, theta=theta, phi=_azimuth(fc.w1, fc.w2)), bundle
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .kernel import (
     _unpack,
     norm_squared,
     radial_from_ratios,
-    theta_from_f,
 )
 
 
@@ -138,10 +137,11 @@ def _angle_point(y, tetrad: Tetrad | None, params: Parameters):
         return radial_from_ratios(w1, w2, w3, params), f, dm.atan2(w2, w1)
 
     yf = np.array([b, b * w[0], b * w[1], b * w[2]])
-    (r, f, _), jac = dm.gradient(ratio_maps, yf)
+    (r, _, _), jac = dm.gradient(ratio_maps, yf)
     sh, r1v, v, _, _ = _profile_factors(r, params)
-    theta = theta_from_f(f, params)
-    r2 = math.cos(theta) + params.azimuthal_skew * math.sin(theta)
+    vth = params.p * math.hypot(w[0], w[1])  # the spiral's angle, as angles_from_vector's
+    theta = math.atan2(vth, w[2] - params.azimuthal_skew * vth)
+    r2 = _spiral(theta, params) * w[2] / r  # R2 = I w3/r, and d theta/d f = R2^2
     grads = AngleGradients(
         eta_grad=params.p ** 2 * r1v * sh / r * jac[0],
         theta_grad=r2 * r2 * jac[1],

@@ -334,6 +334,18 @@ def test_vector_numerically_on_the_time_axis_is_a_domain_error(args):
     assert "on the time axis" in r.stderr and "Traceback" not in r.stderr
 
 
+def test_eval_next_to_the_equator_reports_the_norm_of_its_tensors():
+    # 3.2e-17 above the equator the bundle's F is the Euler sum l.y; the angle map from
+    # f = p w_perp/w3 with R2 = cos theta + gp sin theta reported F = 0.939, 29 % off
+    r = run_cli("eval", "--H", "2.4802699708352587", "--p", "0.9538221065310725",
+                "--y=1,0.26036398342138056,0,3.228188371379577e-17")
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    norm = doc["bundle"]["F"]
+    euler = math.fsum(l * y for l, y in zip(doc["tensors"]["l"], doc["input"]["y"]))
+    assert abs(euler - norm) <= 1e-12 * norm, (euler, norm)
+
+
 def test_overflowing_determinant_is_a_domain_error():
     # at p = 0.02 det g exceeds the largest double: exit 0 with "det_g_closed":
     # -Infinity under "status": "ok" and numpy's overflow warning from LU, before

@@ -993,3 +993,68 @@ def test_every_chart_edge_raises_the_same_error_for_a_point_and_a_batch_row():
                 section_curvature(theta, params)
         with pytest.raises(OutsideEtaDomain, match="GAP_MIN"):
             indicatrix_curvature(AngleCoords(floor + 0.5 * indicatrix.GAP_MIN, 0.6, 1.2), params)
+
+
+def _ulp_steps(x, below, above):
+    """x stepped from ``below`` ulps under it to ``above`` over it, one ulp at a time."""
+    down, up = [x], [x]
+    for _ in range(below):
+        down.append(math.nextafter(down[-1], -math.inf))
+    for _ in range(above):
+        up.append(math.nextafter(up[-1], math.inf))
+    return down[:0:-1] + up
+
+
+def test_every_chart_route_raises_thetapole_exactly_from_the_pole():
+    # theta >= theta_pole is the chart's domain edge; the R2 = cos + gp sin <= 0 test it
+    # replaces let thetas a few ulps past the pole through wherever R2 rounded up to a
+    # positive float (1,357 of 243,000 probes at 3,000 p, on the unit surface, in
+    # vector_from_angles and in one-row batches).  1,000 p log-uniform on [0.05, 1] at H = 2,
+    # 81 thetas each from 40 ulps below the pole to 40 above: the unit surface, the section,
+    # vector_from_angles and the batch chart accept every theta below and reject every theta
+    # from the pole on (0 of 243,000 at 3,000 p too)
+    rng = np.random.default_rng(38)
+    wrong = []
+    for p in np.exp(rng.uniform(math.log(0.05), 0.0, 1000)).tolist():
+        params = Parameters(H=2.0, p=p)
+        pole, eta = theta_pole(params), params.eta_min + 1.0
+        thetas = _ulp_steps(pole, 40, 40)
+        for theta in thetas:
+            angles = AngleCoords(eta, theta, 0.9)
+            for name, call in (
+                ("unit surface", lambda: indicatrix_metric(angles, params)),
+                ("section", lambda: indicatrix.section_metric(theta, 0.9, params)),
+                ("vector_from_angles", lambda: kernel.vector_from_angles(angles, 1.0, params)),
+            ):
+                try:
+                    call()
+                    raised = False
+                except ThetaPole:
+                    raised = True
+                if raised != (theta >= pole):
+                    wrong.append((p, theta, name))
+        rows = np.array([[eta, theta, 0.9] for theta in thetas])
+        assert unit_vector(rows[:40], params).shape == (40, 4)
+        for bad in (rows[40:41], rows[40:]):
+            with pytest.raises(ThetaPole, match="R2="):
+                unit_vector(np.concatenate([rows[:40], bad]), params)
+    assert not wrong, (len(wrong), wrong[:5])
+
+
+def test_batch_rows_and_angular_profile_reject_a_theta_below_zero():
+    # R2 = cos theta + gp sin theta is also <= 0 below theta_pole - pi, which the R2 <= 0 test
+    # caught and theta >= theta_pole does not: a batch row takes AngleCoords' range, as a point
+    # does, and angular_profile the chart's [0, theta_pole)
+    params = Parameters(H=2.0, p=0.5)
+    eta = params.eta_min + 1.0
+    for theta in (-1.0, -0.1, -1e-300, math.nan):
+        with pytest.raises(ValueError, match=r"theta must be in \[0, pi\)"):
+            AngleCoords(eta, theta, 0.9)
+        with pytest.raises(ValueError, match=r"theta must be in \[0, pi\)"):
+            unit_vector(np.array([[eta, 0.5, 0.9], [eta, theta, 0.9]]), params)
+        with pytest.raises(ThetaPole, match="R2="):
+            kernel.angular_profile(theta, params)
+    for theta in (math.pi, 4.0):
+        with pytest.raises(ValueError, match=r"theta must be in \[0, pi\)"):
+            unit_vector_angle_derivatives(np.array([[eta, theta, 0.9]]), params)
+    assert kernel.angular_profile(0.0, params) == kernel.AngularProfile(1.0, 1.0, 1.0)

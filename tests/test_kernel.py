@@ -1,14 +1,16 @@
 """Structural functions, angle maps, inversion and the quadrature oracles."""
 
 import copy
+import csv
 import dataclasses
-import decimal
 import gc
+import json
 import math
 import pickle
 import warnings
 import weakref
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +47,10 @@ from finsleroid import kernel
 from finsleroid.kernel import (
     _MAP_NOISE, ETA_CAP, NEWTON_MAX_ITER, _inverted_profile, hyperbolic_profile,
     radial_from_ratios, rim_depth,
+)
+
+from oracle import (
+    EQUATOR_VECTORS, WIDE_PAIR, WIDE_VECTOR, _decimal_depth, _decimal_profile, decimal_vector,
 )
 
 # the five benchmark pairs, then a thin domain (gp ~ 20) and a large H
@@ -569,18 +575,6 @@ def test_inversion_round_trip_property(pair, log_gap):
     assert abs(math.log(float(hyperbolic_profile(back, params)[5]) / r)) <= 2e-15
 
 
-def _decimal_profile(eta, floor, gp, hh):
-    """A, R1 and J at 40 digits, taking the float eta, floor, gp and hh as exact."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 40
-        eta, floor, gp, hh = map(Decimal, (eta, floor, gp, hh))
-        e, f = eta.exp(), floor.exp()
-        sh, ch, sh_min = (e - 1 / e) / 2, (e + 1 / e) / 2, (f - 1 / f) / 2
-        a = hh * ((sh - sh_min) * (sh + gp / hh)).sqrt()
-        j = (hh * ((hh * ch + a) / (hh * hh + gp * gp).sqrt()).ln()).exp()
-        return a, ch + a, j
-
-
 def test_hyperbolic_profile_matches_a_40_digit_reference_near_the_floor():
     # A = hh sqrt((sinh - sinh eta_min)(sinh + gp/hh)): nothing cancels above
     # the floor, so A and R1 stay within 2 units of 2^-52, and J = x^hh as a
@@ -595,36 +589,6 @@ def test_hyperbolic_profile_matches_a_40_digit_reference_near_the_floor():
             want = _decimal_profile(eta, floor, params.azimuthal_skew, params.boost_skew)
             units = [float(abs(Decimal(g) - w) / w) / 2.0 ** -52 for g, w in zip(got, want)]
             assert all(u <= 2.0 for u in units), (H, p, gap, units)
-
-
-def _decimal_atan(z):
-    """atan(z), z >= 0, at the context precision: halve the argument by
-    atan(z) = 2 atan(z/(1 + sqrt(1 + z^2))) below 1e-3, then sum the Taylor series."""
-    halvings = 0
-    while z > Decimal("1e-3"):
-        z = z / (1 + (1 + z * z).sqrt())
-        halvings += 1
-    total, term, k = z, z, 1
-    while abs(term) > total * Decimal(10) ** -decimal.getcontext().prec:
-        term = -term * z * z
-        total += term / (2 * k + 1)
-        k += 1
-    return total * 2 ** halvings
-
-
-def _decimal_depth(eta, gp, hh):
-    """ln(r_sup/r(eta)) at 90 digits from its definition, ln(R1/((1 + hh) sinh))
-    plus gp (atan(gp cosh/A) - atan(gp/hh)), taking the float eta, gp, hh as exact."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 90
-        eta, gp, hh = map(Decimal, (eta, gp, hh))
-        e = eta.exp()
-        sh, ch = (e - 1 / e) / 2, (e + 1 / e) / 2
-        a = (hh * hh * sh * sh - gp * gp).sqrt()
-        depth = ((ch + a) / ((1 + hh) * sh)).ln()
-        if gp > 0:
-            depth += gp * (_decimal_atan(gp * ch / a) - _decimal_atan(gp / hh))
-        return depth
 
 
 def test_rim_depth_matches_a_90_digit_reference():
@@ -914,6 +878,61 @@ def test_angles_from_vector_examples():
     )
     assert coords.theta == 0.0
     assert bundle.r == pytest.approx(0.28, rel=1e-14)
+
+
+def test_angles_from_vector_answers_at_the_equator_wherever_the_norm_does():
+    # theta, r and I come from the spiral that finsler_norm inverts, so F is its F bit for bit
+    # and R2 = I/U holds to the rounding of one division.  The route they replace, theta from
+    # f = p w_perp/w3 and R2 = cos theta + gp sin theta, cancelled as w3 -> 0: F off by 2e-2
+    # at k = 14 on the (2, 0.5) ladder, ThetaPole from k = 16 there (R2 = -2.2e-16) and
+    # OutsideRadialDomain at k = 18 on (1.25, 0.8)
+    eps = 2.0 ** -52
+    for (H, p), y in EQUATOR_VECTORS:
+        params = Parameters(H=H, p=p)
+        norm = finsler_norm(y, None, params)
+        coords, bundle = angles_from_vector(frame_components(y), params)
+        assert bundle.F == norm, (H, p, y)
+        assert abs(bundle.R2 * bundle.U - bundle.I) <= 2.0 * eps * bundle.I, (H, p, y)
+        assert coords.theta <= theta_pole(params)
+    # where U = r/w3 overflows, w3 is numerically on the equator: a domain error, not U = inf
+    with pytest.raises(OutsideAxialRegion, match="U = r/w3 overflows"):
+        angles_from_vector(frame_components(WIDE_VECTOR[:3] + [1e-310]), Parameters(*WIDE_PAIR))
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden_vectors():
+    """(H, p, y) of every golden eval document and report scan row."""
+    out = []
+    for name in ("eval_H1_p1.json", "eval_H2_p0.5.json", "eval_H1.25_p1_w3neg.json"):
+        doc = json.loads((GOLDEN / name).read_text())["input"]
+        out.append((doc["H"], doc["p"], doc["y"]))
+    for name, pair in (("scan_H1.25_p0.8_n20.csv", (1.25, 0.8)),
+                       ("scan_H2_p0.5_n20.csv", (2.0, 0.5))):
+        with open(GOLDEN / name) as rows:
+            out += [(*pair, [float(r[f"y{k}"]) for k in range(4)]) for r in csv.DictReader(rows)]
+    return out
+
+
+def test_vector_angles_and_norm_match_a_60_digit_truth():
+    # |x - x*| <= c max(1, kappa) eps |x*| against the paper's formulas at 60 digits (tests/oracle),
+    # kappa = (p/H)^2 sinh^2(eta) = |d ln F/d ln r| the condition of F in r.  Measured worst, in
+    # units of max(1, kappa) eps: r 12.7 (the (3, 0.3) ladder: gp theta ~ 9 carries theta's
+    # rounding into exp), F 8.3 (a scan_H2_p0.5 golden row, finsler_norm's too), theta 1.1;
+    # c = 16.  The old route's eval_H1_p1 F, 1.7320508046826721, missed by 1,420 units
+    eps, c = 2.0 ** -52, 16.0
+    cases = [(*pair, y) for pair, y in EQUATOR_VECTORS] + _golden_vectors()
+    for H, p, y in cases:
+        params = Parameters(H=H, p=p)
+        theta, r, eta, _, norm = decimal_vector(y, H, p)
+        bound = c * max(1.0, (p / H) ** 2 * math.sinh(float(eta)) ** 2) * eps
+        got = {"finsler_norm F": (finsler_norm(y, None, params), norm)}
+        if y[3] > 0.0:  # the angles need the axial region
+            coords, bundle = angles_from_vector(frame_components(y), params)
+            got.update(theta=(coords.theta, theta), r=(bundle.r, r), F=(bundle.F, norm))
+        for name, (x, truth) in got.items():
+            assert abs(Decimal(x) - truth) <= Decimal(bound) * abs(truth), (H, p, y, name)
 
 
 # -------------------------------------------------------------- quadrature
