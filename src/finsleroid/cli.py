@@ -22,9 +22,8 @@ import numpy as np
 from .errors import DomainError, EmptyDomain, FinsleroidError
 from .frame import (FrameComponents, Parameters, Tetrad, frame_components, projections,
                     pseudo_norm_squared)
-from .kernel import (
-    EvalBundle, _azimuth, _inverted_profile, angles_from_vector, domain_info, radial_from_ratios,
-)
+from .kernel import (EvalBundle, _azimuth, _inverted_profile, _log_spiral, angles_from_vector,
+                     domain_info)
 from .indicatrix import indicatrix_curvature
 from .limits import reduction_report
 from .sampling import DEFAULT_SEED, sample_angles, sample_vectors
@@ -145,12 +144,11 @@ def evaluate_document(params: Parameters, tetrad: Tetrad, y: np.ndarray) -> dict
     b, w1, w2, w3 = projections(y, tetrad)
     if params.p == 1.0 and w3 <= 0.0:
         # axial restriction lifted in the isotropic case
-        w_perp = math.hypot(w1, w2)
+        w_perp, _, _, _, theta, _, r = _log_spiral(w1, w2, w3, params)
         frame = vars(FrameComponents(b, w1, w2, w3, w_perp, None, None, b * w_perp,
                                      pseudo_norm_squared(y, tetrad)))
-        r = radial_from_ratios(w1, w2, w3, params)
         eta, prof = _inverted_profile(r, params)  # metric_tensor and det g reuse it
-        angles = {"eta": eta, "theta": math.atan2(w_perp, w3), "phi": _azimuth(w1, w2)}
+        angles = {"eta": eta, "theta": theta, "phi": _azimuth(w1, w2)}
         bundle = vars(EvalBundle(*prof[:5], r, F=b * prof[4]))
     else:
         fc = frame_components(y, tetrad)

@@ -166,13 +166,12 @@ def _spiral(angle, params: Parameters, chart: bool = False):
 
 
 def radial_from_ratios(w1, w2, w3, params: Parameters):
-    """Algebraic radial variable of the frame ratios; degree-one homogeneous.
+    """Algebraic radial variable of the frame ratios, degree-one homogeneous: the hyper-dual
+    routes' map (``norm_squared``, ``tensors._angle_point``); float readers take ``_log_spiral``'s.
 
-    HyperDual- and array-generic.  For p = 1 this is the Euclidean length of
-    (w1, w2, w3) and is defined for any nonzero ratio vector; otherwise it
-    is the logarithmic spiral r = |X + iY| exp(gp atan2(Y, X)) with
-    Y = p |(w1, w2)| and X = w3 - gp Y, which stays well-conditioned up to
-    the equatorial limit w3 -> 0.
+    HyperDual- and array-generic.  For p = 1 this is the Euclidean length of (w1, w2, w3) and
+    is defined for any nonzero ratio vector; otherwise it is the logarithmic spiral r = |X + iY|
+    exp(gp atan2(Y, X)) with Y = p |(w1, w2)| and X = w3 - gp Y, well-conditioned up to w3 -> 0.
     """
     fn = dm.library(w1, w2, w3)
     if params.p == 1.0:
@@ -183,8 +182,22 @@ def radial_from_ratios(w1, w2, w3, params: Parameters):
     return fn.sqrt(x * x + y * y) * _spiral(fn.atan2(y, x), params)
 
 
+def _log_spiral(w1, w2, w3, params: Parameters):
+    """The logarithmic spiral of frame ratios (floats or arrays), rounded once for every float
+    reader: rho = hypot(w1, w2), X = w3 - gp p rho, Y = p rho, k^2 = X^2 + Y^2 (w.w at p = 1),
+    theta = atan2(Y, X), I = exp(gp theta) (``_spiral``'s guard) and r = k I, in that order."""
+    fn = dm.library(w1, w2, w3)
+    rho = (math.hypot if fn is math else np.hypot)(w1, w2)
+    x = w3 - params.azimuthal_skew * params.p * rho
+    y = params.p * rho
+    k2 = w1 * w1 + w2 * w2 + w3 * w3 if params.p == 1.0 else x * x + y * y
+    theta = fn.atan2(y, x)
+    big_i = _spiral(theta, params)
+    return rho, x, y, k2, theta, big_i, fn.sqrt(k2) * big_i
+
+
 def _radial_parts(w1, w2, w3, params: Parameters):
-    """Value, gradient (3 components) and Hessian (6, packed) of ``radial_from_ratios``
+    """Value, gradient (3 components) and Hessian (6, packed) of the radial map r
     in closed form, at ratios that are floats (one vector) or arrays (a batch).
 
     For p < 1, with rho = |(w1, w2)| > 0, X = w3 - gp p rho and Y = p rho, the map
@@ -196,12 +209,13 @@ def _radial_parts(w1, w2, w3, params: Parameters):
     terms that cancel near the axis.  For p = 1 the map is sqrt(w.w),
     computed in the operation order of a hyper-dual pass, so it agrees bit
     for bit with ``dual.hessian`` and stays defined for w3 <= 0 and on the
-    axis.  Where k^2 underflows to 0 it raises OutsideRadialDomain for r = 0,
-    and where k^4 or (w.w)^1.5 does (ratios below ~1e-81 or ~1e-108, as the
-    chart gives below p ~ 0.05) PolarAxisSingular: they lie on the time axis.
+    axis.  For p < 1 r is ``_log_spiral``'s, whose overflow guard runs first; then
+    where k^2 underflows to 0 it raises OutsideRadialDomain for r = 0, and where
+    k^4 or (w.w)^1.5 does (ratios below ~1e-81 or ~1e-108, as the chart gives
+    below p ~ 0.05) PolarAxisSingular: they lie on the time axis.
     """
-    fn = dm.library(w1, w2, w3)
     if params.p == 1.0:
+        fn = dm.library(w1, w2, w3)
         s = w1 * w1 + w2 * w2 + w3 * w3
         s3 = s ** 1.5
         if dm.any_set(s3 == 0.0):
@@ -215,16 +229,12 @@ def _radial_parts(w1, w2, w3, params: Parameters):
         return fn.sqrt(s), [fp * d1, fp * d2, fp * d3], [
             e1 * d1 + two, e1 * d2 + off, e1 * d3 + off, e2 * d2 + two, e2 * d3 + off, e3 * d3 + two]
     gp = params.azimuthal_skew
-    rho = (math.hypot if fn is math else np.hypot)(w1, w2)
-    x = w3 - gp * params.p * rho
-    y = params.p * rho
-    k2 = x * x + y * y
+    rho, x, y, k2, _, _, r = _log_spiral(w1, w2, w3, params)
     if dm.any_set(k2 * k2 == 0.0):
         if dm.any_set(k2 == 0.0):  # r is 0 in double precision, as eta_from_r would say
             dom = domain_info(params)
             raise OutsideRadialDomain(0.0, dom.r_min, dom.r_sup)
         raise PolarAxisSingular(f"ratios on the time axis: k^4 = 0 at k^2 = {np.min(k2)}")
-    r = fn.sqrt(k2) * _spiral(fn.atan2(y, x), params)
     n1, n2 = w1 / rho, w2 / rho
     u1, u2, u3 = -w3 * n1, -w3 * n2, rho
     m1, m2, m3 = -n2, n1, 0.0 * rho
@@ -544,7 +554,7 @@ def finsler_norm(y, tetrad: Tetrad | None = None, params: Parameters | None = No
     b, w1, w2, w3 = projections(y, Tetrad.canonical() if tetrad is None else tetrad)
     if params.p < 1.0 and w3 <= 0.0:
         raise OutsideAxialRegion(f"axial projection w3={w3} is not positive")
-    r = radial_from_ratios(w1, w2, w3, params)
+    r = _log_spiral(w1, w2, w3, params)[6]
     return b * hyperbolic_profile(eta_from_r(r, params), params)[4]
 
 
@@ -609,14 +619,11 @@ def _azimuth(w1: float, w2: float) -> float:
 
 
 def angles_from_vector(fc: FrameComponents, params: Parameters) -> tuple[AngleCoords, EvalBundle]:
-    """Angles and evaluation bundle of resolved frame components, read off the spiral of
-    ``radial_from_ratios``: theta = atan2(Y, X), its r (F is ``finsler_norm``'s), U = r/w3 and
-    R2 = I/U, nothing that cancels as w3 -> 0.  PolarAxisSingular at r = 0 (p = 1: below r_min
-    otherwise), OutsideAxialRegion where U overflows."""
-    vth = params.p * fc.w_perp
-    theta = math.atan2(vth, fc.w3 - params.azimuthal_skew * vth)
-    big_i = _spiral(theta, params)
-    r = radial_from_ratios(fc.w1, fc.w2, fc.w3, params)
+    """Angles and evaluation bundle of resolved frame components, read off their
+    ``_log_spiral``: theta = atan2(Y, X), I and r (as ``finsler_norm``'s and ``metric_tensor``'s,
+    so F is theirs), U = r/w3 and R2 = I/U, nothing that cancels as w3 -> 0.  PolarAxisSingular
+    at r = 0 (p = 1: below r_min otherwise), OutsideAxialRegion where U overflows."""
+    _, _, _, _, theta, big_i, r = _log_spiral(fc.w1, fc.w2, fc.w3, params)
     eta, (a, r1v, j, y1, v, _) = _inverted_profile(r, params)
     if r == 0.0:
         raise PolarAxisSingular(f"ratios on the time axis: r = 0 at w3 = {fc.w3}")

@@ -26,8 +26,8 @@ from .errors import DomainError, OutsideAxialRegion, PolarAxisSingular
 from .frame import Parameters, Tetrad, projections
 from .kernel import (
     _inverted_profile,
+    _log_spiral,
     _radial_parts,
-    _spiral,
     _unpack,
     norm_squared,
     radial_from_ratios,
@@ -139,9 +139,8 @@ def _angle_point(y, tetrad: Tetrad | None, params: Parameters):
     yf = np.array([b, b * w[0], b * w[1], b * w[2]])
     (r, _, _), jac = dm.gradient(ratio_maps, yf)
     sh, r1v, v, _, _ = _profile_factors(r, params)
-    vth = params.p * math.hypot(w[0], w[1])  # the spiral's angle, as angles_from_vector's
-    theta = math.atan2(vth, w[2] - params.azimuthal_skew * vth)
-    r2 = _spiral(theta, params) * w[2] / r  # R2 = I w3/r, and d theta/d f = R2^2
+    _, _, _, _, theta, big_i, _ = _log_spiral(*w, params)  # as angles_from_vector's
+    r2 = big_i * w[2] / r  # R2 = I w3/r, and d theta/d f = R2^2
     grads = AngleGradients(
         eta_grad=params.p ** 2 * r1v * sh / r * jac[0],
         theta_grad=r2 * r2 * jac[1],
@@ -231,17 +230,13 @@ def metric_determinant_closed(
     below ~1e-54: ratios that near the time axis, as those of every admissible vector at
     p = 0.01 are, and DomainError where the determinant overflows, as it can at p = 0.02.
     """
-    b, (w1, w2, w3) = _frame_point(y, tetrad, params)
-    r = radial_from_ratios(w1, w2, w3, params)
+    b, w = _frame_point(y, tetrad, params)
+    _, _, _, _, _, big_i, r = _log_spiral(*w, params)
     r6 = r ** 6
     # r = 0 itself lies below r_min for p < 1, which eta_from_r reports
     if r6 == 0.0 and (params.p == 1.0 or r > 0.0):
         raise PolarAxisSingular(f"ratios on the time axis: r^6 = 0 at r = {r}")
     sh, r1v, v, _, _ = _profile_factors(r, params)
-    gp = params.azimuthal_skew
-    vth = params.p * math.hypot(w1, w2)
-    theta = math.atan2(vth, w3 - gp * vth)
-    big_i = _spiral(theta, params)
     core = params.p ** 4 * big_i ** 3 * v ** 4 * r1v
     det = -(core * core) * sh ** 6 / (params.H ** 6 * r6)
     if not math.isfinite(det):

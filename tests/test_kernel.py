@@ -935,6 +935,24 @@ def test_vector_angles_and_norm_match_a_60_digit_truth():
             assert abs(Decimal(x) - truth) <= Decimal(bound) * abs(truth), (H, p, y, name)
 
 
+def test_norm_of_sampled_vectors_matches_a_60_digit_truth():
+    # finsler_norm within c max(1, kappa) (1 + gp theta) eps of the truth on sampler vectors:
+    # r = k exp(gp theta) carries gp times theta's rounding, so the kappa-only bound of the
+    # test above misses here (25 units at (3, 0.3)).  Measured worst, in these units: 4.55 at
+    # (3, 0.3), 1.79 at (1.5, 0.9), 1.68 at (2, 0.5), 1.14 at (1.25, 0.8), 0.23 at (50, 0.05);
+    # c = 8.  The sampler's default eta box keeps clear of the rim, where the oracle's Newton
+    # does not always converge
+    eps, c = 2.0 ** -52, 8.0
+    for H, p in ((2.0, 0.5), (1.25, 0.8), (1.5, 0.9), (3.0, 0.3), (50.0, 0.05)):
+        params = Parameters(H=H, p=p)
+        for y in sample_vectors(params, 60, 7):
+            theta, _, eta, _, norm = decimal_vector(y, H, p)
+            kappa = max(1.0, (p / H) ** 2 * math.sinh(float(eta)) ** 2)
+            bound = c * kappa * (1.0 + params.azimuthal_skew * float(theta)) * eps
+            got = finsler_norm(y, None, params)
+            assert abs(Decimal(got) - norm) <= Decimal(bound) * abs(norm), (H, p, y)
+
+
 # -------------------------------------------------------------- quadrature
 
 

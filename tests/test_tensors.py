@@ -146,6 +146,23 @@ def test_overflowing_spiral_factor_is_outside_the_radial_domain(fn):
             fn(HUGE_R, None, TINY_P)
 
 
+@pytest.mark.parametrize(
+    "fn",
+    [finsler_norm, metric_tensor, unit_covector, angular_metric, metric_determinant_closed,
+     angle_gradients, metric_tensor_numeric, angular_metric_angle_form],
+    ids=lambda fn: fn.__name__,
+)
+def test_a_spiral_past_r_sup_with_k4_underflowing_is_outside_the_radial_domain(fn):
+    # r ~ 1e362 at (2, 0.003), while k^4 = (X^2 + Y^2)^2 ~ 6e-362 underflows to 0: the
+    # tensor routes checked k^4 before the spiral and blamed the time axis
+    # (PolarAxisSingular), where finsler_norm and the closed-form determinant said r=inf
+    y = np.array([1.0, 1e-90, 0.0, 5e-91])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutsideRadialDomain, match="r=inf"):
+            fn(y, None, Parameters(2.0, 0.003))
+
+
 # a chart vector at TINY_P: its ratios near 1e-272 square to 0 in k^2 = X^2 + Y^2
 TINY_W = np.array([2.86037939e2, 1.36523286e-272, -4.12504660e-272, 4.36226097e-272])
 
@@ -685,11 +702,14 @@ def _finsleroid3_metric_by_index(w1, w2, w3, params):
 
 def _bundle_by_index(fc, params):
     """Angles and ``EvalBundle`` entries of ``angles_from_vector``, written out: theta = atan2(Y,
-    X) of the spiral, Y = p w_perp and X = w3 - gp Y, its r, U = r/w3 and R2 = I/U."""
-    vth = params.p * fc.w_perp
-    theta = math.atan2(vth, fc.w3 - params.azimuthal_skew * vth)
+    X) of the spiral, rho = hypot(w1, w2), Y = p rho and X = w3 - gp p rho, r = |X + iY| I
+    (|w| at p = 1), U = r/w3 and R2 = I/U."""
+    rho = math.hypot(fc.w1, fc.w2)
+    x, y = fc.w3 - params.azimuthal_skew * params.p * rho, params.p * rho
+    theta = math.atan2(y, x)
     big_i = math.exp(params.azimuthal_skew * theta)
-    r = radial_from_ratios(fc.w1, fc.w2, fc.w3, params)
+    k2 = fc.w1 * fc.w1 + fc.w2 * fc.w2 + fc.w3 * fc.w3 if params.p == 1.0 else x * x + y * y
+    r = math.sqrt(k2) * big_i
     eta = eta_from_r(r, params)
     a, r1v, j, y1, v, _ = hyperbolic_profile(eta, params)
     u = r / fc.w3
@@ -788,7 +808,9 @@ def test_a_shared_parameters_gives_each_scan_call_its_fresh_bits(monkeypatch, H,
             before = len(radii)
             assert [_scan_outcome(name, y, shared) for name in order] == fresh
             shared_inversions += len(radii) - before
-    assert shared_inversions < 2 * 3 * len(ys)  # 3 inversions per row without the slot
+    # one inversion per row in each order: the angle, tensor and determinant calls share the
+    # spiral's r bit for bit (3 inversions per row without the slot)
+    assert shared_inversions == 2 * len(ys)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -817,6 +839,42 @@ def test_scan_calls_on_a_shared_parameters_property(log_h_gap, log_p, seed, scal
         y = scale * np.concatenate([base[:1], tilt * base[1:]])
         for name in order:
             assert _scan_outcome(name, y, shared) == _scan_outcome(name, y, Parameters(H=H, p=p))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    log_h_gap=st.one_of(st.none(), st.floats(min_value=-12.0, max_value=4.0)),
+    log_p=st.one_of(st.just(0.0), st.floats(min_value=-2.0, max_value=0.0)),
+    seed=st.integers(min_value=0, max_value=2 ** 16),
+    scale=st.sampled_from((1e-300, 1e-100, 1e-8, 1.0, 1e8, 1e100, 1e300)),
+    tilts=st.lists(st.floats(min_value=0.5, max_value=1.5), min_size=1, max_size=3),
+)
+def test_one_norm_and_one_radius_per_vector_property(log_h_gap, log_p, seed, scale, tilts):
+    # the draws of test_scan_calls_on_a_shared_parameters_property, and the sampled vector
+    # untilted (tilts mostly leave the narrow p < 1 radial domain): finsler_norm ends finite or
+    # typed, and where the norm, the angles and the tensors all answer they share one F and
+    # one r, bit for bit (the spiral rounded once)
+    H = 1.0 if log_h_gap is None else 1.0 + 10.0 ** log_h_gap
+    p = 10.0 ** log_p
+    params = Parameters(H=H, p=p)
+    try:
+        base = sample_vectors(params, 1, seed)[0]
+    except FinsleroidError:
+        base = np.array([4.65668704, 0.03959194, -0.11861117, 0.18268289])
+    for tilt in (1.0, *tilts):
+        y = scale * np.concatenate([base[:1], tilt * base[1:]])
+        try:
+            norm = finsler_norm(y, None, params)
+        except FinsleroidError:
+            continue
+        assert math.isfinite(norm), (H, p, y)
+        try:
+            _, bundle = angles_from_vector(frame_components(y), params)
+            tb = metric_tensor(y, None, params)
+        except (FinsleroidError, ValueError):  # ValueError: s2 = y.a.y overflows
+            continue
+        assert _bits(norm, bundle.F) == _bits(tb.F, tb.F), (H, p, y)
+        assert bundle.r == _radial_parts(*projections(y, Tetrad.canonical())[1:], params)[0]
 
 
 def test_overflowing_lu_determinant_is_a_domain_error():
