@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, EmptyDomain, FinsleroidError
-from .frame import (FrameComponents, Parameters, Tetrad, frame_components, projections,
-                    pseudo_norm_squared)
+from .frame import FrameComponents, Parameters, Tetrad, _s2, frame_components, projections
 from .kernel import (EvalBundle, _azimuth, _inverted_profile, _log_spiral, angles_from_vector,
                      domain_info)
 from .indicatrix import indicatrix_curvature
@@ -146,7 +145,7 @@ def evaluate_document(params: Parameters, tetrad: Tetrad, y: np.ndarray) -> dict
         # axial restriction lifted in the isotropic case
         w_perp, _, _, _, theta, _, r = _log_spiral(w1, w2, w3, params)
         frame = vars(FrameComponents(b, w1, w2, w3, w_perp, None, None, b * w_perp,
-                                     pseudo_norm_squared(y, tetrad)))
+                                     _s2(b, w1, w2, w3)))
         eta, prof = _inverted_profile(r, params)  # metric_tensor and det g reuse it
         angles = {"eta": eta, "theta": theta, "phi": _azimuth(w1, w2)}
         bundle = vars(EvalBundle(*prof[:5], r, F=b * prof[4]))
@@ -161,7 +160,7 @@ def evaluate_document(params: Parameters, tetrad: Tetrad, y: np.ndarray) -> dict
     return {
         "status": "ok",
         "input": {"H": params.H, "p": params.p, "y": [float(t) for t in y]},
-        "domain": {"eta_min": dom.eta_min, "r_min": dom.r_min, "r_sup": dom.r_sup},
+        "domain": dict(vars(dom)),  # a copy: the record is shared through params
         "frame": frame,
         "angles": angles,
         "bundle": bundle,
@@ -221,12 +220,9 @@ def _cmd_report_domain(args) -> None:
             row = {"H": h_val, "p": p_val}
             try:
                 dom = domain_info(Parameters(H=h_val, p=p_val))
-                row.update(
-                    status="ok", eta_min=dom.eta_min,
-                    r_min=dom.r_min, r_sup=dom.r_sup,
-                )
+                row.update(status="ok", **vars(dom))
             except EmptyDomain:
-                row.update(status="empty", eta_min=None, r_min=None, r_sup=None)
+                row.update(status="empty", **dict.fromkeys(DOMAIN_CSV_COLUMNS[3:]))
             rows.append(row)
     _write(args, {"rows": rows}, DOMAIN_CSV_COLUMNS, rows)
 
@@ -338,11 +334,8 @@ def main(argv=None) -> int:
         print(f"domain error: {exc}", file=sys.stderr)
         try:
             dom = domain_info(Parameters(H=args.H, p=args.p))
-            print(
-                f"admissible domain: eta_min={dom.eta_min!r}, "
-                f"r_min={dom.r_min!r}, r_sup={dom.r_sup!r}",
-                file=sys.stderr,
-            )
+            print("admissible domain: " + ", ".join(f"{k}={v!r}" for k, v in vars(dom).items()),
+                  file=sys.stderr)
         except (FinsleroidError, AttributeError):
             pass
         return 2

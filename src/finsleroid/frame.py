@@ -176,7 +176,8 @@ class FrameComponents:
 
     ``b`` is the timelike projection, ``w1``/``w2``/``w3`` the spacelike
     projections divided by ``b``; the rest are the derived ratios used by
-    the scalar pipeline.  ``s2`` is the pseudo-Riemannian norm squared.
+    the scalar pipeline, and ``s2`` the background norm squared y.a.y,
+    read off the same projection as b^2 (1 - w.w).
     ``w`` and ``t`` are None only in the eval document's isotropic branch (p = 1, w3 <= 0).
     """
 
@@ -191,22 +192,34 @@ class FrameComponents:
     s2: float
 
     @classmethod
-    def from_ratios(cls, b, w1, w2, w3, w_perp, s2) -> "FrameComponents":
-        """Components with the derived ratios w, t and y_perp filled in."""
+    def from_ratios(cls, b, w1, w2, w3, w_perp) -> "FrameComponents":
+        """Components of the projection (b, w1, w2, w3) and w_perp = |(w1, w2)|, with the
+        derived ratios w, t and y_perp and s2 (``_s2``, ValueError where it overflows)."""
         if w1 != 0.0:
             t = w2 / w1
         else:
             t = math.copysign(math.inf, w2) if w2 != 0.0 else 0.0
-        return cls(b, w1, w2, w3, w_perp, w_perp / w3, t, b * w_perp, s2)
+        return cls(b, w1, w2, w3, w_perp, w_perp / w3, t, b * w_perp, _s2(b, w1, w2, w3))
 
 
-def projections(y, tetrad: Tetrad):
-    """Raw frame projections (b, w1, w2, w3) of one vector, as Python floats.
+def _s2(b, w1, w2, w3) -> float:
+    """s2 = y.a.y = b^2 (1 - w.w) of one projection; ValueError where it overflows, as bad input."""
+    s2 = b * b * (1.0 - w1 * w1 - w2 * w2 - w3 * w3)
+    if not math.isfinite(s2):
+        raise ValueError(f"s2 = b^2 (1 - w.w) overflows at b={b}")
+    return s2
+
+
+def projections(y, tetrad: Tetrad | None = None):
+    """Raw frame projections (b, w1, w2, w3) of one vector, as Python floats, in
+    ``tetrad`` (default: the canonical frame).
 
     One product with ``tetrad.rows``; ValueError for any shape but (4,).
     Only the future-pointing condition b > 0 is enforced here; the axial
     restriction w3 > 0 is applied by frame_components.
     """
+    if tetrad is None:
+        tetrad = Tetrad.canonical()
     y = np.asarray(y, dtype=float)
     if y.shape != (4,):
         raise ValueError(f"takes one vector of 4 components, got an array of shape {y.shape}")
@@ -218,26 +231,13 @@ def projections(y, tetrad: Tetrad):
     return b, i / b, j / b, i3 / b
 
 
-def pseudo_norm_squared(y, tetrad: Tetrad) -> float:
-    """s2 = y.a.y of one vector; ValueError where it overflows, as bad input."""
-    y = np.asarray(y, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # dot warns on overflow too
-        s2 = float(y.dot(tetrad.a).dot(y))
-    if not math.isfinite(s2):
-        raise ValueError(f"s2 = y.a.y overflows for y={y.tolist()}")
-    return s2
-
-
 def frame_components(y, tetrad: Tetrad | None = None) -> FrameComponents:
     """Resolve ``y`` into frame components and scalar ratios.
 
     Requires b > 0 and w3 > 0 (the axial region where the scalar pipeline
     is defined).  The orientation ratio ``t`` is tan(phi) = w2/w1.
     """
-    if tetrad is None:
-        tetrad = Tetrad.canonical()
     b, w1, w2, w3 = projections(y, tetrad)
     if w3 <= 0.0:
         raise OutsideAxialRegion(f"axial projection w3={w3} is not positive")
-    s2 = pseudo_norm_squared(y, tetrad)
-    return FrameComponents.from_ratios(b, w1, w2, w3, math.hypot(w1, w2), s2)
+    return FrameComponents.from_ratios(b, w1, w2, w3, math.hypot(w1, w2))

@@ -402,11 +402,12 @@ def structural_profile(eta: float, params: Parameters) -> EvalBundle:
 
 
 def angular_profile(theta: float, params: Parameters) -> AngularProfile:
-    """Azimuthal building blocks at ``theta``; ThetaPole outside the chart's [0, theta_pole)."""
+    """Azimuthal building blocks at ``theta``; ThetaPole outside the chart's [0, theta_pole),
+    OutsideAxialRegion where exp(gp theta) overflows (``_spiral``), as ``_section_chart``."""
     if not theta < (pole := theta_pole(params)) or theta < 0.0:
         raise ThetaPole(f"theta={theta} not in [0, {pole}), where R2=cos + gp sin > 0")
     r2 = math.cos(theta) + params.azimuthal_skew * math.sin(theta)
-    big_i = _spiral(theta, params)
+    big_i = _spiral(theta, params, chart=True)
     return AngularProfile(r2, big_i, big_i / r2)
 
 
@@ -551,7 +552,7 @@ def finsler_norm(y, tetrad: Tetrad | None = None, params: Parameters | None = No
     """
     if params is None:
         raise TypeError("params is required")
-    b, w1, w2, w3 = projections(y, Tetrad.canonical() if tetrad is None else tetrad)
+    b, w1, w2, w3 = projections(y, tetrad)
     if params.p < 1.0 and w3 <= 0.0:
         raise OutsideAxialRegion(f"axial projection w3={w3} is not positive")
     r = _log_spiral(w1, w2, w3, params)[6]
@@ -565,8 +566,7 @@ def vector_from_angles(
     if norm <= 0.0:
         raise ValueError(f"norm must be positive, got {norm}")
     _, (_, (w1, w2, w3, w_perp), _), (b, *_) = _chart_vector(angles, norm, params)
-    s2 = b * b * (1.0 - w3 * w3 - w_perp * w_perp)
-    return FrameComponents.from_ratios(b, w1, w2, w3, w_perp, s2)
+    return FrameComponents.from_ratios(b, w1, w2, w3, w_perp)
 
 
 def _section_chart(theta, phi, params: Parameters, r=1.0):

@@ -75,7 +75,7 @@ def _frame_point(y, tetrad: Tetrad | None, params: Parameters, dual: bool = Fals
     or ``dual.atan2`` where they underflow."""
     if params is None:
         raise TypeError("params is required")
-    b, w1, w2, w3 = projections(y, Tetrad.canonical() if tetrad is None else tetrad)
+    b, w1, w2, w3 = projections(y, tetrad)
     axial = params.p < 1.0 if axial is None else axial
     if axial:
         _check_axial(w1, w2, w3)

@@ -39,19 +39,28 @@ def _decimal_atan(z):
     return total * 2 ** halvings
 
 
+def _depth(eta, gp, hh):
+    """(ln(r_sup/r(eta)), V, R1, sinh) at a Decimal eta and the context precision: the
+    depth is ln(R1/((1 + hh) sinh)) plus gp (atan(gp cosh/A) - atan(gp/hh)), with
+    A = sqrt(hh^2 sinh^2 - gp^2), R1 = cosh + A, J = ((hh cosh + A)/sqrt(hh^2 + gp^2))^hh
+    (1 at H = 1) and V = J/R1."""
+    e = eta.exp()
+    sh, ch = (e - 1 / e) / 2, (e + 1 / e) / 2
+    a = (hh * hh * sh * sh - gp * gp).sqrt()
+    r1 = ch + a
+    depth = (r1 / ((1 + hh) * sh)).ln()
+    if gp > 0:
+        depth += gp * (_decimal_atan(gp * ch / a) - _decimal_atan(gp / hh))
+    j = (hh * ((hh * ch + a) / (hh * hh + gp * gp).sqrt()).ln()).exp() if hh else Decimal(1)
+    return depth, j / r1, r1, sh
+
+
 def _decimal_depth(eta, gp, hh):
-    """ln(r_sup/r(eta)) at 90 digits from its definition, ln(R1/((1 + hh) sinh))
-    plus gp (atan(gp cosh/A) - atan(gp/hh)), taking the float eta, gp, hh as exact."""
+    """ln(r_sup/r(eta)) at 90 digits from its definition (``_depth``), taking the float
+    eta, gp, hh as exact."""
     with decimal.localcontext() as ctx:
         ctx.prec = 90
-        eta, gp, hh = map(Decimal, (eta, gp, hh))
-        e = eta.exp()
-        sh, ch = (e - 1 / e) / 2, (e + 1 / e) / 2
-        a = (hh * hh * sh * sh - gp * gp).sqrt()
-        depth = ((ch + a) / ((1 + hh) * sh)).ln()
-        if gp > 0:
-            depth += gp * (_decimal_atan(gp * ch / a) - _decimal_atan(gp / hh))
-        return depth
+        return _depth(*map(Decimal, (eta, gp, hh)))[0]
 
 
 def _decimal_atan2(y, x):
@@ -60,19 +69,6 @@ def _decimal_atan2(y, x):
         return _decimal_atan(y / x)
     half_pi = 2 * _decimal_atan(Decimal(1))
     return half_pi if x == 0 else 2 * half_pi - _decimal_atan(y / -x)
-
-
-def _decimal_radial(eta, gp, hh):
-    """(ln r, V, R1, sinh) at a Decimal eta: A = sqrt(hh^2 sinh^2 - gp^2), R1 = cosh + A,
-    J = ((hh cosh + A)/sqrt(hh^2 + gp^2))^hh (1 at H = 1), Y1 = exp(-gp atan2(gp cosh, A)),
-    V = J/R1 and r = sinh Y1/R1."""
-    e = eta.exp()
-    sh, ch = (e - 1 / e) / 2, (e + 1 / e) / 2
-    a = (hh * hh * sh * sh - gp * gp).sqrt()
-    r1 = ch + a
-    j = (hh * ((hh * ch + a) / (hh * hh + gp * gp).sqrt()).ln()).exp() if hh else Decimal(1)
-    ln_r = (sh / r1).ln() - gp * _decimal_atan2(gp * ch, a) if gp else (sh / r1).ln()
-    return ln_r, j / r1, r1, sh
 
 
 def _float_ln_r(eta, gp, hh):
@@ -84,11 +80,13 @@ def _float_ln_r(eta, gp, hh):
 
 def decimal_vector(y, H, p, prec=60):
     """theta, r, eta, V and F of the vector y (canonical frame: b = y0, w = y[1:]/y0), all
-    Decimals at ``prec`` digits.  theta = atan2(Y, X) and r = |X + iY| exp(gp theta), with
-    Y = p |(w1, w2)| and X = w3 - gp Y; eta solves ln r(eta) = ln r by Newton's method on
-    d ln r/d eta = 1/(p^2 R1 sinh), from a bisection in doubles; F = b V(eta)."""
+    Decimals good to ``prec`` digits.  theta = atan2(Y, X) and r = |X + iY| exp(gp theta),
+    with Y = p |(w1, w2)| and X = w3 - gp Y; eta solves depth(eta) = D = ln(r_sup/r), from a
+    bisection in doubles, by Newton's method on ln depth, whose slope is -1/(p^2 R1 sinh
+    depth): next to the rim, where ln r(eta) flattens, ln depth falls as -2 eta.  D is
+    down to ~1e-17 there, so the work carries 20 digits more than ``prec``; F = b V(eta)."""
     with decimal.localcontext() as ctx:
-        ctx.prec = prec
+        ctx.prec = prec + 20
         b, w1, w2, w3 = (Decimal(c) for c in y)
         w1, w2, w3 = w1 / b, w2 / b, w3 / b
         p, H = Decimal(p), Decimal(H)
@@ -96,24 +94,25 @@ def decimal_vector(y, H, p, prec=60):
         vy = p * (w1 * w1 + w2 * w2).sqrt()
         vx = w3 - gp * vy
         theta = _decimal_atan2(vy, vx)
-        r = (vx * vx + vy * vy).sqrt() * (gp * theta).exp()
-        ln_r = r.ln()
-        fgp, fhh = float(gp), float(hh)
+        k = (vx * vx + vy * vy).sqrt()
+        r = k * (gp * theta).exp()
+        ln_depth = (-gp * (_decimal_atan2(gp, hh) + theta) - (1 + hh).ln() - k.ln()).ln()
+        fgp, fhh, ln_r = float(gp), float(hh), float(r.ln())
         lo = math.asinh(fgp / fhh) if fgp else 0.0
         hi = 40.0
         while hi - lo > 1e-12 * hi:
             mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if _float_ln_r(mid, fgp, fhh) < float(ln_r) else (lo, mid)
+            lo, hi = (mid, hi) if _float_ln_r(mid, fgp, fhh) < ln_r else (lo, mid)
         eta = Decimal(hi)
         for _ in range(20):
-            here, _, r1, sh = _decimal_radial(eta, gp, hh)
-            step = (here - ln_r) * p * p * r1 * sh
+            depth, _, r1, sh = _depth(eta, gp, hh)
+            step = (ln_depth - depth.ln()) * p * p * r1 * sh * depth
             eta -= step
             if abs(step) <= eta * Decimal(10) ** (8 - prec):
                 break
         else:
             raise AssertionError(f"Newton did not converge at y={y}, H={H}, p={p}")
-        v = _decimal_radial(eta, gp, hh)[1]
+        v = _depth(eta, gp, hh)[1]
         return theta, r, eta, v, b * v
 
 

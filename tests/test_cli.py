@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from finsleroid import FinsleroidError, Parameters, Tetrad, sample_vectors
+from finsleroid import FinsleroidError, Parameters, Tetrad, finsler_norm, sample_vectors
 from finsleroid.cli import evaluate_document
+from finsleroid.frame import _s2, projections
 
 GOLDEN = Path(__file__).parent / "golden" / "eval_H1_p1.json"
 GOLDEN_ISOTROPIC = Path(__file__).parent / "golden" / "eval_H1.25_p1_w3neg.json"
@@ -397,6 +398,21 @@ def test_isotropic_negative_axial_azimuth_is_below_two_pi():
     doc = evaluate_document(Parameters(1.25, 1.0), Tetrad.canonical(), [2.0, 0.3, -1e-20, -0.5])
     assert doc["status"] == "ok"
     assert 0.0 <= doc["angles"]["phi"] < 2.0 * math.pi
+
+
+def test_eval_isotropic_branch_at_exactly_w3_zero():
+    # p = 1, w3 = 0: the isotropic branch, whose ratios w = w_perp/w3 and t, and the
+    # azimuthal R2, I, U and f, are not defined there
+    r = run_cli("eval", "--H", "1.25", "--p", "1", "--y=2,0.3,0.2,0")
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["frame"]["w3"] == 0.0
+    for section, key in [("frame", "w"), ("frame", "t"), ("bundle", "R2"), ("bundle", "I"),
+                         ("bundle", "U"), ("bundle", "f")]:
+        assert doc[section][key] is None, (section, key)
+    y = [2.0, 0.3, 0.2, 0.0]
+    assert doc["bundle"]["F"].hex() == finsler_norm(y, None, Parameters(1.25, 1.0)).hex()
+    assert doc["frame"]["s2"] == _s2(*projections(y))
 
 
 def test_report_domain_grid_with_empty_row():

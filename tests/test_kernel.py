@@ -37,6 +37,7 @@ from finsleroid import (
     metric_tensor,
     oracle_quadrature,
     sample_vectors,
+    section_curvature,
     structural_profile,
     theta_from_f,
     theta_pole,
@@ -159,6 +160,17 @@ def test_angular_profile_pole():
     with pytest.raises(ThetaPole):
         angular_profile(2.5, params)
     assert theta_pole(params) == pytest.approx(math.atan2(1.0, -0.75))
+    # exp(gp theta) overflows inside [0, theta_pole ~ 3.139): the chart's error, as the
+    # section's, not the radius' OutsideRadialDomain(r=inf) or (at p = 0.0021) EmptyDomain
+    message = "exp(gp theta) overflows at theta=2.0: w3 -> 0"
+    for p_val in (0.0025, 0.0021):
+        params = Parameters(H=2.0, p=p_val)
+        assert 2.0 < theta_pole(params)
+        with pytest.raises(OutsideAxialRegion) as profile_error:
+            angular_profile(2.0, params)
+        with pytest.raises(OutsideAxialRegion) as section_error:
+            section_curvature(2.0, params)
+        assert str(profile_error.value) == str(section_error.value) == message
 
 
 def test_theta_from_f_examples():
@@ -940,12 +952,14 @@ def test_norm_of_sampled_vectors_matches_a_60_digit_truth():
     # r = k exp(gp theta) carries gp times theta's rounding, so the kappa-only bound of the
     # test above misses here (25 units at (3, 0.3)).  Measured worst, in these units: 4.55 at
     # (3, 0.3), 1.79 at (1.5, 0.9), 1.68 at (2, 0.5), 1.14 at (1.25, 0.8), 0.23 at (50, 0.05);
-    # c = 8.  The sampler's default eta box keeps clear of the rim, where the oracle's Newton
-    # does not always converge
+    # c = 8.  The rim draws lie 8 to 14 above the (3, 0.3) floor, at depths ln(r_sup/r) from
+    # 3e-8 down to 2e-13, where the oracle steps on ln depth: 3.78 units there
     eps, c = 2.0 ** -52, 8.0
-    for H, p in ((2.0, 0.5), (1.25, 0.8), (1.5, 0.9), (3.0, 0.3), (50.0, 0.05)):
+    pairs = ((2.0, 0.5), (1.25, 0.8), (1.5, 0.9), (3.0, 0.3), (50.0, 0.05))
+    rim = {"eta_margin": 8.0, "eta_span": 6.0}
+    for (H, p), box in [*((pair, {}) for pair in pairs), ((3.0, 0.3), rim)]:
         params = Parameters(H=H, p=p)
-        for y in sample_vectors(params, 60, 7):
+        for y in sample_vectors(params, 60, 7, **box):
             theta, _, eta, _, norm = decimal_vector(y, H, p)
             kappa = max(1.0, (p / H) ** 2 * math.sinh(float(eta)) ** 2)
             bound = c * kappa * (1.0 + params.azimuthal_skew * float(theta)) * eps
